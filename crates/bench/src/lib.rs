@@ -1,7 +1,8 @@
 //! Benchmark harness for the MLP workspace.
 //!
-//! This crate carries no library code: everything lives in `benches/` —
-//! Criterion micro-benchmarks (`micro`) and one `harness = false` target
-//! per paper table/figure (`table1` … `figure11`), each of which prints
-//! the regenerated result. Scale the experiment benches with
-//! `MLP_BENCH_SCALE=quick|standard|full`.
+//! This crate carries no library code: everything lives in `benches/`,
+//! as `harness = false` targets (`experiments`, `sweep`, `stream`,
+//! `surrogate`) that regenerate results and check them against their
+//! guards. Scale the experiment benches with
+//! `MLP_BENCH_SCALE=quick|standard|full`. Per-layer timings live in the
+//! repository benchmark, `mlp-bench` (see `mlpbench/README.md`).

@@ -1,5 +1,5 @@
 use mlp_mem::HierarchyConfig;
-use mlpsim::{BranchMode, IssueConfig};
+use mlpsim::{BranchMode, IssueConfig, ValueMode};
 
 /// Configuration of the cycle-accurate pipeline.
 ///
@@ -57,6 +57,23 @@ pub struct CycleSimConfig {
     /// Perfect-L2 mode: off-chip accesses behave like L2 hits. Used to
     /// measure `CPI_perf` for the performance model.
     pub perfect_l2: bool,
+    /// Runahead execution at the retire stage (`None`: conventional
+    /// retirement).
+    pub runahead: Option<RunaheadConfig>,
+}
+
+/// Runahead settings: how far past the blocking load the core may run,
+/// and whether a value predictor supplies missing loads' values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunaheadConfig {
+    /// Maximum runahead distance in instructions past the trigger (the
+    /// paper uses 2048).
+    pub max_dist: usize,
+    /// Missing-load value prediction inside runahead (the paper's §5.5
+    /// mechanism, recovery-free there): a correctly predicted missing
+    /// load keeps a *valid* destination, so its dependents can compute
+    /// real addresses and prefetch deeper.
+    pub value: ValueMode,
 }
 
 impl Default for CycleSimConfig {
@@ -79,6 +96,7 @@ impl Default for CycleSimConfig {
             hierarchy: HierarchyConfig::default(),
             branch: BranchMode::default(),
             perfect_l2: false,
+            runahead: None,
         }
     }
 }
@@ -119,8 +137,8 @@ impl CycleSimConfig {
     /// # Panics
     ///
     /// Panics on zero-sized structures, a ROB smaller than the issue
-    /// window, or out-of-order branch issue (configurations D/E), which
-    /// this cycle model does not implement.
+    /// window, out-of-order branch issue (configurations D/E), which this
+    /// cycle model does not implement, or a zero runahead distance.
     pub fn validate(&self) {
         assert!(self.iw > 0 && self.rob >= self.iw, "need 0 < iw <= rob");
         assert!(self.fetch_width > 0 && self.retire_width > 0);
@@ -130,6 +148,9 @@ impl CycleSimConfig {
             "the cycle-accurate model only supports in-order branch issue \
              (configurations A-C), like the paper's reference simulator"
         );
+        if let Some(ra) = self.runahead {
+            assert!(ra.max_dist > 0, "runahead distance must be non-zero");
+        }
     }
 }
 
@@ -146,6 +167,7 @@ mod tests {
         assert_eq!(c.issue, IssueConfig::C);
         assert_eq!(c.mem_latency, 200);
         assert!(!c.perfect_l2);
+        assert_eq!(c.runahead, None);
     }
 
     #[test]
@@ -160,6 +182,19 @@ mod tests {
         assert_eq!(c.issue, IssueConfig::A);
         assert!(c.perfect_l2);
         c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "runahead distance must be non-zero")]
+    fn zero_runahead_distance_rejected() {
+        CycleSimConfig {
+            runahead: Some(RunaheadConfig {
+                max_dist: 0,
+                value: ValueMode::None,
+            }),
+            ..CycleSimConfig::default()
+        }
+        .validate();
     }
 
     #[test]

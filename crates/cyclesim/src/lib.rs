@@ -42,6 +42,6 @@ mod report;
 pub mod runahead;
 pub mod smt;
 
-pub use config::CycleSimConfig;
+pub use config::{CycleSimConfig, RunaheadConfig};
 pub use pipeline::CycleSim;
 pub use report::CycleReport;

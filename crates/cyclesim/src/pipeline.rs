@@ -1,4 +1,5 @@
-//! The cycle-level pipeline model.
+//! The cycle-level core: the one clock loop behind the conventional
+//! pipeline, runahead execution and simultaneous multithreading.
 //!
 //! A single clock drives five stages — fetch, dispatch, issue, complete,
 //! retire — over explicit ROB/issue-window/fetch-buffer structures. The
@@ -14,6 +15,27 @@
 //! `match` over the row-level enum. Completion timestamps live in a
 //! min-heap (only the earliest is ever inspected), and the MLP(t)
 //! integrals run off incrementally-maintained outstanding totals.
+//!
+//! Two policies ride on the same stages:
+//!
+//! - **Runahead** ([`CycleSimConfig::runahead`]) is a retire-stage
+//!   policy. When the ROB head blocks on an off-chip read, the core
+//!   pseudo-retires it with a poisoned (invalid) destination — unless the
+//!   value predictor supplies the value — and keeps pseudo-retiring
+//!   completed instructions, plus in-flight reads as poisoned prefetches.
+//!   Poison flows to dependents: poisoned loads skip their access,
+//!   poisoned mispredicted branches never redirect. Stores are dropped
+//!   and serializing instructions lose their drain. When the trigger's
+//!   data returns, the core flushes and rewinds fetch to the trigger's
+//!   trace index: the trace is the architectural path, so re-execution
+//!   is fetching it again.
+//! - **SMT** runs N threads as partitions of one machine. Each thread has
+//!   its own source, fetch queue, ROB/issue-window share, rename table,
+//!   store-forwarding map and flag rings. The hierarchy, MSHRs, branch
+//!   predictor, completion heap, stage widths and MLP(t)/fM integrals are
+//!   shared, and every stage visits the threads round-robin. Thread `t`'s
+//!   pcs and addresses carry an address-space tag (`t << 44`), so
+//!   co-running threads never share cache lines.
 
 use crate::{CycleReport, CycleSimConfig};
 use mlp_hash::FxHashMap;
@@ -25,8 +47,11 @@ use mlp_isa::{
 };
 use mlp_mem::{Access, Hierarchy, Mshr, MshrOutcome};
 use mlp_obs::{IntervalSampler, LocalHist, Value};
-use mlp_predict::{BranchObserver, BranchPredictor, BranchStats, PerfectBranchPredictor};
-use mlpsim::{BranchMode, OffchipCounts};
+use mlp_predict::{
+    BranchObserver, BranchPredictor, BranchStats, LastValuePredictor, PerfectBranchPredictor,
+    PerfectValuePredictor, ValueObserver, ValuePrediction,
+};
+use mlpsim::{BranchMode, OffchipCounts, ValueMode};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -34,10 +59,27 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 /// No producer in this operand slot ([`Entry::producers`] sentinel).
 const NO_PRODUCER: u64 = u64::MAX;
 
+/// SMT address-space tag: thread `t`'s pcs and addresses are OR-ed with
+/// `t << ASID_SHIFT` as its columns are read.
+const ASID_SHIFT: u32 = 44;
+
+/// Completion-heap keys carry the thread id above this bit of the
+/// sequence number.
+const TID_SHIFT: u32 = 56;
+const SEQ_MASK: u64 = (1 << TID_SHIFT) - 1;
+
 #[derive(Clone, Debug)]
 struct Entry {
     class: u8,
     mispredicted: bool,
+    /// Runahead: a source's last writer had already pseudo-retired with a
+    /// poisoned value when this instruction was renamed.
+    arch_poison: bool,
+    /// Dependence-slot destination (runahead records its poison here at
+    /// pseudo-retire).
+    dst: u8,
+    /// Trace index.
+    idx: u32,
     producers: [u64; 3], // sequence numbers; NO_PRODUCER = none
     mem_addr: Option<u64>,
     complete_at: u64,
@@ -69,34 +111,62 @@ impl Branches {
     }
 }
 
-/// Per-thread pool of the pipeline's per-run containers, handed (cleared,
+/// One flag per in-flight sequence number: a ring bitset indexed by
+/// `seq & mask`. The issue scan and producer-readiness checks hit these
+/// few cache-resident words instead of loading scattered ROB entries.
+#[derive(Default)]
+struct FlagRing {
+    words: Vec<u64>,
+    mask: u64,
+}
+
+impl FlagRing {
+    fn reset(&mut self, slots: usize) {
+        self.words.clear();
+        self.words.resize(slots / 64, 0);
+        self.mask = slots as u64 - 1;
+    }
+
+    #[inline]
+    fn get(&self, seq: u64) -> bool {
+        let slot = seq & self.mask;
+        self.words[(slot >> 6) as usize] & (1 << (slot & 63)) != 0
+    }
+
+    #[inline]
+    fn set(&mut self, seq: u64) {
+        let slot = seq & self.mask;
+        self.words[(slot >> 6) as usize] |= 1 << (slot & 63);
+    }
+
+    #[inline]
+    fn clear(&mut self, seq: u64) {
+        let slot = seq & self.mask;
+        self.words[(slot >> 6) as usize] &= !(1 << (slot & 63));
+    }
+}
+
+/// One thread's reusable containers.
+#[derive(Default)]
+struct Lane {
+    fetch_queue: VecDeque<(u32, bool)>,
+    rob: VecDeque<Entry>,
+    store_fwd: FxHashMap<u64, u64>,
+    short_done: Vec<u64>,
+    issued: FlagRing,
+    completed: FlagRing,
+    poisoned: FlagRing,
+}
+
+/// Per-OS-thread pool of the core's per-run containers, handed (cleared,
 /// capacity intact) from one run to the next so sweep points allocate no
 /// steady-state scratch.
 #[derive(Default)]
 struct Scratch {
-    fetch_queue: VecDeque<(u32, bool)>,
-    rob: VecDeque<Entry>,
-    store_fwd: FxHashMap<u64, u64>,
+    lanes: Vec<Lane>,
     completions: BinaryHeap<Reverse<(u64, u64)>>,
     decisions: Vec<u64>,
     planned: Vec<u64>,
-    issued_bits: Vec<u64>,
-    completed_bits: Vec<u64>,
-    short_done: Vec<u64>,
-}
-
-impl Scratch {
-    fn clear(&mut self) {
-        self.fetch_queue.clear();
-        self.rob.clear();
-        self.store_fwd.clear();
-        self.completions.clear();
-        self.decisions.clear();
-        self.planned.clear();
-        self.issued_bits.clear();
-        self.completed_bits.clear();
-        self.short_done.clear();
-    }
 }
 
 thread_local! {
@@ -104,13 +174,15 @@ thread_local! {
 }
 
 fn take_scratch() -> Scratch {
-    match POOL.take() {
-        Some(mut s) => {
-            s.clear();
-            s
-        }
-        None => Scratch::default(),
+    let mut s = POOL.take().unwrap_or_default();
+    for lane in &mut s.lanes {
+        lane.fetch_queue.clear();
+        lane.rob.clear();
+        lane.store_fwd.clear();
+        lane.short_done.clear();
     }
+    s.completions.clear();
+    s
 }
 
 /// The cycle-accurate simulator.
@@ -157,7 +229,7 @@ impl CycleSim {
     /// through exactly the same kernel as [`CycleSim::run_shared`].
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, warmup: u64, measure: u64) -> CycleReport {
         let mut src = StreamingSoaSource::new(trace);
-        Machine::new(&self.config, &mut src, warmup, measure).run()
+        simulate(&self.config, [&mut src], warmup, measure).0
     }
 
     /// Runs the pipeline over a pre-materialized column trace (the first
@@ -175,13 +247,13 @@ impl CycleSim {
         measure: u64,
     ) -> CycleReport {
         let mut src = SharedSoaSource::new(soa, len);
-        Machine::new(&self.config, &mut src, warmup, measure).run()
+        simulate(&self.config, [&mut src], warmup, measure).0
     }
 
     /// Runs the pipeline over a stream of column chunks, keeping only a
     /// bounded window of the trace resident: each cycle the machine
-    /// releases everything older than the oldest instruction the front
-    /// end still needs (the ROB caches its fields at dispatch).
+    /// releases everything older than the oldest instruction it may still
+    /// read (the runahead trigger, else the ROB head, else the front end).
     pub fn run_chunks<C: SoAChunks>(
         &mut self,
         chunks: C,
@@ -189,17 +261,39 @@ impl CycleSim {
         measure: u64,
     ) -> CycleReport {
         let mut src = ChunkedSoaSource::new(chunks);
-        Machine::new(&self.config, &mut src, warmup, measure).run()
+        simulate(&self.config, [&mut src], warmup, measure).0
     }
 }
 
-struct Machine<'a, S> {
-    cfg: &'a CycleSimConfig,
+/// Runs one thread per source on the core: each retires `warmup`
+/// uncounted instructions, then up to `measure` measured ones. Returns
+/// the combined report and each thread's measured instruction count.
+pub(crate) fn simulate<'a, S: InstSource + 'a>(
+    cfg: &CycleSimConfig,
+    srcs: impl IntoIterator<Item = &'a mut S>,
+    warmup: u64,
+    measure: u64,
+) -> (CycleReport, Vec<u64>) {
+    Machine::new(cfg, srcs.into_iter().collect(), warmup, measure).run()
+}
+
+/// An active runahead interval.
+#[derive(Clone, Copy)]
+struct Episode {
+    /// Trace index of the blocking load; fetch rewinds here on exit.
+    trigger: usize,
+    /// Cycle the trigger's data returns.
+    exit_at: u64,
+    start: u64,
+}
+
+/// One hardware thread's partition of the machine.
+struct Thread<'a, S> {
     src: &'a mut S,
-    hierarchy: Hierarchy,
-    mshr: Mshr,
-    branches: Branches,
-    now: u64,
+    asid: u64,
+    rob_cap: usize,
+    iw_cap: usize,
+    fetch_cap: usize,
     // front end
     fetch_queue: VecDeque<(u32, bool)>, // trace index, with mispredict flag
     pending_fetch: Option<u32>,         // waiting for its I-line to arrive
@@ -207,7 +301,6 @@ struct Machine<'a, S> {
     awaiting_redirect: bool,
     last_ifetch_line: u64,
     fetch_pos: usize,
-    fetched: u64,
     // back end
     rob: VecDeque<Entry>,
     head_seq: u64,
@@ -220,25 +313,153 @@ struct Machine<'a, S> {
     /// `continue`d past before touching any policy-gate state.
     first_unissued: u64,
     last_writer: [u64; AVAIL_SLOTS], // seq + 1; 0 = none; sentinel slots inert
-    store_fwd: FxHashMap<u64, u64>,  // addr8 -> latest store seq
+    /// Runahead: registers whose last pseudo-retired writer was poisoned.
+    poison_regs: [bool; AVAIL_SLOTS],
+    store_fwd: FxHashMap<u64, u64>, // addr8 -> latest store seq
     serialize_block: Option<u64>,
-    completions: BinaryHeap<Reverse<(u64, u64)>>, // (complete_at, seq)
     // Single-cycle completions bypass the heap: everything issued during
     // one cycle with `complete_at == now + 1` lands here and is drained
     // wholesale at the next step (the clock strictly advances between
     // steps, so at most one generation is ever in flight).
     short_done: Vec<u64>,
     short_at: u64,
-    // Issued/completed flags as ring bitsets indexed by `seq & ring_mask`
-    // (ring capacity >= ROB capacity, so live sequence numbers never
-    // collide). The issue scan and producer-readiness checks hit these
-    // few cache-resident words instead of loading scattered ROB entries.
-    issued_bits: Vec<u64>,
-    completed_bits: Vec<u64>,
-    ring_mask: u64,
+    // Flag rings hold at least twice the ROB partition, so a slot is
+    // recycled only after every instruction that could name its old
+    // occupant as a producer has left the ROB (runahead reads a
+    // pseudo-retired producer's poison bit).
+    issued: FlagRing,
+    completed: FlagRing,
+    poisoned: FlagRing,
+    retired: u64,
+    runahead: Option<Episode>,
+}
+
+impl<'a, S: InstSource> Thread<'a, S> {
+    fn new(cfg: &CycleSimConfig, src: &'a mut S, tid: usize, threads: usize, lane: Lane) -> Self {
+        let rob_cap = (cfg.rob / threads).max(1);
+        let ring = (2 * rob_cap).next_power_of_two().max(64);
+        let Lane {
+            fetch_queue,
+            rob,
+            store_fwd,
+            short_done,
+            mut issued,
+            mut completed,
+            mut poisoned,
+        } = lane;
+        issued.reset(ring);
+        completed.reset(ring);
+        poisoned.reset(ring);
+        Thread {
+            src,
+            asid: (tid as u64) << ASID_SHIFT,
+            rob_cap,
+            iw_cap: (cfg.iw / threads).max(1),
+            fetch_cap: (cfg.fetch_buffer / threads).max(1),
+            fetch_queue,
+            pending_fetch: None,
+            fetch_stall_until: 0,
+            awaiting_redirect: false,
+            last_ifetch_line: u64::MAX,
+            fetch_pos: 0,
+            rob,
+            head_seq: 0,
+            next_seq: 0,
+            unissued: 0,
+            first_unissued: 0,
+            last_writer: [0; AVAIL_SLOTS],
+            poison_regs: [false; AVAIL_SLOTS],
+            store_fwd,
+            serialize_block: None,
+            short_done,
+            short_at: 0,
+            issued,
+            completed,
+            poisoned,
+            retired: 0,
+            runahead: None,
+        }
+    }
+
+    fn into_lane(self) -> Lane {
+        Lane {
+            fetch_queue: self.fetch_queue,
+            rob: self.rob,
+            store_fwd: self.store_fwd,
+            short_done: self.short_done,
+            issued: self.issued,
+            completed: self.completed,
+            poisoned: self.poisoned,
+        }
+    }
+
+    #[inline]
+    fn trace_done(&mut self) -> bool {
+        let want = self.fetch_pos + 1;
+        self.src.available() < want && self.src.ensure(want) < want
+    }
+
+    /// The oldest trace index the thread may still read: the runahead
+    /// trigger (fetch rewinds to it), else the ROB head (the value
+    /// predictor reads its pc and value), else the front end.
+    fn low_water(&self) -> usize {
+        match self.runahead {
+            Some(ep) => ep.trigger,
+            None => self
+                .rob
+                .front()
+                .map(|e| e.idx)
+                .or_else(|| self.fetch_queue.front().map(|&(i, _)| i))
+                .or(self.pending_fetch)
+                .map_or(self.fetch_pos, |i| i as usize),
+        }
+    }
+
+    fn done(&mut self, limit: u64) -> bool {
+        self.retired >= limit
+            || (self.trace_done()
+                && self.fetch_queue.is_empty()
+                && self.pending_fetch.is_none()
+                && self.rob.is_empty()
+                && self.runahead.is_none())
+    }
+
+    #[inline]
+    fn producer_ready(&self, seq: u64) -> bool {
+        seq < self.head_seq || self.completed.get(seq)
+    }
+
+    #[inline]
+    fn entry_ready(&self, e: &Entry) -> bool {
+        e.producers
+            .iter()
+            .all(|&p| p == NO_PRODUCER || self.producer_ready(p))
+    }
+
+    /// Pops the ROB head without committing it (runahead), recording
+    /// whether its destination value is invalid.
+    fn pseudo_retire_head(&mut self, poisoned: bool) {
+        let e = self.rob.pop_front().expect("head present");
+        if poisoned {
+            self.poisoned.set(self.head_seq);
+        }
+        self.poison_regs[e.dst as usize] = poisoned;
+        self.head_seq += 1;
+    }
+}
+
+/// The state every thread shares.
+struct Core<'a> {
+    cfg: &'a CycleSimConfig,
+    hierarchy: Hierarchy,
+    mshr: Mshr,
+    branches: Branches,
+    values: Option<Box<dyn ValueObserver>>,
+    now: u64,
+    completions: BinaryHeap<Reverse<(u64, u64)>>, // (complete_at, tid << TID_SHIFT | seq)
     // Reused scratch for issue(), so the per-cycle scan does not allocate.
-    decisions_scratch: Vec<u64>,
-    planned_scratch: Vec<u64>,
+    decisions: Vec<u64>,
+    planned: Vec<u64>,
     // MLP(t) integration (useful accesses) and fM (all transfers)
     outstanding: BTreeMap<u64, u32>,
     fm_outstanding: BTreeMap<u64, u32>,
@@ -250,8 +471,10 @@ struct Machine<'a, S> {
     outstanding_size: u32,
     fm_size: u32,
     mlp_cursor: u64,
+    rr: usize, // round-robin priority cursor
     // accounting
-    retired: u64,
+    thread_count: usize,
+    warm_threads: usize,
     warmup: u64,
     limit: u64,
     measuring: bool,
@@ -262,49 +485,48 @@ struct Machine<'a, S> {
     fm_weighted: u64,
     fm_active: u64,
     branch_base: BranchStats,
+    runahead_entries: u64,
+    runahead_exits: u64,
+    runahead_episode: LocalHist,
+}
+
+struct Machine<'a, S> {
+    core: Core<'a>,
+    threads: Vec<Thread<'a, S>>,
 }
 
 impl<'a, S: InstSource> Machine<'a, S> {
-    fn new(cfg: &'a CycleSimConfig, src: &'a mut S, warmup: u64, measure: u64) -> Self {
-        let pool = take_scratch();
-        let ring = cfg.rob.next_power_of_two().max(64);
-        let mut issued_bits = pool.issued_bits;
-        let mut completed_bits = pool.completed_bits;
-        issued_bits.resize(ring / 64, 0);
-        completed_bits.resize(ring / 64, 0);
-        Machine {
+    fn new(cfg: &'a CycleSimConfig, srcs: Vec<&'a mut S>, warmup: u64, measure: u64) -> Self {
+        let mut pool = take_scratch();
+        let n = srcs.len();
+        let threads = srcs
+            .into_iter()
+            .enumerate()
+            .map(|(tid, src)| Thread::new(cfg, src, tid, n, pool.lanes.pop().unwrap_or_default()))
+            .collect();
+        let values: Option<Box<dyn ValueObserver>> = match cfg.runahead.map(|r| r.value) {
+            None | Some(ValueMode::None) => None,
+            // The timing model carries the last-value table; the
+            // stride/hybrid variants matter only in the epoch model's
+            // ablation and behave identically on these workloads.
+            Some(ValueMode::LastValue(n) | ValueMode::Stride(n) | ValueMode::Hybrid(n)) => {
+                Some(Box::new(LastValuePredictor::new(n)))
+            }
+            Some(ValueMode::Perfect) => Some(Box::new(PerfectValuePredictor::new())),
+        };
+        let core = Core {
             cfg,
-            src,
             hierarchy: Hierarchy::new(cfg.hierarchy),
             mshr: Mshr::new(cfg.mshrs, cfg.mem_latency),
             branches: match cfg.branch {
                 BranchMode::Real(c) => Branches::Real(BranchPredictor::new(c)),
                 BranchMode::Perfect => Branches::Perfect(PerfectBranchPredictor::new()),
             },
+            values,
             now: 0,
-            fetch_queue: pool.fetch_queue,
-            pending_fetch: None,
-            fetch_stall_until: 0,
-            awaiting_redirect: false,
-            last_ifetch_line: u64::MAX,
-            fetch_pos: 0,
-            fetched: 0,
-            rob: pool.rob,
-            head_seq: 0,
-            next_seq: 0,
-            unissued: 0,
-            first_unissued: 0,
-            last_writer: [0; AVAIL_SLOTS],
-            store_fwd: pool.store_fwd,
-            serialize_block: None,
             completions: pool.completions,
-            short_done: pool.short_done,
-            short_at: 0,
-            issued_bits,
-            completed_bits,
-            ring_mask: ring as u64 - 1,
-            decisions_scratch: pool.decisions,
-            planned_scratch: pool.planned,
+            decisions: pool.decisions,
+            planned: pool.planned,
             outstanding: BTreeMap::new(),
             fm_outstanding: BTreeMap::new(),
             out_min: u64::MAX,
@@ -312,7 +534,9 @@ impl<'a, S: InstSource> Machine<'a, S> {
             outstanding_size: 0,
             fm_size: 0,
             mlp_cursor: 0,
-            retired: 0,
+            rr: 0,
+            thread_count: n,
+            warm_threads: 0,
             warmup,
             limit: warmup.saturating_add(measure),
             measuring: warmup == 0,
@@ -323,10 +547,14 @@ impl<'a, S: InstSource> Machine<'a, S> {
             fm_weighted: 0,
             fm_active: 0,
             branch_base: BranchStats::default(),
-        }
+            runahead_entries: 0,
+            runahead_exits: 0,
+            runahead_episode: LocalHist::new(),
+        };
+        Machine { core, threads }
     }
 
-    fn run(mut self) -> CycleReport {
+    fn run(mut self) -> (CycleReport, Vec<u64>) {
         let mut last_progress = (0u64, 0u64); // (cycle, retired)
         let mut stall_cycles = 0u64;
         let obs_armed = mlp_obs::counters_on();
@@ -338,38 +566,42 @@ impl<'a, S: InstSource> Machine<'a, S> {
             if self.finished() {
                 break;
             }
+            let now = self.core.now;
             if worked {
                 if cur_burst > 0 {
                     stall_burst.record(cur_burst);
                     cur_burst = 0;
                 }
-                self.advance_to(self.now + 1);
+                self.core.advance_to(now + 1);
             } else {
-                let next = self.next_event().unwrap_or(self.now + 1).max(self.now + 1);
-                if self.measuring {
-                    stall_cycles += next - self.now;
+                let next = self.next_event().unwrap_or(now + 1).max(now + 1);
+                if self.core.measuring {
+                    stall_cycles += next - now;
                     if obs_armed {
-                        cur_burst += next - self.now;
+                        cur_burst += next - now;
                     }
                 }
-                self.advance_to(next);
+                self.core.advance_to(next);
             }
-            let pos = self.retired.saturating_sub(self.warmup);
-            if sampler.as_ref().is_some_and(|s| s.due(pos)) {
-                let fields = self.sample_fields();
-                if let Some(s) = sampler.as_mut() {
-                    s.record(pos, &fields);
+            if let Some(s) = sampler.as_mut() {
+                let pos = self.measured_insts();
+                if s.due(pos) {
+                    s.record(pos, &self.core.sample_fields());
                 }
             }
             // Deadlock detector: modelling bugs must fail loudly.
-            if self.retired != last_progress.1 {
-                last_progress = (self.now, self.retired);
+            let retired = self.threads.iter().map(|t| t.retired).sum();
+            if retired != last_progress.1 {
+                last_progress = (self.core.now, retired);
             } else {
                 assert!(
-                    self.now - last_progress.0 < 20 * self.cfg.mem_latency + 100_000,
-                    "pipeline stuck at cycle {} (head {:?})",
-                    self.now,
-                    self.rob.front()
+                    self.core.now - last_progress.0 < 20 * self.core.cfg.mem_latency + 100_000,
+                    "pipeline stuck at cycle {} (heads {:?})",
+                    self.core.now,
+                    self.threads
+                        .iter()
+                        .map(|t| t.rob.front())
+                        .collect::<Vec<_>>()
                 );
             }
         }
@@ -377,51 +609,140 @@ impl<'a, S: InstSource> Machine<'a, S> {
             stall_burst.record(cur_burst);
         }
         if sampler.is_some() {
-            let pos = self.retired.saturating_sub(self.warmup);
-            let fields = self.sample_fields();
+            let pos = self.measured_insts();
+            let fields = self.core.sample_fields();
             if let Some(s) = sampler.as_mut() {
                 s.finish(pos, &fields);
             }
         }
-        let b = self.branches.stats();
+        let Machine { core, threads } = self;
+        let insts: Vec<u64> = threads
+            .iter()
+            .map(|t| t.retired.saturating_sub(core.warmup))
+            .collect();
+        let b = core.branches.stats();
         let report = CycleReport {
-            cycles: self.now.saturating_sub(self.measure_start_cycle),
-            insts: self.retired.saturating_sub(self.warmup),
-            offchip: self.offchip,
-            mlp_weighted_cycles: self.mlp_weighted,
-            active_cycles: self.active_cycles,
-            fm_weighted_cycles: self.fm_weighted,
-            fm_active_cycles: self.fm_active,
+            cycles: core.now.saturating_sub(core.measure_start_cycle),
+            insts: insts.iter().sum(),
+            offchip: core.offchip,
+            mlp_weighted_cycles: core.mlp_weighted,
+            active_cycles: core.active_cycles,
+            fm_weighted_cycles: core.fm_weighted,
+            fm_active_cycles: core.fm_active,
             branch_stats: BranchStats {
-                branches: b.branches - self.branch_base.branches,
-                mispredicts: b.mispredicts - self.branch_base.mispredicts,
+                branches: b.branches - core.branch_base.branches,
+                mispredicts: b.mispredicts - core.branch_base.mispredicts,
             },
         };
         crate::obs::flush_run(
             &report,
             crate::obs::RunObs {
                 stall_cycles,
-                mshr_high_water: self.mshr.high_water() as u64,
-                runahead_entries: 0,
-                runahead_exits: 0,
+                mshr_high_water: core.mshr.high_water() as u64,
+                runahead_entries: core.runahead_entries,
+                runahead_exits: core.runahead_exits,
                 stall_burst,
-                runahead_episode: LocalHist::new(),
+                runahead_episode: core.runahead_episode,
             },
         );
-        self.hierarchy.flush_obs();
-        self.mshr.flush_obs();
+        core.hierarchy.flush_obs();
+        core.mshr.flush_obs();
         POOL.set(Some(Scratch {
-            fetch_queue: self.fetch_queue,
-            rob: self.rob,
-            store_fwd: self.store_fwd,
-            completions: self.completions,
-            decisions: self.decisions_scratch,
-            planned: self.planned_scratch,
-            issued_bits: self.issued_bits,
-            completed_bits: self.completed_bits,
-            short_done: self.short_done,
+            lanes: threads.into_iter().map(Thread::into_lane).collect(),
+            completions: core.completions,
+            decisions: core.decisions,
+            planned: core.planned,
         }));
-        report
+        (report, insts)
+    }
+
+    fn measured_insts(&self) -> u64 {
+        let warmup = self.core.warmup;
+        self.threads
+            .iter()
+            .map(|t| t.retired.saturating_sub(warmup))
+            .sum()
+    }
+
+    fn finished(&mut self) -> bool {
+        let limit = self.core.limit;
+        self.threads.iter_mut().all(|t| t.done(limit))
+    }
+
+    /// Executes one cycle; returns whether any stage made progress.
+    fn step(&mut self) -> bool {
+        let Machine { core, threads } = self;
+        for t in threads.iter_mut() {
+            let low_water = t.low_water();
+            t.src.release(low_water);
+        }
+        core.mshr.expire(core.now);
+        core.drain_completions(threads);
+        let cfg = core.cfg;
+        let retired = core.rotate(threads, cfg.retire_width, |c, t, tid, n| {
+            c.retire(t, tid, n)
+        });
+        core.planned.clear();
+        let issued = core.rotate(threads, cfg.issue_width, |c, t, tid, n| c.issue(t, tid, n));
+        let dispatched = core.rotate(threads, cfg.dispatch_width, |c, t, _, n| c.dispatch(t, n));
+        let fetched = core.rotate(threads, cfg.fetch_width, |c, t, _, n| c.fetch(t, n));
+        core.rr = if core.rr + 1 == threads.len() {
+            0
+        } else {
+            core.rr + 1
+        };
+        retired + issued + dispatched + fetched > 0
+    }
+
+    fn next_event(&self) -> Option<u64> {
+        let now = self.core.now;
+        let mut next = None;
+        let mut consider = |t: u64| {
+            if t > now {
+                next = Some(next.map_or(t, |n: u64| n.min(t)));
+            }
+        };
+        if let Some(&Reverse((t, _))) = self.core.completions.peek() {
+            consider(t);
+        }
+        if self.core.out_min != u64::MAX {
+            consider(self.core.out_min);
+        }
+        for t in &self.threads {
+            if !t.short_done.is_empty() {
+                consider(t.short_at);
+            }
+            if t.fetch_stall_until != u64::MAX {
+                consider(t.fetch_stall_until);
+            }
+            if let Some(ep) = t.runahead {
+                consider(ep.exit_at);
+            }
+        }
+        next
+    }
+}
+
+impl Core<'_> {
+    /// Runs one stage over the threads in round-robin order, sharing the
+    /// stage's `width`; returns the slots used.
+    fn rotate<T>(
+        &mut self,
+        threads: &mut [T],
+        width: usize,
+        mut stage: impl FnMut(&mut Self, &mut T, usize, usize) -> usize,
+    ) -> usize {
+        let n = threads.len();
+        let mut used = 0;
+        let mut tid = self.rr;
+        for _ in 0..n {
+            if used >= width {
+                break;
+            }
+            used += stage(self, &mut threads[tid], tid, width - used);
+            tid = if tid + 1 == n { 0 } else { tid + 1 };
+        }
+        used
     }
 
     /// Cumulative fields for one interval sample.
@@ -436,50 +757,6 @@ impl<'a, S: InstSource> Machine<'a, S> {
             ("mlp_weighted", Value::U64(self.mlp_weighted)),
             ("active_cycles", Value::U64(self.active_cycles)),
         ]
-    }
-
-    fn finished(&mut self) -> bool {
-        if self.retired >= self.limit {
-            return true;
-        }
-        self.trace_done()
-            && self.fetch_queue.is_empty()
-            && self.pending_fetch.is_none()
-            && self.rob.is_empty()
-    }
-
-    #[inline]
-    fn trace_done(&mut self) -> bool {
-        let want = self.fetch_pos + 1;
-        self.src.available() < want && self.src.ensure(want) < want
-    }
-
-    /// Column slot of absolute trace index `idx` (streaming sources
-    /// offset their columns by `base()`).
-    #[inline]
-    fn rel(&self, idx: usize) -> usize {
-        idx - self.src.base()
-    }
-
-    /// Executes one cycle; returns whether any stage made progress.
-    fn step(&mut self) -> bool {
-        // Everything older than the oldest instruction still awaiting
-        // dispatch is never re-read (the ROB caches its fields), so a
-        // streaming source may evict it.
-        let low_water = self
-            .fetch_queue
-            .front()
-            .map(|&(i, _)| i as usize)
-            .or_else(|| self.pending_fetch.map(|i| i as usize))
-            .unwrap_or(self.fetch_pos);
-        self.src.release(low_water);
-        self.mshr.expire(self.now);
-        self.drain_completions();
-        let retired = self.retire();
-        let issued = self.issue();
-        let dispatched = self.dispatch();
-        let fetched = self.fetch();
-        retired + issued + dispatched + fetched > 0
     }
 
     // ----- clock & MLP(t) integration ------------------------------------
@@ -542,28 +819,6 @@ impl<'a, S: InstSource> Machine<'a, S> {
         self.now = to;
     }
 
-    fn next_event(&self) -> Option<u64> {
-        let mut next = None;
-        let mut consider = |t: u64| {
-            if t > self.now {
-                next = Some(next.map_or(t, |n: u64| n.min(t)));
-            }
-        };
-        if !self.short_done.is_empty() {
-            consider(self.short_at);
-        }
-        if let Some(&Reverse((t, _))) = self.completions.peek() {
-            consider(t);
-        }
-        if self.out_min != u64::MAX {
-            consider(self.out_min);
-        }
-        if self.fetch_stall_until > self.now && self.fetch_stall_until != u64::MAX {
-            consider(self.fetch_stall_until);
-        }
-        next
-    }
-
     fn note_outstanding(&mut self, ready_at: u64) {
         *self.outstanding.entry(ready_at).or_insert(0) += 1;
         self.outstanding_size += 1;
@@ -580,37 +835,45 @@ impl<'a, S: InstSource> Machine<'a, S> {
 
     // ----- stages ---------------------------------------------------------
 
-    fn drain_completions(&mut self) {
-        if !self.short_done.is_empty() && self.now >= self.short_at {
-            let head = self.head_seq;
-            let mut short = std::mem::take(&mut self.short_done);
-            for &seq in &short {
-                if seq >= head {
-                    self.set_completed_bit(seq);
+    fn drain_completions<S>(&mut self, threads: &mut [Thread<'_, S>]) {
+        for t in threads.iter_mut() {
+            if !t.short_done.is_empty() && self.now >= t.short_at {
+                for &seq in &t.short_done {
+                    if seq >= t.head_seq {
+                        t.completed.set(seq);
+                    }
                 }
+                t.short_done.clear();
             }
-            short.clear();
-            self.short_done = short;
         }
-        while let Some(&Reverse((t, seq))) = self.completions.peek() {
-            if t > self.now {
+        while let Some(&Reverse((at, key))) = self.completions.peek() {
+            if at > self.now {
                 break;
             }
             self.completions.pop();
-            if seq >= self.head_seq {
-                self.set_completed_bit(seq);
+            let t = &mut threads[(key >> TID_SHIFT) as usize];
+            let seq = key & SEQ_MASK;
+            if seq >= t.head_seq {
+                t.completed.set(seq);
             }
         }
     }
 
-    fn retire(&mut self) -> usize {
+    fn retire<S: InstSource>(&mut self, t: &mut Thread<'_, S>, tid: usize, budget: usize) -> usize {
+        if let Some(ep) = t.runahead {
+            if self.now >= ep.exit_at {
+                self.exit_runahead(t, tid, ep);
+                return 1;
+            }
+            return self.pseudo_retire(t, budget);
+        }
         let mut n = 0;
-        while n < self.cfg.retire_width {
-            if self.rob.is_empty() || !self.completed_bit(self.head_seq) {
+        while n < budget {
+            if t.rob.is_empty() || !t.completed.get(t.head_seq) {
                 break;
             }
-            let e = self.rob.pop_front().expect("front checked");
-            self.head_seq += 1;
+            let e = t.rob.pop_front().expect("front checked");
+            t.head_seq += 1;
             if attrs(e.class) & ATTR_WRITES_MEM != 0 {
                 if let Some(addr) = e.mem_addr {
                     // Write-allocate. An off-chip fill is hidden by the
@@ -622,17 +885,24 @@ impl<'a, S: InstSource> Machine<'a, S> {
                     }
                 }
             }
-            if self.serialize_block == Some(self.head_seq - 1) {
-                self.serialize_block = None;
+            if t.serialize_block == Some(t.head_seq - 1) {
+                t.serialize_block = None;
             }
-            self.retired += 1;
+            t.retired += 1;
             n += 1;
-            if self.retired == self.warmup && !self.measuring {
-                self.start_measuring();
+            if t.retired == self.warmup {
+                self.warm_threads += 1;
+                if self.warm_threads == self.thread_count {
+                    self.start_measuring();
+                }
             }
-            if self.retired >= self.limit {
+            if t.retired >= self.limit {
                 break;
             }
+        }
+        if n < budget && self.cfg.runahead.is_some() && self.head_blocks_off_chip(t) {
+            self.enter_runahead(t);
+            n += 1;
         }
         n
     }
@@ -644,79 +914,126 @@ impl<'a, S: InstSource> Machine<'a, S> {
         self.branch_base = self.branches.stats();
     }
 
-    #[inline]
-    fn issued_bit(&self, seq: u64) -> bool {
-        let slot = seq & self.ring_mask;
-        self.issued_bits[(slot >> 6) as usize] & (1 << (slot & 63)) != 0
+    // ----- runahead -------------------------------------------------------
+
+    /// Whether the ROB head is an issued read whose data is still beyond
+    /// an L2 hit away.
+    fn head_blocks_off_chip<S>(&self, t: &Thread<'_, S>) -> bool {
+        t.rob.front().is_some_and(|h| {
+            t.issued.get(t.head_seq)
+                && !t.completed.get(t.head_seq)
+                && attrs(h.class) & ATTR_READS_MEM != 0
+                && h.complete_at > self.now + self.cfg.l2_latency
+        })
     }
 
-    #[inline]
-    fn completed_bit(&self, seq: u64) -> bool {
-        let slot = seq & self.ring_mask;
-        self.completed_bits[(slot >> 6) as usize] & (1 << (slot & 63)) != 0
+    /// Pseudo-retires the blocking head: its value is unknown for the
+    /// whole interval unless the value predictor supplies it (§5.5: the
+    /// case that unblocks dependent missing loads).
+    fn enter_runahead<S: InstSource>(&mut self, t: &mut Thread<'_, S>) {
+        let head = t.rob.front().expect("blocking head");
+        let (class, idx) = (head.class, head.idx);
+        t.runahead = Some(Episode {
+            trigger: idx as usize,
+            exit_at: head.complete_at,
+            start: self.now,
+        });
+        t.serialize_block = None;
+        self.runahead_entries += 1;
+        let predicted = self.predicted(t, class, idx);
+        t.pseudo_retire_head(!predicted);
     }
 
-    #[inline]
-    fn set_completed_bit(&mut self, seq: u64) {
-        let slot = seq & self.ring_mask;
-        self.completed_bits[(slot >> 6) as usize] |= 1 << (slot & 63);
+    /// Pseudo-retires anything complete, or any issued memory read still
+    /// in flight (a prefetch whose destination is poisoned).
+    fn pseudo_retire<S: InstSource>(&mut self, t: &mut Thread<'_, S>, budget: usize) -> usize {
+        let mut n = 0;
+        while n < budget {
+            let Some(e) = t.rob.front() else { break };
+            let seq = t.head_seq;
+            let done = t.completed.get(seq);
+            let in_flight_read = t.issued.get(seq) && attrs(e.class) & ATTR_READS_MEM != 0;
+            if !(done || in_flight_read) {
+                break;
+            }
+            let poisoned = !done || t.poisoned.get(seq);
+            t.pseudo_retire_head(poisoned);
+            n += 1;
+        }
+        n
     }
 
-    /// Resets both flag bits for a sequence number's ring slot (called
-    /// when dispatch recycles the slot for a new entry).
-    #[inline]
-    fn clear_flag_bits(&mut self, seq: u64) {
-        let slot = seq & self.ring_mask;
-        let (w, b) = ((slot >> 6) as usize, 1u64 << (slot & 63));
-        self.issued_bits[w] &= !b;
-        self.completed_bits[w] &= !b;
+    /// The trigger's data has arrived: flush every speculative result
+    /// and fetch again from the trigger, whose line is now on chip. Every
+    /// older instruction retired before the interval began, so rename
+    /// state is purely architectural.
+    fn exit_runahead<S>(&mut self, t: &mut Thread<'_, S>, tid: usize, ep: Episode) {
+        t.rob.clear();
+        t.head_seq = t.next_seq;
+        t.unissued = 0;
+        t.short_done.clear();
+        self.completions
+            .retain(|&Reverse((_, key))| (key >> TID_SHIFT) as usize != tid);
+        t.poison_regs = [false; AVAIL_SLOTS];
+        t.poisoned.words.fill(0);
+        t.fetch_queue.clear();
+        t.pending_fetch = None;
+        t.fetch_pos = ep.trigger;
+        t.awaiting_redirect = false;
+        t.fetch_stall_until = self.now + self.cfg.mispredict_penalty; // refill
+        t.last_ifetch_line = u64::MAX;
+        t.runahead = None;
+        self.runahead_exits += 1;
+        self.runahead_episode.record(self.now - ep.start);
     }
 
-    #[inline]
-    fn producer_ready(&self, seq: u64) -> bool {
-        seq < self.head_seq || self.completed_bit(seq)
+    /// Whether the value predictor supplies the value of missing load
+    /// `idx`, training it as a side effect.
+    fn predicted<S: InstSource>(&mut self, t: &Thread<'_, S>, class: u8, idx: u32) -> bool {
+        let Some(values) = self.values.as_mut() else {
+            return false;
+        };
+        if class != CLASS_LOAD {
+            return false;
+        }
+        let slot = idx as usize - t.src.base();
+        let soa = t.src.soa();
+        values.observe(soa.pc()[slot] | t.asid, soa.value()[slot]) == ValuePrediction::Correct
     }
 
-    #[inline]
-    fn entry_ready(&self, e: &Entry) -> bool {
-        e.producers
-            .iter()
-            .all(|&p| p == NO_PRODUCER || self.producer_ready(p))
-    }
+    // ----- issue ------------------------------------------------------------
 
-    fn issue(&mut self) -> usize {
-        let mut issued_now = 0;
+    fn issue<S: InstSource>(&mut self, t: &mut Thread<'_, S>, tid: usize, budget: usize) -> usize {
         let mut mem_in_order_ok = true; // config A: memops must go oldest-first
         let mut branch_in_order_ok = true; // configs A-C
         let mut unissued_store_blocks_loads = false; // config B
-        let head = self.head_seq;
+        let head = t.head_seq;
         let loads_in_order = self.cfg.issue.loads_in_order();
         let wait_staddr = self.cfg.issue.loads_wait_store_addresses();
 
         // Collect issue decisions first (borrow discipline), apply after.
-        let mut decisions = std::mem::take(&mut self.decisions_scratch);
-        let mut planned_lines = std::mem::take(&mut self.planned_scratch);
+        // Planned lines are shared by every thread issuing this cycle.
+        let mut decisions = std::mem::take(&mut self.decisions);
         decisions.clear();
-        planned_lines.clear();
-        let mut fu = self.first_unissued.max(head);
-        while fu < self.next_seq && self.issued_bit(fu) {
+        let mut fu = t.first_unissued.max(head);
+        while fu < t.next_seq && t.issued.get(fu) {
             fu += 1;
         }
-        self.first_unissued = fu;
-        for seq in fu..self.next_seq {
-            if decisions.len() >= self.cfg.issue_width {
+        t.first_unissued = fu;
+        for seq in fu..t.next_seq {
+            if decisions.len() >= budget {
                 break;
             }
-            if self.issued_bit(seq) {
+            if t.issued.get(seq) {
                 continue;
             }
-            let e = &self.rob[(seq - head) as usize];
+            let e = &t.rob[(seq - head) as usize];
             let a = attrs(e.class);
             // Prefetches are hints and do not participate in config A's
             // in-order memory schedule (matching the epoch model).
             let is_mem = a & (ATTR_READS_MEM | ATTR_WRITES_MEM) != 0;
             let is_branch = a & ATTR_BRANCH != 0;
-            let ready = self.entry_ready(e);
+            let ready = t.entry_ready(e);
 
             // Policy gates.
             let mut can = ready;
@@ -733,8 +1050,8 @@ impl<'a, S: InstSource> Machine<'a, S> {
             // older un-issued store must wait for the store.
             if can && a & ATTR_READS_MEM != 0 {
                 if let Some(addr) = e.mem_addr {
-                    if let Some(&sseq) = self.store_fwd.get(&(addr & !7)) {
-                        if sseq >= head && sseq < seq && !self.issued_bit(sseq) {
+                    if let Some(&sseq) = t.store_fwd.get(&(addr & !7)) {
+                        if sseq >= head && sseq < seq && !t.issued.get(sseq) {
                             can = false;
                         }
                     }
@@ -748,12 +1065,12 @@ impl<'a, S: InstSource> Machine<'a, S> {
                     let line = line_of(addr);
                     let needs_new = !self.mshr.is_pending(line)
                         && !self.hierarchy.probe_l2(addr)
-                        && !planned_lines.contains(&line);
+                        && !self.planned.contains(&line);
                     if needs_new {
-                        if self.mshr.outstanding() + planned_lines.len() >= self.cfg.mshrs {
+                        if self.mshr.outstanding() + self.planned.len() >= self.cfg.mshrs {
                             can = false;
                         } else {
-                            planned_lines.push(line);
+                            self.planned.push(line);
                         }
                     }
                 }
@@ -774,265 +1091,282 @@ impl<'a, S: InstSource> Machine<'a, S> {
             }
         }
         for &seq in &decisions {
-            self.do_issue(seq);
-            issued_now += 1;
+            self.do_issue(t, tid, seq);
         }
-        self.decisions_scratch = decisions;
-        self.planned_scratch = planned_lines;
-        issued_now
+        let n = decisions.len();
+        self.decisions = decisions;
+        n
     }
 
-    fn do_issue(&mut self, seq: u64) {
-        let idx = (seq - self.head_seq) as usize;
+    fn do_issue<S: InstSource>(&mut self, t: &mut Thread<'_, S>, tid: usize, seq: u64) {
+        let i = (seq - t.head_seq) as usize;
         let now = self.now;
-        let (class, mem_addr, mispredicted) = {
-            let e = &self.rob[idx];
-            (e.class, e.mem_addr, e.mispredicted)
-        };
-        let complete_at = match class {
-            CLASS_ALU | CLASS_NOP | CLASS_MEMBAR | CLASS_STORE => now + 1,
+        let e = &t.rob[i];
+        let (class, mem_addr, mispredicted, idx) = (e.class, e.mem_addr, e.mispredicted, e.idx);
+        // Poison lives only inside a runahead interval: exit flushes
+        // every instruction that could carry it.
+        let poison_in = t.runahead.is_some()
+            && (e.arch_poison
+                || e.producers
+                    .iter()
+                    .any(|&p| p != NO_PRODUCER && t.poisoned.get(p)));
+        let (complete_at, poisoned) = match class {
+            CLASS_ALU | CLASS_NOP | CLASS_MEMBAR | CLASS_STORE => (now + 1, poison_in),
+            // An invalid address: runahead skips the access.
+            CLASS_LOAD | CLASS_ATOMIC | CLASS_PREFETCH if poison_in => (now + 1, true),
             CLASS_LOAD | CLASS_ATOMIC | CLASS_PREFETCH => {
                 let addr = mem_addr.expect("memory op carries an address");
-                self.memory_complete_time(class, addr, seq)
+                self.memory_complete_time(t, class, addr, seq, idx)
             }
             _ => {
-                // The four branch classes.
-                let t = now + 1;
-                if mispredicted {
-                    // Redirect the stalled front end once resolved.
-                    self.fetch_stall_until = t + self.cfg.mispredict_penalty;
-                    self.awaiting_redirect = false;
+                // The four branch classes. Redirect the stalled front end
+                // once resolved; a poisoned branch cannot resolve, so fetch
+                // stays stalled until runahead exits.
+                if mispredicted && !poison_in {
+                    t.fetch_stall_until = now + 1 + self.cfg.mispredict_penalty;
+                    t.awaiting_redirect = false;
                 }
-                t
+                (now + 1, poison_in)
             }
         };
-        let e = &mut self.rob[idx];
-        e.complete_at = complete_at;
-        let slot = seq & self.ring_mask;
-        self.issued_bits[(slot >> 6) as usize] |= 1 << (slot & 63);
-        self.unissued -= 1;
+        t.rob[i].complete_at = complete_at;
+        t.issued.set(seq);
+        if poisoned {
+            t.poisoned.set(seq);
+        }
+        t.unissued -= 1;
         if complete_at == now + 1 {
             // The common case: next-cycle completion skips the heap.
-            self.short_at = complete_at;
-            self.short_done.push(seq);
+            t.short_at = complete_at;
+            t.short_done.push(seq);
         } else {
-            self.completions.push(Reverse((complete_at, seq)));
+            self.completions
+                .push(Reverse((complete_at, (tid as u64) << TID_SHIFT | seq)));
         }
     }
 
-    /// Timing (and MLP accounting) of a memory read issued at `now`.
-    fn memory_complete_time(&mut self, class: u8, addr: u64, seq: u64) -> u64 {
+    /// Timing (and MLP accounting) of a memory read issued at `now`:
+    /// `(complete_at, poisoned)`. In runahead, a read whose data comes
+    /// from off chip completes at once as a poisoned prefetch.
+    fn memory_complete_time<S: InstSource>(
+        &mut self,
+        t: &Thread<'_, S>,
+        class: u8,
+        addr: u64,
+        seq: u64,
+        idx: u32,
+    ) -> (u64, bool) {
         let now = self.now;
         let is_prefetch = class == CLASS_PREFETCH;
         // Store-to-load forwarding from an older in-flight store.
         if !is_prefetch {
-            if let Some(&sseq) = self.store_fwd.get(&(addr & !7)) {
-                if sseq >= self.head_seq && sseq < seq {
-                    let sidx = (sseq - self.head_seq) as usize;
-                    debug_assert!(self.issued_bit(sseq), "gated at issue");
-                    return self.rob[sidx].complete_at.max(now) + 1;
+            if let Some(&sseq) = t.store_fwd.get(&(addr & !7)) {
+                if sseq >= t.head_seq && sseq < seq {
+                    let sidx = (sseq - t.head_seq) as usize;
+                    debug_assert!(t.issued.get(sseq), "gated at issue");
+                    return (t.rob[sidx].complete_at.max(now) + 1, false);
                 }
             }
         }
         let line = line_of(addr);
         if !self.cfg.perfect_l2 && self.mshr.is_pending(line) {
             let ready = self.mshr.ready_at(line).expect("pending");
-            return if is_prefetch { now + 1 } else { ready };
+            return match (is_prefetch, t.runahead.is_some()) {
+                (true, _) => (now + 1, false),
+                (false, true) => (now + 1, true),
+                (false, false) => (ready, false),
+            };
         }
-        let access = self.hierarchy.load(addr);
-        let data_at = match access {
-            Access::L1Hit => now + self.cfg.l1_latency,
-            Access::L2Hit => now + self.cfg.l2_latency,
-            Access::L3Hit => {
-                // An off-chip L3 hit is a (shorter) off-chip access: it
-                // counts toward MLP and is outstanding for its latency.
-                let ready = now + self.cfg.l3_latency;
-                if seq >= self.warmup {
-                    if is_prefetch {
-                        self.offchip.pmiss += 1;
-                    } else {
-                        self.offchip.dmiss += 1;
-                    }
+        let (data_at, off_chip) = match self.hierarchy.load(addr) {
+            Access::L1Hit => (now + self.cfg.l1_latency, false),
+            Access::L2Hit => (now + self.cfg.l2_latency, false),
+            // An off-chip L3 hit is a (shorter) off-chip access: it
+            // counts toward MLP and is outstanding for its latency.
+            Access::L3Hit => (now + self.cfg.l3_latency, true),
+            Access::OffChip if self.cfg.perfect_l2 => (now + self.cfg.l2_latency, false),
+            Access::OffChip => match self.mshr.request(line, now) {
+                MshrOutcome::Primary { ready_at } | MshrOutcome::Merged { ready_at } => {
+                    (ready_at, true)
                 }
-                self.note_outstanding(ready);
-                ready
-            }
-            Access::OffChip => {
-                if self.cfg.perfect_l2 {
-                    now + self.cfg.l2_latency
-                } else {
-                    match self.mshr.request(line, now) {
-                        MshrOutcome::Primary { ready_at } | MshrOutcome::Merged { ready_at } => {
-                            if seq >= self.warmup {
-                                if is_prefetch {
-                                    self.offchip.pmiss += 1;
-                                } else {
-                                    self.offchip.dmiss += 1;
-                                }
-                            }
-                            self.note_outstanding(ready_at);
-                            ready_at
-                        }
-                        // Same-cycle allocation races are pre-gated in
-                        // issue(); this is unreachable in practice but
-                        // falls back safely.
-                        MshrOutcome::Full => now + self.cfg.mem_latency,
-                    }
-                }
-            }
+                // Same-cycle allocation races are pre-gated in issue();
+                // this is unreachable in practice but falls back safely.
+                MshrOutcome::Full => (now + self.cfg.mem_latency, false),
+            },
         };
+        let runahead = t.runahead.is_some();
+        if off_chip {
+            if idx as u64 >= self.warmup {
+                if is_prefetch || runahead {
+                    self.offchip.pmiss += 1;
+                } else {
+                    self.offchip.dmiss += 1;
+                }
+            }
+            self.note_outstanding(data_at);
+        }
         if is_prefetch {
-            now + 1
+            (now + 1, false)
+        } else if off_chip && runahead {
+            (now + 1, !self.predicted(t, class, idx))
         } else {
-            data_at
+            (data_at, false)
         }
     }
 
-    fn dispatch(&mut self) -> usize {
+    // ----- front end ----------------------------------------------------------
+
+    fn dispatch<S: InstSource>(&mut self, t: &mut Thread<'_, S>, budget: usize) -> usize {
+        let in_runahead = t.runahead.is_some();
+        // Serializing instructions lose their drain inside runahead.
+        let serialize = self.cfg.issue.serializing() && !in_runahead;
         let mut n = 0;
-        while n < self.cfg.dispatch_width {
-            if self.serialize_block.is_some() {
+        while n < budget {
+            if t.serialize_block.is_some() {
                 break;
             }
-            if self.rob.len() >= self.cfg.rob || self.unissued >= self.cfg.iw {
+            if t.rob.len() >= t.rob_cap || t.unissued >= t.iw_cap {
                 break;
             }
-            let Some(&(idx, mispredicted)) = self.fetch_queue.front() else {
+            let Some(&(idx, mispredicted)) = t.fetch_queue.front() else {
                 break;
             };
-            let slot = self.rel(idx as usize);
-            let class = self.src.soa().class()[slot];
+            let slot = idx as usize - t.src.base();
+            let soa = t.src.soa();
+            let class = soa.class()[slot];
             let a = attrs(class);
-            let serializing = a & ATTR_SERIALIZING != 0 && self.cfg.issue.serializing();
-            if serializing && !self.rob.is_empty() {
+            let serializing = serialize && a & ATTR_SERIALIZING != 0;
+            if serializing && !t.rob.is_empty() {
                 break; // pipeline drain
             }
-            self.fetch_queue.pop_front();
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            t.fetch_queue.pop_front();
+            let seq = t.next_seq;
+            t.next_seq += 1;
             // Three unconditional reads: sentinel slots never hold a
             // writer (their `last_writer` entries stay 0 = none).
-            let [d0, d1, d2] = self.src.soa().dep_srcs()[slot];
+            let [d0, d1, d2] = soa.dep_srcs()[slot];
             let mut producers = [NO_PRODUCER; 3];
+            let mut arch_poison = false;
             for (k, d) in [d0, d1, d2].into_iter().enumerate() {
-                let w = self.last_writer[d as usize];
-                if w > self.head_seq {
+                let w = t.last_writer[d as usize];
+                if w > t.head_seq {
                     producers[k] = w - 1;
+                } else if in_runahead {
+                    arch_poison |= t.poison_regs[d as usize];
                 }
             }
-            self.last_writer[self.src.soa().dep_dst()[slot] as usize] = seq + 1;
-            let mem_addr = self
-                .src
-                .soa()
-                .has_mem(slot)
-                .then(|| self.src.soa().addr()[slot]);
+            let dst = soa.dep_dst()[slot];
+            t.last_writer[dst as usize] = seq + 1;
+            let mem_addr = soa.has_mem(slot).then(|| soa.addr()[slot] | t.asid);
             if a & ATTR_WRITES_MEM != 0 {
                 if let Some(addr) = mem_addr {
-                    self.store_fwd.insert(addr & !7, seq);
-                    if self.store_fwd.len() > 1 << 16 {
-                        let head = self.head_seq;
-                        self.store_fwd.retain(|_, &mut s| s >= head);
+                    t.store_fwd.insert(addr & !7, seq);
+                    if t.store_fwd.len() > 1 << 16 {
+                        let head = t.head_seq;
+                        t.store_fwd.retain(|_, &mut s| s >= head);
                     }
                 }
             }
-            self.clear_flag_bits(seq);
-            self.rob.push_back(Entry {
+            t.issued.clear(seq);
+            t.completed.clear(seq);
+            if in_runahead {
+                t.poisoned.clear(seq);
+            }
+            t.rob.push_back(Entry {
                 class,
                 mispredicted,
+                arch_poison,
+                dst,
+                idx,
                 producers,
                 mem_addr,
                 complete_at: u64::MAX,
             });
-            self.unissued += 1;
+            t.unissued += 1;
             if serializing {
-                self.serialize_block = Some(seq);
+                t.serialize_block = Some(seq);
             }
             n += 1;
         }
         n
     }
 
-    fn fetch(&mut self) -> usize {
-        if self.awaiting_redirect || self.now < self.fetch_stall_until {
+    fn fetch<S: InstSource>(&mut self, t: &mut Thread<'_, S>, budget: usize) -> usize {
+        if t.awaiting_redirect || self.now < t.fetch_stall_until {
             return 0;
         }
+        // Fetch stops at the retire limit, and inside runahead at the
+        // distance cap past the trigger.
+        let end = match (t.runahead, self.cfg.runahead) {
+            (Some(ep), Some(ra)) => self.limit.min((ep.trigger + 1 + ra.max_dist) as u64),
+            _ => self.limit,
+        };
         let mut n = 0;
-        while n < self.cfg.fetch_width && self.fetch_queue.len() < self.cfg.fetch_buffer {
-            let idx = match self.pending_fetch.take() {
+        while n < budget && t.fetch_queue.len() < t.fetch_cap {
+            let idx = match t.pending_fetch.take() {
                 Some(i) => i, // its I-line has arrived
                 None => {
-                    if self.fetched >= self.limit || self.trace_done() {
+                    if t.fetch_pos as u64 >= end || t.trace_done() {
                         break;
                     }
-                    let idx = self.fetch_pos as u32;
-                    self.fetch_pos += 1;
-                    self.fetched += 1;
+                    let idx = t.fetch_pos as u32;
+                    t.fetch_pos += 1;
                     // Instruction-cache access per line.
-                    let pc = self.src.soa().pc()[self.rel(idx as usize)];
+                    let pc = t.src.soa().pc()[idx as usize - t.src.base()] | t.asid;
                     let line = line_of(pc);
-                    if line != self.last_ifetch_line {
-                        self.last_ifetch_line = line;
-                        let arrives = match self.hierarchy.ifetch(pc) {
-                            Access::L1Hit => None,
-                            Access::L2Hit => Some(self.now + self.cfg.l2_latency),
-                            Access::L3Hit => {
-                                let ready = self.now + self.cfg.l3_latency;
-                                if self.fetched > self.warmup {
-                                    self.offchip.imiss += 1;
-                                }
-                                self.note_outstanding(ready);
-                                Some(ready)
-                            }
-                            Access::OffChip => {
-                                if self.cfg.perfect_l2 {
-                                    Some(self.now + self.cfg.l2_latency)
-                                } else {
-                                    let ready = match self.mshr.request(line, self.now) {
-                                        MshrOutcome::Primary { ready_at }
-                                        | MshrOutcome::Merged { ready_at } => ready_at,
-                                        MshrOutcome::Full => self.now + self.cfg.mem_latency,
-                                    };
-                                    if self.fetched > self.warmup {
-                                        self.offchip.imiss += 1;
-                                    }
-                                    self.note_outstanding(ready);
-                                    Some(ready)
-                                }
-                            }
-                        };
-                        if let Some(t) = arrives {
+                    if line != t.last_ifetch_line {
+                        t.last_ifetch_line = line;
+                        if let Some(at) = self.ifetch(pc, line, idx) {
                             // The instruction is not available until its
                             // line arrives; park it and stall fetch.
-                            self.fetch_stall_until = t;
-                            self.pending_fetch = Some(idx);
+                            t.fetch_stall_until = at;
+                            t.pending_fetch = Some(idx);
                             return n;
                         }
                     }
                     idx
                 }
             };
-            let slot = self.rel(idx as usize);
-            let mispredicted = if attrs(self.src.soa().class()[slot]) & ATTR_BRANCH != 0 {
-                let info = self
-                    .src
-                    .soa()
+            let slot = idx as usize - t.src.base();
+            let soa = t.src.soa();
+            let mispredicted = if attrs(soa.class()[slot]) & ATTR_BRANCH != 0 {
+                let info = soa
                     .branch_info(slot)
                     .expect("branch classes carry branch info");
-                self.branches
-                    .observe_branch(self.src.soa().pc()[slot], info)
+                self.branches.observe_branch(soa.pc()[slot] | t.asid, info)
             } else {
                 false
             };
-            self.fetch_queue.push_back((idx, mispredicted));
+            t.fetch_queue.push_back((idx, mispredicted));
             n += 1;
             if mispredicted {
                 // The front end runs down the wrong path (absent from the
                 // trace) until the branch resolves and redirects.
-                self.awaiting_redirect = true;
-                self.fetch_stall_until = u64::MAX;
+                t.awaiting_redirect = true;
+                t.fetch_stall_until = u64::MAX;
                 break;
             }
         }
         n
+    }
+
+    /// Looks up a new I-cache line; returns when it arrives if fetch must
+    /// wait for it.
+    fn ifetch(&mut self, pc: u64, line: u64, idx: u32) -> Option<u64> {
+        let now = self.now;
+        let ready = match self.hierarchy.ifetch(pc) {
+            Access::L1Hit => return None,
+            Access::L2Hit => return Some(now + self.cfg.l2_latency),
+            Access::L3Hit => now + self.cfg.l3_latency,
+            Access::OffChip if self.cfg.perfect_l2 => return Some(now + self.cfg.l2_latency),
+            Access::OffChip => match self.mshr.request(line, now) {
+                MshrOutcome::Primary { ready_at } | MshrOutcome::Merged { ready_at } => ready_at,
+                MshrOutcome::Full => now + self.cfg.mem_latency,
+            },
+        };
+        if idx as u64 >= self.warmup {
+            self.offchip.imiss += 1;
+        }
+        self.note_outstanding(ready);
+        Some(ready)
     }
 }

@@ -1,71 +1,22 @@
 //! Runahead execution in the *timing* domain.
 //!
 //! The paper models runahead only in MLPsim — its cycle-accurate
-//! simulator predates the technique. This module closes that gap: a
-//! cycle-level machine that, when the ROB head blocks on an off-chip
-//! load, pseudo-retires speculatively past it (Mutlu et al.'s runahead):
-//! missing loads become prefetches with *poisoned* (INV) destinations,
-//! dependents of poison execute as poison, stores are dropped, and
-//! serializing instructions lose their drain semantics. When the
-//! blocking load's data returns, the pipeline flushes and re-executes
-//! from the trigger — whose lines are now on chip.
-//!
-//! Because the trace is the architectural path, re-execution is a
-//! *replay*: every instruction consumed while running ahead is kept and
-//! re-dispatched after the flush. No rename checkpoint is needed: by the
-//! time the trigger's data returns, every pre-trigger producer has
-//! retired, so post-flush rename state is simply "all architectural".
+//! simulator predates the technique. Here it is a retire-stage policy of
+//! the one cycle-level core (see [`CycleSimConfig::runahead`]): when the
+//! ROB head blocks on an off-chip load, the core pseudo-retires past it
+//! (Mutlu et al.'s runahead), turning missing loads into prefetches with
+//! *poisoned* (INV) destinations. When the blocking load's data returns,
+//! the core flushes and fetches again from the trigger — whose lines are
+//! now on chip.
 //!
 //! This makes the epoch model's headline claim testable in time: the
 //! measured speedup of runahead over the conventional core can be
 //! compared against the CPI-equation prediction built from MLPsim's MLP
 //! (the `rae-timing` experiment).
 
-use crate::{CycleReport, CycleSimConfig};
-use mlp_hash::FxHashMap;
-use mlp_isa::{line_of, Inst, OpKind, Reg, TraceSource};
-use mlp_mem::{Access, Hierarchy, Mshr, MshrOutcome};
-use mlp_obs::{IntervalSampler, LocalHist, Value};
-use mlp_predict::{
-    BranchObserver, BranchPredictor, BranchStats, LastValuePredictor, PerfectBranchPredictor,
-    PerfectValuePredictor, ValueObserver, ValuePrediction,
-};
-use mlpsim::{BranchMode, OffchipCounts, ValueMode};
-use std::collections::{BTreeMap, VecDeque};
-
-#[derive(Clone, Debug)]
-struct Entry {
-    inst: Inst,
-    producers: [Option<u64>; 3],
-    /// Poison inherited from *architectural* sources, captured at
-    /// dispatch (an in-flight producer's poison is checked at issue).
-    arch_poison: bool,
-    mispredicted: bool,
-    issued: bool,
-    completed: bool,
-    poisoned: bool,
-    complete_at: u64,
-}
-
-enum Branches {
-    Real(BranchPredictor),
-    Perfect(PerfectBranchPredictor),
-}
-
-impl Branches {
-    fn observe(&mut self, inst: &Inst) -> bool {
-        match self {
-            Branches::Real(p) => p.observe(inst),
-            Branches::Perfect(p) => p.observe(inst),
-        }
-    }
-    fn stats(&self) -> BranchStats {
-        match self {
-            Branches::Real(p) => p.stats(),
-            Branches::Perfect(p) => p.stats(),
-        }
-    }
-}
+use crate::{CycleReport, CycleSim, CycleSimConfig, RunaheadConfig};
+use mlp_isa::TraceSource;
+use mlpsim::ValueMode;
 
 /// A cycle-level core with runahead execution.
 ///
@@ -83,8 +34,6 @@ impl Branches {
 #[derive(Debug)]
 pub struct RunaheadSim {
     config: CycleSimConfig,
-    max_dist: usize,
-    value: ValueMode,
 }
 
 impl RunaheadSim {
@@ -96,734 +45,37 @@ impl RunaheadSim {
     /// Panics if the configuration fails [`CycleSimConfig::validate`] or
     /// `max_dist` is zero.
     pub fn new(config: CycleSimConfig, max_dist: usize) -> RunaheadSim {
+        let config = CycleSimConfig {
+            runahead: Some(RunaheadConfig {
+                max_dist,
+                value: ValueMode::None,
+            }),
+            ..config
+        };
         config.validate();
-        assert!(max_dist > 0, "runahead distance must be non-zero");
-        RunaheadSim {
-            config,
-            max_dist,
-            value: ValueMode::None,
-        }
+        RunaheadSim { config }
     }
 
-    /// Adds missing-load value prediction (the paper's §5.5 mechanism,
-    /// recovery-free inside runahead): a correctly predicted missing load
-    /// keeps a *valid* destination, so its dependents can compute real
-    /// addresses and prefetch deeper.
+    /// Adds missing-load value prediction (see [`RunaheadConfig::value`]).
     #[must_use]
     pub fn with_value_prediction(mut self, mode: ValueMode) -> RunaheadSim {
-        self.value = mode;
+        if let Some(ra) = &mut self.config.runahead {
+            ra.value = mode;
+        }
         self
     }
 
     /// Runs the core over `trace` with `warmup` uncounted retired
     /// instructions followed by up to `measure` measured ones.
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, warmup: u64, measure: u64) -> CycleReport {
-        let cfg = &self.config;
-        let mut hierarchy = Hierarchy::new(cfg.hierarchy);
-        let mut mshr = Mshr::new(cfg.mshrs, cfg.mem_latency);
-        let mut branches = match cfg.branch {
-            BranchMode::Real(c) => Branches::Real(BranchPredictor::new(c)),
-            BranchMode::Perfect => Branches::Perfect(PerfectBranchPredictor::new()),
-        };
-        enum Values {
-            Off,
-            Last(LastValuePredictor),
-            Perfect(PerfectValuePredictor),
-        }
-        let mut values = match self.value {
-            ValueMode::None => Values::Off,
-            ValueMode::LastValue(n) | ValueMode::Stride(n) | ValueMode::Hybrid(n) => {
-                // The timing model carries the last-value table; the
-                // stride/hybrid variants matter only in the epoch model's
-                // ablation and behave identically on these workloads.
-                Values::Last(LastValuePredictor::new(n))
-            }
-            ValueMode::Perfect => Values::Perfect(PerfectValuePredictor::new()),
-        };
-        let mut predict = |pc: u64, actual: u64| -> bool {
-            match &mut values {
-                Values::Off => false,
-                Values::Last(p) => p.observe(pc, actual) == ValuePrediction::Correct,
-                Values::Perfect(p) => p.observe(pc, actual) == ValuePrediction::Correct,
-            }
-        };
-
-        let mut now: u64 = 0;
-        // Front end: instructions flow replay -> fetch queue -> dispatch.
-        let mut replay: VecDeque<Inst> = VecDeque::new();
-        let mut fetch_queue: VecDeque<(Inst, bool)> = VecDeque::with_capacity(cfg.fetch_buffer + 1);
-        let mut pending_fetch: Option<Inst> = None;
-        let mut fetch_stall_until: u64 = 0;
-        let mut awaiting_redirect = false;
-        let mut last_ifetch_line = u64::MAX;
-        let mut trace_done = false;
-        let mut fetched_trace: u64 = 0;
-        // Back end.
-        let mut rob: VecDeque<Entry> = VecDeque::with_capacity(cfg.rob.min(1 << 14));
-        let mut head_seq: u64 = 0;
-        let mut next_seq: u64 = 0;
-        let mut unissued: usize = 0;
-        let mut last_writer = [0u64; Reg::COUNT];
-        let mut poison_regs = [false; Reg::COUNT];
-        let mut store_pending: FxHashMap<u64, u64> = mlp_hash::map_with_capacity(1024);
-        let mut serialize_block = false;
-        let mut completions: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        let mut outstanding: BTreeMap<u64, u32> = BTreeMap::new();
-        // Runahead mode. `ra_source` feeds runahead fetch before the live
-        // trace; `ra_replay` accumulates every instruction processed
-        // speculatively, for re-execution after the flush.
-        let mut runahead_exit: Option<u64> = None; // cycle the trigger returns
-        let mut ra_dist: usize = 0;
-        let mut ra_source: VecDeque<Inst> = VecDeque::new();
-        let mut ra_replay: VecDeque<Inst> = VecDeque::new();
-        // Accounting.
-        let mut retired: u64 = 0;
-        let limit = warmup.saturating_add(measure);
-        let mut measuring = warmup == 0;
-        let mut measure_start: u64 = 0;
-        let mut offchip = OffchipCounts::default();
-        let mut mlp_weighted: u64 = 0;
-        let mut active_cycles: u64 = 0;
-        let branch_base = BranchStats::default();
-        let mut idle: u64 = 0;
-        let mut stall_cycles: u64 = 0;
-        let mut ra_entries: u64 = 0;
-        let mut ra_exits: u64 = 0;
-        let obs_armed = mlp_obs::counters_on();
-        let mut stall_burst = LocalHist::new();
-        let mut cur_burst: u64 = 0;
-        let mut episode = LocalHist::new();
-        let mut episode_start: u64 = 0;
-        let mut sampler = IntervalSampler::armed("cyclesim.sample");
-        // Reused across cycles so the issue scan does not allocate.
-        let mut decisions: Vec<u64> = Vec::with_capacity(cfg.issue_width);
-
-        'outer: loop {
-            if retired >= limit
-                || (trace_done
-                    && runahead_exit.is_none()
-                    && replay.is_empty()
-                    && ra_source.is_empty()
-                    && ra_replay.is_empty()
-                    && fetch_queue.is_empty()
-                    && pending_fetch.is_none()
-                    && rob.is_empty())
-            {
-                break 'outer;
-            }
-            mshr.expire(now);
-            // Complete.
-            while let Some((&k, _)) = completions.iter().next() {
-                if k > now {
-                    break;
-                }
-                for seq in completions.remove(&k).expect("key just read") {
-                    if seq >= head_seq {
-                        rob[(seq - head_seq) as usize].completed = true;
-                    }
-                }
-            }
-            let mut worked = false;
-            let in_runahead = runahead_exit.is_some();
-
-            // Runahead exit: the trigger's data has arrived. Flush all
-            // speculative state and replay from the trigger; rename state
-            // is purely architectural at this point (every pre-trigger
-            // producer retired before runahead began).
-            if let Some(exit_at) = runahead_exit {
-                if now >= exit_at {
-                    rob.clear();
-                    head_seq = next_seq;
-                    unissued = 0;
-                    last_writer = [0; Reg::COUNT];
-                    poison_regs = [false; Reg::COUNT];
-                    store_pending.clear();
-                    completions.clear();
-                    serialize_block = false;
-                    // Everything consumed speculatively — including what
-                    // still sits in the fetch queue — was copied into
-                    // ra_replay at fetch time; drop the duplicates. An
-                    // instruction parked on an I-miss (`pending_fetch`)
-                    // was *not* yet copied, so it follows, then any
-                    // unreached source.
-                    fetch_queue.clear();
-                    if let Some(i) = pending_fetch.take() {
-                        ra_replay.push_back(i);
-                    }
-                    ra_replay.append(&mut ra_source);
-                    // The replay stream now feeds normal-mode fetch.
-                    ra_replay.append(&mut replay);
-                    replay = std::mem::take(&mut ra_replay);
-                    awaiting_redirect = false;
-                    fetch_stall_until = now + cfg.mispredict_penalty; // refill
-                    last_ifetch_line = u64::MAX;
-                    runahead_exit = None;
-                    ra_dist = 0;
-                    ra_exits += 1;
-                    if obs_armed {
-                        episode.record(now.saturating_sub(episode_start));
-                    }
-                    worked = true;
-                }
-            }
-
-            // Retire (normal) / pseudo-retire (runahead).
-            let mut k = 0;
-            while k < cfg.retire_width && runahead_exit.is_some() == in_runahead {
-                let Some(e) = rob.front() else { break };
-                if in_runahead {
-                    // Pseudo-retire anything complete, or any issued
-                    // memory read still in flight (it is a prefetch with a
-                    // poisoned destination in runahead).
-                    let can = e.completed
-                        || (e.issued && e.inst.kind.reads_memory() && e.complete_at > now);
-                    if !can {
-                        break;
-                    }
-                    let e = rob.pop_front().expect("checked");
-                    head_seq += 1;
-                    let poisoned = e.poisoned || !e.completed;
-                    if let Some(dst) = e.inst.dep_dst() {
-                        poison_regs[dst.index()] = poisoned;
-                    }
-                    ra_dist += 1;
-                    k += 1;
-                    worked = true;
-                } else {
-                    if !e.completed {
-                        break;
-                    }
-                    let e = rob.pop_front().expect("checked");
-                    head_seq += 1;
-                    if e.inst.kind.writes_memory() {
-                        if let Some(m) = e.inst.mem {
-                            let _ = hierarchy.store(m.addr);
-                        }
-                    }
-                    if e.inst.is_serializing() {
-                        serialize_block = false;
-                    }
-                    retired += 1;
-                    if retired == warmup && !measuring {
-                        measuring = true;
-                        measure_start = now;
-                        hierarchy.reset_stats();
-                    }
-                    k += 1;
-                    worked = true;
-                    if retired >= limit {
-                        break 'outer;
-                    }
-                }
-            }
-
-            // Enter runahead: the head blocks on an off-chip read.
-            if runahead_exit.is_none() {
-                let enter = rob.front().is_some_and(|h| {
-                    h.issued
-                        && !h.completed
-                        && h.inst.kind.reads_memory()
-                        && h.complete_at > now + cfg.l2_latency
-                });
-                if enter {
-                    let trigger = rob.front().expect("head");
-                    runahead_exit = Some(trigger.complete_at);
-                    ra_dist = 0;
-                    ra_entries += 1;
-                    episode_start = now;
-                    // The post-exit replay starts with the trigger (its
-                    // line will be on chip by then).
-                    ra_replay.clear();
-                    ra_replay.push_back(trigger.inst);
-                    // Younger in-flight instructions restart as the
-                    // runahead stream (their cache accesses are already
-                    // accounted; results are speculative anyway). Their
-                    // destinations become poison if their values were
-                    // still in flight.
-                    ra_source.clear();
-                    let mut drained = rob.drain(..);
-                    let trig = drained.next().expect("trigger drained");
-                    if let Some(dst) = trig.inst.dep_dst() {
-                        // The trigger's value is unknown for the whole
-                        // interval — unless the value predictor supplies
-                        // it (§5.5: the case that unblocks dependent
-                        // missing loads).
-                        let predicted = trig.inst.kind == OpKind::Load
-                            && predict(trig.inst.pc, trig.inst.value);
-                        poison_regs[dst.index()] = !predicted;
-                    }
-                    for e in drained {
-                        ra_source.push_back(e.inst);
-                    }
-                    fetch_queue
-                        .drain(..)
-                        .for_each(|(i, _)| ra_source.push_back(i));
-                    if let Some(i) = pending_fetch.take() {
-                        ra_source.push_back(i);
-                    }
-                    // If a replay from a previous interval was still being
-                    // consumed, it follows the in-flight stream.
-                    ra_source.append(&mut replay);
-                    head_seq = next_seq;
-                    unissued = 0;
-                    completions.clear();
-                    serialize_block = false;
-                    awaiting_redirect = false;
-                    if fetch_stall_until == u64::MAX {
-                        fetch_stall_until = now;
-                    }
-                    last_ifetch_line = u64::MAX;
-                    worked = true;
-                }
-            }
-
-            // Issue.
-            let in_runahead = runahead_exit.is_some();
-            decisions.clear();
-            {
-                let mut branch_ok = true;
-                for (i, e) in rob.iter().enumerate() {
-                    if decisions.len() >= cfg.issue_width {
-                        break;
-                    }
-                    if e.issued {
-                        continue;
-                    }
-                    let seq = head_seq + i as u64;
-                    let ready = e.producers.iter().flatten().all(|&p| {
-                        if p < head_seq {
-                            true
-                        } else {
-                            let pe = &rob[(p - head_seq) as usize];
-                            pe.completed || (in_runahead && pe.poisoned)
-                        }
-                    });
-                    let mut can = ready;
-                    if e.inst.is_branch() && !branch_ok && cfg.issue.branches_in_order() {
-                        can = false;
-                    }
-                    if can && e.inst.kind.reads_memory() && !in_runahead {
-                        if let Some(m) = e.inst.mem {
-                            if let Some(&sseq) = store_pending.get(&(m.addr & !7)) {
-                                if sseq >= head_seq
-                                    && sseq < seq
-                                    && !rob[(sseq - head_seq) as usize].issued
-                                {
-                                    can = false;
-                                }
-                            }
-                            let l = line_of(m.addr);
-                            if !mshr.is_pending(l)
-                                && !hierarchy.probe_l2(m.addr)
-                                && mshr.outstanding() >= cfg.mshrs
-                            {
-                                can = false;
-                            }
-                        }
-                    }
-                    if can {
-                        decisions.push(seq);
-                    }
-                    if e.inst.is_branch() && !can {
-                        branch_ok = false;
-                    }
-                }
-            }
-            for &seq in &decisions {
-                worked = true;
-                let idx = (seq - head_seq) as usize;
-                let (inst, mispredicted, poisoned_in) = {
-                    let e = &rob[idx];
-                    // producers[j] aligns with dep_srcs().nth(j): a
-                    // producer that pseudo-retired between dispatch and
-                    // issue left its poison in poison_regs[its dst] = the
-                    // source register itself.
-                    let producer_poison =
-                        e.inst
-                            .dep_srcs()
-                            .enumerate()
-                            .any(|(j, r)| match e.producers[j] {
-                                Some(p) if p >= head_seq => rob[(p - head_seq) as usize].poisoned,
-                                Some(_) => poison_regs[r.index()],
-                                None => false,
-                            });
-                    (e.inst, e.mispredicted, e.arch_poison || producer_poison)
-                };
-                let poisoned_in = in_runahead && poisoned_in;
-                let mut poisoned_out = in_runahead && poisoned_in;
-                let complete_at = match inst.kind {
-                    OpKind::Load | OpKind::Atomic | OpKind::Prefetch => {
-                        if in_runahead && poisoned_in {
-                            now + 1 // INV address: skip
-                        } else if let Some(m) = inst.mem {
-                            let l = line_of(m.addr);
-                            if mshr.is_pending(l) {
-                                let ready = mshr.ready_at(l).expect("pending");
-                                if in_runahead || inst.kind == OpKind::Prefetch {
-                                    poisoned_out = in_runahead;
-                                    now + 1
-                                } else {
-                                    ready
-                                }
-                            } else {
-                                match hierarchy.load(m.addr) {
-                                    Access::L1Hit => now + cfg.l1_latency,
-                                    Access::L2Hit => now + cfg.l2_latency,
-                                    Access::L3Hit => {
-                                        let ready = now + cfg.l3_latency;
-                                        if fetched_trace > warmup {
-                                            offchip.dmiss += 1;
-                                        }
-                                        *outstanding.entry(ready).or_insert(0) += 1;
-                                        if in_runahead {
-                                            poisoned_out = true;
-                                            now + 1
-                                        } else {
-                                            ready
-                                        }
-                                    }
-                                    Access::OffChip => {
-                                        if cfg.perfect_l2 {
-                                            now + cfg.l2_latency
-                                        } else {
-                                            let ready = match mshr.request(l, now) {
-                                                MshrOutcome::Primary { ready_at }
-                                                | MshrOutcome::Merged { ready_at } => ready_at,
-                                                MshrOutcome::Full => now + cfg.mem_latency,
-                                            };
-                                            if fetched_trace > warmup {
-                                                if in_runahead {
-                                                    offchip.pmiss += 1; // runahead prefetch
-                                                } else {
-                                                    match inst.kind {
-                                                        OpKind::Prefetch => offchip.pmiss += 1,
-                                                        _ => offchip.dmiss += 1,
-                                                    }
-                                                }
-                                            }
-                                            *outstanding.entry(ready).or_insert(0) += 1;
-                                            if in_runahead || inst.kind == OpKind::Prefetch {
-                                                // A correctly predicted
-                                                // missing value keeps the
-                                                // destination valid inside
-                                                // runahead (§5.5).
-                                                let predicted = in_runahead
-                                                    && inst.kind == OpKind::Load
-                                                    && predict(inst.pc, inst.value);
-                                                poisoned_out = in_runahead && !predicted;
-                                                now + 1
-                                            } else {
-                                                ready
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        } else {
-                            now + 1
-                        }
-                    }
-                    OpKind::Branch(_) => {
-                        let t = now + 1;
-                        if mispredicted {
-                            if in_runahead && poisoned_in {
-                                // Unresolvable in runahead: the wrong path
-                                // cannot be repaired; stop fetching until
-                                // the runahead interval ends.
-                                fetch_stall_until = runahead_exit.unwrap_or(t);
-                            } else {
-                                fetch_stall_until = t + cfg.mispredict_penalty;
-                            }
-                            awaiting_redirect = false;
-                        }
-                        t
-                    }
-                    _ => now + 1,
-                };
-                let e = &mut rob[idx];
-                e.issued = true;
-                e.poisoned = poisoned_out;
-                e.complete_at = complete_at;
-                unissued -= 1;
-                completions.entry(complete_at).or_default().push(seq);
-            }
-
-            // Dispatch.
-            let mut k = 0;
-            while k < cfg.dispatch_width
-                && !serialize_block
-                && rob.len() < cfg.rob
-                && unissued < cfg.iw
-            {
-                let Some(&(ref inst, mispredicted)) = fetch_queue.front() else {
-                    break;
-                };
-                let serializing = inst.is_serializing() && cfg.issue.serializing() && !in_runahead;
-                if serializing && !rob.is_empty() {
-                    break;
-                }
-                let inst = *inst;
-                fetch_queue.pop_front();
-                let seq = next_seq;
-                next_seq += 1;
-                let mut producers = [None; 3];
-                let mut arch_poison = false;
-                for (j, src) in inst.dep_srcs().enumerate() {
-                    let w = last_writer[src.index()];
-                    if w > head_seq {
-                        producers[j] = Some(w - 1);
-                    } else if poison_regs[src.index()] {
-                        // Architectural source whose last (pseudo-retired)
-                        // writer was poisoned.
-                        arch_poison = true;
-                    }
-                }
-                if let Some(dst) = inst.dep_dst() {
-                    last_writer[dst.index()] = seq + 1;
-                }
-                if inst.kind.writes_memory() && !in_runahead {
-                    if let Some(m) = inst.mem {
-                        store_pending.insert(m.addr & !7, seq);
-                        if store_pending.len() > 1 << 14 {
-                            store_pending.retain(|_, &mut s| s >= head_seq);
-                        }
-                    }
-                }
-                rob.push_back(Entry {
-                    inst,
-                    producers,
-                    arch_poison,
-                    mispredicted,
-                    issued: false,
-                    completed: false,
-                    poisoned: false,
-                    complete_at: u64::MAX,
-                });
-                unissued += 1;
-                if serializing {
-                    serialize_block = true;
-                }
-                k += 1;
-                worked = true;
-            }
-
-            // Fetch: pending I-miss first, then (in runahead) the
-            // speculative source, then the replay stream, then the trace.
-            let in_runahead = runahead_exit.is_some();
-            if !awaiting_redirect && now >= fetch_stall_until {
-                let mut f = 0;
-                while f < cfg.fetch_width && fetch_queue.len() < cfg.fetch_buffer {
-                    if in_runahead && ra_dist + rob.len() + fetch_queue.len() >= self.max_dist {
-                        break; // runahead distance cap
-                    }
-                    let sourced = if let Some(i) = pending_fetch.take() {
-                        Some(i)
-                    } else if in_runahead {
-                        ra_source.pop_front()
-                    } else {
-                        replay.pop_front()
-                    };
-                    let inst = if let Some(i) = sourced {
-                        // Re-fetched lines are warm (just fetched) — no
-                        // I-cache classification needed.
-                        i
-                    } else {
-                        if trace_done {
-                            break;
-                        }
-                        let Some(i) = trace.next_inst() else {
-                            trace_done = true;
-                            break;
-                        };
-                        fetched_trace += 1;
-                        let linea = line_of(i.pc);
-                        if linea != last_ifetch_line {
-                            last_ifetch_line = linea;
-                            let arrives = match hierarchy.ifetch(i.pc) {
-                                Access::L1Hit => None,
-                                Access::L2Hit => Some(now + cfg.l2_latency),
-                                Access::L3Hit => {
-                                    let ready = now + cfg.l3_latency;
-                                    if fetched_trace > warmup {
-                                        offchip.imiss += 1;
-                                    }
-                                    *outstanding.entry(ready).or_insert(0) += 1;
-                                    Some(ready)
-                                }
-                                Access::OffChip => {
-                                    if cfg.perfect_l2 {
-                                        Some(now + cfg.l2_latency)
-                                    } else {
-                                        let ready = match mshr.request(linea, now) {
-                                            MshrOutcome::Primary { ready_at }
-                                            | MshrOutcome::Merged { ready_at } => ready_at,
-                                            MshrOutcome::Full => now + cfg.mem_latency,
-                                        };
-                                        if fetched_trace > warmup {
-                                            offchip.imiss += 1;
-                                        }
-                                        *outstanding.entry(ready).or_insert(0) += 1;
-                                        Some(ready)
-                                    }
-                                }
-                            };
-                            if let Some(at) = arrives {
-                                fetch_stall_until = at;
-                                pending_fetch = Some(i);
-                                break;
-                            }
-                        }
-                        i
-                    };
-                    if in_runahead {
-                        // Everything consumed speculatively replays later.
-                        ra_replay.push_back(inst);
-                    }
-                    let mispredicted = if inst.is_branch() {
-                        branches.observe(&inst)
-                    } else {
-                        false
-                    };
-                    fetch_queue.push_back((inst, mispredicted));
-                    f += 1;
-                    worked = true;
-                    if mispredicted {
-                        awaiting_redirect = true;
-                        fetch_stall_until = u64::MAX;
-                        break;
-                    }
-                }
-            }
-
-            // Clock.
-            let next = if worked {
-                now + 1
-            } else {
-                let mut c: Vec<u64> = Vec::new();
-                if let Some((&t, _)) = completions.iter().next() {
-                    c.push(t);
-                }
-                if let Some((&t, _)) = outstanding.iter().next() {
-                    c.push(t);
-                }
-                if let Some(e) = runahead_exit {
-                    c.push(e);
-                }
-                if fetch_stall_until > now && fetch_stall_until != u64::MAX {
-                    c.push(fetch_stall_until);
-                }
-                c.into_iter().min().unwrap_or(now + 1).max(now + 1)
-            };
-            let mut t0 = now;
-            while t0 < next {
-                let size: u32 = outstanding.values().sum();
-                let b = outstanding
-                    .keys()
-                    .next()
-                    .copied()
-                    .filter(|&x| x < next)
-                    .unwrap_or(next)
-                    .max(t0 + 1);
-                if size > 0 && measuring {
-                    active_cycles += b - t0;
-                    mlp_weighted += size as u64 * (b - t0);
-                }
-                t0 = b;
-                while let Some((&x, _)) = outstanding.iter().next() {
-                    if x <= t0 {
-                        outstanding.remove(&x);
-                    } else {
-                        break;
-                    }
-                }
-            }
-            if !worked && measuring {
-                stall_cycles += next - now;
-                if obs_armed {
-                    cur_burst += next - now;
-                }
-            }
-            if worked && cur_burst > 0 {
-                stall_burst.record(cur_burst);
-                cur_burst = 0;
-            }
-            now = next;
-            let pos = retired.saturating_sub(warmup);
-            if sampler.as_ref().is_some_and(|s| s.due(pos)) {
-                let fields = [
-                    ("cycles", Value::U64(now.saturating_sub(measure_start))),
-                    ("offchip", Value::U64(offchip.total())),
-                    ("mshr", Value::U64(mshr.outstanding() as u64)),
-                    ("mlp_weighted", Value::U64(mlp_weighted)),
-                    ("active_cycles", Value::U64(active_cycles)),
-                ];
-                if let Some(s) = sampler.as_mut() {
-                    s.record(pos, &fields);
-                }
-            }
-            if worked {
-                idle = 0;
-            } else {
-                idle += 1;
-                assert!(
-                    idle < 100 * cfg.mem_latency + 1_000_000,
-                    "runahead pipeline stuck at cycle {now}"
-                );
-            }
-        }
-
-        if cur_burst > 0 {
-            stall_burst.record(cur_burst);
-        }
-        if sampler.is_some() {
-            let pos = retired.saturating_sub(warmup);
-            let fields = [
-                ("cycles", Value::U64(now.saturating_sub(measure_start))),
-                ("offchip", Value::U64(offchip.total())),
-                ("mshr", Value::U64(mshr.outstanding() as u64)),
-                ("mlp_weighted", Value::U64(mlp_weighted)),
-                ("active_cycles", Value::U64(active_cycles)),
-            ];
-            if let Some(s) = sampler.as_mut() {
-                s.finish(pos, &fields);
-            }
-        }
-        let b = branches.stats();
-        let report = CycleReport {
-            cycles: now.saturating_sub(measure_start),
-            insts: retired.saturating_sub(warmup),
-            offchip,
-            mlp_weighted_cycles: mlp_weighted,
-            active_cycles,
-            branch_stats: BranchStats {
-                branches: b.branches - branch_base.branches,
-                mispredicts: b.mispredicts - branch_base.mispredicts,
-            },
-            fm_weighted_cycles: 0,
-            fm_active_cycles: 0,
-        };
-        crate::obs::flush_run(
-            &report,
-            crate::obs::RunObs {
-                stall_cycles,
-                mshr_high_water: mshr.high_water() as u64,
-                runahead_entries: ra_entries,
-                runahead_exits: ra_exits,
-                stall_burst,
-                runahead_episode: episode,
-            },
-        );
-        hierarchy.flush_obs();
-        mshr.flush_obs();
-        report
+        CycleSim::new(self.config.clone()).run(trace, warmup, measure)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CycleSim;
-    use mlp_isa::SliceTrace;
+    use mlp_isa::{Inst, SliceTrace};
     use mlp_workloads::micro;
 
     fn run_warm(trace: &[Inst], max_dist: usize) -> CycleReport {

@@ -1,36 +1,24 @@
-//! A simultaneous-multithreading (SMT) variant of the cycle model —
-//! the paper's first stated piece of future work ("studying MLP for
+//! Simultaneous multithreading (SMT) on the cycle-level core — the
+//! paper's first stated piece of future work ("studying MLP for
 //! multithreaded processors").
 //!
-//! Hardware model: `N` hardware threads share the cache hierarchy, the
-//! MSHR file, the branch predictor and the issue/retire bandwidth; each
-//! thread has a private fetch queue, ROB/issue-window partition, rename
-//! state and store queue. Fetch and issue priority rotate round-robin
-//! each cycle. Threads run *different* workloads in disjoint address
-//! spaces (a per-thread address-space tag keeps the shared caches
+//! Hardware model: `N` hardware threads are partitions of the one core
+//! behind [`crate::CycleSim`]. They share the cache hierarchy, the MSHR
+//! file, the branch predictor and the fetch/dispatch/issue/retire
+//! bandwidth; each thread has a private fetch queue, ROB/issue-window
+//! share, rename state and store-forwarding map. Stage priority rotates
+//! round-robin each cycle. Threads run *different* workloads in disjoint
+//! address spaces (a per-thread address-space tag keeps the shared caches
 //! honest).
 //!
 //! The interesting question the paper poses: does multithreading raise
 //! *chip-level* MLP (more independent misses in flight), and what does
 //! each thread pay in cache interference? [`SmtReport`] answers both:
-//! combined MLP(t) integration plus per-thread instruction counts and
-//! miss rates.
-//!
-//! The model is deliberately simpler than the single-thread pipeline in
-//! [`crate::CycleSim`] (no store-to-load forwarding across the store
-//! queue, conservative same-address gating only): it is a *study*
-//! vehicle for the multithreading question, not a validated reference.
+//! combined MLP(t) integration plus per-thread instruction counts.
 
 use crate::CycleSimConfig;
-use mlp_hash::FxHashMap;
-use mlp_isa::{line_of, Inst, OpKind, Reg, TraceSource};
-use mlp_mem::{Access, Hierarchy, Mshr, MshrOutcome};
-use mlp_predict::{BranchObserver, BranchPredictor, PerfectBranchPredictor};
-use mlpsim::{BranchMode, OffchipCounts};
-use std::collections::{BTreeMap, VecDeque};
-
-/// Address-space tag: thread `t`'s addresses live at `t << ASID_SHIFT`.
-const ASID_SHIFT: u32 = 44;
+use mlp_isa::{InstSource, StreamingSoaSource, TraceSource};
+use mlpsim::OffchipCounts;
 
 /// Results of an SMT run.
 #[derive(Clone, Debug, Default)]
@@ -67,50 +55,6 @@ impl SmtReport {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Entry {
-    kind: OpKind,
-    producers: [Option<u64>; 3],
-    mem_addr: Option<u64>,
-    mispredicted: bool,
-    issued: bool,
-    completed: bool,
-    complete_at: u64,
-}
-
-struct Thread<'a> {
-    trace: &'a mut dyn TraceSource,
-    fetch_queue: VecDeque<(Inst, bool)>,
-    pending_fetch: Option<Inst>,
-    fetch_stall_until: u64,
-    awaiting_redirect: bool,
-    last_ifetch_line: u64,
-    trace_done: bool,
-    fetched: u64,
-    rob: VecDeque<Entry>,
-    head_seq: u64,
-    next_seq: u64,
-    unissued: usize,
-    last_writer: [u64; Reg::COUNT],
-    store_pending: FxHashMap<u64, u64>, // addr8 -> seq of youngest older store
-    serialize_block: bool,
-    retired: u64,
-}
-
-enum Branches {
-    Real(BranchPredictor),
-    Perfect(PerfectBranchPredictor),
-}
-
-impl Branches {
-    fn observe(&mut self, inst: &Inst) -> bool {
-        match self {
-            Branches::Real(p) => p.observe(inst),
-            Branches::Perfect(p) => p.observe(inst),
-        }
-    }
-}
-
 /// The SMT machine.
 ///
 /// # Examples
@@ -131,8 +75,8 @@ pub struct SmtSim {
 }
 
 impl SmtSim {
-    /// Creates an SMT simulator; the ROB and issue window are partitioned
-    /// evenly among the threads at run time.
+    /// Creates an SMT simulator; the ROB, issue window and fetch buffer
+    /// are partitioned evenly among the threads at run time.
     ///
     /// # Panics
     ///
@@ -157,460 +101,41 @@ impl SmtSim {
         warmup: u64,
         measure: u64,
     ) -> SmtReport {
-        let insts_per_thread = warmup.saturating_add(measure);
+        let mut srcs: Vec<_> = threads.into_iter().map(StreamingSoaSource::new).collect();
+        self.run_sources(&mut srcs, warmup, measure)
+    }
+
+    /// [`SmtSim::run`] over column sources — a shared materialized trace
+    /// or a chunk stream per thread — without decoding rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is empty or larger than 8.
+    pub fn run_sources<S: InstSource>(
+        &mut self,
+        threads: &mut [S],
+        warmup: u64,
+        measure: u64,
+    ) -> SmtReport {
         assert!(
             !threads.is_empty() && threads.len() <= 8,
             "1..=8 SMT threads supported"
         );
-        let n = threads.len();
-        let cfg = &self.config;
-        let rob_each = (cfg.rob / n).max(4);
-        let iw_each = (cfg.iw / n).max(4);
-        let mut hierarchy = Hierarchy::new(cfg.hierarchy);
-        let mut mshr = Mshr::new(cfg.mshrs, cfg.mem_latency);
-        let mut branches = match cfg.branch {
-            BranchMode::Real(c) => Branches::Real(BranchPredictor::new(c)),
-            BranchMode::Perfect => Branches::Perfect(PerfectBranchPredictor::new()),
-        };
-        let mut ts: Vec<Thread> = threads
-            .into_iter()
-            .map(|trace| Thread {
-                trace,
-                fetch_queue: VecDeque::with_capacity(cfg.fetch_buffer / n + 1),
-                pending_fetch: None,
-                fetch_stall_until: 0,
-                awaiting_redirect: false,
-                last_ifetch_line: u64::MAX,
-                trace_done: false,
-                fetched: 0,
-                rob: VecDeque::with_capacity(rob_each.min(1 << 14)),
-                head_seq: 0,
-                next_seq: 0,
-                unissued: 0,
-                last_writer: [0; Reg::COUNT],
-                store_pending: mlp_hash::map_with_capacity(1024),
-                serialize_block: false,
-                retired: 0,
-            })
-            .collect();
-
-        let mut now: u64 = 0;
-        let mut completions: BTreeMap<u64, Vec<(usize, u64)>> = BTreeMap::new();
-        let mut outstanding: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut report = SmtReport {
-            insts: vec![0; n],
-            ..SmtReport::default()
-        };
-        let mut rr = 0usize; // round-robin priority cursor
-        let mut idle_guard: u64 = 0;
-        // Reused across cycles/threads so the issue scan does not allocate.
-        let mut decisions: Vec<u64> = Vec::with_capacity(cfg.issue_width);
-        let mut measuring = warmup == 0;
-        let mut measure_start: u64 = 0;
-
-        let done = |ts: &[Thread], goal: u64| {
-            ts.iter().all(|t| {
-                t.retired >= goal
-                    || (t.trace_done
-                        && t.fetch_queue.is_empty()
-                        && t.pending_fetch.is_none()
-                        && t.rob.is_empty())
-            })
-        };
-
-        while !done(&ts, insts_per_thread) {
-            mshr.expire(now);
-            // Complete.
-            while let Some((&k, _)) = completions.iter().next() {
-                if k > now {
-                    break;
-                }
-                for (tid, seq) in completions.remove(&k).expect("key just read") {
-                    let t = &mut ts[tid];
-                    if seq >= t.head_seq {
-                        let idx = (seq - t.head_seq) as usize;
-                        t.rob[idx].completed = true;
-                    }
-                }
-            }
-            let mut worked = false;
-
-            // Retire (per thread).
-            for (tid, t) in ts.iter_mut().enumerate() {
-                let mut k = 0;
-                while k < cfg.retire_width {
-                    match t.rob.front() {
-                        Some(e) if e.completed => {}
-                        _ => break,
-                    }
-                    let e = t.rob.pop_front().expect("checked");
-                    t.head_seq += 1;
-                    if e.kind.writes_memory() {
-                        if let Some(addr) = e.mem_addr {
-                            let _ = hierarchy.store(addr);
-                        }
-                    }
-                    if e.kind.is_serializing() {
-                        t.serialize_block = false;
-                    }
-                    t.retired += 1;
-                    if t.retired > warmup {
-                        report.insts[tid] += 1;
-                    }
-                    k += 1;
-                    worked = true;
-                }
-            }
-
-            // Issue: rotate thread priority; shared width.
-            let mut budget = cfg.issue_width;
-            for off in 0..n {
-                let tid = (rr + off) % n;
-                if budget == 0 {
-                    break;
-                }
-                let head = ts[tid].head_seq;
-                decisions.clear();
-                {
-                    let t = &ts[tid];
-                    let mut branch_ok = true;
-                    for (i, e) in t.rob.iter().enumerate() {
-                        if decisions.len() >= budget {
-                            break;
-                        }
-                        if e.issued {
-                            continue;
-                        }
-                        let seq = head + i as u64;
-                        let ready =
-                            e.producers.iter().flatten().all(|&p| {
-                                p < t.head_seq || t.rob[(p - t.head_seq) as usize].completed
-                            });
-                        let mut can = ready;
-                        if e.kind.is_branch() && !branch_ok {
-                            can = false;
-                        }
-                        // Conservative same-address store dependence.
-                        if can && e.kind.reads_memory() {
-                            if let Some(addr) = e.mem_addr {
-                                if let Some(&sseq) = t.store_pending.get(&(addr & !7)) {
-                                    if sseq >= t.head_seq && sseq < seq {
-                                        let sidx = (sseq - t.head_seq) as usize;
-                                        if !t.rob[sidx].issued {
-                                            can = false;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if can && e.kind.reads_memory() && !cfg.perfect_l2 {
-                            if let Some(addr) = e.mem_addr {
-                                let line = line_of(addr);
-                                if !mshr.is_pending(line)
-                                    && !hierarchy.probe_l2(addr)
-                                    && mshr.outstanding() >= cfg.mshrs
-                                {
-                                    can = false;
-                                }
-                            }
-                        }
-                        if can {
-                            decisions.push(seq);
-                        }
-                        if e.kind.is_branch() && !can {
-                            branch_ok = false;
-                        }
-                    }
-                }
-                budget -= decisions.len().min(budget);
-                for &seq in &decisions {
-                    worked = true;
-                    let idx = (seq - ts[tid].head_seq) as usize;
-                    let (kind, mem_addr, mispredicted) = {
-                        let e = &ts[tid].rob[idx];
-                        (e.kind, e.mem_addr, e.mispredicted)
-                    };
-                    let complete_at = match kind {
-                        OpKind::Load | OpKind::Atomic | OpKind::Prefetch => {
-                            let addr = mem_addr.expect("memory op");
-                            let line = line_of(addr);
-                            if !cfg.perfect_l2 && mshr.is_pending(line) {
-                                let ready = mshr.ready_at(line).expect("pending");
-                                if kind == OpKind::Prefetch {
-                                    now + 1
-                                } else {
-                                    ready
-                                }
-                            } else {
-                                let data_at = match hierarchy.load(addr) {
-                                    Access::L1Hit => now + cfg.l1_latency,
-                                    Access::L2Hit => now + cfg.l2_latency,
-                                    Access::L3Hit => {
-                                        let ready = now + cfg.l3_latency;
-                                        if measuring {
-                                            report.offchip.dmiss += 1;
-                                        }
-                                        *outstanding.entry(ready).or_insert(0) += 1;
-                                        ready
-                                    }
-                                    Access::OffChip => {
-                                        if cfg.perfect_l2 {
-                                            now + cfg.l2_latency
-                                        } else {
-                                            match mshr.request(line, now) {
-                                                MshrOutcome::Primary { ready_at }
-                                                | MshrOutcome::Merged { ready_at } => {
-                                                    if measuring {
-                                                        match kind {
-                                                            OpKind::Prefetch => {
-                                                                report.offchip.pmiss += 1
-                                                            }
-                                                            _ => report.offchip.dmiss += 1,
-                                                        }
-                                                    }
-                                                    *outstanding.entry(ready_at).or_insert(0) += 1;
-                                                    ready_at
-                                                }
-                                                MshrOutcome::Full => now + cfg.mem_latency,
-                                            }
-                                        }
-                                    }
-                                };
-                                if kind == OpKind::Prefetch {
-                                    now + 1
-                                } else {
-                                    data_at
-                                }
-                            }
-                        }
-                        OpKind::Branch(_) => {
-                            let t = now + 1;
-                            if mispredicted {
-                                ts[tid].fetch_stall_until = t + cfg.mispredict_penalty;
-                                ts[tid].awaiting_redirect = false;
-                            }
-                            t
-                        }
-                        _ => now + 1,
-                    };
-                    let e = &mut ts[tid].rob[idx];
-                    e.issued = true;
-                    e.complete_at = complete_at;
-                    ts[tid].unissued -= 1;
-                    completions.entry(complete_at).or_default().push((tid, seq));
-                }
-            }
-
-            // Dispatch (per thread, shared width round-robin).
-            let mut budget = cfg.dispatch_width;
-            for off in 0..n {
-                let tid = (rr + off) % n;
-                let t = &mut ts[tid];
-                while budget > 0
-                    && !t.serialize_block
-                    && t.rob.len() < rob_each
-                    && t.unissued < iw_each
-                {
-                    let Some(&(ref inst, mispredicted)) = t.fetch_queue.front() else {
-                        break;
-                    };
-                    let serializing = inst.is_serializing() && cfg.issue.serializing();
-                    if serializing && !t.rob.is_empty() {
-                        break;
-                    }
-                    let inst = *inst;
-                    t.fetch_queue.pop_front();
-                    let seq = t.next_seq;
-                    t.next_seq += 1;
-                    let mut producers = [None; 3];
-                    for (k, src) in inst.dep_srcs().enumerate() {
-                        let w = t.last_writer[src.index()];
-                        if w > t.head_seq {
-                            producers[k] = Some(w - 1);
-                        }
-                    }
-                    if let Some(dst) = inst.dep_dst() {
-                        t.last_writer[dst.index()] = seq + 1;
-                    }
-                    if inst.kind.writes_memory() {
-                        if let Some(m) = inst.mem {
-                            t.store_pending.insert(m.addr & !7, seq);
-                            if t.store_pending.len() > 1 << 14 {
-                                let head = t.head_seq;
-                                t.store_pending.retain(|_, &mut s| s >= head);
-                            }
-                        }
-                    }
-                    t.rob.push_back(Entry {
-                        kind: inst.kind,
-                        producers,
-                        mem_addr: inst.mem.map(|m| m.addr),
-                        mispredicted,
-                        issued: false,
-                        completed: false,
-                        complete_at: u64::MAX,
-                    });
-                    t.unissued += 1;
-                    if serializing {
-                        t.serialize_block = true;
-                    }
-                    budget -= 1;
-                    worked = true;
-                }
-            }
-
-            // Fetch (per thread, shared width round-robin), with the
-            // per-thread address-space tag applied as instructions enter.
-            let mut budget = cfg.fetch_width;
-            for off in 0..n {
-                let tid = (rr + off) % n;
-                let asid = (tid as u64) << ASID_SHIFT;
-                let t = &mut ts[tid];
-                if t.awaiting_redirect || now < t.fetch_stall_until {
-                    continue;
-                }
-                while budget > 0 && t.fetch_queue.len() < cfg.fetch_buffer / n {
-                    let inst = match t.pending_fetch.take() {
-                        Some(i) => i,
-                        None => {
-                            if t.trace_done || t.fetched >= insts_per_thread.saturating_add(64) {
-                                break;
-                            }
-                            let Some(mut inst) = t.trace.next_inst() else {
-                                t.trace_done = true;
-                                break;
-                            };
-                            // Re-home the instruction into this thread's
-                            // address space.
-                            inst.pc |= asid;
-                            if let Some(m) = &mut inst.mem {
-                                m.addr |= asid;
-                            }
-                            t.fetched += 1;
-                            let linea = line_of(inst.pc);
-                            if linea != t.last_ifetch_line {
-                                t.last_ifetch_line = linea;
-                                let arrives = match hierarchy.ifetch(inst.pc) {
-                                    Access::L1Hit => None,
-                                    Access::L2Hit => Some(now + cfg.l2_latency),
-                                    Access::L3Hit => {
-                                        let ready = now + cfg.l3_latency;
-                                        if measuring {
-                                            report.offchip.imiss += 1;
-                                        }
-                                        *outstanding.entry(ready).or_insert(0) += 1;
-                                        Some(ready)
-                                    }
-                                    Access::OffChip => {
-                                        if cfg.perfect_l2 {
-                                            Some(now + cfg.l2_latency)
-                                        } else {
-                                            let ready = match mshr.request(linea, now) {
-                                                MshrOutcome::Primary { ready_at }
-                                                | MshrOutcome::Merged { ready_at } => ready_at,
-                                                MshrOutcome::Full => now + cfg.mem_latency,
-                                            };
-                                            if measuring {
-                                                report.offchip.imiss += 1;
-                                            }
-                                            *outstanding.entry(ready).or_insert(0) += 1;
-                                            Some(ready)
-                                        }
-                                    }
-                                };
-                                if let Some(at) = arrives {
-                                    t.fetch_stall_until = at;
-                                    t.pending_fetch = Some(inst);
-                                    break;
-                                }
-                            }
-                            inst
-                        }
-                    };
-                    let mispredicted = if inst.is_branch() {
-                        branches.observe(&inst)
-                    } else {
-                        false
-                    };
-                    t.fetch_queue.push_back((inst, mispredicted));
-                    budget -= 1;
-                    worked = true;
-                    if mispredicted {
-                        t.awaiting_redirect = true;
-                        t.fetch_stall_until = u64::MAX;
-                        break;
-                    }
-                }
-            }
-
-            rr = (rr + 1) % n;
-            if !measuring && ts.iter().all(|t| t.retired >= warmup || t.trace_done) {
-                measuring = true;
-                measure_start = now;
-            }
-
-            // Advance the clock, integrating combined MLP(t).
-            let next = if worked {
-                now + 1
-            } else {
-                let mut candidates: Vec<u64> = Vec::new();
-                if let Some((&k, _)) = completions.iter().next() {
-                    candidates.push(k);
-                }
-                if let Some((&k, _)) = outstanding.iter().next() {
-                    candidates.push(k);
-                }
-                for t in &ts {
-                    if t.fetch_stall_until > now && t.fetch_stall_until != u64::MAX {
-                        candidates.push(t.fetch_stall_until);
-                    }
-                }
-                candidates.into_iter().min().unwrap_or(now + 1).max(now + 1)
-            };
-            // Integrate piecewise over [now, next).
-            let mut t0 = now;
-            while t0 < next {
-                let size: u32 = outstanding.values().sum();
-                let boundary = outstanding
-                    .keys()
-                    .next()
-                    .copied()
-                    .filter(|&k| k < next)
-                    .unwrap_or(next)
-                    .max(t0 + 1);
-                if size > 0 && measuring {
-                    report.active_cycles += boundary - t0;
-                    report.mlp_weighted_cycles += size as u64 * (boundary - t0);
-                }
-                t0 = boundary;
-                while let Some((&k, _)) = outstanding.iter().next() {
-                    if k <= t0 {
-                        outstanding.remove(&k);
-                    } else {
-                        break;
-                    }
-                }
-            }
-            now = next;
-            if worked {
-                idle_guard = 0;
-            } else {
-                idle_guard += 1;
-                assert!(
-                    idle_guard < 100 * cfg.mem_latency + 1_000_000,
-                    "SMT pipeline stuck at cycle {now}"
-                );
-            }
+        let (r, insts) = crate::pipeline::simulate(&self.config, threads, warmup, measure);
+        SmtReport {
+            cycles: r.cycles,
+            insts,
+            offchip: r.offchip,
+            mlp_weighted_cycles: r.mlp_weighted_cycles,
+            active_cycles: r.active_cycles,
         }
-        report.cycles = now.saturating_sub(measure_start);
-        report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_isa::SliceTrace;
+    use mlp_isa::{Inst, SliceTrace};
     use mlp_workloads::micro;
 
     fn smt_run(traces: Vec<Vec<Inst>>, per_thread: u64) -> SmtReport {

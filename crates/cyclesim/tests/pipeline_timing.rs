@@ -276,3 +276,172 @@ fn runahead_value_prediction_unblocks_chains() {
         plain.mlp()
     );
 }
+
+/// Behaviours the runahead and SMT cores once implemented differently
+/// from the pipeline, each pinned on the one core (DESIGN.md §7c).
+mod fork_differences {
+    use super::*;
+    use mlp_cyclesim::runahead::RunaheadSim;
+    use mlp_cyclesim::smt::{SmtReport, SmtSim};
+    use mlp_isa::TraceSource;
+
+    /// `trace` behind a nop prefix that warms its I-lines, and the prefix
+    /// length.
+    fn with_warm_prefix(trace: &[Inst]) -> (Vec<Inst>, u64) {
+        let max_hot_pc = trace.iter().map(|i| i.pc).max().unwrap();
+        let mut full: Vec<Inst> = (micro::PC_BASE..=max_hot_pc)
+            .step_by(4)
+            .map(Inst::nop)
+            .collect();
+        let warm = full.len() as u64;
+        full.extend_from_slice(trace);
+        (full, warm)
+    }
+
+    fn smt_solo(cfg: CycleSimConfig, trace: &[Inst], warmup: u64, measure: u64) -> SmtReport {
+        let mut s = SliceTrace::new(trace);
+        SmtSim::new(cfg).run(vec![&mut s as &mut dyn TraceSource], warmup, measure)
+    }
+
+    /// Conventional, runahead and one-thread SMT runs of `trace`, warm.
+    fn three_ways(cfg: CycleSimConfig, trace: &[Inst]) -> (CycleReport, CycleReport, SmtReport) {
+        let (full, warm) = with_warm_prefix(trace);
+        let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&full), warm, u64::MAX);
+        let rae =
+            RunaheadSim::new(cfg.clone(), 2048).run(&mut SliceTrace::new(&full), warm, u64::MAX);
+        (conv, rae, smt_solo(cfg, &full, warm, u64::MAX))
+    }
+
+    #[test]
+    fn stores_forward_to_younger_loads() {
+        // A serial ALU chain holds the store in the ROB, so its line is
+        // not yet allocated when the load issues.
+        let r = Reg::int;
+        let mut pc = micro::PC_BASE;
+        let mut t: Vec<Inst> = (0..20)
+            .map(|_| {
+                pc += 4;
+                Inst::alu(pc - 4, &[r(5)], r(5))
+            })
+            .collect();
+        t.push(Inst::store(pc, r(1), 0, r(2), micro::COLD_BASE));
+        t.push(Inst::load(pc + 4, r(1), 0, r(3), micro::COLD_BASE));
+        let (conv, rae, smt) = three_ways(CycleSimConfig::default(), &t);
+        // The load takes the in-flight store's data instead of missing.
+        assert_eq!(conv.offchip.total(), 0);
+        assert_eq!(rae.offchip.total(), 0);
+        assert_eq!(smt.offchip.total(), 0);
+    }
+
+    #[test]
+    fn mshr_gate_counts_same_cycle_allocations() {
+        // One MSHR: a load about to allocate this cycle holds it, so a
+        // second miss waits instead of issuing into a full file (where its
+        // transfer would go uncounted).
+        let cfg = CycleSimConfig {
+            mshrs: 1,
+            ..CycleSimConfig::default()
+        };
+        let (conv, rae, smt) = three_ways(cfg, &micro::independent_misses(4, 0));
+        assert_eq!(conv.offchip.dmiss, 4);
+        assert_eq!(rae.offchip.total(), 4);
+        assert_eq!(smt.offchip.dmiss, 4);
+    }
+
+    #[test]
+    fn misses_count_by_trace_index() {
+        // The last warm-up instruction and the first measured one both
+        // miss, in the same cycle: only the measured one counts, though
+        // fetch has passed the boundary and measurement has not begun.
+        let r = Reg::int;
+        let mut t = vec![
+            Inst::load(micro::PC_BASE, r(1), 0, r(2), micro::COLD_BASE),
+            Inst::load(micro::PC_BASE + 4, r(1), 0, r(3), micro::COLD_BASE + 4096),
+        ];
+        let mut pc = micro::PC_BASE + 8;
+        for _ in 0..32 {
+            t.push(micro::filler(&mut pc));
+        }
+        let (full, warm) = with_warm_prefix(&t);
+        let warmup = warm + 1;
+        let cfg = CycleSimConfig::default();
+        let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&full), warmup, u64::MAX);
+        let rae =
+            RunaheadSim::new(cfg.clone(), 2048).run(&mut SliceTrace::new(&full), warmup, u64::MAX);
+        let smt = smt_solo(cfg, &full, warmup, u64::MAX);
+        assert_eq!(conv.offchip.total(), 1);
+        assert_eq!(rae.offchip.total(), 1);
+        assert_eq!(smt.offchip.total(), 1);
+        assert_eq!(smt.insts, vec![33]);
+    }
+
+    #[test]
+    fn runahead_integrates_fm() {
+        let r = Reg::int;
+        let mut t = vec![
+            Inst::store(micro::PC_BASE, r(1), 0, r(2), micro::COLD_BASE),
+            Inst::load(micro::PC_BASE + 4, r(1), 0, r(3), micro::COLD_BASE + 4096),
+        ];
+        let mut pc = micro::PC_BASE + 8;
+        for _ in 0..16 {
+            t.push(micro::filler(&mut pc));
+        }
+        let (conv, rae, _) = three_ways(CycleSimConfig::default(), &t);
+        assert!(conv.fm_active_cycles > 0);
+        assert!(rae.fm_active_cycles > 0, "runahead must integrate fM");
+        assert!(rae.fm() >= 1.0);
+    }
+
+    #[test]
+    fn smt_threads_stop_at_their_limit() {
+        let a = micro::random_trace(1, 400);
+        let b = micro::random_trace(2, 400);
+        let (mut sa, mut sb) = (SliceTrace::new(&a), SliceTrace::new(&b));
+        let r = SmtSim::new(CycleSimConfig::default()).run(vec![&mut sa, &mut sb], 50, 200);
+        assert_eq!(r.insts, vec![200, 200]);
+    }
+
+    #[test]
+    fn smt_threads_share_the_retire_width() {
+        let cfg = CycleSimConfig {
+            fetch_width: 8,
+            dispatch_width: 8,
+            issue_width: 8,
+            retire_width: 2,
+            ..CycleSimConfig::default()
+        };
+        let mut pc = micro::PC_BASE;
+        let t: Vec<Inst> = (0..400).map(|_| micro::filler(&mut pc)).collect();
+        let (full, warm) = with_warm_prefix(&t);
+        let (mut sa, mut sb) = (SliceTrace::new(&full), SliceTrace::new(&full));
+        let r = SmtSim::new(cfg).run(vec![&mut sa, &mut sb], warm, u64::MAX);
+        assert_eq!(r.insts, vec![400, 400]);
+        // Per-thread retire slots would allow twice this.
+        assert!(r.ipc() < 2.1, "IPC {:.2} exceeds the retire width", r.ipc());
+    }
+
+    #[test]
+    fn config_a_gates_smt_issue() {
+        // A younger independent miss waits behind an older store whose
+        // address depends on a miss: under config A the misses serialize.
+        let r = Reg::int;
+        let t = [
+            Inst::load(micro::PC_BASE, r(1), 0, r(2), micro::COLD_BASE),
+            Inst::store(micro::PC_BASE + 4, r(2), 0, r(3), micro::COLD_BASE + 4096),
+            Inst::load(micro::PC_BASE + 8, r(1), 0, r(4), micro::COLD_BASE + 8192),
+        ];
+        let (full, warm) = with_warm_prefix(&t);
+        let run = |issue| {
+            let cfg = CycleSimConfig::default().with_issue(issue);
+            let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&full), warm, u64::MAX);
+            (conv.cycles, smt_solo(cfg, &full, warm, u64::MAX).cycles)
+        };
+        let (conv_a, smt_a) = run(IssueConfig::A);
+        let (conv_c, smt_c) = run(IssueConfig::C);
+        assert!(
+            conv_a > conv_c,
+            "config A must serialize ({conv_a} vs {conv_c})"
+        );
+        assert_eq!((smt_a, smt_c), (conv_a, conv_c));
+    }
+}

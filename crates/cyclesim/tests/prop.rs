@@ -152,3 +152,57 @@ mod runahead_props {
         }
     }
 }
+
+/// The runahead and SMT wrappers are policies of the one core: with the
+/// policy inert they must reproduce the conventional pipeline exactly,
+/// under every supported issue configuration and with a warm-up prefix
+/// (which pins counting by trace index and branch-stat rebasing).
+mod fold_equivalence {
+    use super::*;
+    use mlp_cyclesim::runahead::RunaheadSim;
+    use mlp_cyclesim::smt::SmtSim;
+    use mlp_isa::TraceSource;
+
+    const ISSUE: [IssueConfig; 3] = [IssueConfig::A, IssueConfig::B, IssueConfig::C];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn smt_with_one_thread_is_the_conventional_core(
+            seed in any::<u64>(),
+            len in 10usize..300,
+            warm_quarters in 0u64..3,
+            issue in 0usize..3,
+        ) {
+            let t = micro::random_trace(seed, len);
+            let cfg = CycleSimConfig::default().with_issue(ISSUE[issue]);
+            let warmup = len as u64 * warm_quarters / 4;
+            let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&t), warmup, u64::MAX);
+            let mut s = SliceTrace::new(&t);
+            let smt = SmtSim::new(cfg).run(vec![&mut s as &mut dyn TraceSource], warmup, u64::MAX);
+            prop_assert_eq!(smt.cycles, conv.cycles);
+            prop_assert_eq!(smt.insts, vec![conv.insts]);
+            prop_assert_eq!(smt.offchip, conv.offchip);
+            prop_assert_eq!(smt.mlp_weighted_cycles, conv.mlp_weighted_cycles);
+            prop_assert_eq!(smt.active_cycles, conv.active_cycles);
+        }
+
+        #[test]
+        fn runahead_under_perfect_l2_is_the_conventional_core(
+            seed in any::<u64>(),
+            len in 10usize..300,
+            warm_quarters in 0u64..3,
+            issue in 0usize..3,
+        ) {
+            // A perfect L2 never leaves the head blocked longer than an L2
+            // hit, so runahead never triggers.
+            let t = micro::random_trace(seed, len);
+            let cfg = CycleSimConfig::default().with_issue(ISSUE[issue]).perfect_l2();
+            let warmup = len as u64 * warm_quarters / 4;
+            let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&t), warmup, u64::MAX);
+            let rae = RunaheadSim::new(cfg, 2048).run(&mut SliceTrace::new(&t), warmup, u64::MAX);
+            prop_assert_eq!(format!("{rae:?}"), format!("{conv:?}"));
+        }
+    }
+}

@@ -12,10 +12,10 @@
 
 use crate::registry::{Experiment, ExperimentRun};
 use crate::report::{Report, Row as JsonRow};
-use crate::runner::{cursor, cursor_seeded, run_cyclesim, run_mlpsim, sweep, sweep_grid, SEED};
+use crate::runner::{run_cyclesim, run_mlpsim, run_smtsim, sweep, sweep_grid, SEED};
 use crate::table::{f3, TextTable};
 use crate::RunScale;
-use mlp_cyclesim::CycleSimConfig;
+use mlp_cyclesim::{CycleSimConfig, RunaheadConfig};
 use mlp_mem::HierarchyConfig;
 use mlp_workloads::WorkloadKind;
 use mlpsim::{IssueConfig, MlpsimConfig, ValueMode, WindowModel};
@@ -350,11 +350,7 @@ pub struct SmtStudy {
 /// Co-runs workload pairs on a 2-way SMT core and compares chip-level
 /// MLP and throughput against each workload running alone.
 pub fn run_smt(scale: RunScale) -> SmtStudy {
-    use mlp_cyclesim::smt::SmtSim;
-
     let insts = scale.cycle_measure / 2;
-    let warm = scale.cycle_warmup;
-    let total = warm + insts;
     // Solo runs first, then the co-run pairs, in presentation order.
     let pairs = [
         (WorkloadKind::Database, WorkloadKind::Database),
@@ -366,25 +362,17 @@ pub fn run_smt(scale: RunScale) -> SmtStudy {
         WorkloadKind::ALL.into_iter().map(|k| (k, None)).collect();
     jobs.extend(pairs.into_iter().map(|(a, b)| (a, Some(b))));
     let rows = sweep(jobs, |&(a, b)| {
-        let mut sim = SmtSim::new(CycleSimConfig::default().with_mem_latency(1000));
-        match b {
-            None => {
-                let mut wl = cursor(a, total);
-                let r = sim.run(vec![&mut wl], warm, insts);
-                (format!("{} alone", a.name()), r.mlp(), r.ipc(), vec![insts])
-            }
-            Some(b) => {
-                let mut wa = cursor(a, total);
-                let mut wb = cursor_seeded(b, SEED + 1, total);
-                let r = sim.run(vec![&mut wa, &mut wb], warm, insts);
-                (
-                    format!("{} + {}", a.name(), b.name()),
-                    r.mlp(),
-                    r.ipc(),
-                    r.insts.clone(),
-                )
-            }
-        }
+        let cfg = CycleSimConfig::default().with_mem_latency(1000);
+        // Sibling threads run on distinct seeds.
+        let (label, threads) = match b {
+            None => (format!("{} alone", a.name()), vec![(a, SEED)]),
+            Some(b) => (
+                format!("{} + {}", a.name(), b.name()),
+                vec![(a, SEED), (b, SEED + 1)],
+            ),
+        };
+        let r = run_smtsim(&threads, cfg, scale.cycle_warmup, insts);
+        (label, r.mlp(), r.ipc(), r.insts)
     });
     SmtStudy { rows }
 }
@@ -473,7 +461,6 @@ pub struct RaeTiming {
 /// paper's own simulator could not do) and compares the observed speedup
 /// with the paper's methodology: the CPI equation fed by MLPsim MLP.
 pub fn run_rae_timing(scale: RunScale) -> RaeTiming {
-    use mlp_cyclesim::runahead::RunaheadSim;
     use mlp_model::CpiModel;
 
     let latency = 1000u64;
@@ -481,18 +468,16 @@ pub fn run_rae_timing(scale: RunScale) -> RaeTiming {
         let base_cfg = CycleSimConfig::default().with_mem_latency(latency);
         let conv = run_cyclesim(kind, base_cfg.clone(), scale);
         let perf = run_cyclesim(kind, base_cfg.clone().perfect_l2(), scale);
-        let total = scale.cycle_warmup + scale.cycle_measure;
-        let mut wl = cursor(kind, total);
-        let rae = RunaheadSim::new(base_cfg.clone(), 2048).run(
-            &mut wl,
-            scale.cycle_warmup,
-            scale.cycle_measure,
-        );
+        let runahead = |value| CycleSimConfig {
+            runahead: Some(RunaheadConfig {
+                max_dist: 2048,
+                value,
+            }),
+            ..base_cfg.clone()
+        };
+        let rae = run_cyclesim(kind, runahead(ValueMode::None), scale);
         let measured = 100.0 * (conv.cpi() / rae.cpi() - 1.0);
-        let mut wl = cursor(kind, total);
-        let rae_vp = RunaheadSim::new(base_cfg, 2048)
-            .with_value_prediction(mlpsim::ValueMode::LastValue(16 * 1024))
-            .run(&mut wl, scale.cycle_warmup, scale.cycle_measure);
+        let rae_vp = run_cyclesim(kind, runahead(ValueMode::LastValue(16 * 1024)), scale);
         let measured_vp = 100.0 * (conv.cpi() / rae_vp.cpi() - 1.0);
 
         // The paper's route: MLPsim MLP + the CPI equation.

@@ -17,7 +17,9 @@
 //!    `MLP_THREADS` environment variable).
 
 use crate::RunScale;
+use mlp_cyclesim::smt::{SmtReport, SmtSim};
 use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig};
+use mlp_isa::{ChunkedSoaSource, SharedSoaSource};
 use mlp_par::JobPanic;
 use mlp_workloads::{SharedTrace, TraceCursor, TraceStore, Workload, WorkloadKind};
 use mlpsim::{MlpsimConfig, Report, Simulator};
@@ -130,19 +132,10 @@ pub fn workload(kind: WorkloadKind) -> Workload {
 }
 
 /// A replay cursor over the shared materialized trace for `kind`,
-/// covering at least `insts` instructions plus engine read-ahead slack.
+/// covering at least `insts` instructions plus engine read-ahead slack
+/// (and capped by the same fault-injection site as [`shared_seeded`]).
 pub fn cursor(kind: WorkloadKind, insts: u64) -> TraceCursor {
-    cursor_seeded(kind, SEED, insts)
-}
-
-/// [`cursor`] with an explicit seed (the SMT experiment runs sibling
-/// threads on distinct seeds).
-///
-/// The [`mlp_faults::CURSOR_TRUNCATE`] injection site caps the
-/// materialized length here, so fault tests can hand every run a trace
-/// that drains early.
-pub fn cursor_seeded(kind: WorkloadKind, seed: u64, insts: u64) -> TraceCursor {
-    shared_seeded(kind, seed, insts).cursor()
+    shared_seeded(kind, SEED, insts).cursor()
 }
 
 /// The shared column-trace handle for `kind`, covering at least `insts`
@@ -218,6 +211,49 @@ pub fn run_cyclesim(kind: WorkloadKind, config: CycleSimConfig, scale: RunScale)
             scale.cycle_measure,
             point_context()
         );
+    }
+    report
+}
+
+/// Runs the SMT core with one thread per `(kind, seed)`: each retires
+/// `warmup` uncounted instructions, then `measure` measured ones.
+///
+/// # Panics
+///
+/// Panics if any thread drains its trace before measuring `measure`
+/// instructions, like [`run_cyclesim`].
+pub fn run_smtsim(
+    threads: &[(WorkloadKind, u64)],
+    config: CycleSimConfig,
+    warmup: u64,
+    measure: u64,
+) -> SmtReport {
+    let shared: Vec<SharedTrace> = threads
+        .iter()
+        .map(|&(kind, seed)| shared_seeded(kind, seed, warmup + measure))
+        .collect();
+    let mut sim = SmtSim::new(config);
+    let report = if shared.iter().any(SharedTrace::is_spilled) {
+        let mut srcs: Vec<_> = shared
+            .iter()
+            .map(|s| ChunkedSoaSource::new(s.chunks()))
+            .collect();
+        sim.run_sources(&mut srcs, warmup, measure)
+    } else {
+        let mut srcs: Vec<_> = shared
+            .iter()
+            .map(|s| SharedSoaSource::new(s.soa(), s.len()))
+            .collect();
+        sim.run_sources(&mut srcs, warmup, measure)
+    };
+    for (&(kind, _), &insts) in threads.iter().zip(&report.insts) {
+        if insts < measure {
+            panic!(
+                "smt run on {kind:?} drained its trace after {insts} of {measure} measured \
+                 instructions (truncated or under-slacked trace){}",
+                point_context()
+            );
+        }
     }
     report
 }

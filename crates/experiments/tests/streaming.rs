@@ -5,9 +5,9 @@
 //! implement `PartialEq`, so equality is checked on the full `Debug`
 //! rendering, which covers all fields.
 
-use mlp_cyclesim::{CycleSim, CycleSimConfig};
+use mlp_cyclesim::{CycleSim, CycleSimConfig, RunaheadConfig};
 use mlp_workloads::{TraceStore, WorkloadKind};
-use mlpsim::{MlpsimConfig, Simulator};
+use mlpsim::{MlpsimConfig, Simulator, ValueMode};
 
 const SEED: u64 = 42;
 /// Enough instructions that the default 64k-inst chunking yields many
@@ -53,6 +53,30 @@ fn streamed_cyclesim_matches_materialized() {
             format!("{materialized:?}"),
             format!("{streamed:?}"),
             "cyclesim streamed run diverged on {kind:?}"
+        );
+    }
+}
+
+/// Runahead rewinds fetch to its trigger, so a chunked source must not
+/// release the trigger's instructions while an interval is active.
+#[test]
+fn streamed_runahead_matches_materialized() {
+    let cfg = CycleSimConfig {
+        runahead: Some(RunaheadConfig {
+            max_dist: 2048,
+            value: ValueMode::LastValue(16 * 1024),
+        }),
+        ..CycleSimConfig::default().with_mem_latency(1000)
+    };
+    for kind in [WorkloadKind::Database, WorkloadKind::SpecJbb2000] {
+        let shared = TraceStore::global().trace(kind, SEED, LEN);
+        let materialized =
+            CycleSim::new(cfg.clone()).run_shared(shared.soa(), LEN, WARMUP, MEASURE);
+        let streamed = CycleSim::new(cfg.clone()).run_chunks(shared.chunks(), WARMUP, MEASURE);
+        assert_eq!(
+            format!("{materialized:?}"),
+            format!("{streamed:?}"),
+            "runahead streamed run diverged on {kind:?}"
         );
     }
 }

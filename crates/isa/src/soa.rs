@@ -592,13 +592,13 @@ impl InstSource for SharedSoaSource<'_> {
 /// source (an engine run), trading memory proportional to the run length
 /// for column access; experiment sweeps avoid even that by sharing one
 /// materialized [`TraceSoA`] through [`SharedSoaSource`].
-pub struct StreamingSoaSource<'a, T: TraceSource> {
+pub struct StreamingSoaSource<'a, T: TraceSource + ?Sized> {
     trace: &'a mut T,
     soa: TraceSoA,
     done: bool,
 }
 
-impl<'a, T: TraceSource> StreamingSoaSource<'a, T> {
+impl<'a, T: TraceSource + ?Sized> StreamingSoaSource<'a, T> {
     /// A source decoding from `trace`.
     pub fn new(trace: &'a mut T) -> StreamingSoaSource<'a, T> {
         StreamingSoaSource {
@@ -609,7 +609,7 @@ impl<'a, T: TraceSource> StreamingSoaSource<'a, T> {
     }
 }
 
-impl<T: TraceSource> InstSource for StreamingSoaSource<'_, T> {
+impl<T: TraceSource + ?Sized> InstSource for StreamingSoaSource<'_, T> {
     fn ensure(&mut self, upto: usize) -> usize {
         while !self.done && self.soa.len() < upto {
             match self.trace.next_inst() {

@@ -143,6 +143,7 @@ mod tests {
 
     #[test]
     fn round_trips_a_valid_entry() {
+        let _g = crate::test_guard();
         let cache = ResultCache::new(temp_dir("roundtrip"));
         cache.store("fm", "quick", GOOD.as_bytes()).unwrap();
         assert_eq!(cache.load("fm", "quick").as_deref(), Some(GOOD.as_bytes()));
@@ -153,6 +154,7 @@ mod tests {
 
     #[test]
     fn corrupt_entries_are_evicted_not_served() {
+        let _g = crate::test_guard();
         let cache = ResultCache::new(temp_dir("corrupt"));
         cache.store("fm", "quick", GOOD.as_bytes()).unwrap();
         let path = cache.entry_path("fm", "quick");
@@ -167,6 +169,7 @@ mod tests {
 
     #[test]
     fn mismatched_or_failed_entries_are_misses() {
+        let _g = crate::test_guard();
         let cache = ResultCache::new(temp_dir("mismatch"));
         // Entry claims a different experiment than its key.
         cache.store("l3", "quick", GOOD.as_bytes()).unwrap();
@@ -180,6 +183,7 @@ mod tests {
 
     #[test]
     fn injected_corruption_is_detected_on_load() {
+        let _g = crate::test_guard();
         let cache = ResultCache::new(temp_dir("fault"));
         mlp_faults::set_for_test(Some((mlp_faults::SERVE_CACHE_CORRUPT, 1)));
         cache.store("fm", "quick", GOOD.as_bytes()).unwrap();

@@ -97,6 +97,7 @@ impl std::error::Error for ParseError {}
 /// error.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -110,6 +111,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -246,16 +248,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // UTF-8 continuation bytes pass through untouched:
-                    // slice at the next char boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8 in string"))?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash in one slice. Both are ASCII, so the run
+                    // ends on a char boundary of the (already valid) text.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -370,6 +370,15 @@ mod tests {
     fn unicode_escapes_and_surrogates() {
         let doc = parse(r#""é😀""#).unwrap();
         assert_eq!(doc.as_str(), Some("é😀"));
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes() {
+        let doc = parse(r#"{"é\"😀": "\\ü\u00e9x\n日本"}"#).unwrap();
+        let (key, value) = &doc.as_obj().unwrap()[0];
+        assert_eq!(key, "é\"😀");
+        assert_eq!(value.as_str(), Some("\\üéx\n日本"));
+        assert!(parse("\"日本").is_err(), "unterminated");
     }
 
     #[test]

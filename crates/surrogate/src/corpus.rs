@@ -160,15 +160,19 @@ fn string(bytes: &[u8], pos: &mut usize) -> Option<String> {
                 }
                 *pos += 1;
             }
-            &c => {
-                // Copy the full UTF-8 sequence starting at this byte.
-                let s = std::str::from_utf8(&bytes[*pos..]).ok()?;
-                let ch = s.chars().next()?;
-                if (c as u32) < 0x20 {
-                    return None;
+            &c if c < 0x20 => return None,
+            _ => {
+                // Copy the run of plain bytes up to the next quote,
+                // backslash or control byte in one slice. All three are
+                // ASCII, so the run is whole characters of the valid text.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&b| b >= 0x20 && b != b'"' && b != b'\\')
+                {
+                    *pos += 1;
                 }
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
             }
         }
     }
@@ -279,6 +283,17 @@ mod tests {
             }),
             Some(2.0)
         );
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes() {
+        assert_eq!(
+            parse(r#""é\"😀\\üéx""#),
+            Some(Val::Str("é\"😀\\üéx".into()))
+        );
+        assert_eq!(parse(r#""\n日本""#), Some(Val::Str("\n日本".into())));
+        assert_eq!(parse("\"a\u{1}b\""), None, "raw control characters");
+        assert_eq!(parse("\"日本"), None, "unterminated");
     }
 
     #[test]

@@ -186,6 +186,35 @@ fn cursor_truncation_fails_loudly_and_is_contained() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The runahead and SMT studies run behind the same drained-trace guard
+/// as every other cycle-level run, so a truncated trace fails them
+/// loudly instead of under-reporting.
+#[test]
+fn cursor_truncation_fails_rae_timing_and_smt() {
+    let dir = scratch("truncate-cycle");
+    let out = run_experiments(
+        &[
+            "--only",
+            "rae-timing,smt",
+            "--scale",
+            "quick",
+            "--json",
+            dir.to_str().unwrap(),
+        ],
+        Some("cursor-truncate:1000"),
+    );
+    assert_eq!(out.status.code(), Some(1));
+    for name in ["rae-timing", "smt"] {
+        let json = read(&dir.join(format!("{name}.quick.json")));
+        assert!(json.contains("\"status\": \"failed\""), "{name}:\n{json}");
+        assert!(
+            json.contains("drained its trace"),
+            "{name}: the drained-cursor guard must name the failure:\n{json}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Usage errors exit 2, distinct from experiment failures.
 #[test]
 fn usage_errors_exit_2() {
