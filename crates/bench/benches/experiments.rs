@@ -18,6 +18,7 @@
 
 use mlp_experiments::registry;
 use mlp_experiments::RunScale;
+use mlp_json::Json;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -29,16 +30,6 @@ const GUARDED: [&str; 3] = ["figure6", "table3", "figure5"];
 /// the same scale. Generous on purpose: wall-clock on shared hosts is
 /// noisy and the guard should only trip on structural regressions.
 const GUARD_FACTOR: f64 = 3.0;
-
-/// Pulls `"key": <value>` out of the flat baseline JSON without a parser
-/// dependency (first occurrence wins; experiment names are unique keys).
-fn scan_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
 
 /// Fails (panics) if any guarded experiment regressed more than
 /// [`GUARD_FACTOR`]× against the same-scale baseline file. Individual
@@ -52,14 +43,15 @@ fn guard_against_regression(baseline_path: &str, scale_label: &str, timings: &[(
     let Ok(old) = std::fs::read_to_string(baseline_path) else {
         return; // first run: nothing to compare against
     };
-    if scan_field(&old, "scale") != Some(scale_label) {
+    let old = mlp_json::parse(&old).unwrap_or(Json::Null);
+    if old.get("scale").and_then(Json::as_str) != Some(scale_label) {
         return; // different scale: times are not comparable
     }
     for &(name, secs) in timings {
         if !GUARDED.contains(&name) {
             continue;
         }
-        let Some(old_secs) = scan_field(&old, name).and_then(|v| v.parse::<f64>().ok()) else {
+        let Some(old_secs) = old.get("experiments").and_then(|e| e.get(name)?.as_f64()) else {
             continue; // experiment not in the baseline yet
         };
         if old_secs <= 0.0 {

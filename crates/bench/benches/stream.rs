@@ -16,6 +16,7 @@
 //! more-than-[`GUARD_FACTOR`]× wall-time slowdown or an RSS above budget
 //! fails the bench. `MLP_BENCH_GUARD=off` re-blesses.
 
+use mlp_json::Json;
 use mlp_workloads::{TraceStore, WorkloadKind};
 use mlpsim::{MlpsimConfig, Simulator};
 use std::fmt::Write as _;
@@ -38,16 +39,6 @@ fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Pulls `"key": <value>` out of the flat baseline JSON without a parser
-/// dependency.
-fn scan_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
 }
 
 fn main() {
@@ -106,10 +97,10 @@ fn main() {
     let path = format!("{out}/BENCH_stream.json");
     if guard_on {
         if let Ok(old) = std::fs::read_to_string(&path) {
-            if scan_field(&old, "insts").and_then(|v| v.parse::<u64>().ok()) == Some(insts) {
+            let old = mlp_json::parse(&old).unwrap_or(Json::Null);
+            if old.get("insts").and_then(Json::as_u64) == Some(insts) {
                 for (key, secs) in [("spill_secs", spill_secs), ("run_secs", run_secs)] {
-                    let Some(old_secs) = scan_field(&old, key).and_then(|v| v.parse::<f64>().ok())
-                    else {
+                    let Some(old_secs) = old.get(key).and_then(Json::as_f64) else {
                         continue;
                     };
                     if old_secs > 0.0 {

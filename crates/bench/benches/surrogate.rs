@@ -25,6 +25,7 @@
 
 use mlp_experiments::exp::sweep1000;
 use mlp_experiments::{runner, RunScale};
+use mlp_json::Json;
 use mlp_surrogate::{default_priors, ConfigPoint, Surrogate};
 use mlp_workloads::WorkloadKind;
 use std::fmt::Write as _;
@@ -39,14 +40,6 @@ const GUARD_FACTOR: f64 = 3.0;
 /// point with its own engine run.
 const MIN_SPEEDUP_X: f64 = 50.0;
 
-fn scan_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
 fn guard_against_regression(baseline_path: &str, scale_label: &str, explore_secs: f64) {
     if std::env::var("MLP_BENCH_GUARD").as_deref() == Ok("off") {
         eprintln!("[bench guard disabled via MLP_BENCH_GUARD=off]");
@@ -55,9 +48,10 @@ fn guard_against_regression(baseline_path: &str, scale_label: &str, explore_secs
     let Ok(old) = std::fs::read_to_string(baseline_path) else {
         return; // first run: nothing to compare against
     };
+    let old = mlp_json::parse(&old).unwrap_or(Json::Null);
     let (Some(old_scale), Some(old_secs)) = (
-        scan_field(&old, "scale"),
-        scan_field(&old, "explore_secs").and_then(|v| v.parse::<f64>().ok()),
+        old.get("scale").and_then(Json::as_str),
+        old.get("explore_secs").and_then(Json::as_f64),
     ) else {
         return; // unreadable baseline: overwrite rather than block
     };

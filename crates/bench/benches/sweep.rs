@@ -20,6 +20,7 @@
 //! for legitimately slower hosts or intentional trade-offs.
 
 use mlp_experiments::{exp, runner, RunScale};
+use mlp_json::Json;
 use mlp_workloads::{TraceStore, WorkloadKind};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -28,16 +29,6 @@ use std::time::Instant;
 /// at the same scale. Generous on purpose: wall-clock on shared hosts is
 /// noisy and the guard should only trip on structural regressions.
 const GUARD_FACTOR: f64 = 3.0;
-
-/// Pulls `"key": <number>` or `"key": "<string>"` out of the flat
-/// baseline JSON without a parser dependency.
-fn scan_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
 
 /// Fails (panics) if the previous baseline at the same scale is more
 /// than [`GUARD_FACTOR`]× faster than this run's serial sweep.
@@ -49,9 +40,10 @@ fn guard_against_regression(baseline_path: &str, scale_label: &str, serial_secs:
     let Ok(old) = std::fs::read_to_string(baseline_path) else {
         return; // first run: nothing to compare against
     };
+    let old = mlp_json::parse(&old).unwrap_or(Json::Null);
     let (Some(old_scale), Some(old_secs)) = (
-        scan_field(&old, "scale"),
-        scan_field(&old, "serial_secs").and_then(|v| v.parse::<f64>().ok()),
+        old.get("scale").and_then(Json::as_str),
+        old.get("serial_secs").and_then(Json::as_f64),
     ) else {
         return; // unreadable baseline: overwrite rather than block
     };

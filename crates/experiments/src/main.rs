@@ -31,10 +31,10 @@
 //!
 //! **Observability:** with `MLP_OBS=counters` (or `all`) exported, each
 //! report gains a `metrics` block — counters and phase timers drained
-//! from the `mlp-obs` layer after the experiment ran — and the schema
-//! tag becomes `mlp-experiments.report/v3`; without it, output is
-//! byte-identical to an uninstrumented build. `--events <dir>` arms the
-//! event stream and writes one JSONL trace per experiment to
+//! from the `mlp-obs` layer after the experiment ran (and a
+//! `histograms` block when distributions were recorded); without it,
+//! output is byte-identical to an uninstrumented build. `--events <dir>`
+//! arms the event stream and writes one JSONL trace per experiment to
 //! `<dir>/<name>.<scale>.jsonl`.
 //!
 //! **Surrogate mode:** `--surrogate <dir>` trains the `mlp-surrogate`

@@ -4,27 +4,25 @@
 //! rendering: a stable JSON document (`results/<name>.<scale>.json`)
 //! carrying the experiment id, paper section, run scale, completion
 //! [`Status`], seed, swept axes and one object per result row. The
-//! schema is versioned via [`SCHEMA`], and serialization is fully
-//! deterministic — key order is insertion order and floats use Rust's
-//! shortest round-trip formatting — so a report is byte-identical across
-//! hosts and `MLP_THREADS` settings.
+//! schema is tagged [`SCHEMA`], and serialization is fully deterministic
+//! — key order is insertion order and floats use the shortest
+//! round-trip form (the `mlp-json` pretty layout) — so a report is
+//! byte-identical across hosts and `MLP_THREADS` settings.
 //!
-//! Schema v3 adds an optional observability `metrics` block after the
-//! rows — counter values and phase-timer totals drained from `mlp-obs`
-//! by the CLI. The block (and the v3 schema tag) appears only when
-//! `MLP_OBS` was armed; otherwise the document is byte-identical to v2.
+//! Two blocks are optional and follow the rows only when `MLP_OBS` was
+//! armed: `metrics` (counter values and phase-timer totals drained from
+//! `mlp-obs` by the CLI) and `histograms` (distribution summaries).
+//! Their presence is the whole signal; the tag stays the same, and a
+//! report without them is byte-identical to one from an uninstrumented
+//! build.
 //!
-//! Schema v2 adds degraded-mode reporting: a successful run carries
-//! `"status": "ok"` (and stays byte-identical to a run where a sibling
-//! experiment failed), while an experiment that panicked still writes a
-//! report — `"status": "failed"` plus the panic payload and elapsed wall
-//! time, with empty axes and rows — so a batch that lost one experiment
-//! keeps a machine-readable record of *what* failed and *why* next to
-//! the nineteen results that survived.
-//!
-//! The writer is first-party (no serde): the workspace builds offline
-//! and the schema is small enough that a ~100-line emitter is cheaper
-//! than a dependency.
+//! Degraded-mode reporting: a successful run carries `"status": "ok"`
+//! (and stays byte-identical to a run where a sibling experiment
+//! failed), while an experiment that panicked still writes a report —
+//! `"status": "failed"` plus the panic payload and elapsed wall time,
+//! with empty axes and rows — so a batch that lost one experiment keeps
+//! a machine-readable record of *what* failed and *why* next to the
+//! nineteen results that survived.
 //!
 //! # Examples
 //!
@@ -42,24 +40,10 @@
 
 use crate::runner::SEED;
 use crate::RunScale;
-use std::fmt::Write as _;
+pub use mlp_json::Json;
 
-/// Version tag stamped into every report, bumped on schema changes.
+/// The tag stamped into every report.
 pub const SCHEMA: &str = "mlp-experiments.report/v2";
-
-/// Schema tag for reports carrying an observability `metrics` block.
-/// Emitted **only** when [`Report::metrics`] is non-empty (i.e. the run
-/// had `MLP_OBS` armed); with observability off the document — schema
-/// string included — stays byte-identical to v2, so goldens recorded
-/// without metrics never re-bless.
-pub const SCHEMA_V3: &str = "mlp-experiments.report/v3";
-
-/// Schema tag for reports that additionally carry a `histograms` block
-/// (distribution metrics drained from `mlp-obs`). Emitted **only** when
-/// [`Report::histograms`] is non-empty; armed runs that recorded no
-/// distributions still emit v3, and unarmed runs stay byte-identical
-/// to v2.
-pub const SCHEMA_V4: &str = "mlp-experiments.report/v4";
 
 /// How an experiment run ended.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,119 +58,6 @@ pub enum Status {
         /// Wall time spent before the failure surfaced, in milliseconds.
         elapsed_ms: u64,
     },
-}
-
-/// A JSON value with deterministic serialization.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null` (also used for non-finite floats).
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer (serialized without a decimal point).
-    Int(i64),
-    /// A float, rendered with shortest round-trip formatting.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-impl From<i64> for Json {
-    fn from(v: i64) -> Json {
-        Json::Int(v)
-    }
-}
-impl From<u64> for Json {
-    fn from(v: u64) -> Json {
-        Json::Int(v as i64)
-    }
-}
-impl From<usize> for Json {
-    fn from(v: usize) -> Json {
-        Json::Int(v as i64)
-    }
-}
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_string())
-    }
-}
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-impl<T: Into<Json>> From<Vec<T>> for Json {
-    fn from(v: Vec<T>) -> Json {
-        Json::Arr(v.into_iter().map(Into::into).collect())
-    }
-}
-impl<T: Into<Json>, const N: usize> From<[T; N]> for Json {
-    fn from(v: [T; N]) -> Json {
-        Json::Arr(v.into_iter().map(Into::into).collect())
-    }
-}
-impl<T: Into<Json>> From<Option<T>> for Json {
-    fn from(v: Option<T>) -> Json {
-        v.map_or(Json::Null, Into::into)
-    }
-}
-
-impl Json {
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Num(x) if !x.is_finite() => out.push_str("null"),
-            Json::Num(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Json::Str(s) => write_json_str(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-        }
-    }
-}
-
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One result row: an ordered list of named fields.
@@ -215,25 +86,6 @@ impl Row {
     /// The value of the named field, if present.
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = " ".repeat(indent);
-        out.push_str("{\n");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            out.push_str(&pad);
-            out.push_str("  ");
-            write_json_str(out, k);
-            out.push_str(": ");
-            v.write(out);
-            out.push_str(if i + 1 < self.fields.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str(&pad);
-        out.push('}');
     }
 }
 
@@ -321,19 +173,16 @@ impl Report {
     /// Attaches a drained `mlp-obs` snapshot as the report's metrics
     /// block: counters keep their names, each timer expands to
     /// `<name>.count` / `<name>.total_ms` / `<name>.max_ms`, and any
-    /// drained histograms become the `histograms` block. A non-empty
-    /// metrics block switches the emitted schema tag to [`SCHEMA_V3`];
-    /// a non-empty histograms block switches it to [`SCHEMA_V4`].
+    /// drained histograms become the `histograms` block.
     pub fn set_metrics(&mut self, snapshot: &mlp_obs::Snapshot) -> &mut Report {
         self.metrics.clear();
         self.histograms = snapshot.histograms.clone();
         for c in &snapshot.counters {
-            self.metrics
-                .push((c.name.to_string(), Json::Int(c.value as i64)));
+            self.metrics.push((c.name.to_string(), c.value.into()));
         }
         for t in &snapshot.timers {
             self.metrics
-                .push((format!("{}.count", t.name), Json::Int(t.count as i64)));
+                .push((format!("{}.count", t.name), t.count.into()));
             self.metrics.push((
                 format!("{}.total_ms", t.name),
                 Json::Num(t.total_ns as f64 / 1e6),
@@ -347,99 +196,39 @@ impl Report {
     }
 
     /// Serializes the report (deterministic, trailing newline). The
-    /// schema tag is [`SCHEMA_V4`] when a histograms block is present,
-    /// [`SCHEMA_V3`] when only a metrics block is, and plain v2
-    /// otherwise, so observability-off output is byte-identical to v2.
+    /// `metrics` and `histograms` blocks appear only when non-empty, so
+    /// observability-off output carries neither.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = write!(out, "  \"schema\": ");
-        write_json_str(
-            &mut out,
-            if !self.histograms.is_empty() {
-                SCHEMA_V4
-            } else if !self.metrics.is_empty() {
-                SCHEMA_V3
-            } else {
-                SCHEMA
-            },
-        );
-        let _ = write!(out, ",\n  \"experiment\": ");
-        write_json_str(&mut out, self.experiment);
-        let _ = write!(out, ",\n  \"title\": ");
-        write_json_str(&mut out, self.title);
-        let _ = write!(out, ",\n  \"section\": ");
-        write_json_str(&mut out, self.section);
-        let _ = write!(out, ",\n  \"scale\": ");
-        write_json_str(&mut out, self.scale);
+        let mut doc = vec![
+            ("schema", Json::from(SCHEMA)),
+            ("experiment", self.experiment.into()),
+            ("title", self.title.into()),
+            ("section", self.section.into()),
+            ("scale", self.scale.into()),
+        ];
         match &self.status {
-            Status::Ok => out.push_str(",\n  \"status\": \"ok\""),
+            Status::Ok => doc.push(("status", "ok".into())),
             Status::Failed { error, elapsed_ms } => {
-                out.push_str(",\n  \"status\": \"failed\",\n  \"error\": ");
-                write_json_str(&mut out, error);
-                let _ = write!(out, ",\n  \"elapsed_ms\": {elapsed_ms}");
+                doc.push(("status", "failed".into()));
+                doc.push(("error", error.as_str().into()));
+                doc.push(("elapsed_ms", (*elapsed_ms).into()));
             }
         }
-        let _ = write!(out, ",\n  \"seed\": {},\n  \"axes\": {{", self.seed);
-        for (i, (name, values)) in self.axes.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            write_json_str(&mut out, name);
-            out.push_str(": ");
-            values.write(&mut out);
-        }
-        if !self.axes.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            row.write(&mut out, 4);
-        }
-        if !self.rows.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push(']');
+        doc.push(("seed", self.seed.into()));
+        doc.push(("axes", Json::obj(self.axes.iter().cloned())));
+        let rows = self
+            .rows
+            .iter()
+            .map(|r| Json::obj(r.fields.iter().cloned()));
+        doc.push(("rows", Json::Arr(rows.collect())));
         if !self.metrics.is_empty() {
-            out.push_str(",\n  \"metrics\": {");
-            for (i, (name, value)) in self.metrics.iter().enumerate() {
-                out.push_str(if i == 0 { "\n" } else { ",\n" });
-                out.push_str("    ");
-                write_json_str(&mut out, name);
-                out.push_str(": ");
-                value.write(&mut out);
-            }
-            out.push_str("\n  }");
+            doc.push(("metrics", Json::Obj(self.metrics.clone())));
         }
         if !self.histograms.is_empty() {
-            out.push_str(",\n  \"histograms\": {");
-            for (i, hist) in self.histograms.iter().enumerate() {
-                out.push_str(if i == 0 { "\n" } else { ",\n" });
-                out.push_str("    ");
-                write_json_str(&mut out, hist.name);
-                let _ = write!(
-                    out,
-                    ": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                    hist.count,
-                    hist.sum,
-                    hist.max,
-                    hist.quantile(0.50),
-                    hist.quantile(0.90),
-                    hist.quantile(0.99),
-                );
-                for (j, &(bucket, n)) in hist.buckets.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "[{}, {n}]", mlp_obs::bucket_lo(bucket as usize));
-                }
-                out.push_str("]}");
-            }
-            out.push_str("\n  }");
+            let hists = self.histograms.iter().map(|h| (h.name, histogram_json(h)));
+            doc.push(("histograms", Json::obj(hists)));
         }
-        out.push_str("\n}\n");
-        out
+        Json::obj(doc).to_pretty() + "\n"
     }
 
     /// The canonical artifact filename, `<name>.<scale>.json`.
@@ -448,23 +237,39 @@ impl Report {
     }
 }
 
+/// One `histograms` entry: totals, quantiles and the sparse
+/// `[bucket_lo, count]` pairs.
+fn histogram_json(h: &mlp_obs::HistogramValue) -> Json {
+    let buckets = h
+        .buckets
+        .iter()
+        .map(|&(bucket, n)| Json::from([mlp_obs::bucket_lo(bucket as usize), n]));
+    Json::obj([
+        ("count", h.count.into()),
+        ("sum", h.sum.into()),
+        ("max", h.max.into()),
+        ("p50", h.quantile(0.50).into()),
+        ("p90", h.quantile(0.90).into()),
+        ("p99", h.quantile(0.99).into()),
+        ("buckets", Json::Arr(buckets.collect())),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn json_values_serialize() {
-        let mut out = String::new();
-        Json::Arr(vec![
+        let v = Json::from(vec![
             Json::Null,
             Json::Bool(true),
             Json::Int(-3),
             Json::Num(1.38),
             Json::Num(f64::INFINITY),
             Json::Str("a\"b\n".into()),
-        ])
-        .write(&mut out);
-        assert_eq!(out, r#"[null, true, -3, 1.38, null, "a\"b\n"]"#);
+        ]);
+        assert_eq!(v.to_pretty(), r#"[null, true, -3, 1.38, null, "a\"b\n"]"#);
     }
 
     #[test]
@@ -511,10 +316,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_block_switches_schema_to_v3() {
+    fn metrics_block_follows_the_rows_only_when_armed() {
         let mut r = Report::new("demo", "Demo", "§1", RunScale::quick());
         let without = r.to_json();
-        assert!(without.contains("\"schema\": \"mlp-experiments.report/v2\""));
         assert!(!without.contains("\"metrics\""));
 
         let snapshot = mlp_obs::Snapshot {
@@ -533,21 +337,18 @@ mod tests {
         };
         r.set_metrics(&snapshot);
         let with = r.to_json();
-        assert!(with.contains("\"schema\": \"mlp-experiments.report/v3\""));
         assert!(with.contains("\"metrics\": {\n    \"mlpsim.epochs\": 42,"));
         assert!(with.contains("\"runner.sweep_point.count\": 3"));
         assert!(with.contains("\"runner.sweep_point.total_ms\": 1.5"));
         assert!(with.contains("\"runner.sweep_point.max_ms\": 1"));
-        // Everything before the metrics block is unchanged bytes.
+        // Everything before the metrics block is unchanged bytes, schema
+        // tag included.
         let head = with.split("\"metrics\"").next().unwrap();
-        let want_head = without
-            .replace("report/v2", "report/v3")
-            .replace("]\n}\n", "],\n  ");
-        assert_eq!(head, want_head);
+        assert_eq!(head, without.replace("]\n}\n", "],\n  "));
     }
 
     #[test]
-    fn histograms_block_switches_schema_to_v4() {
+    fn histograms_block_follows_the_metrics_only_when_recorded() {
         // Observations 1, 2, 3, 100 in log2 buckets: 1→[1], 2..3→[2,3],
         // 64..127→[100]. Bucket indices are the value bit widths.
         let value = mlp_obs::HistogramValue {
@@ -570,21 +371,19 @@ mod tests {
         };
         r.set_metrics(&snapshot);
         let with = r.to_json();
-        assert!(with.contains("\"schema\": \"mlp-experiments.report/v4\""));
-        assert!(with.contains("\"metrics\": {\n    \"mlpsim.epochs\": 42"));
-        // count 4, sum 106, max 100; log2 buckets: 1→[1], 2..3→[2,3], 64..127→[100].
-        assert!(with.contains(
-            "\"demo.latency\": {\"count\": 4, \"sum\": 106, \"max\": 100, \
-             \"p50\": 3, \"p90\": 100, \"p99\": 100, \
-             \"buckets\": [[1, 1], [2, 2], [64, 1]]}"
+        assert!(with.contains("\"schema\": \"mlp-experiments.report/v2\""));
+        assert!(with.contains("\"metrics\": {\n    \"mlpsim.epochs\": 42\n  },"));
+        assert!(with.ends_with(
+            "\"histograms\": {\n    \"demo.latency\": {\n      \"count\": 4,\n      \
+             \"sum\": 106,\n      \"max\": 100,\n      \"p50\": 3,\n      \"p90\": 100,\n      \
+             \"p99\": 100,\n      \"buckets\": [[1, 1], [2, 2], [64, 1]]\n    }\n  }\n}\n"
         ));
 
-        // Dropping the histograms reverts the tag to v3 with no trace of
-        // the block.
+        // Dropping the histograms leaves no trace of the block.
         r.histograms.clear();
-        let v3 = r.to_json();
-        assert!(v3.contains("\"schema\": \"mlp-experiments.report/v3\""));
-        assert!(!v3.contains("\"histograms\""));
+        let metrics_only = r.to_json();
+        assert!(!metrics_only.contains("\"histograms\""));
+        assert!(metrics_only.ends_with("\"mlpsim.epochs\": 42\n  }\n}\n"));
     }
 
     #[test]

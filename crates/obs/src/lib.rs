@@ -567,26 +567,10 @@ pub fn flush_event_sink() {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Emits one event line `{"seq":N,"event":"...",...fields}` to the
 /// installed sink. No-op unless [`events_on`] and a sink is installed.
+/// The line has no spaces; strings and floats go through `mlp-json`'s
+/// escaper and number rule.
 pub fn emit(event: &str, fields: &[(&str, Value<'_>)]) {
     if !events_on() {
         return;
@@ -598,10 +582,10 @@ pub fn emit(event: &str, fields: &[(&str, Value<'_>)]) {
     let seq = EVENT_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut line = String::with_capacity(64 + 24 * fields.len());
     let _ = write!(line, "{{\"seq\":{seq},\"event\":");
-    push_json_str(&mut line, event);
+    mlp_json::write_str(&mut line, event);
     for (key, value) in fields {
         line.push(',');
-        push_json_str(&mut line, key);
+        mlp_json::write_str(&mut line, key);
         line.push(':');
         match value {
             Value::U64(v) => {
@@ -610,11 +594,8 @@ pub fn emit(event: &str, fields: &[(&str, Value<'_>)]) {
             Value::I64(v) => {
                 let _ = write!(line, "{v}");
             }
-            Value::F64(v) if v.is_finite() => {
-                let _ = write!(line, "{v}");
-            }
-            Value::F64(_) => line.push_str("null"),
-            Value::Str(s) => push_json_str(&mut line, s),
+            Value::F64(v) => mlp_json::write_num(&mut line, *v),
+            Value::Str(s) => mlp_json::write_str(&mut line, s),
             Value::Bool(b) => {
                 let _ = write!(line, "{b}");
             }

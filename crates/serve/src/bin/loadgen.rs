@@ -63,9 +63,12 @@ fn cmd_get(args: &[String]) -> i32 {
 }
 
 fn job_body(experiment: &str, scale: &str, priority: &str) -> String {
-    format!(
-        "{{\"experiment\": \"{experiment}\", \"scale\": \"{scale}\", \"priority\": \"{priority}\"}}"
-    )
+    mlp_json::Json::obj([
+        ("experiment", experiment.into()),
+        ("scale", scale.into()),
+        ("priority", priority.into()),
+    ])
+    .to_line()
 }
 
 fn cmd_run(args: &[String]) -> i32 {
@@ -110,7 +113,7 @@ fn read_counters(addr: &str) -> Option<ServeCounters> {
     if status != 200 {
         return None;
     }
-    let json = mlp_stats::json::parse(std::str::from_utf8(&body).ok()?).ok()?;
+    let json = mlp_json::parse(std::str::from_utf8(&body).ok()?).ok()?;
     let counters = json.get("counters")?;
     let get = |name: &str| counters.get(name).and_then(|v| v.as_u64()).unwrap_or(0);
     Some(ServeCounters {
@@ -232,7 +235,7 @@ fn cmd_bench(args: &[String]) -> i32 {
         Some(base) if !guard_off => {
             // Guard, don't overwrite: the recorded baseline is the
             // blessed number; fail if we regressed past the 3x band.
-            let base_p50 = mlp_stats::json::parse(&base)
+            let base_p50 = mlp_json::parse(&base)
                 .ok()
                 .and_then(|j| j.get("latency_ms")?.get("p50")?.as_f64());
             match base_p50 {

@@ -3,7 +3,7 @@
 //! Completed successful reports are written `temp + rename` so a crash
 //! mid-write can never leave a half-written entry under the final name.
 //! Loads re-validate the entry before serving it: the bytes must parse
-//! as JSON, carry an `mlp-experiments.report/*` schema tag, claim
+//! as JSON, carry the `mlp-experiments.report/v2` schema tag, claim
 //! `status:"ok"` and name the experiment the key says it holds. Anything
 //! else — truncation, bit rot, an injected `serve-cache-corrupt` fault —
 //! is treated as a miss: the entry is deleted and the job regenerates it.
@@ -100,27 +100,16 @@ impl ResultCache {
 /// A cache entry is served only if it parses and its identity fields
 /// match what the key promises.
 fn entry_is_valid(bytes: &[u8], experiment: &str) -> bool {
-    let text = match std::str::from_utf8(bytes) {
-        Ok(t) => t,
-        Err(_) => return false,
+    let Some(json) = std::str::from_utf8(bytes)
+        .ok()
+        .and_then(|text| mlp_json::parse(text).ok())
+    else {
+        return false;
     };
-    let json = match mlp_stats::json::parse(text) {
-        Ok(j) => j,
-        Err(_) => return false,
-    };
-    let schema_ok = json
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .is_some_and(|s| s.starts_with("mlp-experiments.report/"));
-    let status_ok = json
-        .get("status")
-        .and_then(|s| s.as_str())
-        .is_some_and(|s| s == "ok");
-    let name_ok = json
-        .get("experiment")
-        .and_then(|s| s.as_str())
-        .is_some_and(|s| s == experiment);
-    schema_ok && status_ok && name_ok
+    let field = |name: &str| json.get(name).and_then(mlp_json::Json::as_str);
+    field("schema") == Some(mlp_experiments::report::SCHEMA)
+        && field("status") == Some("ok")
+        && field("experiment") == Some(experiment)
 }
 
 #[cfg(test)]
@@ -177,6 +166,10 @@ mod tests {
         // A failed report is never served from cache.
         let failed = GOOD.replace("\"ok\"", "\"failed\"");
         cache.store("fm", "quick", failed.as_bytes()).unwrap();
+        assert!(cache.load("fm", "quick").is_none());
+        // Neither is a report under another schema tag.
+        let foreign = GOOD.replace("report/v2", "report/v1");
+        cache.store("fm", "quick", foreign.as_bytes()).unwrap();
         assert!(cache.load("fm", "quick").is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }

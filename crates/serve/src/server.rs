@@ -21,6 +21,7 @@ use crate::http::{self, Request, Response};
 use crate::jobs::{Priority, Scheduler, SubmitError, Submitted};
 use mlp_experiments::registry;
 use mlp_experiments::RunScale;
+use mlp_json::Json;
 use mlp_obs::{Counter, Histogram};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -146,12 +147,12 @@ struct JobRequest {
     priority: Priority,
 }
 
-fn parse_body(body: &[u8]) -> Result<mlp_stats::json::Json, Response> {
+fn parse_body(body: &[u8]) -> Result<Json, Response> {
     let text = std::str::from_utf8(body).map_err(|_| error_response(400, "body is not utf-8"))?;
-    mlp_stats::json::parse(text).map_err(|e| error_response(400, &format!("body is not JSON: {e}")))
+    mlp_json::parse(text).map_err(|e| error_response(400, &format!("body is not JSON: {e}")))
 }
 
-fn parse_job_request(json: &mlp_stats::json::Json) -> Result<JobRequest, Response> {
+fn parse_job_request(json: &Json) -> Result<JobRequest, Response> {
     if let Some(tier) = json.get("tier").and_then(|v| v.as_str()) {
         // "surrogate" is routed before this parser; anything else is a
         // typo, not an experiment job.
@@ -221,14 +222,13 @@ fn submit_async(req: &Request, sched: &Scheduler) -> Response {
         Ok(sub) => {
             let joined = matches!(sub, Submitted::Joined(_));
             let cell = sub.cell();
-            Response::json(
+            json_response(
                 202,
-                format!(
-                    "{{\"job\": {}, \"status\": \"{}\", \"joined\": {}}}\n",
-                    cell.id,
-                    cell.state_name(),
-                    joined
-                ),
+                &Json::obj([
+                    ("job", Json::from(cell.id)),
+                    ("status", cell.state_name().into()),
+                    ("joined", joined.into()),
+                ]),
             )
         }
         Err(e) => admission_error(e),
@@ -245,13 +245,12 @@ fn job_status(path: &str, sched: &Scheduler) -> Response {
         None => return error_response(404, "no such job"),
     };
     match cell.poll() {
-        None => Response::json(
+        None => json_response(
             200,
-            format!(
-                "{{\"job\": {}, \"status\": \"{}\"}}\n",
-                cell.id,
-                cell.state_name()
-            ),
+            &Json::obj([
+                ("job", Json::from(cell.id)),
+                ("status", cell.state_name().into()),
+            ]),
         ),
         Some(out) => {
             let mut body = format!(
@@ -275,8 +274,15 @@ fn admission_error(e: SubmitError) -> Response {
     }
 }
 
-fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\": {}}}\n", json_string(message)))
+/// A single-line JSON body with a trailing newline.
+fn json_response(status: u16, body: &Json) -> Response {
+    Response::json(status, body.to_line() + "\n")
+}
+
+/// `{"error": message}` with `status`; every rejection the daemon (and
+/// its surrogate tier) sends is built here.
+pub(crate) fn error_response(status: u16, message: &str) -> Response {
+    json_response(status, &Json::obj([("error", Json::from(message))]))
 }
 
 /// Live introspection: queue gauges plus every nonzero `serve.*` counter
@@ -286,65 +292,31 @@ fn error_response(status: u16, message: &str) -> Response {
 fn statusz(sched: &Scheduler) -> Response {
     let depths = sched.depths();
     let snap = mlp_obs::snapshot();
-    let mut body = String::with_capacity(512);
-    body.push_str("{\n");
-    body.push_str(&format!("  \"queued\": {},\n", depths.queued));
-    body.push_str(&format!("  \"running\": {},\n", depths.running));
-    body.push_str("  \"counters\": {");
-    let mut first = true;
-    for c in snap
+    let counters = snap
         .counters
         .iter()
         .filter(|c| c.name.starts_with("serve."))
-    {
-        if !first {
-            body.push(',');
-        }
-        first = false;
-        body.push_str(&format!("\n    \"{}\": {}", c.name, c.value));
-    }
-    body.push_str("\n  },\n");
-    body.push_str("  \"latency_ms\": {");
-    let mut first = true;
-    for h in snap
+        .map(|c| (c.name, Json::from(c.value)));
+    let latency = snap
         .histograms
         .iter()
         .filter(|h| h.name.starts_with("serve."))
-    {
-        if !first {
-            body.push(',');
-        }
-        first = false;
-        body.push_str(&format!(
-            "\n    \"{}\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-            h.name,
-            h.count,
-            h.quantile(0.5),
-            h.quantile(0.99),
-            h.max
-        ));
-    }
-    body.push_str("\n  }\n}\n");
-    Response::json(200, body)
-}
-
-/// Minimal JSON string escaping for error messages.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+        .map(|h| {
+            let summary = Json::obj([
+                ("count", Json::from(h.count)),
+                ("p50", h.quantile(0.5).into()),
+                ("p99", h.quantile(0.99).into()),
+                ("max", h.max.into()),
+            ]);
+            (h.name, summary)
+        });
+    let body = Json::obj([
+        ("queued", Json::from(depths.queued)),
+        ("running", depths.running.into()),
+        ("counters", Json::obj(counters)),
+        ("latency_ms", Json::obj(latency)),
+    ]);
+    Response::json(200, body.to_pretty() + "\n")
 }
 
 #[cfg(test)]
@@ -430,6 +402,11 @@ mod tests {
         );
         assert_eq!(get(addr, "/v1/jobs/999999").0, 404);
         assert_eq!(get(addr, "/nope").0, 404);
+        // 200 KB of '[' once overflowed the connection thread's stack and
+        // aborted the daemon; the parser's depth limit makes it a 400.
+        let (status, body) = post(addr, "/v1/run", &"[".repeat(200_000));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting deeper than"), "{body}");
         // Still alive after all that abuse.
         assert_eq!(get(addr, "/healthz").0, 200);
         let (status, _) = post(addr, "/v1/shutdown", "");

@@ -25,10 +25,11 @@
 //! fault injection).
 
 use crate::http::Response;
+use crate::server::error_response;
 use mlp_experiments::exp::sweep1000;
 use mlp_experiments::RunScale;
+use mlp_json::Json;
 use mlp_obs::Counter;
-use mlp_stats::json::Json;
 use mlp_surrogate::{workload_index, ConfigPoint, Surrogate};
 use std::sync::OnceLock;
 
@@ -66,10 +67,7 @@ pub fn is_surrogate_tier(json: &Json) -> bool {
 }
 
 fn bad_request(message: &str) -> Response {
-    Response::json(
-        400,
-        format!("{{\"error\": \"{}\"}}\n", message.replace('"', "'")),
-    )
+    error_response(400, message)
 }
 
 /// Parses and bounds-checks the config point of a surrogate-tier body.
@@ -115,26 +113,28 @@ pub fn run_sync(json: &Json) -> Response {
     let predicted = model.predict(&point);
     let uncertainty = model.uncertainty_pct(&point);
     let forced = mlp_faults::trip(mlp_faults::SURROGATE_UNCERTAIN);
-    let mut body = format!(
-        "{{\"benchmark\": \"{}\", \"window\": {}, \"mshrs\": {}, \"latency\": {}, \"l2_kb\": {}, \
-         \"predicted_cpi\": {predicted}, \"uncertainty_pct\": {uncertainty}",
-        point.workload_name(),
-        point.window,
-        point.mshrs,
-        point.latency,
-        point.l2_kb
-    );
+    let mut body = vec![
+        ("benchmark", Json::from(point.workload_name())),
+        ("window", point.window.into()),
+        ("mshrs", point.mshrs.into()),
+        ("latency", point.latency.into()),
+        ("l2_kb", point.l2_kb.into()),
+        ("predicted_cpi", predicted.into()),
+        ("uncertainty_pct", uncertainty.into()),
+    ];
     if forced || uncertainty > UNCERTAINTY_BOUND_PCT {
         FALLBACK.inc();
         let cpi = sweep1000::simulate_point(&point, tier_scale());
-        body.push_str(&format!(
-            ", \"tier\": \"simulated\", \"fallback\": true, \"cpi\": {cpi}}}\n"
-        ));
+        body.extend([
+            ("tier", "simulated".into()),
+            ("fallback", true.into()),
+            ("cpi", cpi.into()),
+        ]);
     } else {
         HITS.inc();
-        body.push_str(", \"tier\": \"surrogate\", \"fallback\": false}\n");
+        body.extend([("tier", "surrogate".into()), ("fallback", false.into())]);
     }
-    Response::json(200, body)
+    Response::json(200, Json::obj(body).to_line() + "\n")
 }
 
 #[cfg(test)]
@@ -142,7 +142,7 @@ mod tests {
     use super::*;
 
     fn parse(body: &str) -> Json {
-        mlp_stats::json::parse(body).expect("valid json")
+        mlp_json::parse(body).expect("valid json")
     }
 
     #[test]
@@ -161,6 +161,18 @@ mod tests {
         let body = "{\"tier\": \"surrogate\", \"benchmark\": \"nope\", \"window\": 64, \
                     \"mshrs\": 4, \"latency\": 500, \"l2_kb\": 1024}";
         assert_eq!(run_sync(&parse(body)).status, 400);
+        // An unknown name with a backslash and a newline comes back
+        // inside a well-formed error body.
+        let body = r#"{"tier": "surrogate", "benchmark": "x\\qy\ny", "window": 64,
+                       "mshrs": 4, "latency": 500, "l2_kb": 1024}"#;
+        let resp = run_sync(&parse(body));
+        assert_eq!(resp.status, 400);
+        let error = parse(std::str::from_utf8(&resp.body).unwrap());
+        let message = error
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error string");
+        assert!(message.contains("'x\\qy\ny'"), "{message}");
         // Off-grid window.
         let body = "{\"tier\": \"surrogate\", \"benchmark\": \"Database\", \"window\": 48, \
                     \"mshrs\": 4, \"latency\": 500, \"l2_kb\": 1024}";

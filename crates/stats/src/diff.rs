@@ -1,7 +1,7 @@
 //! Run-to-run regression diffing of report metrics.
 //!
-//! Flattens each report into a scalar metric list — the v3 `metrics`
-//! block plus, for every v4 histogram, derived `<name>.count` /
+//! Flattens each report into a scalar metric list — the `metrics`
+//! block plus, for every histogram, derived `<name>.count` /
 //! `.mean` / `.p50` / `.p90` / `.p99` / `.max` entries — and compares
 //! baseline against candidate by relative delta. Any metric whose
 //! |delta| exceeds the threshold, appears only on one side, or divides
@@ -161,7 +161,7 @@ mod tests {
 
     fn report(epochs: f64, p99: u64) -> Report {
         Report {
-            schema: "mlp-experiments.report/v4".into(),
+            schema: "mlp-experiments.report/v2".into(),
             experiment: "epochs".into(),
             scale: "quick".into(),
             status: "ok".into(),

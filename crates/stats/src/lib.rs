@@ -1,13 +1,13 @@
 //! `mlp-stats`: offline analyzer for the experiment harness's outputs.
 //!
 //! The simulators in this workspace publish two artifact kinds:
-//! deterministic JSON reports (`mlp-experiments.report/v2..v4`, written
-//! by `mlp-experiments --json`) and JSONL event traces (written under
+//! deterministic JSON reports (`mlp-experiments.report/v2`, written by
+//! `mlp-experiments --json`) and JSONL event traces (written under
 //! `--events` when `MLP_OBS` arms event mode). This crate reads both
 //! and answers three questions:
 //!
 //! - **`summary`** — what did the distributions look like? Renders each
-//!   v4 report's `histograms` block (count / mean / p50 / p90 / p99 /
+//!   report's `histograms` block (count / mean / p50 / p90 / p99 /
 //!   max per metric) as aligned tables.
 //! - **`diff`** — did anything move between two runs? Compares every
 //!   scalar metric and histogram summary statistic by relative delta
@@ -19,11 +19,15 @@
 //!   retired instructions) into per-window delta series with a derived
 //!   per-window MLP.
 //!
-//! Everything is first-party: JSON parsing lives in [`json`], and the
-//! table rendering is shared with the experiments crate.
+//! Everything is first-party: JSON parsing is the workspace's shared
+//! `mlp-json` crate, and the table rendering is shared with the
+//! experiments crate.
 
 pub mod diff;
-pub mod json;
 pub mod report;
 pub mod summary;
 pub mod timeline;
+
+/// Re-exported under its old path, which the `mlpbench` benchmark
+/// package imports.
+pub use mlp_json as json;

@@ -21,7 +21,7 @@ mlp-stats: analyze mlp-experiments reports and event traces
 Usage:
   mlp-stats summary <report.json | dir>...
       Distribution summaries (count/mean/p50/p90/p99/max) from the
-      histograms block of v4 reports.
+      histograms block of reports from MLP_OBS-armed runs.
 
   mlp-stats diff <baseline.json> <candidate.json> [options]
       Per-metric relative deltas between two reports of the same

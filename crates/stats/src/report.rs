@@ -1,12 +1,12 @@
-//! Loading `mlp-experiments.report/v2..v4` JSON documents into the
+//! Loading `mlp-experiments.report/v2` JSON documents into the
 //! analyzer's model.
 //!
-//! The loader is tolerant across schema versions: v2 reports simply
-//! have empty `metrics`/`histograms`, v3 adds scalar metrics, v4 adds
-//! distributions. Unknown top-level members are ignored so future
-//! schema revisions stay readable.
+//! The `metrics` and `histograms` blocks are optional: a report written
+//! without `MLP_OBS` armed has neither, and loads with both empty.
+//! Unknown top-level members are ignored.
 
-use crate::json::{self, Json};
+use mlp_experiments::report::SCHEMA;
+use mlp_json::Json;
 use std::path::{Path, PathBuf};
 
 /// One experiment report, flattened to what the analyzer needs.
@@ -16,13 +16,15 @@ pub struct Report {
     pub experiment: String,
     pub scale: String,
     pub status: String,
-    /// Scalar metrics in document order (empty below schema v3).
+    /// Scalar metrics in document order (empty without a `metrics`
+    /// block).
     pub metrics: Vec<(String, f64)>,
-    /// Distribution summaries in document order (empty below schema v4).
+    /// Distribution summaries in document order (empty without a
+    /// `histograms` block).
     pub histograms: Vec<HistSummary>,
 }
 
-/// One histogram block from a v4 report.
+/// One entry of a report's `histograms` block.
 #[derive(Clone, Debug)]
 pub struct HistSummary {
     pub name: String,
@@ -52,8 +54,8 @@ impl Report {
     pub fn load(path: &Path) -> Result<Report, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read '{}': {e}", path.display()))?;
-        let doc =
-            json::parse(&text).map_err(|e| format!("cannot parse '{}': {e}", path.display()))?;
+        let doc = mlp_json::parse(&text)
+            .map_err(|e| format!("cannot parse '{}': {e}", path.display()))?;
         Report::from_json(&doc).map_err(|e| format!("'{}': {e}", path.display()))
     }
 
@@ -66,7 +68,7 @@ impl Report {
                 .ok_or_else(|| format!("missing string field '{name}'"))
         };
         let schema = field("schema")?;
-        if !schema.starts_with("mlp-experiments.report/") {
+        if schema != SCHEMA {
             return Err(format!("unrecognized schema '{schema}'"));
         }
         let mut metrics = Vec::new();
@@ -97,13 +99,10 @@ impl Report {
 
 fn parse_histogram(name: &str, value: &Json) -> Result<HistSummary, String> {
     let num = |field: &str| -> Result<u64, String> {
-        let v = value
+        value
             .get(field)
-            .ok_or_else(|| format!("histogram '{name}' missing '{field}'"))?;
-        // `max` can exceed i64 (it is a u64 on the writer side); accept
-        // the float fallback the parser produces for such literals.
-        v.as_u64()
-            .or_else(|| v.as_f64().map(|f| f as u64))
+            .ok_or_else(|| format!("histogram '{name}' missing '{field}'"))?
+            .as_u64()
             .ok_or_else(|| format!("histogram '{name}' field '{field}' is not numeric"))
     };
     let mut buckets = Vec::new();
@@ -115,7 +114,6 @@ fn parse_histogram(name: &str, value: &Json) -> Result<HistSummary, String> {
         match pair.as_arr() {
             Some([lo, n]) => buckets.push((
                 lo.as_u64()
-                    .or_else(|| lo.as_f64().map(|f| f as u64))
                     .ok_or_else(|| format!("histogram '{name}' has a non-numeric bucket edge"))?,
                 n.as_u64()
                     .ok_or_else(|| format!("histogram '{name}' has a non-numeric bucket count"))?,
@@ -163,8 +161,8 @@ pub fn expand_report_paths(path: &Path) -> Result<Vec<PathBuf>, String> {
 mod tests {
     use super::*;
 
-    pub(crate) const V4_DOC: &str = r#"{
-  "schema": "mlp-experiments.report/v4",
+    const ARMED_DOC: &str = r#"{
+  "schema": "mlp-experiments.report/v2",
   "experiment": "epochs",
   "title": "Epoch behavior",
   "section": "§3",
@@ -178,16 +176,24 @@ mod tests {
     "experiment.run.total_ms": 1.5
   },
   "histograms": {
-    "mlpsim.epoch.len_insts": {"count": 4, "sum": 106, "max": 100, "p50": 3, "p90": 100, "p99": 100, "buckets": [[1, 1], [2, 2], [64, 1]]}
+    "mlpsim.epoch.len_insts": {
+      "count": 4,
+      "sum": 106,
+      "max": 100,
+      "p50": 3,
+      "p90": 100,
+      "p99": 100,
+      "buckets": [[1, 1], [2, 2], [64, 1]]
+    }
   }
 }
 "#;
 
     #[test]
-    fn loads_v4_documents() {
-        let doc = json::parse(V4_DOC).unwrap();
+    fn loads_metrics_and_histograms_blocks() {
+        let doc = mlp_json::parse(ARMED_DOC).unwrap();
         let r = Report::from_json(&doc).unwrap();
-        assert_eq!(r.schema, "mlp-experiments.report/v4");
+        assert_eq!(r.schema, SCHEMA);
         assert_eq!(r.experiment, "epochs");
         assert_eq!(r.metrics.len(), 2);
         assert_eq!(r.metrics[0], ("mlpsim.epochs".to_string(), 128.0));
@@ -201,7 +207,7 @@ mod tests {
 
     #[test]
     fn v2_documents_load_with_empty_blocks() {
-        let doc = json::parse(
+        let doc = mlp_json::parse(
             r#"{"schema": "mlp-experiments.report/v2", "experiment": "x",
                 "scale": "quick", "status": "ok", "rows": []}"#,
         )
@@ -213,7 +219,9 @@ mod tests {
 
     #[test]
     fn foreign_schemas_are_rejected() {
-        let doc = json::parse(r#"{"schema": "something-else/v1"}"#).unwrap();
-        assert!(Report::from_json(&doc).is_err());
+        for schema in ["something-else/v1", "mlp-experiments.report/v1"] {
+            let doc = Json::obj([("schema", Json::from(schema))]);
+            assert!(Report::from_json(&doc).is_err(), "{schema}");
+        }
     }
 }

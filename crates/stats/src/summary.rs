@@ -2,9 +2,9 @@
 //!
 //! Renders each report's `histograms` block as one aligned text table —
 //! count, mean, and the log2-bucket quantile estimates the report
-//! already carries. Reports without distributions (schema v2/v3, or an
-//! armed run that recorded none) get a one-line note instead so a
-//! directory sweep still accounts for every file.
+//! already carries. Reports without a `histograms` block (an unarmed
+//! run, or an armed one that recorded no distributions) get a one-line
+//! note instead so a directory sweep still accounts for every file.
 
 use crate::report::Report;
 use mlp_experiments::table::{f2, TextTable};
@@ -58,11 +58,7 @@ mod tests {
 
     fn demo_report(with_hist: bool) -> Report {
         Report {
-            schema: if with_hist {
-                "mlp-experiments.report/v4".into()
-            } else {
-                "mlp-experiments.report/v2".into()
-            },
+            schema: "mlp-experiments.report/v2".into(),
             experiment: "epochs".into(),
             scale: "quick".into(),
             status: "ok".into(),
@@ -87,7 +83,7 @@ mod tests {
     #[test]
     fn renders_quantile_table() {
         let out = render(&[demo_report(true)]);
-        assert!(out.starts_with("epochs (quick) — mlp-experiments.report/v4"));
+        assert!(out.starts_with("epochs (quick) — mlp-experiments.report/v2"));
         assert!(out.contains("mlpsim.epoch.len_insts"));
         assert!(out.contains("26.50")); // mean = 106 / 4
         assert!(out.contains("p99"));

@@ -14,8 +14,8 @@
 //! The one instantaneous field, `mshr` (occupancy at the sample
 //! instant), is reported raw rather than differenced.
 
-use crate::json::{self, Json};
 use mlp_experiments::table::{f3, TextTable};
+use mlp_json::Json;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -51,7 +51,7 @@ pub fn render(path: &Path, event_filter: Option<&str>) -> Result<String, String>
             continue;
         }
         total_lines += 1;
-        let Ok(doc) = json::parse(line) else {
+        let Ok(doc) = mlp_json::parse(line) else {
             skipped += 1;
             continue;
         };

@@ -18,8 +18,8 @@ fn run(args: &[&str]) -> Output {
     Command::new(bin()).args(args).output().expect("run binary")
 }
 
-const V4_REPORT: &str = r#"{
-  "schema": "mlp-experiments.report/v4",
+const ARMED_REPORT: &str = r#"{
+  "schema": "mlp-experiments.report/v2",
   "experiment": "epochs",
   "title": "Epoch behavior",
   "section": "§3",
@@ -34,14 +34,22 @@ const V4_REPORT: &str = r#"{
     "experiment.run.total_ms": 1.5
   },
   "histograms": {
-    "mlpsim.epoch.len_insts": {"count": 4, "sum": 106, "max": 100, "p50": 3, "p90": 100, "p99": 100, "buckets": [[1, 1], [2, 2], [64, 1]]}
+    "mlpsim.epoch.len_insts": {
+      "count": 4,
+      "sum": 106,
+      "max": 100,
+      "p50": 3,
+      "p90": 100,
+      "p99": 100,
+      "buckets": [[1, 1], [2, 2], [64, 1]]
+    }
   }
 }
 "#;
 
 #[test]
 fn summary_renders_distribution_table() {
-    let report = temp_file("summary.json", V4_REPORT);
+    let report = temp_file("summary.json", ARMED_REPORT);
     let out = run(&["summary", report.to_str().unwrap()]);
     std::fs::remove_file(&report).unwrap();
     assert!(out.status.success());
@@ -53,7 +61,7 @@ fn summary_renders_distribution_table() {
 
 #[test]
 fn diff_against_self_exits_zero_with_zero_deltas() {
-    let report = temp_file("self.json", V4_REPORT);
+    let report = temp_file("self.json", ARMED_REPORT);
     let path = report.to_str().unwrap();
     let out = run(&["diff", path, path]);
     std::fs::remove_file(&report).unwrap();
@@ -65,11 +73,11 @@ fn diff_against_self_exits_zero_with_zero_deltas() {
 
 #[test]
 fn diff_flags_doctored_copy_with_nonzero_exit() {
-    let baseline = temp_file("base.json", V4_REPORT);
+    let baseline = temp_file("base.json", ARMED_REPORT);
     // Doctor one metric by far more than the default 5% threshold.
     let doctored = temp_file(
         "doctored.json",
-        &V4_REPORT.replace("\"mlpsim.epochs\": 128", "\"mlpsim.epochs\": 256"),
+        &ARMED_REPORT.replace("\"mlpsim.epochs\": 128", "\"mlpsim.epochs\": 256"),
     );
     let out = run(&[
         "diff",

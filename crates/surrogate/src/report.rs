@@ -5,43 +5,16 @@
 //! provenance (corpus size, tolerance contract), the cross-validation
 //! verdict, and one entry per grid point with the predicted CPI, the
 //! ensemble uncertainty, and whether that point's value was simulated
-//! (appears in the corpus) or predicted. Serialization follows the
-//! workspace report conventions — insertion-ordered keys, shortest
-//! round-trip floats, trailing newline — so the document is
-//! byte-deterministic.
+//! (appears in the corpus) or predicted. It is written in the `mlp-json`
+//! pretty layout with a trailing newline, like the experiment reports,
+//! so the document is byte-deterministic.
 
 use crate::features::ConfigPoint;
 use crate::{CvStats, Surrogate, TOL_MEDIAN_PCT, TOL_P99_PCT};
-use std::fmt::Write as _;
+use mlp_json::Json;
 
 /// Schema tag stamped into every surrogate report.
 pub const SCHEMA: &str = "mlp-surrogate.report/v1";
-
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_num(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
-}
 
 /// Renders the surrogate report for `grid`, marking the corpus-labeled
 /// points (`simulated`, carrying their measured CPI) apart from the
@@ -59,62 +32,52 @@ pub fn render(
             *slot = Some(y);
         }
     }
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": ");
-    write_json_str(&mut out, SCHEMA);
-    let _ = write!(
-        out,
-        ",\n  \"corpus_rows\": {corpus_rows},\n  \"grid_points\": {},\n  \"simulated_points\": {},",
-        grid.len(),
-        simulated.len()
-    );
-    let _ = write!(
-        out,
-        "\n  \"tolerance\": {{\"median_pct\": {TOL_MEDIAN_PCT}, \"p99_pct\": {TOL_P99_PCT}}},"
-    );
-    out.push_str("\n  \"cv\": {\"n\": ");
-    let _ = write!(out, "{}", cv.n);
-    out.push_str(", \"median_pct\": ");
-    write_num(&mut out, cv.median_pct);
-    out.push_str(", \"p99_pct\": ");
-    write_num(&mut out, cv.p99_pct);
-    out.push_str(", \"worst_pct\": ");
-    write_num(&mut out, cv.worst_pct);
-    let _ = write!(out, ", \"within_tolerance\": {}}},", cv.within_tolerance());
-    out.push_str("\n  \"points\": [");
-    for (i, p) in grid.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\"benchmark\": ");
-        write_json_str(&mut out, p.workload_name());
-        let _ = write!(
-            out,
-            ", \"window\": {}, \"mshrs\": {}, \"latency\": {}, \"l2_kb\": {}",
-            p.window, p.mshrs, p.latency, p.l2_kb
-        );
-        out.push_str(", \"predicted_cpi\": ");
-        write_num(&mut out, surrogate.predict(p));
-        out.push_str(", \"uncertainty_pct\": ");
-        write_num(&mut out, surrogate.uncertainty_pct(p));
-        match measured[i] {
-            Some(y) => {
-                out.push_str(", \"source\": \"simulated\", \"cpi\": ");
-                write_num(&mut out, y);
-            }
-            None => out.push_str(", \"source\": \"predicted\""),
+    let points = grid.iter().zip(measured).map(|(p, measured)| {
+        let mut point = vec![
+            ("benchmark", Json::from(p.workload_name())),
+            ("window", p.window.into()),
+            ("mshrs", p.mshrs.into()),
+            ("latency", p.latency.into()),
+            ("l2_kb", p.l2_kb.into()),
+            ("predicted_cpi", surrogate.predict(p).into()),
+            ("uncertainty_pct", surrogate.uncertainty_pct(p).into()),
+        ];
+        match measured {
+            Some(y) => point.extend([("source", "simulated".into()), ("cpi", y.into())]),
+            None => point.push(("source", "predicted".into())),
         }
-        out.push('}');
-    }
-    if !grid.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+        Json::obj(point)
+    });
+    let doc = Json::obj([
+        ("schema", Json::from(SCHEMA)),
+        ("corpus_rows", corpus_rows.into()),
+        ("grid_points", grid.len().into()),
+        ("simulated_points", simulated.len().into()),
+        (
+            "tolerance",
+            Json::obj([
+                ("median_pct", Json::from(TOL_MEDIAN_PCT)),
+                ("p99_pct", TOL_P99_PCT.into()),
+            ]),
+        ),
+        (
+            "cv",
+            Json::obj([
+                ("n", Json::from(cv.n)),
+                ("median_pct", cv.median_pct.into()),
+                ("p99_pct", cv.p99_pct.into()),
+                ("worst_pct", cv.worst_pct.into()),
+                ("within_tolerance", cv.within_tolerance().into()),
+            ]),
+        ),
+        ("points", Json::Arr(points.collect())),
+    ]);
+    doc.to_pretty() + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus;
     use crate::{default_priors, kfold_cv, DEFAULT_LAMBDA};
 
     fn tiny() -> (Vec<ConfigPoint>, Vec<f64>) {
@@ -143,22 +106,19 @@ mod tests {
         let text = render(&s, &grid, &simulated, &cv, 2);
         assert!(text.starts_with("{\n  \"schema\": \"mlp-surrogate.report/v1\""));
         assert!(text.ends_with("}\n"));
-        // Our own corpus parser accepts the document.
-        let doc = corpus::parse(&text).expect("self-parseable");
+        let doc = mlp_json::parse(&text).expect("self-parseable");
         assert_eq!(
-            doc.get("grid_points").and_then(corpus::Val::as_num),
-            Some(grid.len() as f64)
+            doc.get("grid_points").and_then(Json::as_u64),
+            Some(grid.len() as u64)
         );
-        let corpus::Val::Arr(points) = doc.get("points").expect("points") else {
-            panic!("points not an array");
-        };
+        let points = doc.get("points").and_then(Json::as_arr).expect("points");
         assert_eq!(points.len(), grid.len());
         assert_eq!(
-            points[0].get("source").and_then(corpus::Val::as_str),
+            points[0].get("source").and_then(Json::as_str),
             Some("simulated")
         );
         assert_eq!(
-            points[1].get("source").and_then(corpus::Val::as_str),
+            points[1].get("source").and_then(Json::as_str),
             Some("predicted")
         );
         assert!(points[0].get("cpi").is_some());
@@ -181,7 +141,7 @@ mod tests {
         let s = Surrogate::fit(&grid, &cpi, &default_priors());
         let cv = kfold_cv(&grid, &cpi, &default_priors(), 4, DEFAULT_LAMBDA);
         let text = render(&s, &[], &[], &cv, 0);
-        assert!(corpus::parse(&text).is_some());
+        assert!(mlp_json::parse(&text).is_ok());
         assert!(text.contains("\"points\": []"));
     }
 }

@@ -33,10 +33,12 @@ cargo test -q --release -p mlp-experiments --test differential
 
 echo "==> no-panic property suites"
 # Hostile-input coverage: arbitrary/mutated trace bytes must never panic
-# the decoders (v1 and chunked v2), and randomly panicking sweep jobs
-# must never lose a slot.
+# the decoders (v1 and chunked v2), arbitrary/damaged JSON must never
+# panic the parser (and every golden must re-print byte-identically),
+# and randomly panicking sweep jobs must never lose a slot.
 cargo test -q -p mlp-isa --test prop
 cargo test -q -p mlp-isa --test chunked_prop
+cargo test -q -p mlp-json --test prop
 cargo test -q -p mlp-par --test prop
 
 echo "==> model + observability property suites"
@@ -53,7 +55,7 @@ trap 'rm -rf "$smoke_dir"' EXIT
 MLP_OBS=all MLP_THREADS=1 target/release/mlp-experiments \
     --only epochs --scale quick \
     --json "$smoke_dir" --events "$smoke_dir" >/dev/null
-grep -q '"schema": "mlp-experiments.report/v4"' "$smoke_dir/epochs.quick.json"
+grep -q '"histograms": {' "$smoke_dir/epochs.quick.json"
 target/release/mlp-stats summary "$smoke_dir/epochs.quick.json" >/dev/null
 target/release/mlp-stats timeline "$smoke_dir/epochs.quick.jsonl" >/dev/null
 target/release/mlp-stats diff \
