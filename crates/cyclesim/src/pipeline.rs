@@ -1370,3 +1370,91 @@ impl Core<'_> {
         Some(ready)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RunaheadConfig;
+    use mlp_workloads::{Workload, WorkloadKind};
+
+    /// Instructions per chunk of the streamed test trace.
+    const CHUNK: usize = 4096;
+
+    /// An [`InstSource`] wrapper recording the most instructions the
+    /// wrapped source ever held resident.
+    struct PeakProbe<S> {
+        inner: S,
+        peak: usize,
+    }
+
+    impl<S: InstSource> InstSource for PeakProbe<S> {
+        fn ensure(&mut self, upto: usize) -> usize {
+            let n = self.inner.ensure(upto);
+            self.peak = self.peak.max(self.inner.soa().len());
+            n
+        }
+        fn available(&self) -> usize {
+            self.inner.available()
+        }
+        fn soa(&self) -> &TraceSoA {
+            self.inner.soa()
+        }
+        fn base(&self) -> usize {
+            self.inner.base()
+        }
+        fn release(&mut self, before: usize) {
+            self.inner.release(before);
+        }
+    }
+
+    /// The first `len` instructions of a `Database` stream, in
+    /// [`CHUNK`]-sized column chunks generated on demand.
+    fn database_chunks(len: usize) -> impl Iterator<Item = TraceSoA> {
+        let mut w = Workload::new(WorkloadKind::Database, 42);
+        (0..len).step_by(CHUNK).map(move |start| {
+            let n = CHUNK.min(len - start);
+            TraceSoA::from_insts(&w.by_ref().take(n).collect::<Vec<_>>())
+        })
+    }
+
+    /// The streaming path's memory bound: each cycle every thread
+    /// releases what it will not read again, so a chunked run holds a
+    /// window of a few chunks plus the configured window, however long
+    /// the trace.
+    #[test]
+    fn chunked_runs_keep_a_bounded_window_resident() {
+        const WINDOW: usize = 2048; // the runahead distance below
+        const BOUND: usize = 4 * CHUNK + WINDOW;
+        const LEN: usize = 300_000;
+        const { assert!(LEN >= 16 * BOUND) };
+        let runahead = CycleSimConfig {
+            runahead: Some(RunaheadConfig {
+                max_dist: WINDOW,
+                value: ValueMode::None,
+            }),
+            ..CycleSimConfig::default()
+        };
+        let runs = [
+            ("pipeline", CycleSimConfig::default(), 1),
+            ("runahead", runahead, 1),
+            ("2-thread SMT", CycleSimConfig::default(), 2),
+        ];
+        for (name, config, threads) in runs {
+            let mut srcs: Vec<_> = (0..threads)
+                .map(|_| PeakProbe {
+                    inner: ChunkedSoaSource::new(database_chunks(LEN)),
+                    peak: 0,
+                })
+                .collect();
+            let (_, insts) = simulate(&config, &mut srcs, 0, u64::MAX);
+            assert_eq!(insts, vec![LEN as u64; threads], "{name} ran short");
+            for src in &srcs {
+                assert!(
+                    src.peak <= BOUND,
+                    "{name} held {} instructions resident (bound {BOUND})",
+                    src.peak
+                );
+            }
+        }
+    }
+}

@@ -1,11 +1,11 @@
 //! The experiment registry: one [`Experiment`] entry per table/figure.
 //!
 //! The registry is the single source of truth for which experiments
-//! exist. The `mlp-experiments` binary, the bench drivers and the
-//! golden-snapshot suite all iterate [`REGISTRY`] instead of keeping
-//! their own experiment lists, so a new experiment registers once (a
-//! unit struct in its `exp::` module plus one line here) and every
-//! consumer picks it up.
+//! exist. The `mlp-experiments` binary and the golden-snapshot suite
+//! iterate [`REGISTRY`] instead of keeping their own experiment lists,
+//! and the daemon resolves names with [`find`], so a new experiment
+//! registers once (a unit struct in its `exp::` module plus one line
+//! here) and every consumer picks it up.
 //!
 //! # Examples
 //!
@@ -76,16 +76,6 @@ pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     REGISTRY.iter().copied().find(|e| e.name() == name)
 }
 
-/// All experiments whose name contains `substring` (case-sensitive),
-/// in registry order.
-pub fn matching(substring: &str) -> Vec<&'static dyn Experiment> {
-    REGISTRY
-        .iter()
-        .copied()
-        .filter(|e| e.name().contains(substring))
-        .collect()
-}
-
 /// All registered names, in registry order.
 pub fn names() -> Vec<&'static str> {
     REGISTRY.iter().map(|e| e.name()).collect()
@@ -100,10 +90,15 @@ mod tests {
     fn find_and_matching() {
         assert_eq!(find("table1").map(|e| e.name()), Some("table1"));
         assert!(find("nope").is_none());
-        // figure2 and figure4 through figure11.
-        let figs = matching("figure");
+        // figure2 and figure4 through figure11, each found by name.
+        let figs: Vec<&str> = names()
+            .into_iter()
+            .filter(|n| n.contains("figure"))
+            .collect();
         assert_eq!(figs.len(), 9);
-        assert!(matching("").len() == REGISTRY.len());
+        for name in figs {
+            assert_eq!(find(name).map(|e| e.name()), Some(name));
+        }
     }
 
     #[test]

@@ -454,6 +454,83 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::InOrderPolicy;
+    use mlp_workloads::{Workload, WorkloadKind};
+
+    /// Instructions per chunk of the streamed test trace.
+    const CHUNK: usize = 4096;
+
+    /// An [`InstSource`] wrapper recording the most instructions the
+    /// wrapped source ever held resident.
+    struct PeakProbe<S> {
+        inner: S,
+        peak: usize,
+    }
+
+    impl<S: InstSource> InstSource for PeakProbe<S> {
+        fn ensure(&mut self, upto: usize) -> usize {
+            let n = self.inner.ensure(upto);
+            self.peak = self.peak.max(self.inner.soa().len());
+            n
+        }
+        fn available(&self) -> usize {
+            self.inner.available()
+        }
+        fn soa(&self) -> &TraceSoA {
+            self.inner.soa()
+        }
+        fn base(&self) -> usize {
+            self.inner.base()
+        }
+        fn release(&mut self, before: usize) {
+            self.inner.release(before);
+        }
+    }
+
+    /// The first `len` instructions of a `Database` stream, in
+    /// [`CHUNK`]-sized column chunks generated on demand.
+    fn database_chunks(len: usize) -> impl Iterator<Item = TraceSoA> {
+        let mut w = Workload::new(WorkloadKind::Database, 42);
+        (0..len).step_by(CHUNK).map(move |start| {
+            let n = CHUNK.min(len - start);
+            TraceSoA::from_insts(&w.by_ref().take(n).collect::<Vec<_>>())
+        })
+    }
+
+    /// The streaming path's memory bound: every engine releases what it
+    /// will not read again, so a chunked run holds a window of a few
+    /// chunks plus the configured window, however long the trace.
+    #[test]
+    fn chunked_runs_keep_a_bounded_window_resident() {
+        const WINDOW: usize = 2048; // the largest window below
+        const BOUND: usize = 4 * CHUNK + WINDOW;
+        const LEN: usize = 400_000;
+        const { assert!(LEN >= 16 * BOUND) };
+        let configs = [
+            MlpsimConfig::default(),
+            MlpsimConfig::builder().coupled_window(WINDOW).build(),
+            MlpsimConfig::builder()
+                .window(WindowModel::InOrder(InOrderPolicy::StallOnUse))
+                .build(),
+            MlpsimConfig::builder()
+                .window(WindowModel::Runahead { max_dist: WINDOW })
+                .build(),
+        ];
+        for config in configs {
+            let window = config.window;
+            let mut src = PeakProbe {
+                inner: ChunkedSoaSource::new(database_chunks(LEN)),
+                peak: 0,
+            };
+            let report = Simulator::new(config).run_source(&mut src, 0, u64::MAX);
+            assert_eq!(report.insts, LEN as u64, "{window:?} ran short");
+            assert!(
+                src.peak <= BOUND,
+                "{window:?} held {} instructions resident (bound {BOUND})",
+                src.peak
+            );
+        }
+    }
 
     #[test]
     fn tracker_counts_epochs_with_misses_only() {

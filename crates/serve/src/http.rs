@@ -1,9 +1,9 @@
 //! Minimal first-party HTTP/1.1: enough protocol for a localhost job
 //! daemon, and nothing more.
 //!
-//! The workspace builds offline, so like `mlp-stats`' JSON parser this
-//! is a deliberate subset rather than a dependency: request line +
-//! headers + optional `Content-Length` body in, one `Connection: close`
+//! The workspace builds offline, so like the `mlp-json` parser this is
+//! a deliberate subset rather than a dependency: request line, headers
+//! and an optional `Content-Length` body in, one `Connection: close`
 //! response out. Every connection serves exactly one request — job
 //! submissions are long-lived server-side anyway, so keep-alive would
 //! buy nothing and cost connection-state bookkeeping.
@@ -11,9 +11,12 @@
 //! Hostile-input posture: header section capped at 16 KiB, bodies capped
 //! at 1 MiB, ASCII-validated request line, and a read timeout installed
 //! by the caller — a slow or malformed client costs one bounded thread,
-//! never a wedged acceptor.
+//! never a wedged acceptor. The client half ([`read_response`]) applies
+//! the same header cap and never allocates more than the server sends.
+//! Both parsers are total: `tests/http_prop.rs` feeds them arbitrary and
+//! damaged messages.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Largest accepted header section (request line + headers), bytes.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -77,10 +80,10 @@ fn read_line(r: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpErr
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];
-        let n = std::io::Read::read(r, &mut byte)?;
+        let n = r.read(&mut byte)?;
         if n == 0 {
             if line.is_empty() {
-                return Err(HttpError::Malformed("connection closed before request"));
+                return Err(HttpError::Malformed("connection closed early"));
             }
             break;
         }
@@ -143,7 +146,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Request, HttpError> {
         return Err(HttpError::TooLarge("body"));
     }
     let mut body = vec![0u8; content_length];
-    std::io::Read::read_exact(r, &mut body)?;
+    r.read_exact(&mut body)?;
     Ok(Request {
         method,
         path,
@@ -206,8 +209,8 @@ impl Response {
 
 /// One blocking HTTP exchange against `addr` (`host:port`): sends
 /// `method path` with `body`, returns `(status, body)`. The shared
-/// client side of `mlp-loadgen`, `scripts/check.sh` smoke and the chaos
-/// tests — no curl required.
+/// client side of `mlp-loadgen`, the benchmark's serve clients and the
+/// chaos tests — no curl required.
 pub fn exchange(
     addr: &str,
     method: &str,
@@ -215,7 +218,6 @@ pub fn exchange(
     body: &[u8],
     timeout: std::time::Duration,
 ) -> std::io::Result<(u16, Vec<u8>)> {
-    use std::io::{BufReader, Read};
     let stream = std::net::TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
@@ -227,20 +229,26 @@ pub fn exchange(
     )?;
     w.write_all(body)?;
     w.flush()?;
+    read_response(&mut std::io::BufReader::new(stream))
+}
 
-    let mut r = BufReader::new(stream);
+/// Parses one response from the stream: `(status, body)`. The server is
+/// not trusted either: the header section is capped like a request's,
+/// and a `Content-Length` body is read through [`Read::take`] after
+/// reserving at most [`MAX_BODY_BYTES`], so an absurd length costs only
+/// the bytes actually sent. A body shorter than announced is
+/// `UnexpectedEof`; without `Content-Length` the body runs to EOF.
+pub fn read_response(r: &mut impl BufRead) -> std::io::Result<(u16, Vec<u8>)> {
     let mut budget = MAX_HEADER_BYTES;
-    let status_line = read_line(&mut r, &mut budget)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let status_line = read_line(r, &mut budget).map_err(response_error)?;
     let status: u16 = status_line
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length: Option<usize> = None;
+        .ok_or_else(|| response_error(HttpError::Malformed("status line")))?;
+    let mut content_length: Option<u64> = None;
     loop {
-        let line = read_line(&mut r, &mut budget)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let line = read_line(r, &mut budget).map_err(response_error)?;
         if line.is_empty() {
             break;
         }
@@ -253,14 +261,28 @@ pub fn exchange(
     let mut body = Vec::new();
     match content_length {
         Some(n) => {
-            body.resize(n, 0);
-            r.read_exact(&mut body)?;
+            body.reserve(n.min(MAX_BODY_BYTES as u64) as usize);
+            r.take(n).read_to_end(&mut body)?;
+            if (body.len() as u64) < n {
+                return Err(std::io::ErrorKind::UnexpectedEof.into());
+            }
         }
         None => {
             r.read_to_end(&mut body)?;
         }
     }
     Ok((status, body))
+}
+
+/// A parse failure on the client side, where the message at fault is
+/// the server's response; socket errors keep their kind.
+fn response_error(e: HttpError) -> std::io::Error {
+    let message = match e {
+        HttpError::Io(e) => return e,
+        HttpError::Malformed(what) => format!("malformed response: {what}"),
+        HttpError::TooLarge(what) => format!("response too large: {what}"),
+    };
+    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }
 
 #[cfg(test)]
@@ -325,6 +347,36 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse(raw.as_bytes()), Err(HttpError::TooLarge(_))));
+    }
+
+    /// Serves one connection on a local listener with `response`
+    /// verbatim, then returns what `exchange` made of it.
+    fn exchange_against(response: impl Into<Vec<u8>>) -> std::io::Result<(u16, Vec<u8>)> {
+        let response = response.into();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let _ = read_request(&mut BufReader::new(&stream));
+            let _ = (&stream).write_all(&response);
+        });
+        let got = exchange(&addr, "GET", "/", b"", std::time::Duration::from_secs(30));
+        server.join().unwrap();
+        got
+    }
+
+    #[test]
+    fn exchange_survives_a_lying_content_length() {
+        let ok = exchange_against(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
+        assert_eq!(ok.unwrap(), (200, b"ok".to_vec()));
+        // Lengths that would overflow `Vec` capacity, or exhaust memory,
+        // if trusted.
+        for length in ["18446744073709551615", "1000000000000"] {
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\nshort");
+            let got = exchange_against(head);
+            let err = got.expect_err(length);
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{length}");
+        }
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!   report's `histograms` block (count / mean / p50 / p90 / p99 /
 //!   max per metric) as aligned tables.
 //! - **`diff`** — did anything move between two runs? Compares every
-//!   scalar metric and histogram summary statistic by relative delta
-//!   and exits nonzero when any exceeds a threshold — the CI hook for
-//!   run-to-run regression checking against blessed `results/BENCH_*`
-//!   baselines.
+//!   scalar metric and histogram summary statistic of two reports by
+//!   relative delta and exits nonzero when any exceeds a threshold — the
+//!   CI hook for run-to-run regression checking against a blessed
+//!   report.
 //! - **`timeline`** — how did the run evolve? Folds the engines'
 //!   interval samples (`*.sample` events, one per `MLP_OBS_INTERVAL`
 //!   retired instructions) into per-window delta series with a derived

@@ -241,9 +241,9 @@ impl Iterator for TraceChunks {
 /// re-generates the trace. Each `next()` reconstructs one [`Inst`] —
 /// from the shared columns on the memory tier, or from a resident window
 /// of one decoded chunk on the spilled tier (sequential reads decode each
-/// chunk once). Row-oriented consumers (trace analyzers, the
-/// runahead/SMT engines) pay the reconstruction, while the epoch and
-/// cycle kernels bypass cursors entirely and read columns or chunks.
+/// chunk once). Row-oriented consumers (the trace analyzers) pay the
+/// reconstruction; the experiment runner feeds every engine — epoch,
+/// cycle, runahead and SMT — columns or chunks instead.
 #[derive(Clone)]
 pub struct TraceCursor {
     backing: Backing,
@@ -707,19 +707,6 @@ impl TraceStore {
         entries.clear();
     }
 
-    /// Total instructions currently materialized across all traces, in
-    /// both tiers.
-    pub fn cached_insts(&self) -> u64 {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        entries
-            .values()
-            .map(|c| {
-                let e = c.lock().unwrap_or_else(|e| e.into_inner());
-                e.buf.len() as u64 + e.spilled.as_ref().map_or(0, |sp| sp.index.total_insts)
-            })
-            .sum()
-    }
-
     /// Resident memory occupied by cached column content, in bytes —
     /// exact column-content bytes (43 per instruction plus 4 per
     /// candidate-index entry), excluding allocator slack. Spilled traces
@@ -844,7 +831,13 @@ mod tests {
         assert_ne!(a.to_vec(), b.to_vec());
         assert_ne!(a.to_vec(), c.to_vec());
         assert_eq!(store.cached_traces(), 3);
-        assert_eq!(store.cached_insts(), 1_500);
+        // 1,500 instructions at 43 column bytes each, plus 4 bytes per
+        // candidate-index entry.
+        let candidates: usize = [&a, &b, &c]
+            .iter()
+            .map(|t| t.soa().candidates().len())
+            .sum();
+        assert_eq!(store.cached_bytes(), 1_500 * 43 + 4 * candidates as u64);
     }
 
     #[test]
