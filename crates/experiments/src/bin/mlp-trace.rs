@@ -41,12 +41,14 @@
 //! Exit codes are uniform: `0` on success, `1` for I/O failures, corrupt
 //! traces and malformed import lines (details — including the offending
 //! record/chunk or line number — go to stderr), `2` for usage errors.
+//! A reader that closes the output early (`mlp-trace dump x | head`) is
+//! not a failure: the command stops quietly with `0`.
 
 use mlp_isa::{chunked, tracefile, Inst, InstMix, Reg, TraceStats};
 use mlp_workloads::{Workload, WorkloadKind};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 fn usage() -> ! {
@@ -82,14 +84,27 @@ enum CliCause {
     Io(std::io::Error),
     Trace(tracefile::TraceFileError),
     Parse(String),
+    /// Writing the command's own output failed.
+    Stdout(std::io::Error),
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.cause {
-            CliCause::Io(e) => write!(f, "{}: {e}", self.context),
+            CliCause::Io(e) | CliCause::Stdout(e) => write!(f, "{}: {e}", self.context),
             CliCause::Trace(e) => write!(f, "{}: {e}", self.context),
             CliCause::Parse(e) => write!(f, "{}: {e}", self.context),
+        }
+    }
+}
+
+/// A bare I/O error in [`run`] comes from writing stdout: every file
+/// operation maps its own error through [`ctx`] first.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> CliError {
+        CliError {
+            context: "cannot write to stdout".into(),
+            cause: CliCause::Stdout(e),
         }
     }
 }
@@ -117,9 +132,20 @@ impl From<tracefile::TraceFileError> for CliCause {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = run(&args) {
-        eprintln!("mlp-trace: {e}");
-        std::process::exit(1);
+    let mut out = BufWriter::new(io::stdout().lock());
+    let ran = run(&args, &mut out);
+    let flushed = out.flush().map_err(CliError::from);
+    match ran.and(flushed) {
+        Ok(()) => {}
+        // The reader closed the pipe: it has all the output it wanted.
+        Err(CliError {
+            cause: CliCause::Stdout(e),
+            ..
+        }) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("mlp-trace: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -146,7 +172,7 @@ fn write_trace(path: &str, insts: &[Inst]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
+fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("gen") => {
             let [_, kind, count, path, rest @ ..] = args else {
@@ -165,28 +191,34 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let insts: Vec<_> = Workload::new(kind, seed).take(count).collect();
             write_trace(path, &insts)?;
             let v = if wants_v2(path) { "v2" } else { "v1" };
-            println!("wrote {count} instructions of {kind} (seed {seed}) to {path} ({v})");
+            writeln!(
+                out,
+                "wrote {count} instructions of {kind} (seed {seed}) to {path} ({v})"
+            )?;
         }
         Some("stats") => {
             let [_, path] = args else { usage() };
             let insts = read_trace(path)?;
             let mix: InstMix = insts.iter().collect();
             let stats = TraceStats::from_insts(&insts);
-            println!("{mix}");
-            println!(
+            writeln!(out, "{mix}")?;
+            writeln!(
+                out,
                 "data footprint: {} KB in {} lines",
                 stats.data_footprint_bytes() / 1024,
                 stats.data_lines
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "code footprint: {} KB in {} lines",
                 stats.code_footprint_bytes() / 1024,
                 stats.code_lines
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "taken conditional branches: {} of {}",
                 stats.taken_cond, mix.cond_branches
-            );
+            )?;
         }
         Some("dump") => {
             let (path, count) = match args {
@@ -196,25 +228,26 @@ fn run(args: &[String]) -> Result<(), CliError> {
             };
             let insts = read_trace(path)?;
             for inst in insts.iter().take(count) {
-                println!("{inst}");
+                writeln!(out, "{inst}")?;
             }
             if insts.len() > count {
-                println!("... ({} more)", insts.len() - count);
+                writeln!(out, "... ({} more)", insts.len() - count)?;
             }
         }
         Some("info") => {
             let [_, path] = args else { usage() };
-            info(path)?;
+            info(path, out)?;
         }
         Some("convert") => {
             let [_, input, output] = args else { usage() };
             let insts = read_trace(input)?;
             write_trace(output, &insts)?;
             let v = if wants_v2(output) { "v2" } else { "v1" };
-            println!(
+            writeln!(
+                out,
                 "converted {} instructions: {input} -> {output} ({v})",
                 insts.len()
-            );
+            )?;
         }
         Some("import") => {
             let [_, input, output] = args else { usage() };
@@ -225,10 +258,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
             })?;
             write_trace(output, &insts)?;
             let v = if wants_v2(output) { "v2" } else { "v1" };
-            println!(
+            writeln!(
+                out,
                 "imported {} instructions: {input} -> {output} ({v})",
                 insts.len()
-            );
+            )?;
         }
         _ => usage(),
     }
@@ -252,7 +286,7 @@ fn read_trace(path: &str) -> Result<Vec<mlp_isa::Inst>, CliError> {
 }
 
 /// Prints container-level details without decoding payloads into memory.
-fn info(path: &str) -> Result<(), CliError> {
+fn info(path: &str, out: &mut impl Write) -> Result<(), CliError> {
     let file_bytes = std::fs::metadata(path).map_err(ctx("stat", path))?.len();
     let file = File::open(path).map_err(ctx("open", path))?;
     let mut r = BufReader::new(file);
@@ -261,32 +295,35 @@ fn info(path: &str) -> Result<(), CliError> {
     r.seek(SeekFrom::Start(0)).map_err(ctx("read", path))?;
     if &magic == b"MLP2" {
         let index = chunked::read_index(&mut r).map_err(ctx("read index of", path))?;
-        println!("format:       v2 chunked (delta+varint columns)");
-        println!("instructions: {}", index.total_insts);
-        println!(
+        writeln!(out, "format:       v2 chunked (delta+varint columns)")?;
+        writeln!(out, "instructions: {}", index.total_insts)?;
+        writeln!(
+            out,
             "chunks:       {} (cap {} insts)",
             index.chunks.len(),
             index.chunk_cap
-        );
-        println!("file bytes:   {file_bytes}");
+        )?;
+        writeln!(out, "file bytes:   {file_bytes}")?;
         if index.total_insts > 0 {
             let b_per = file_bytes as f64 / index.total_insts as f64;
             let v1_bytes = 16 + index.total_insts * tracefile::RECORD_BYTES as u64;
-            println!("bytes/inst:   {b_per:.2}");
-            println!(
+            writeln!(out, "bytes/inst:   {b_per:.2}")?;
+            writeln!(
+                out,
                 "compression:  {:.2}x vs v1 ({v1_bytes} bytes)",
                 v1_bytes as f64 / file_bytes as f64,
-            );
+            )?;
         }
     } else {
         // v1 validates the whole stream on read; decode for the count.
         let insts = tracefile::read(r).map_err(ctx("read trace", path))?;
-        println!(
+        writeln!(
+            out,
             "format:       v1 fixed records ({} bytes)",
             tracefile::RECORD_BYTES
-        );
-        println!("instructions: {}", insts.len());
-        println!("file bytes:   {file_bytes}");
+        )?;
+        writeln!(out, "instructions: {}", insts.len())?;
+        writeln!(out, "file bytes:   {file_bytes}")?;
     }
     Ok(())
 }

@@ -26,10 +26,16 @@
 //! zigzag-mapped and LEB128-encoded: program counters, effective
 //! addresses and branch targets are locally dense, so deltas are short.
 //! Derived columns (dependence slots, the candidate index) are *not*
-//! stored; the decoder re-derives them through [`TraceSoA::push`],
-//! which also re-validates every record. The trailer makes the file
-//! appendable: seek to `footer_offset`, continue writing frames, then
-//! rewrite footer + trailer ([`ChunkedWriter::resume`]).
+//! stored. Both directions move whole columns, never `Inst` records:
+//! the writer buffers only the stored columns and encodes them straight
+//! into the frame payload, and the decoder reads each column straight
+//! into the output [`TraceSoA`], re-validates every record, then
+//! derives the dependence slots and candidate index column by column
+//! with the same code [`TraceSoA::push`] uses. Each side folds the
+//! FNV-1a checksum into that one pass over the payload; a reader still
+//! reports a checksum mismatch ahead of any decode error. The trailer
+//! makes the file appendable: seek to `footer_offset`, continue writing
+//! frames, then rewrite footer + trailer ([`ChunkedWriter::resume`]).
 //!
 //! # Examples
 //!
@@ -52,10 +58,13 @@
 //! # Ok::<(), mlp_isa::tracefile::TraceFileError>(())
 //! ```
 
-use crate::soa::{bkind_of, FLAG_BKIND_SHIFT, FLAG_HAS_BRANCH, FLAG_HAS_MEM, FLAG_TAKEN};
+use crate::soa::{
+    StoredColumns, FLAG_BKIND_SHIFT, FLAG_HAS_BRANCH, FLAG_HAS_MEM, FLAG_TAKEN, REG_NONE,
+};
 use crate::tracefile::TraceFileError;
-use crate::{BranchInfo, Inst, MemAccess, Reg, TraceSoA, CLASS_COUNT};
+use crate::{Inst, Reg, TraceSoA, CLASS_COUNT};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 
 const MAGIC: [u8; 4] = *b"MLP2";
 const CHUNK_MAGIC: [u8; 4] = *b"CHNK";
@@ -87,13 +96,25 @@ const MIN_RECORD_ENC: u64 = 11;
 /// v1 record-count cap).
 const MAX_PREALLOC_CHUNKS: u32 = 1 << 16;
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Running FNV-1a-64 state, fed one byte at a time by the encoder and
+/// decoder as they walk a payload.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    #[inline(always)]
+    fn byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.byte(b);
+        }
+    }
 }
 
 fn zigzag(d: i64) -> u64 {
@@ -104,24 +125,44 @@ fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
+/// Appends `vals` as a Δvarint column, hashing each byte written.
+fn put_deltas(out: &mut Vec<u8>, h: &mut Fnv, vals: &[u64]) {
+    let mut prev = 0u64;
+    for &v in vals {
+        let mut z = zigzag(v.wrapping_sub(prev) as i64);
+        prev = v;
+        while z >= 0x80 {
+            let b = z as u8 | 0x80;
+            out.push(b);
+            h.byte(b);
+            z >>= 7;
         }
-        out.push(byte | 0x80);
+        out.push(z as u8);
+        h.byte(z as u8);
     }
 }
 
-fn put_delta(out: &mut Vec<u8>, vals: &[u64]) {
-    let mut prev = 0u64;
-    for &v in vals {
-        put_varint(out, zigzag(v.wrapping_sub(prev) as i64));
-        prev = v;
-    }
+/// Appends a raw byte column, hashing it.
+fn put_bytes(out: &mut Vec<u8>, h: &mut Fnv, bytes: &[u8]) {
+    out.extend_from_slice(bytes);
+    h.bytes(bytes);
+}
+
+/// Appends the payload of one frame holding `cols` to `out`, column by
+/// column in file order, and returns the payload's FNV-1a-64, folded
+/// into the same pass.
+fn encode(cols: &StoredColumns, out: &mut Vec<u8>) -> u64 {
+    let mut h = Fnv::new();
+    put_deltas(out, &mut h, &cols.pc);
+    put_bytes(out, &mut h, &cols.class);
+    put_bytes(out, &mut h, &cols.flags);
+    put_bytes(out, &mut h, cols.srcs.as_flattened());
+    put_bytes(out, &mut h, &cols.dst);
+    put_deltas(out, &mut h, &cols.addr);
+    put_bytes(out, &mut h, &cols.asize);
+    put_deltas(out, &mut h, &cols.btarget);
+    put_deltas(out, &mut h, &cols.value);
+    h.0
 }
 
 /// Location and size of one chunk frame inside a v2 stream.
@@ -191,14 +232,17 @@ impl Flipper {
 
 /// Streaming writer of v2 chunked traces.
 ///
-/// Buffers pushed instructions into a pending chunk, flushing a frame
-/// whenever the chunk capacity fills; [`ChunkedWriter::finish`] flushes
-/// the partial tail chunk and writes footer + trailer. Memory held is
-/// one chunk, independent of trace length.
+/// Buffers the stored columns of pushed instructions into a pending
+/// chunk, encoding a frame whenever the chunk capacity fills;
+/// [`ChunkedWriter::finish`] flushes the partial tail chunk and writes
+/// footer + trailer. Memory held is one chunk, independent of trace
+/// length.
 pub struct ChunkedWriter<W: Write> {
     w: W,
     chunk_cap: u32,
-    pending: TraceSoA,
+    pending: StoredColumns,
+    /// The frame being encoded (header, then payload); reused per chunk.
+    frame: Vec<u8>,
     entries: Vec<ChunkEntry>,
     offset: u64,
     total: u64,
@@ -226,7 +270,8 @@ impl<W: Write> ChunkedWriter<W> {
         Ok(ChunkedWriter {
             w,
             chunk_cap,
-            pending: TraceSoA::new(),
+            pending: StoredColumns::default(),
+            frame: Vec::new(),
             entries: Vec::new(),
             offset: HEADER_BYTES,
             total: 0,
@@ -243,6 +288,34 @@ impl<W: Write> ChunkedWriter<W> {
         self.pending.push(inst);
         if self.pending.len() == self.chunk_cap as usize {
             self.flush_chunk()?;
+        }
+        Ok(())
+    }
+
+    /// Appends instructions `range` of `soa`, copying their columns
+    /// rather than converting one instruction at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds for `soa`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceFileError::Io`] on write failure.
+    pub fn push_range(
+        &mut self,
+        soa: &TraceSoA,
+        range: Range<usize>,
+    ) -> Result<(), TraceFileError> {
+        let mut start = range.start;
+        while start < range.end {
+            let room = self.chunk_cap as usize - self.pending.len();
+            let end = range.end.min(start + room);
+            self.pending.extend_range(soa.stored(), start..end);
+            start = end;
+            if self.pending.len() == self.chunk_cap as usize {
+                self.flush_chunk()?;
+            }
         }
         Ok(())
     }
@@ -265,36 +338,27 @@ impl<W: Write> ChunkedWriter<W> {
     }
 
     fn flush_chunk(&mut self) -> Result<(), TraceFileError> {
-        if self.pending.is_empty() {
+        let n = self.pending.len() as u32;
+        if n == 0 {
             return Ok(());
         }
-        let soa = &self.pending;
-        let mut payload = Vec::with_capacity(soa.len() * 16);
-        put_delta(&mut payload, soa.pc());
-        payload.extend_from_slice(soa.class());
-        payload.extend_from_slice(soa.flags_raw());
-        for s in soa.srcs_raw() {
-            payload.extend_from_slice(s);
-        }
-        payload.extend_from_slice(soa.dst_raw());
-        put_delta(&mut payload, soa.addr());
-        payload.extend_from_slice(soa.asize());
-        put_delta(&mut payload, soa.btarget());
-        put_delta(&mut payload, soa.value());
-
-        let n = soa.len() as u32;
-        self.w.write_all(&CHUNK_MAGIC)?;
-        self.w.write_all(&n.to_le_bytes())?;
-        self.w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.w.write_all(&fnv1a64(&payload).to_le_bytes())?;
-        self.w.write_all(&payload)?;
+        let head = FRAME_HEADER_BYTES as usize;
+        self.frame.clear();
+        self.frame.resize(head, 0);
+        let checksum = encode(&self.pending, &mut self.frame);
+        let payload_len = (self.frame.len() - head) as u32;
+        self.frame[0..4].copy_from_slice(&CHUNK_MAGIC);
+        self.frame[4..8].copy_from_slice(&n.to_le_bytes());
+        self.frame[8..12].copy_from_slice(&payload_len.to_le_bytes());
+        self.frame[12..20].copy_from_slice(&checksum.to_le_bytes());
+        self.w.write_all(&self.frame)?;
         self.entries.push(ChunkEntry {
             offset: self.offset,
             n_insts: n,
         });
-        self.offset += FRAME_HEADER_BYTES + payload.len() as u64;
+        self.offset += self.frame.len() as u64;
         self.total += n as u64;
-        self.pending = TraceSoA::new();
+        self.pending.truncate(0);
         Ok(())
     }
 
@@ -348,7 +412,8 @@ impl<F: Read + Write + Seek> ChunkedWriter<F> {
         Ok(ChunkedWriter {
             w: f,
             chunk_cap: index.chunk_cap,
-            pending: TraceSoA::new(),
+            pending: StoredColumns::default(),
+            frame: Vec::new(),
             entries: index.chunks,
             offset: footer_offset,
             total: index.total_insts,
@@ -482,10 +547,7 @@ impl<R: Read> ChunkedTrace<R> {
             )));
         }
         self.flip.apply(&mut payload);
-        if fnv1a64(&payload) != checksum {
-            return Err(corrupt("chunk checksum mismatch"));
-        }
-        let soa = decode_chunk(&payload, n_insts as usize, chunk)?;
+        let soa = decode_chunk(&payload, n_insts as usize, checksum, chunk)?;
         self.seen.push(ChunkEntry {
             offset: frame_off,
             n_insts,
@@ -552,137 +614,195 @@ impl<R: Read> ChunkedTrace<R> {
     }
 }
 
-/// Decodes one chunk payload into columns, re-validating every record.
-fn decode_chunk(payload: &[u8], n: usize, chunk: u64) -> Result<TraceSoA, TraceFileError> {
-    struct Cur<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-    impl<'a> Cur<'a> {
-        fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-            let end = self.pos.checked_add(n)?;
-            if end > self.buf.len() {
-                return None;
-            }
-            let s = &self.buf[self.pos..end];
-            self.pos = end;
-            Some(s)
-        }
+/// A frame payload being decoded: walks the columns in file order,
+/// folding every byte it consumes into the running checksum.
+struct Payload<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    sum: Fnv,
+}
 
-        fn varint(&mut self) -> Result<u64, &'static str> {
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let b = *self.buf.get(self.pos).ok_or("truncated varint")?;
-                self.pos += 1;
-                if shift == 63 && b > 1 {
-                    return Err("varint overflows u64");
-                }
-                v |= ((b & 0x7f) as u64) << shift;
-                if b & 0x80 == 0 {
-                    return Ok(v);
-                }
-                shift += 7;
-                if shift > 63 {
-                    return Err("varint too long");
-                }
-            }
-        }
+impl<'a> Payload<'a> {
+    #[inline(always)]
+    fn byte(&mut self) -> Option<u8> {
+        let b = *self.buf.get(self.pos)?;
+        self.pos += 1;
+        self.sum.byte(b);
+        Some(b)
     }
 
-    let corrupt = |what, record| TraceFileError::CorruptChunk {
-        what,
-        chunk,
-        record,
-    };
-    let mut cur = Cur {
-        buf: payload,
-        pos: 0,
-    };
-    let delta_col = |cur: &mut Cur| -> Result<Vec<u64>, TraceFileError> {
+    /// One LEB128 varint of at most ten bytes.
+    #[inline]
+    fn varint(&mut self) -> Result<u64, &'static str> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        while shift < 63 {
+            let b = self.byte().ok_or("truncated varint")?;
+            v |= ((b & 0x7f) as u64) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+        // The tenth byte carries bit 63 alone.
+        match self.byte().ok_or("truncated varint")? {
+            b @ 0..=1 => Ok(v | (b as u64) << 63),
+            _ => Err("varint overflows u64"),
+        }
+    }
+
+    /// A Δvarint column of `n` values; errors carry the record index.
+    fn deltas(&mut self, n: usize) -> Result<Vec<u64>, (&'static str, usize)> {
         let mut out = Vec::with_capacity(n);
         let mut prev = 0u64;
-        for _ in 0..n {
-            let z = cur
-                .varint()
-                .map_err(|what| corrupt(what, out.len() as u64))?;
+        for i in 0..n {
+            let z = self.varint().map_err(|what| (what, i))?;
             prev = prev.wrapping_add(unzigzag(z) as u64);
             out.push(prev);
         }
         Ok(out)
-    };
-    let truncated = |cur: &Cur, width: usize| {
-        corrupt(
-            "truncated chunk payload",
-            ((payload.len() - cur.pos) / width) as u64,
-        )
-    };
-
-    let pc = delta_col(&mut cur)?;
-    let class = cur.bytes(n).ok_or_else(|| truncated(&cur, 1))?;
-    let flags = cur.bytes(n).ok_or_else(|| truncated(&cur, 1))?;
-    let srcs = cur.bytes(3 * n).ok_or_else(|| truncated(&cur, 3))?;
-    let dst = cur.bytes(n).ok_or_else(|| truncated(&cur, 1))?;
-    let addr = delta_col(&mut cur)?;
-    let asize = cur.bytes(n).ok_or_else(|| truncated(&cur, 1))?;
-    let btarget = delta_col(&mut cur)?;
-    let value = delta_col(&mut cur)?;
-    if cur.pos != payload.len() {
-        return Err(corrupt("trailing bytes in chunk payload", n as u64));
     }
 
-    let reg = |b: u8, i: usize| -> Result<Option<Reg>, TraceFileError> {
-        if b == crate::REG_NONE {
-            Ok(None)
-        } else if (b as usize) < Reg::COUNT {
-            Ok(Some(Reg::int(b)))
+    /// A raw column of `n` records `width` bytes wide; errors carry the
+    /// number of whole records present.
+    fn bytes(&mut self, n: usize, width: usize) -> Result<&'a [u8], (&'static str, usize)> {
+        let rest = &self.buf[self.pos..];
+        let col = rest
+            .get(..n * width)
+            .ok_or(("truncated chunk payload", rest.len() / width))?;
+        self.pos += col.len();
+        self.sum.bytes(col);
+        Ok(col)
+    }
+
+    /// Every column of a payload holding `n` records.
+    fn columns(&mut self, n: usize) -> Result<StoredColumns, (&'static str, usize)> {
+        let pc = self.deltas(n)?;
+        let class = self.bytes(n, 1)?;
+        let flags = self.bytes(n, 1)?;
+        let srcs = self.bytes(n, 3)?;
+        let dst = self.bytes(n, 1)?;
+        let addr = self.deltas(n)?;
+        let asize = self.bytes(n, 1)?;
+        let btarget = self.deltas(n)?;
+        let value = self.deltas(n)?;
+        if self.pos != self.buf.len() {
+            return Err(("trailing bytes in chunk payload", n));
+        }
+        Ok(StoredColumns {
+            pc,
+            class: class.to_vec(),
+            flags: flags.to_vec(),
+            srcs: srcs.chunks_exact(3).map(|s| [s[0], s[1], s[2]]).collect(),
+            dst: dst.to_vec(),
+            addr,
+            asize: asize.to_vec(),
+            btarget,
+            value,
+        })
+    }
+}
+
+const FLAGS_VALID: u8 = FLAG_HAS_MEM | FLAG_HAS_BRANCH | FLAG_TAKEN | (3 << FLAG_BKIND_SHIFT);
+const FLAGS_BRANCH_ONLY: u8 = FLAG_TAKEN | (3 << FLAG_BKIND_SHIFT);
+
+// The record checks: decoded columns must be ones `StoredColumns::push`
+// could have made.
+fn bad_class(class: u8) -> bool {
+    class as usize >= CLASS_COUNT
+}
+
+fn bad_flag_bits(flags: u8) -> bool {
+    flags & !FLAGS_VALID != 0
+}
+
+fn stray_branch_flags(flags: u8) -> bool {
+    flags & FLAG_HAS_BRANCH == 0 && flags & FLAGS_BRANCH_ONLY != 0
+}
+
+fn stray_mem_fields(flags: u8, addr: u64, asize: u8) -> bool {
+    flags & FLAG_HAS_MEM == 0 && (addr != 0 || asize != 0)
+}
+
+fn stray_branch_target(flags: u8, btarget: u64) -> bool {
+    flags & FLAG_HAS_BRANCH == 0 && btarget != 0
+}
+
+fn bad_reg(reg: u8) -> bool {
+    reg != REG_NONE && reg as usize >= Reg::COUNT
+}
+
+/// The first record failing a check, with what failed. A column-wise
+/// pass clears valid chunks (each fold vectorizes); only a chunk it
+/// flags is walked record by record, checks in the order reported.
+fn first_invalid(c: &StoredColumns) -> Option<(&'static str, usize)> {
+    let any = |col: &[u8], bad: fn(u8) -> bool| col.iter().fold(false, |acc, &x| acc | bad(x));
+    let flagged = any(&c.class, bad_class)
+        | any(&c.flags, |f| bad_flag_bits(f) | stray_branch_flags(f))
+        | any(c.srcs.as_flattened(), bad_reg)
+        | any(&c.dst, bad_reg)
+        | (c.flags.iter().zip(&c.addr).zip(&c.asize))
+            .fold(false, |acc, ((&f, &a), &s)| acc | stray_mem_fields(f, a, s))
+        | (c.flags.iter().zip(&c.btarget))
+            .fold(false, |acc, (&f, &t)| acc | stray_branch_target(f, t));
+    if !flagged {
+        return None;
+    }
+    (0..c.len()).find_map(|i| {
+        let f = c.flags[i];
+        let [s0, s1, s2] = c.srcs[i];
+        let what = if bad_class(c.class[i]) {
+            "unknown instruction class"
+        } else if bad_flag_bits(f) {
+            "invalid flag bits"
+        } else if stray_branch_flags(f) {
+            "branch flags without branch info"
+        } else if stray_mem_fields(f, c.addr[i], c.asize[i]) {
+            "memory fields without access"
+        } else if stray_branch_target(f, c.btarget[i]) {
+            "branch target without branch info"
+        } else if [s0, s1, s2, c.dst[i]].into_iter().any(bad_reg) {
+            "register index out of range"
         } else {
-            Err(corrupt("register index out of range", i as u64))
-        }
-    };
-    let mut soa = TraceSoA::with_capacity(n);
-    for i in 0..n {
-        if class[i] as usize >= CLASS_COUNT {
-            return Err(corrupt("unknown instruction class", i as u64));
-        }
-        let f = flags[i];
-        if f & !(FLAG_HAS_MEM | FLAG_HAS_BRANCH | FLAG_TAKEN | (3 << FLAG_BKIND_SHIFT)) != 0 {
-            return Err(corrupt("invalid flag bits", i as u64));
-        }
-        let has_mem = f & FLAG_HAS_MEM != 0;
-        let has_branch = f & FLAG_HAS_BRANCH != 0;
-        if !has_branch && f & (FLAG_TAKEN | (3 << FLAG_BKIND_SHIFT)) != 0 {
-            return Err(corrupt("branch flags without branch info", i as u64));
-        }
-        if !has_mem && (addr[i] != 0 || asize[i] != 0) {
-            return Err(corrupt("memory fields without access", i as u64));
-        }
-        if !has_branch && btarget[i] != 0 {
-            return Err(corrupt("branch target without branch info", i as u64));
-        }
-        let inst = Inst {
-            pc: pc[i],
-            kind: crate::kind_of(class[i]),
-            srcs: [
-                reg(srcs[3 * i], i)?,
-                reg(srcs[3 * i + 1], i)?,
-                reg(srcs[3 * i + 2], i)?,
-            ],
-            dst: reg(dst[i], i)?,
-            mem: has_mem.then(|| MemAccess {
-                addr: addr[i],
-                size: asize[i],
-            }),
-            branch: has_branch.then(|| BranchInfo {
-                kind: bkind_of(f >> FLAG_BKIND_SHIFT),
-                taken: f & FLAG_TAKEN != 0,
-                target: btarget[i],
-            }),
-            value: value[i],
+            return None;
         };
-        soa.push(&inst);
+        Some((what, i))
+    })
+}
+
+/// Decodes one chunk payload straight into columns, checking it against
+/// `checksum` in the same pass. Reports, in this order: a checksum
+/// mismatch, the first malformed column, the first record failing a
+/// check ([`first_invalid`]).
+fn decode_chunk(
+    payload: &[u8],
+    n: usize,
+    checksum: u64,
+    chunk: u64,
+) -> Result<TraceSoA, TraceFileError> {
+    let corrupt = |(what, record): (&'static str, usize)| TraceFileError::CorruptChunk {
+        what,
+        chunk,
+        record: record as u64,
+    };
+    let mut p = Payload {
+        buf: payload,
+        pos: 0,
+        sum: Fnv::new(),
+    };
+    let columns = p.columns(n);
+    // A malformed column stops the walk early: hash the rest apart.
+    if columns.is_err() {
+        p.sum.bytes(&payload[p.pos..]);
     }
-    Ok(soa)
+    if p.sum.0 != checksum {
+        return Err(corrupt(("chunk checksum mismatch", 0)));
+    }
+    let columns = columns.map_err(corrupt)?;
+    match first_invalid(&columns) {
+        Some(bad) => Err(corrupt(bad)),
+        None => Ok(TraceSoA::from_stored(columns)),
+    }
 }
 
 /// Reads the footer index of a seekable v2 stream without decoding any
@@ -804,10 +924,7 @@ pub fn read_chunk_at<R: Read + Seek>(
     }
     let mut payload = vec![0u8; payload_len as usize];
     r.read_exact(&mut payload)?;
-    if fnv1a64(&payload) != checksum {
-        return Err(corrupt("chunk checksum mismatch"));
-    }
-    decode_chunk(&payload, n_insts as usize, k as u64)
+    decode_chunk(&payload, n_insts as usize, checksum, k as u64)
 }
 
 /// Decodes a whole v2 stream into one materialized [`TraceSoA`]
@@ -868,6 +985,25 @@ mod tests {
                 assert_eq!(soa.get(i), *inst, "cap {cap}, instruction {i}");
             }
         }
+    }
+
+    #[test]
+    fn push_range_writes_the_same_bytes_as_push() {
+        let insts = sample(50);
+        let soa = TraceSoA::from_insts(&insts);
+        let (want, _) = written(&insts, 8);
+        let mut got = Vec::new();
+        let mut w = ChunkedWriter::new(&mut got, 8).unwrap();
+        w.push(&insts[0]).unwrap();
+        w.push_range(&soa, 1..20).unwrap();
+        w.push_range(&soa, 20..20).unwrap();
+        for i in &insts[20..23] {
+            w.push(i).unwrap();
+        }
+        w.push_range(&soa, 23..50).unwrap();
+        assert_eq!(w.total_insts(), 50);
+        w.finish().unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1021,12 +1157,233 @@ mod tests {
         ));
     }
 
+    /// FNV-1a-64 over `bytes`, computed here independently of the codec.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A deterministic stream touching every stored field's corners:
+    /// every class, every branch kind taken and not taken, zero and
+    /// absent registers, branch info on a non-branch, backward and
+    /// wrapping deltas, and `u64::MAX` in every 64-bit column.
+    fn pinned_stream() -> Vec<Inst> {
+        let r = Reg::int;
+        let b = InstBuilder::new;
+        vec![
+            Inst::alu(0x1000, &[r(1), r(2), r(3)], r(4)),
+            Inst::load(0x1004, r(4), -8, r(5), 0x8000).with_value(0xdead_beef),
+            Inst::store(0x1008, r(5), 16, Reg::ZERO, 0x7ff0),
+            Inst::prefetch(0x100c, r(6), 0x1_0000),
+            Inst::cond_branch(0x1010, r(5), true, 0x0ff0),
+            Inst::cond_branch(0x1014, r(5), false, 0x2000),
+            Inst::call(0x1018, 0x4000),
+            b(0x4000, OpKind::Branch(BranchKind::Call))
+                .branch(BranchKind::Call, false, 0x4004)
+                .build(),
+            Inst::ret(0x4004, 0x101c),
+            b(0x101c, OpKind::Branch(BranchKind::Return))
+                .branch(BranchKind::Return, false, 0x1020)
+                .build(),
+            Inst::indirect(0x1020, r(63), 0x5000),
+            b(0x5000, OpKind::Branch(BranchKind::Indirect))
+                .src(r(62))
+                .branch(BranchKind::Indirect, false, 0x5004)
+                .build(),
+            Inst::membar(0x5004),
+            Inst::casa(0x5008, r(1), r(2), r(3), r(4), 0xb000).with_value(u64::MAX),
+            Inst::nop(0x500c),
+            Inst::alu(0x5010, &[Reg::ZERO, r(9)], Reg::ZERO),
+            b(0x5014, OpKind::Alu).build(),
+            b(0x5018, OpKind::Alu)
+                .branch(BranchKind::Call, true, 0x6000)
+                .build(),
+            b(u64::MAX, OpKind::Load)
+                .src(r(1))
+                .dst(r(2))
+                .mem(u64::MAX, 1)
+                .value(u64::MAX)
+                .build(),
+            b(0, OpKind::Branch(BranchKind::Indirect))
+                .src(r(7))
+                .branch(BranchKind::Indirect, true, u64::MAX)
+                .build(),
+            Inst::load(0x10, r(1), 0, r(2), 0).with_value(1),
+            b(0x14, OpKind::Atomic)
+                .src(Reg::ZERO)
+                .src(r(33))
+                .src(r(0))
+                .mem(0x40, 64)
+                .build(),
+        ]
+    }
+
+    /// Length and whole-file FNV-1a-64 of `pinned_stream()` written with
+    /// a chunk cap of 7, as the v2 format has always encoded it.
+    const PINNED_LEN: usize = 454;
+    const PINNED_FNV: u64 = 0xda96_3ec0_8bfd_32ca;
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let insts = pinned_stream();
+        let (buf, index) = written(&insts, 7);
+        assert_eq!(index.chunks.len(), 4, "7 + 7 + 7 + 1");
+        assert_eq!(index.chunks[3].n_insts, 1);
+        assert_eq!(
+            (buf.len(), fnv(&buf)),
+            (PINNED_LEN, PINNED_FNV),
+            "the v2 encoding drifted: files written by earlier builds would no longer adopt"
+        );
+        let soa = read_all(buf.as_slice()).unwrap();
+        assert_eq!(soa.len(), insts.len());
+        for (i, inst) in insts.iter().enumerate() {
+            assert_eq!(soa.get(i), *inst, "instruction {i}");
+        }
+    }
+
+    /// Offset just past `n` varints starting at `at`.
+    fn skip_varints(payload: &[u8], mut at: usize, n: usize) -> usize {
+        for _ in 0..n {
+            while payload[at] & 0x80 != 0 {
+                at += 1;
+            }
+            at += 1;
+        }
+        at
+    }
+
+    /// Offsets of the stored columns in a payload of `n` records, in
+    /// payload order: pc, class, flags, srcs, dst, addr, asize, btarget,
+    /// value.
+    fn column_offsets(payload: &[u8], n: usize) -> [usize; 9] {
+        let class = skip_varints(payload, 0, n);
+        let flags = class + n;
+        let srcs = flags + n;
+        let dst = srcs + 3 * n;
+        let addr = dst + n;
+        let asize = skip_varints(payload, addr, n);
+        let btarget = asize + n;
+        let value = skip_varints(payload, btarget, n);
+        [0, class, flags, srcs, dst, addr, asize, btarget, value]
+    }
+
+    /// `insts` written as one chunk whose payload `edit` then rewrote;
+    /// the frame's length is updated and, when `reseal`, its checksum
+    /// recomputed. The footer is dropped: only the frame is read.
+    fn edited(insts: &[Inst], reseal: bool, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let (buf, _) = written(insts, insts.len() as u32);
+        let start = (HEADER_BYTES + FRAME_HEADER_BYTES) as usize;
+        let len = u32::from_le_bytes(buf[start - 12..start - 8].try_into().unwrap()) as usize;
+        let mut payload = buf[start..start + len].to_vec();
+        let sum = fnv(&payload);
+        edit(&mut payload);
+        let mut out = buf[..start - 12].to_vec();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let sum = if reseal { fnv(&payload) } else { sum };
+        out.extend_from_slice(&sum.to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// The error both readers report for the single frame of `stream`,
+    /// as `(what, record)`; the two must agree.
+    fn frame_error(stream: &[u8], n: usize) -> (&'static str, u64) {
+        let streamed = ChunkedTrace::new(stream).unwrap().next_chunk();
+        let index = ChunkIndex {
+            chunk_cap: n as u32,
+            total_insts: n as u64,
+            chunks: vec![ChunkEntry {
+                offset: HEADER_BYTES,
+                n_insts: n as u32,
+            }],
+        };
+        let seeked = read_chunk_at(&mut std::io::Cursor::new(stream), &index, 0);
+        match (streamed, seeked) {
+            (
+                Err(TraceFileError::CorruptChunk {
+                    what,
+                    chunk: 0,
+                    record,
+                }),
+                Err(TraceFileError::CorruptChunk {
+                    what: what2,
+                    chunk: 0,
+                    record: record2,
+                }),
+            ) => {
+                assert_eq!((what, record), (what2, record2), "readers disagree");
+                (what, record)
+            }
+            other => panic!("expected chunk 0 corruption from both readers, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checksum_mismatch_is_reported_before_decode_errors() {
+        let insts = sample(12);
+        // The last payload byte ends the value column's last varint;
+        // a continuation bit there leaves that varint truncated.
+        let stream = edited(&insts, false, |p| *p.last_mut().unwrap() = 0x80);
+        assert_eq!(frame_error(&stream, 12), ("chunk checksum mismatch", 0));
+        // Resealed, the same payload reports the decode error itself.
+        let stream = edited(&insts, true, |p| *p.last_mut().unwrap() = 0x80);
+        assert_eq!(frame_error(&stream, 12), ("truncated varint", 11));
+    }
+
+    #[test]
+    fn resealed_frames_report_the_first_bad_record() {
+        let insts = sample(12);
+        let n = insts.len();
+        let stream = edited(&insts, true, |p| {
+            let srcs = column_offsets(p, n)[3];
+            p[srcs + 3 * 5] = 70;
+        });
+        assert_eq!(frame_error(&stream, n), ("register index out of range", 5));
+
+        // Record 1 is an ALU op: no access, so a size is corruption.
+        let stream = edited(&insts, true, |p| {
+            let asize = column_offsets(p, n)[6];
+            p[asize + 1] = 8;
+        });
+        assert_eq!(frame_error(&stream, n), ("memory fields without access", 1));
+
+        let stream = edited(&insts, true, |p| {
+            let class = column_offsets(p, n)[1];
+            p[class + 9] = 11;
+        });
+        assert_eq!(frame_error(&stream, n), ("unknown instruction class", 9));
+
+        // Several records' corruption: the lowest record wins, whatever
+        // the column.
+        let stream = edited(&insts, true, |p| {
+            let cols = column_offsets(p, n);
+            p[cols[1] + 9] = 11;
+            p[cols[4] + 7] = 200;
+        });
+        assert_eq!(frame_error(&stream, n), ("register index out of range", 7));
+    }
+
+    #[test]
+    fn truncated_last_varint_column_reports_first_missing_record() {
+        // Values needing several varint bytes each leave the payload
+        // long enough to stay plausible once its tail is cut.
+        let insts: Vec<Inst> = (0..8u64)
+            .map(|i| Inst::nop(0x100 + 4 * i).with_value(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+            .collect();
+        let n = insts.len();
+        let stream = edited(&insts, true, |p| {
+            let value = column_offsets(p, n)[8];
+            // Keep records 0..5 whole and the first byte of record 5.
+            let keep = skip_varints(p, value, 5) + 1;
+            p.truncate(keep);
+        });
+        assert_eq!(frame_error(&stream, n), ("truncated varint", 5));
+    }
+
     #[test]
     fn varint_extremes_round_trip() {
-        let mut buf = Vec::new();
         for v in [0u64, 1, 127, 128, u64::MAX, u64::MAX - 1, 1 << 63] {
-            buf.clear();
-            put_varint(&mut buf, v);
             let mut soa_insts = vec![Inst::nop(v)];
             soa_insts[0].value = v;
             let (bytes, _) = written(&soa_insts, 1);

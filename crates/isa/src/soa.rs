@@ -27,6 +27,7 @@
 //! (property-tested in `tests/soa_prop.rs`).
 
 use crate::{BranchInfo, BranchKind, Inst, MemAccess, OpKind, Reg, TraceSource};
+use std::ops::Range;
 
 /// Number of distinct instruction class codes (one per [`OpKind`]
 /// variant, with each branch flavour its own code).
@@ -151,13 +152,13 @@ pub const DEP_WRITE_NONE: u8 = Reg::COUNT as u8 + 1; // 65
 pub const AVAIL_SLOTS: usize = Reg::COUNT + 2;
 
 // `flags` column bits. `pub(crate)` so the chunked trace format can
-// serialize the column raw and validate it on decode.
+// validate the raw column on decode.
 pub(crate) const FLAG_HAS_MEM: u8 = 1 << 0;
 pub(crate) const FLAG_HAS_BRANCH: u8 = 1 << 1;
 pub(crate) const FLAG_TAKEN: u8 = 1 << 2;
 pub(crate) const FLAG_BKIND_SHIFT: u32 = 3; // bits 3-4: BranchKind code
 
-pub(crate) const fn bkind_code(kind: BranchKind) -> u8 {
+const fn bkind_code(kind: BranchKind) -> u8 {
     match kind {
         BranchKind::Conditional => 0,
         BranchKind::Call => 1,
@@ -166,7 +167,7 @@ pub(crate) const fn bkind_code(kind: BranchKind) -> u8 {
     }
 }
 
-pub(crate) const fn bkind_of(code: u8) -> BranchKind {
+const fn bkind_of(code: u8) -> BranchKind {
     match code & 3 {
         0 => BranchKind::Conditional,
         1 => BranchKind::Call,
@@ -175,91 +176,33 @@ pub(crate) const fn bkind_of(code: u8) -> BranchKind {
     }
 }
 
-/// A structure-of-arrays trace: one column per [`Inst`] field, plus
-/// derived dependence columns and the sparse off-chip-candidate index.
-///
-/// Push-only: columns and the candidate index grow in lockstep and
-/// existing entries are never mutated, so a `TraceSoA` prefix is stable
-/// under growth (the invariant `TraceStore` relies on for shared
-/// materialization).
-///
-/// # Examples
-///
-/// ```
-/// use mlp_isa::{Inst, Reg, TraceSoA};
-///
-/// let insts = [
-///     Inst::alu(0x100, &[Reg::int(1)], Reg::int(2)),
-///     Inst::load(0x104, Reg::int(2), 0, Reg::int(3), 0x8000),
-/// ];
-/// let soa = TraceSoA::from_insts(&insts);
-/// assert_eq!(soa.get(0), insts[0]);
-/// assert_eq!(soa.get(1), insts[1]);
-/// assert_eq!(soa.candidates(), &[1]); // only the load reads memory
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct TraceSoA {
-    pc: Vec<u64>,
-    class: Vec<u8>,
-    flags: Vec<u8>,
-    srcs: Vec<[u8; 3]>,
-    dst: Vec<u8>,
-    dep_srcs: Vec<[u8; 3]>,
-    dep_dst: Vec<u8>,
-    addr: Vec<u64>,
-    asize: Vec<u8>,
-    btarget: Vec<u64>,
-    value: Vec<u64>,
-    candidates: Vec<u32>,
+/// The stored columns of a run of instructions: one column per [`Inst`]
+/// field, exactly what the chunked trace format encodes (byte columns
+/// verbatim, 64-bit columns as varint deltas). [`TraceSoA`] is these
+/// plus the columns derived from them;
+/// [`ChunkedWriter`](crate::chunked::ChunkedWriter) buffers only these.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct StoredColumns {
+    pub(crate) pc: Vec<u64>,
+    pub(crate) class: Vec<u8>,
+    pub(crate) flags: Vec<u8>,
+    pub(crate) srcs: Vec<[u8; 3]>,
+    pub(crate) dst: Vec<u8>,
+    pub(crate) addr: Vec<u64>,
+    pub(crate) asize: Vec<u8>,
+    pub(crate) btarget: Vec<u64>,
+    pub(crate) value: Vec<u64>,
 }
 
-impl TraceSoA {
-    /// An empty trace.
-    pub fn new() -> TraceSoA {
-        TraceSoA::default()
+impl StoredColumns {
+    pub(crate) fn len(&self) -> usize {
+        self.pc.len()
     }
 
-    /// An empty trace with room for `n` instructions.
-    pub fn with_capacity(n: usize) -> TraceSoA {
-        TraceSoA {
-            pc: Vec::with_capacity(n),
-            class: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-            srcs: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            dep_srcs: Vec::with_capacity(n),
-            dep_dst: Vec::with_capacity(n),
-            addr: Vec::with_capacity(n),
-            asize: Vec::with_capacity(n),
-            btarget: Vec::with_capacity(n),
-            value: Vec::with_capacity(n),
-            candidates: Vec::new(),
-        }
-    }
-
-    /// Builds the columns from a slice of trace records.
-    pub fn from_insts(insts: &[Inst]) -> TraceSoA {
-        let mut soa = TraceSoA::with_capacity(insts.len());
-        soa.extend_from_slice(insts);
-        soa
-    }
-
-    /// Appends every instruction of `insts`.
-    pub fn extend_from_slice(&mut self, insts: &[Inst]) {
-        for i in insts {
-            self.push(i);
-        }
-    }
-
-    /// Appends one instruction, deriving its dependence columns and (if
-    /// it reads memory) its candidate-index entry.
-    pub fn push(&mut self, inst: &Inst) {
-        debug_assert!(self.pc.len() < u32::MAX as usize, "trace too long");
-        let idx = self.pc.len() as u32;
-        self.pc.push(inst.pc);
-        let class = class_of(inst.kind);
-        self.class.push(class);
-
+    /// Appends one instruction. This is the one `Inst` → column
+    /// conversion; everything else copies or derives columns.
+    #[inline]
+    pub(crate) fn push(&mut self, inst: &Inst) {
         let mut flags = 0u8;
         let (addr, asize) = match inst.mem {
             Some(m) => {
@@ -279,127 +222,290 @@ impl TraceSoA {
             }
             None => 0,
         };
+        let raw = |r: Option<Reg>| r.map_or(REG_NONE, |r| r.index() as u8);
+        self.pc.push(inst.pc);
+        self.class.push(class_of(inst.kind));
         self.flags.push(flags);
+        self.srcs.push(inst.srcs.map(raw));
+        self.dst.push(raw(inst.dst));
         self.addr.push(addr);
         self.asize.push(asize);
         self.btarget.push(btarget);
         self.value.push(inst.value);
+    }
 
-        let mut raw = [REG_NONE; 3];
-        let mut dep = [DEP_READ_NONE; 3];
-        let mut n = 0;
-        for (slot, src) in raw.iter_mut().zip(inst.srcs.iter()) {
-            if let Some(r) = src {
-                *slot = r.index() as u8;
-                if !r.is_zero() {
-                    dep[n] = r.index() as u8;
-                    n += 1;
-                }
-            }
+    /// Appends instructions `range` of `other`.
+    pub(crate) fn extend_range(&mut self, other: &StoredColumns, range: Range<usize>) {
+        self.pc.extend_from_slice(&other.pc[range.clone()]);
+        self.class.extend_from_slice(&other.class[range.clone()]);
+        self.flags.extend_from_slice(&other.flags[range.clone()]);
+        self.srcs.extend_from_slice(&other.srcs[range.clone()]);
+        self.dst.extend_from_slice(&other.dst[range.clone()]);
+        self.addr.extend_from_slice(&other.addr[range.clone()]);
+        self.asize.extend_from_slice(&other.asize[range.clone()]);
+        self.btarget
+            .extend_from_slice(&other.btarget[range.clone()]);
+        self.value.extend_from_slice(&other.value[range]);
+    }
+
+    /// Keeps the first `n` instructions.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        self.pc.truncate(n);
+        self.class.truncate(n);
+        self.flags.truncate(n);
+        self.srcs.truncate(n);
+        self.dst.truncate(n);
+        self.addr.truncate(n);
+        self.asize.truncate(n);
+        self.btarget.truncate(n);
+        self.value.truncate(n);
+    }
+
+    fn drain_prefix(&mut self, n: usize) {
+        self.pc.drain(..n);
+        self.class.drain(..n);
+        self.flags.drain(..n);
+        self.srcs.drain(..n);
+        self.dst.drain(..n);
+        self.addr.drain(..n);
+        self.asize.drain(..n);
+        self.btarget.drain(..n);
+        self.value.drain(..n);
+    }
+}
+
+/// The dependence slots of a raw source triple: the real dependences
+/// (slots neither empty nor the zero register) first, then
+/// [`DEP_READ_NONE`] padding. Written as selects, not a compaction
+/// loop, so it compiles branch-free.
+#[inline]
+fn dep_srcs_of([r0, r1, r2]: [u8; 3]) -> [u8; 3] {
+    let real = |r: u8| r != REG_NONE && r != 0;
+    let (a, b) = (real(r0), real(r1));
+    let last = if real(r2) { r2 } else { DEP_READ_NONE };
+    [
+        if a {
+            r0
+        } else if b {
+            r1
+        } else {
+            last
+        },
+        match (a, b) {
+            (true, true) => r1,
+            (true, false) | (false, true) => last,
+            (false, false) => DEP_READ_NONE,
+        },
+        if a && b { last } else { DEP_READ_NONE },
+    ]
+}
+
+/// The dependence slot of a raw destination: [`DEP_WRITE_NONE`] for no
+/// register or the zero register.
+#[inline]
+fn dep_dst_of(raw: u8) -> u8 {
+    if raw == REG_NONE || raw == 0 {
+        DEP_WRITE_NONE
+    } else {
+        raw
+    }
+}
+
+/// Whether a class reads memory through an effective address, i.e. its
+/// instructions belong in the candidate index.
+#[inline]
+fn reads_mem(class: u8) -> bool {
+    CLASS_ATTRS[class as usize] & ATTR_READS_MEM != 0
+}
+
+/// A structure-of-arrays trace: one column per [`Inst`] field, plus
+/// derived dependence columns and the sparse off-chip-candidate index.
+///
+/// Columns and the candidate index grow in lockstep and existing
+/// entries are never mutated (only [`TraceSoA::truncate`] and
+/// [`TraceSoA::drain_prefix`] remove any), so a `TraceSoA` prefix is
+/// stable under growth (the invariant `TraceStore` relies on for shared
+/// materialization).
+///
+/// # Examples
+///
+/// ```
+/// use mlp_isa::{Inst, Reg, TraceSoA};
+///
+/// let insts = [
+///     Inst::alu(0x100, &[Reg::int(1)], Reg::int(2)),
+///     Inst::load(0x104, Reg::int(2), 0, Reg::int(3), 0x8000),
+/// ];
+/// let soa = TraceSoA::from_insts(&insts);
+/// assert_eq!(soa.get(0), insts[0]);
+/// assert_eq!(soa.get(1), insts[1]);
+/// assert_eq!(soa.candidates(), &[1]); // only the load reads memory
+/// ```
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct TraceSoA {
+    stored: StoredColumns,
+    dep_srcs: Vec<[u8; 3]>,
+    dep_dst: Vec<u8>,
+    candidates: Vec<u32>,
+}
+
+impl TraceSoA {
+    /// An empty trace.
+    pub fn new() -> TraceSoA {
+        TraceSoA::default()
+    }
+
+    /// An empty trace with room for `n` instructions.
+    pub fn with_capacity(n: usize) -> TraceSoA {
+        TraceSoA {
+            stored: StoredColumns {
+                pc: Vec::with_capacity(n),
+                class: Vec::with_capacity(n),
+                flags: Vec::with_capacity(n),
+                srcs: Vec::with_capacity(n),
+                dst: Vec::with_capacity(n),
+                addr: Vec::with_capacity(n),
+                asize: Vec::with_capacity(n),
+                btarget: Vec::with_capacity(n),
+                value: Vec::with_capacity(n),
+            },
+            dep_srcs: Vec::with_capacity(n),
+            dep_dst: Vec::with_capacity(n),
+            candidates: Vec::new(),
         }
-        self.srcs.push(raw);
-        self.dep_srcs.push(dep);
-        self.dst.push(match inst.dst {
-            Some(r) => r.index() as u8,
-            None => REG_NONE,
-        });
-        self.dep_dst.push(match inst.dst {
-            Some(r) if !r.is_zero() => r.index() as u8,
-            _ => DEP_WRITE_NONE,
-        });
+    }
 
-        if CLASS_ATTRS[class as usize] & ATTR_READS_MEM != 0 {
-            self.candidates.push(idx);
+    /// Builds the columns from a slice of trace records.
+    pub fn from_insts(insts: &[Inst]) -> TraceSoA {
+        let mut soa = TraceSoA::with_capacity(insts.len());
+        soa.extend_from_slice(insts);
+        soa
+    }
+
+    /// A trace over already-validated stored columns, deriving the rest
+    /// column by column through the same per-record functions as
+    /// [`TraceSoA::push`] (the chunked decoder's output path).
+    pub(crate) fn from_stored(stored: StoredColumns) -> TraceSoA {
+        let dep_srcs = stored.srcs.iter().map(|&r| dep_srcs_of(r)).collect();
+        let dep_dst = stored.dst.iter().map(|&r| dep_dst_of(r)).collect();
+        // Branch-free compaction: write every index, keep the readers'.
+        let mut candidates = vec![0u32; stored.len()];
+        let mut k = 0;
+        for (i, &class) in stored.class.iter().enumerate() {
+            candidates[k] = i as u32;
+            k += reads_mem(class) as usize;
+        }
+        candidates.truncate(k);
+        TraceSoA {
+            stored,
+            dep_srcs,
+            dep_dst,
+            candidates,
+        }
+    }
+
+    /// The stored columns (what the chunked trace format encodes).
+    pub(crate) fn stored(&self) -> &StoredColumns {
+        &self.stored
+    }
+
+    /// Appends every instruction of `insts`.
+    pub fn extend_from_slice(&mut self, insts: &[Inst]) {
+        for i in insts {
+            self.push(i);
+        }
+    }
+
+    /// Appends one instruction, deriving its dependence columns and (if
+    /// it reads memory) its candidate-index entry.
+    pub fn push(&mut self, inst: &Inst) {
+        debug_assert!(self.len() < u32::MAX as usize, "trace too long");
+        let idx = self.len();
+        self.stored.push(inst);
+        let s = &self.stored;
+        self.dep_srcs.push(dep_srcs_of(s.srcs[idx]));
+        self.dep_dst.push(dep_dst_of(s.dst[idx]));
+        if reads_mem(s.class[idx]) {
+            self.candidates.push(idx as u32);
         }
     }
 
     /// Number of instructions.
     pub fn len(&self) -> usize {
-        self.pc.len()
+        self.stored.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.pc.is_empty()
+        self.stored.pc.is_empty()
     }
 
     /// Reconstructs instruction `i` exactly as it was pushed.
     pub fn get(&self, i: usize) -> Inst {
-        let flags = self.flags[i];
+        let s = &self.stored;
         Inst {
-            pc: self.pc[i],
-            kind: kind_of(self.class[i]),
-            srcs: self.srcs[i].map(|r| {
+            pc: s.pc[i],
+            kind: kind_of(s.class[i]),
+            srcs: s.srcs[i].map(|r| {
                 if r == REG_NONE {
                     None
                 } else {
                     Some(Reg::int(r))
                 }
             }),
-            dst: match self.dst[i] {
+            dst: match s.dst[i] {
                 REG_NONE => None,
                 r => Some(Reg::int(r)),
             },
-            mem: (flags & FLAG_HAS_MEM != 0).then(|| MemAccess {
-                addr: self.addr[i],
-                size: self.asize[i],
+            mem: self.has_mem(i).then(|| MemAccess {
+                addr: s.addr[i],
+                size: s.asize[i],
             }),
-            branch: (flags & FLAG_HAS_BRANCH != 0).then(|| BranchInfo {
-                kind: bkind_of(flags >> FLAG_BKIND_SHIFT),
-                taken: flags & FLAG_TAKEN != 0,
-                target: self.btarget[i],
-            }),
-            value: self.value[i],
+            branch: self.branch_info(i),
+            value: s.value[i],
         }
     }
 
     /// The branch outcome of instruction `i`, if it carries one.
     #[inline]
     pub fn branch_info(&self, i: usize) -> Option<BranchInfo> {
-        let flags = self.flags[i];
+        let flags = self.stored.flags[i];
         (flags & FLAG_HAS_BRANCH != 0).then(|| BranchInfo {
             kind: bkind_of(flags >> FLAG_BKIND_SHIFT),
             taken: flags & FLAG_TAKEN != 0,
-            target: self.btarget[i],
+            target: self.stored.btarget[i],
         })
     }
 
     /// Whether instruction `i` carries a data-memory access.
     #[inline]
     pub fn has_mem(&self, i: usize) -> bool {
-        self.flags[i] & FLAG_HAS_MEM != 0
+        self.stored.flags[i] & FLAG_HAS_MEM != 0
     }
 
     /// Program-counter column.
     #[inline]
     pub fn pc(&self) -> &[u64] {
-        &self.pc
-    }
-
-    /// Raw flags column (crate-internal: the chunked trace format
-    /// serializes it verbatim and validates it on decode).
-    #[inline]
-    pub(crate) fn flags_raw(&self) -> &[u8] {
-        &self.flags
+        &self.stored.pc
     }
 
     /// Class-code column (index [`CLASS_ATTRS`] with these).
     #[inline]
     pub fn class(&self) -> &[u8] {
-        &self.class
+        &self.stored.class
     }
 
     /// Raw source-register column (slot order preserved; [`REG_NONE`]
     /// marks empty slots).
     #[inline]
     pub fn srcs_raw(&self) -> &[[u8; 3]] {
-        &self.srcs
+        &self.stored.srcs
     }
 
     /// Raw destination-register column ([`REG_NONE`] = none).
     #[inline]
     pub fn dst_raw(&self) -> &[u8] {
-        &self.dst
+        &self.stored.dst
     }
 
     /// Dependence-filtered source columns: real dependences first, then
@@ -420,25 +526,25 @@ impl TraceSoA {
     /// check [`TraceSoA::has_mem`] or the class attributes).
     #[inline]
     pub fn addr(&self) -> &[u64] {
-        &self.addr
+        &self.stored.addr
     }
 
     /// Access-size column (0 when the instruction has no access).
     #[inline]
     pub fn asize(&self) -> &[u8] {
-        &self.asize
+        &self.stored.asize
     }
 
     /// Branch-target column (0 when the instruction has no branch info).
     #[inline]
     pub fn btarget(&self) -> &[u64] {
-        &self.btarget
+        &self.stored.btarget
     }
 
     /// Produced/loaded-value column.
     #[inline]
     pub fn value(&self) -> &[u64] {
-        &self.value
+        &self.stored.value
     }
 
     /// The sparse off-chip-candidate index: positions of every
@@ -453,20 +559,41 @@ impl TraceSoA {
     /// index. Equivalent to pushing `other.get(i)` for each `i`, but
     /// copies the columns directly.
     pub fn append_from(&mut self, other: &TraceSoA) {
-        let offset = self.pc.len() as u32;
-        self.pc.extend_from_slice(&other.pc);
-        self.class.extend_from_slice(&other.class);
-        self.flags.extend_from_slice(&other.flags);
-        self.srcs.extend_from_slice(&other.srcs);
-        self.dst.extend_from_slice(&other.dst);
-        self.dep_srcs.extend_from_slice(&other.dep_srcs);
-        self.dep_dst.extend_from_slice(&other.dep_dst);
-        self.addr.extend_from_slice(&other.addr);
-        self.asize.extend_from_slice(&other.asize);
-        self.btarget.extend_from_slice(&other.btarget);
-        self.value.extend_from_slice(&other.value);
-        self.candidates
-            .extend(other.candidates.iter().map(|&c| c + offset));
+        self.append_range(other, 0..other.len());
+    }
+
+    /// Appends instructions `range` of `other`, re-basing their
+    /// candidate-index entries. Equivalent to pushing `other.get(i)` for
+    /// each `i` in `range`, but copies the columns directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds for `other`.
+    pub fn append_range(&mut self, other: &TraceSoA, range: Range<usize>) {
+        let rebase = self.len() as u32;
+        self.stored.extend_range(&other.stored, range.clone());
+        self.dep_srcs
+            .extend_from_slice(&other.dep_srcs[range.clone()]);
+        self.dep_dst
+            .extend_from_slice(&other.dep_dst[range.clone()]);
+        let cands = &other.candidates;
+        let lo = cands.partition_point(|&c| (c as usize) < range.start);
+        let hi = cands.partition_point(|&c| (c as usize) < range.end);
+        self.candidates.extend(
+            cands[lo..hi]
+                .iter()
+                .map(|&c| c - range.start as u32 + rebase),
+        );
+    }
+
+    /// Keeps the first `n` instructions (and their candidate-index
+    /// entries); no-op if `n >= self.len()`.
+    pub fn truncate(&mut self, n: usize) {
+        self.stored.truncate(n);
+        self.dep_srcs.truncate(n);
+        self.dep_dst.truncate(n);
+        let keep = self.candidates.partition_point(|&c| (c as usize) < n);
+        self.candidates.truncate(keep);
     }
 
     /// Drops the first `n` instructions, shifting the rest (and the
@@ -478,21 +605,13 @@ impl TraceSoA {
     ///
     /// Panics if `n > self.len()`.
     pub fn drain_prefix(&mut self, n: usize) {
-        assert!(n <= self.pc.len(), "drain beyond trace length");
+        assert!(n <= self.len(), "drain beyond trace length");
         if n == 0 {
             return;
         }
-        self.pc.drain(..n);
-        self.class.drain(..n);
-        self.flags.drain(..n);
-        self.srcs.drain(..n);
-        self.dst.drain(..n);
+        self.stored.drain_prefix(n);
         self.dep_srcs.drain(..n);
         self.dep_dst.drain(..n);
-        self.addr.drain(..n);
-        self.asize.drain(..n);
-        self.btarget.drain(..n);
-        self.value.drain(..n);
         let keep = self.candidates.partition_point(|&c| (c as usize) < n);
         self.candidates.drain(..keep);
         for c in &mut self.candidates {
@@ -507,7 +626,7 @@ impl TraceSoA {
     pub fn approx_bytes(&self) -> u64 {
         // pc 8 + class 1 + flags 1 + srcs 3 + dst 1 + dep_srcs 3 +
         // dep_dst 1 + addr 8 + asize 1 + btarget 8 + value 8 = 43.
-        self.pc.len() as u64 * 43 + self.candidates.len() as u64 * 4
+        self.len() as u64 * 43 + self.candidates.len() as u64 * 4
     }
 }
 
@@ -820,6 +939,32 @@ mod tests {
     }
 
     #[test]
+    fn dep_slots_match_inst_dependences() {
+        // Every mix of real, zero and empty slots, in every position.
+        let vals = [7u8, 0, REG_NONE, 63];
+        for &r0 in &vals {
+            for &r1 in &vals {
+                for &r2 in &vals {
+                    let raw = [r0, r1, r2];
+                    let reg = |r: u8| (r != REG_NONE).then(|| Reg::int(r));
+                    let inst = Inst {
+                        srcs: raw.map(reg),
+                        dst: reg(r0),
+                        ..Inst::nop(0)
+                    };
+                    let mut want = [DEP_READ_NONE; 3];
+                    for (slot, r) in want.iter_mut().zip(inst.dep_srcs()) {
+                        *slot = r.index() as u8;
+                    }
+                    assert_eq!(dep_srcs_of(raw), want, "sources {raw:?}");
+                    let want_dst = inst.dep_dst().map_or(DEP_WRITE_NONE, |r| r.index() as u8);
+                    assert_eq!(dep_dst_of(r0), want_dst, "destination {r0}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn shared_source_caps_at_prefix() {
         let soa = TraceSoA::from_insts(&sample());
         let mut s = SharedSoaSource::new(&soa, 3);
@@ -851,6 +996,27 @@ mod tests {
         assert_eq!(soa.candidates(), naive.as_slice());
         soa.drain_prefix(soa.len());
         assert!(soa.is_empty() && soa.candidates().is_empty());
+    }
+
+    #[test]
+    fn append_range_and_truncate_match_pushes() {
+        let insts = sample();
+        let whole = TraceSoA::from_insts(&insts);
+        for start in 0..=insts.len() {
+            for end in start..=insts.len() {
+                let mut got = TraceSoA::from_insts(&insts[..2]);
+                got.append_range(&whole, start..end);
+                let mut want = TraceSoA::from_insts(&insts[..2]);
+                want.extend_from_slice(&insts[start..end]);
+                assert!(got == want, "range {start}..{end}");
+            }
+        }
+        for n in 0..=insts.len() + 1 {
+            let mut cut = whole.clone();
+            cut.truncate(n);
+            let n = n.min(insts.len());
+            assert!(cut == TraceSoA::from_insts(&insts[..n]), "truncate to {n}");
+        }
     }
 
     #[test]

@@ -66,8 +66,8 @@ fn write_v2(insts: &[Inst], chunk_cap: u32) -> Vec<u8> {
 proptest! {
     /// v2 round-trips losslessly at any chunk capacity, including caps
     /// that force many partial chunks. The decoded SoA must also agree
-    /// on the derived columns (it re-derives them through the same
-    /// `TraceSoA::push` path).
+    /// on the derived columns: the decoder derives them column by
+    /// column, and must match what `TraceSoA::push` derives.
     #[test]
     fn chunked_round_trips(
         insts in proptest::collection::vec(arb_inst(), 0..300),
@@ -81,6 +81,9 @@ proptest! {
         }
         let reference = TraceSoA::from_insts(&insts);
         prop_assert_eq!(soa.candidates(), reference.candidates());
+        prop_assert_eq!(soa.dep_srcs(), reference.dep_srcs());
+        prop_assert_eq!(soa.dep_dst(), reference.dep_dst());
+        prop_assert!(soa == reference, "decoded columns differ from pushed ones");
     }
 
     /// Chunk-at-a-time streaming sees exactly the written instructions in

@@ -205,9 +205,7 @@ impl Iterator for TraceChunks {
             Backing::Memory(soa) => {
                 let end = (self.pos + DEFAULT_CHUNK_INSTS as usize).min(self.len);
                 let mut chunk = TraceSoA::new();
-                for i in self.pos..end {
-                    chunk.push(&soa.get(i));
-                }
+                chunk.append_range(soa, self.pos..end);
                 chunk
             }
             Backing::Spilled(sp) => {
@@ -217,15 +215,8 @@ impl Iterator for TraceChunks {
                     .expect("pos < len <= total");
                 let mut chunk = sp.read_chunk(k);
                 debug_assert_eq!(start as usize, self.pos, "chunks are read whole");
-                if start as usize + chunk.len() > self.len {
-                    // Final chunk overhangs the window: clip it.
-                    let keep = self.len - start as usize;
-                    let mut clipped = TraceSoA::new();
-                    for i in 0..keep {
-                        clipped.push(&chunk.get(i));
-                    }
-                    chunk = clipped;
-                }
+                // A final chunk overhanging the window is clipped.
+                chunk.truncate(self.len - self.pos);
                 chunk
             }
         };
@@ -369,9 +360,7 @@ impl Entry {
         // under the adopted name.
         let tmp = path.with_extension("mlp2.tmp");
         let mut w = ChunkedWriter::new(File::create(&tmp)?, DEFAULT_CHUNK_INSTS)?;
-        for i in 0..self.buf.len() {
-            w.push(&self.buf.get(i))?;
-        }
+        w.push_range(&self.buf, 0..self.buf.len())?;
         let need = len - self.buf.len();
         for inst in self.generator.by_ref().take(need) {
             w.push(&inst)?;
@@ -909,6 +898,39 @@ mod tests {
             seen += chunk.len();
         }
         assert_eq!(seen, n);
+    }
+
+    #[test]
+    fn memory_and_spilled_tiers_yield_identical_chunks() {
+        let n = 2 * DEFAULT_CHUNK_INSTS as usize + 4_321;
+        let memory = TraceStore::new();
+        let mem = memory.trace(WorkloadKind::Database, 19, n);
+        assert!(!mem.is_spilled());
+        // A prefix materialized in memory first: the spill then writes it
+        // as columns before continuing the generator into the file.
+        let (store, _dir) = spilling_store("tiers");
+        store.set_cache_bytes(SPILL_EST_BYTES_PER_INST * 70_000);
+        assert!(!store.trace(WorkloadKind::Database, 19, 70_000).is_spilled());
+        assert!(store
+            .trace(WorkloadKind::Database, 19, n + 1_000)
+            .is_spilled());
+        // A shorter window over the same file clips its last chunk.
+        let disk = store.trace(WorkloadKind::Database, 19, n);
+        assert!(disk.is_spilled());
+        let (a, b): (Vec<TraceSoA>, Vec<TraceSoA>) =
+            (mem.chunks().collect(), disk.chunks().collect());
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.len(), b.len());
+        for (k, (a, b)) in a.iter().zip(&b).enumerate() {
+            assert!(a == b, "chunk {k} differs between tiers");
+        }
+        let whole = Workload::new(WorkloadKind::Database, 19)
+            .take(n)
+            .collect::<Vec<_>>();
+        assert!(a
+            .iter()
+            .flat_map(|c| (0..c.len()).map(|i| c.get(i)))
+            .eq(whole));
     }
 
     #[test]

@@ -44,6 +44,11 @@ cargo test -q -p mlp-json --test prop
 cargo test -q -p mlp-serve --test http_prop
 cargo test -q -p mlp-par --test prop
 
+echo "==> trace codec suites (release)"
+# The chunked codec's varint, delta and checksum arithmetic must also
+# hold with debug assertions and overflow checks compiled out.
+cargo test -q --release -p mlp-isa
+
 echo "==> model + observability property suites"
 # Algebraic laws of the §2.2 CPI model and conservation invariants of
 # the mlp-obs counters the engines flush.
@@ -76,6 +81,14 @@ MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments table5 --scale quick \
     --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
 ls "$stream_dir"/cache/*.mlp2 >/dev/null   # traces really went to disk
 diff "$stream_dir/mem/table5.quick.json" "$stream_dir/disk/table5.quick.json"
+# A v2 trace survives a round trip through v1 byte for byte, and a
+# spilled cache file reads back as an ordinary trace.
+target/release/mlp-trace gen database 200000 "$stream_dir/x.mlp2" >/dev/null
+target/release/mlp-trace convert "$stream_dir/x.mlp2" "$stream_dir/x.bin" >/dev/null
+target/release/mlp-trace convert "$stream_dir/x.bin" "$stream_dir/y.mlp2" >/dev/null
+cmp "$stream_dir/x.mlp2" "$stream_dir/y.mlp2"
+spilled=("$stream_dir"/cache/*.mlp2)
+target/release/mlp-trace stats "${spilled[0]}" >/dev/null
 
 echo "==> surrogate property + cross-validation suites"
 # Planted-coefficient recovery, ridge totality on hostile designs, and

@@ -13,8 +13,9 @@
 use mlp_experiments::report::Report;
 use mlp_experiments::RunScale;
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn experiments_bin() -> &'static str {
     env!("CARGO_BIN_EXE_mlp-experiments")
@@ -314,6 +315,40 @@ fn mlp_trace_error_paths() {
         .expect("spawn");
     assert_eq!(trailing.status.code(), Some(1));
     assert!(stderr_of(&trailing).contains("corrupt trace record 100"));
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A reader that closes early (`mlp-trace dump x | head -1`) ends the
+/// dump quietly with exit 0: no panic, no broken-pipe report.
+#[test]
+fn mlp_trace_dump_into_a_closed_pipe_exits_quietly() {
+    let dir = scratch("pipe");
+    let trace = dir.join("t.mlp2");
+    let trace_str = trace.to_str().unwrap();
+    let gen = Command::new(trace_bin())
+        .args(["gen", "db", "20000", trace_str])
+        .output()
+        .expect("spawn");
+    assert!(gen.status.success(), "stderr:\n{}", stderr_of(&gen));
+
+    // Far more lines than a pipe buffers, so the dump is still writing
+    // when the reader goes away.
+    let mut dump = Command::new(trace_bin())
+        .args(["dump", trace_str, "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut reader = BufReader::new(dump.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read the first line");
+    assert!(!line.is_empty(), "dump printed nothing");
+    drop(reader);
+    let out = dump.wait_with_output().expect("wait for dump");
+    let err = stderr_of(&out);
+    assert!(!err.contains("panicked"), "stderr:\n{err}");
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{err}");
 
     let _ = fs::remove_dir_all(&dir);
 }
