@@ -15,14 +15,21 @@
 //!    results in input order, so rendered output is byte-identical to a
 //!    serial run regardless of thread count (configure with the
 //!    `MLP_THREADS` environment variable).
+//! 3. **Shared annotation columns** — within one `sweep*` call, the
+//!    [`run_mlpsim`] runs over one trace and hierarchy share a single
+//!    program-order pass of the caches ([`mlpsim::Annotation`]) instead
+//!    of each making its own.
 
 use crate::RunScale;
 use mlp_cyclesim::smt::{SmtReport, SmtSim};
 use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig};
 use mlp_isa::{ChunkedSoaSource, SharedSoaSource};
+use mlp_mem::HierarchyConfig;
 use mlp_par::JobPanic;
 use mlp_workloads::{SharedTrace, TraceCursor, TraceStore, Workload, WorkloadKind};
-use mlpsim::{MlpsimConfig, Report, Simulator};
+use mlpsim::{Annotation, MlpsimConfig, Report, Simulator};
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The seed used by every experiment: results are fully deterministic.
 pub const SEED: u64 = 42;
@@ -34,8 +41,58 @@ static SWEEP_TIMER: mlp_obs::PhaseTimer = mlp_obs::PhaseTimer::new("runner.sweep
 thread_local! {
     /// The sweep point (job key, `Debug`-rendered) this worker thread is
     /// currently evaluating, if any.
-    static CURRENT_POINT: std::cell::RefCell<Option<String>> =
-        const { std::cell::RefCell::new(None) };
+    static CURRENT_POINT: RefCell<Option<String>> = const { RefCell::new(None) };
+
+    /// The annotation columns of the sweep call whose job this thread is
+    /// running, if any.
+    static SWEEP_COLUMNS: RefCell<Option<Arc<SweepColumns>>> = const { RefCell::new(None) };
+}
+
+/// What an annotation column depends on: the trace (every
+/// [`run_mlpsim`] replays `(kind, SEED)`, so its kind and length name
+/// it), the hierarchy and the instruction-fetch mode.
+#[derive(Clone, Copy, PartialEq)]
+struct ColumnKey {
+    kind: WorkloadKind,
+    len: usize,
+    hierarchy: HierarchyConfig,
+    perfect_ifetch: bool,
+}
+
+/// One key's column, built by the first run that needs it while later
+/// runs wait for it.
+type SharedColumn = Arc<OnceLock<Annotation>>;
+
+/// The annotation columns of one `sweep*` call, per key: `None` once
+/// the key's first run has gone live, then the column its second run
+/// builds and every later run reads. A key used once never pays for a
+/// column; the store is dropped when the sweep call returns.
+#[derive(Default)]
+struct SweepColumns(Mutex<Vec<(ColumnKey, Option<SharedColumn>)>>);
+
+impl SweepColumns {
+    /// The column a run of `key` reads, or `None` for the key's first
+    /// run, which makes its own pass.
+    fn claim(&self, key: ColumnKey) -> Option<SharedColumn> {
+        let mut slots = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        match slots.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, slot)) => Some(Arc::clone(slot.get_or_insert_with(Arc::default))),
+            None => {
+                slots.push((key, None));
+                None
+            }
+        }
+    }
+}
+
+/// Puts a thread's previous column store back when a job ends, even by
+/// panicking, so no store outlives its sweep call on a reused thread.
+struct ColumnScope(Option<Arc<SweepColumns>>);
+
+impl Drop for ColumnScope {
+    fn drop(&mut self) {
+        SWEEP_COLUMNS.set(self.0.take());
+    }
 }
 
 /// The sweep point the current thread is running, if any. Set around
@@ -51,17 +108,20 @@ fn point_context() -> String {
 }
 
 /// Wraps a sweep job with point attribution, the `runner.sweep_point`
-/// phase timer, and (when armed) one event line per point. Attribution
-/// is unconditional — panic messages must name their point even with
-/// `MLP_OBS` off — and costs one small allocation per job, noise next to
-/// the simulator run it labels.
+/// phase timer, (when armed) one event line per point, and the sweep
+/// call's annotation columns. Attribution is unconditional — panic
+/// messages must name their point even with `MLP_OBS` off — and costs
+/// one small allocation per job, noise next to the simulator run it
+/// labels.
 fn instrumented<T, R, F>(f: F) -> impl Fn(&T) -> R + Sync
 where
     T: std::fmt::Debug + Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    let columns = Arc::new(SweepColumns::default());
     move |job: &T| {
+        let _scope = ColumnScope(SWEEP_COLUMNS.replace(Some(Arc::clone(&columns))));
         CURRENT_POINT.with(|p| *p.borrow_mut() = Some(format!("{job:?}")));
         let timed = mlp_obs::counters_on() || mlp_obs::events_on();
         let t0 = timed.then(std::time::Instant::now);
@@ -156,6 +216,11 @@ pub fn shared_seeded(kind: WorkloadKind, seed: u64, insts: u64) -> SharedTrace {
 
 /// Runs the epoch model over `kind` at the given scale.
 ///
+/// Inside a `sweep*` call, a run over the in-memory trace reads the
+/// sweep's annotation column for its trace and hierarchy once an earlier
+/// run of the same key has gone live (see [`SweepColumns`]); the report
+/// is the same either way. A spilled trace always runs live.
+///
 /// # Panics
 ///
 /// Panics if the run drains its trace cursor before measuring
@@ -167,9 +232,25 @@ pub fn shared_seeded(kind: WorkloadKind, seed: u64, insts: u64) -> SharedTrace {
 /// in the `mlp-experiments` binary.
 pub fn run_mlpsim(kind: WorkloadKind, config: MlpsimConfig, scale: RunScale) -> Report {
     let shared = shared_seeded(kind, SEED, scale.warmup + scale.measure);
+    let key = ColumnKey {
+        kind,
+        len: shared.len(),
+        hierarchy: config.hierarchy,
+        perfect_ifetch: config.perfect_ifetch,
+    };
     let mut sim = Simulator::new(config);
     let report = if shared.is_spilled() {
         sim.run_chunks(shared.chunks(), scale.warmup, scale.measure)
+    } else if let Some(column) = SWEEP_COLUMNS.with_borrow(|c| c.as_ref()?.claim(key)) {
+        let column =
+            column.get_or_init(|| Annotation::new(sim.config(), shared.soa(), shared.len()));
+        sim.run_annotated(
+            shared.soa(),
+            shared.len(),
+            column,
+            scale.warmup,
+            scale.measure,
+        )
     } else {
         sim.run_shared(shared.soa(), shared.len(), scale.warmup, scale.measure)
     };
@@ -422,6 +503,67 @@ mod tests {
         let b = run_mlpsim(WorkloadKind::SpecWeb99, MlpsimConfig::default(), scale);
         assert_eq!(a.offchip, b.offchip);
         assert_eq!(a.epochs, b.epochs);
+    }
+
+    /// The columns of a sweep call are shared by its jobs, and dropped
+    /// when it returns: no column reaches the next sweep, experiment or
+    /// request. Four runs of one key: the first goes live, the second
+    /// builds the column, all four agree with a run outside any sweep.
+    #[test]
+    fn columns_live_for_one_sweep_call() {
+        let scale = RunScale {
+            warmup: 5_000,
+            measure: 20_000,
+            cycle_warmup: 0,
+            cycle_measure: 0,
+        };
+        let config = |iw: usize| MlpsimConfig::builder().coupled_window(iw).build();
+        let seen = sweep(vec![16usize, 32, 64, 128], |&iw| {
+            let report = run_mlpsim(WorkloadKind::Database, config(iw), scale);
+            let columns =
+                SWEEP_COLUMNS.with_borrow(|c| Arc::clone(c.as_ref().expect("in a sweep")));
+            let built: Vec<_> = columns
+                .0
+                .lock()
+                .unwrap()
+                .iter()
+                .flat_map(|(_, c)| c.as_ref().map(Arc::downgrade))
+                .collect();
+            (format!("{report:?}"), Arc::downgrade(&columns), built)
+        });
+        assert!(
+            seen.windows(2).all(|w| w[0].1.ptr_eq(&w[1].1)),
+            "one store per sweep call"
+        );
+        assert!(
+            seen[0].1.upgrade().is_none(),
+            "the sweep's column store outlived it"
+        );
+        let built: Vec<_> = seen.iter().flat_map(|s| &s.2).collect();
+        assert!(
+            !built.is_empty(),
+            "the second run of a key builds its column"
+        );
+        assert!(
+            built.iter().all(|c| c.upgrade().is_none()),
+            "a column outlived its sweep"
+        );
+        assert!(SWEEP_COLUMNS.with_borrow(Option::is_none));
+        // With one sweep thread, jobs run on the calling thread, which
+        // must get its previous (here: no) store back after each job.
+        let job =
+            instrumented(|_: &u8| SWEEP_COLUMNS.with_borrow(|c| c.as_ref().map(Arc::downgrade)));
+        let store = job(&0).expect("a job sees its sweep's store");
+        drop(job);
+        assert!(
+            store.upgrade().is_none(),
+            "an inline job kept the store alive"
+        );
+        assert!(SWEEP_COLUMNS.with_borrow(Option::is_none));
+        for (&iw, (report, _, _)) in [16, 32, 64, 128].iter().zip(&seen) {
+            let live = run_mlpsim(WorkloadKind::Database, config(iw), scale);
+            assert_eq!(*report, format!("{live:?}"), "iw {iw}");
+        }
     }
 
     #[test]

@@ -181,7 +181,23 @@ impl Hierarchy {
 
     /// Accumulated statistics.
     pub fn stats(&self) -> HierarchyStats {
-        self.stats
+        HierarchyStats {
+            l1i: self.l1i.stats(),
+            l1d: self.l1d.stats(),
+            l2: self.l2.stats(),
+            ..self.stats
+        }
+    }
+
+    /// Demand statistics of each level: L1I, L1D, L2 and the L3 (`None`
+    /// without one).
+    pub fn level_stats(&self) -> [Option<CacheStats>; 4] {
+        [
+            Some(self.l1i.stats()),
+            Some(self.l1d.stats()),
+            Some(self.l2.stats()),
+            self.l3.as_ref().map(Cache::stats),
+        ]
     }
 
     /// Resets statistics (cache contents are kept) — call at the end of
@@ -201,29 +217,21 @@ impl Hierarchy {
         }
     }
 
+    /// Walks the levels outward until one hits. [`Cache::access`] fills
+    /// on a miss, so every level the walk passes already holds the line
+    /// as most recently used when it returns: the inward fill needs no
+    /// second touch (it would only restamp an MRU line, which changes no
+    /// replacement decision and no statistic).
     fn classify(l1: &mut Cache, l2: &mut Cache, l3: Option<&mut Cache>, addr: u64) -> Access {
         if l1.access(addr) {
-            return Access::L1Hit;
+            Access::L1Hit
+        } else if l2.access(addr) {
+            Access::L2Hit
+        } else if l3.is_some_and(|l3| l3.access(addr)) {
+            Access::L3Hit
+        } else {
+            Access::OffChip
         }
-        if l2.access(addr) {
-            l1.touch(addr); // fill L1 from L2
-            return Access::L2Hit;
-        }
-        // Off-chip: consult the L3 if present, then fill inward.
-        let outcome = match l3 {
-            Some(l3) => {
-                if l3.access(addr) {
-                    Access::L3Hit
-                } else {
-                    l3.touch(addr);
-                    Access::OffChip
-                }
-            }
-            None => Access::OffChip,
-        };
-        l2.touch(addr);
-        l1.touch(addr);
-        outcome
     }
 
     /// Classifies (and performs) the instruction fetch of the line
@@ -285,23 +293,16 @@ impl Hierarchy {
         if self.obs_armed {
             self.tlb.access(addr);
         }
+        // Fills without counting, like `classify` (each touch fills on a
+        // miss, so the L2 needs no second touch after an outer miss).
         let a = if self.l1d.touch(addr) {
             Access::L1Hit
         } else if self.l2.touch(addr) {
             Access::L2Hit
+        } else if self.l3.as_mut().is_some_and(|l3| l3.touch(addr)) {
+            Access::L3Hit
         } else {
-            let outcome = match self.l3.as_mut() {
-                Some(l3) => {
-                    if l3.touch(addr) {
-                        Access::L3Hit
-                    } else {
-                        Access::OffChip
-                    }
-                }
-                None => Access::OffChip,
-            };
-            self.l2.touch(addr);
-            outcome
+            Access::OffChip
         };
         if a.is_off_chip() {
             self.stats.pmisses += 1;
@@ -348,13 +349,7 @@ impl Hierarchy {
         ];
         static TLB_HITS: mlp_obs::Counter = mlp_obs::Counter::new("mem.tlb.hits");
         static TLB_MISSES: mlp_obs::Counter = mlp_obs::Counter::new("mem.tlb.misses");
-        let levels = [
-            Some(self.l1i.stats()),
-            Some(self.l1d.stats()),
-            Some(self.l2.stats()),
-            self.l3.as_ref().map(Cache::stats),
-        ];
-        for (counters, stats) in LEVELS.iter().zip(levels) {
+        for (counters, stats) in LEVELS.iter().zip(self.level_stats()) {
             let Some(stats) = stats else { continue };
             counters[0].add(stats.hits);
             counters[1].add(stats.misses);

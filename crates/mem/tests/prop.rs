@@ -1,7 +1,111 @@
 //! Property-based tests of cache, TLB and MSHR invariants.
 
-use mlp_mem::{Cache, CacheConfig, Hierarchy, HierarchyConfig, Mshr, MshrOutcome, Tlb, TlbConfig};
+use mlp_mem::{
+    Access, Cache, CacheConfig, CacheStats, Hierarchy, HierarchyConfig, HierarchyStats, Mshr,
+    MshrOutcome, Tlb, TlbConfig,
+};
 use proptest::prelude::*;
+
+/// The hierarchy as it classified and prefetched before the inward fills
+/// lost their second touch: after an L2 hit the L1 is touched again, and
+/// after an off-chip miss the L3, L2 and L1 are. Built straight on
+/// [`Cache::access`] and [`Cache::touch`], with no sequential-fetch memo.
+struct Reference {
+    l1i: Cache,
+    l1d: Cache,
+    l2: Cache,
+    l3: Option<Cache>,
+    stats: HierarchyStats,
+}
+
+impl Reference {
+    fn new(config: HierarchyConfig) -> Reference {
+        Reference {
+            l1i: Cache::new(config.l1i),
+            l1d: Cache::new(config.l1d),
+            l2: Cache::new(config.l2),
+            l3: config.l3.map(Cache::new),
+            stats: HierarchyStats::default(),
+        }
+    }
+
+    fn classify(l1: &mut Cache, l2: &mut Cache, l3: Option<&mut Cache>, addr: u64) -> Access {
+        if l1.access(addr) {
+            return Access::L1Hit;
+        }
+        if l2.access(addr) {
+            l1.touch(addr);
+            return Access::L2Hit;
+        }
+        let outcome = match l3 {
+            Some(l3) => {
+                if l3.access(addr) {
+                    Access::L3Hit
+                } else {
+                    l3.touch(addr);
+                    Access::OffChip
+                }
+            }
+            None => Access::OffChip,
+        };
+        l2.touch(addr);
+        l1.touch(addr);
+        outcome
+    }
+
+    fn apply(&mut self, op: u8, addr: u64) -> Access {
+        let (l1, counter) = match op {
+            0 => (&mut self.l1i, &mut self.stats.imisses),
+            1 => (&mut self.l1d, &mut self.stats.dmisses),
+            2 => (&mut self.l1d, &mut self.stats.smisses),
+            _ => return self.prefetch(addr),
+        };
+        let a = Self::classify(l1, &mut self.l2, self.l3.as_mut(), addr);
+        if a.is_off_chip() {
+            *counter += 1;
+        }
+        a
+    }
+
+    fn prefetch(&mut self, addr: u64) -> Access {
+        let a = if self.l1d.touch(addr) {
+            Access::L1Hit
+        } else if self.l2.touch(addr) {
+            Access::L2Hit
+        } else {
+            let outcome = match self.l3.as_mut() {
+                Some(l3) => {
+                    if l3.touch(addr) {
+                        Access::L3Hit
+                    } else {
+                        Access::OffChip
+                    }
+                }
+                None => Access::OffChip,
+            };
+            self.l2.touch(addr);
+            outcome
+        };
+        if a.is_off_chip() {
+            self.stats.pmisses += 1;
+        }
+        a
+    }
+
+    fn level_stats(&self) -> [Option<CacheStats>; 4] {
+        [
+            Some(self.l1i.stats()),
+            Some(self.l1d.stats()),
+            Some(self.l2.stats()),
+            self.l3.as_ref().map(Cache::stats),
+        ]
+    }
+}
+
+/// A small geometry: `sets` sets of `ways` ways.
+fn geometry(sets: u64, ways: u32) -> CacheConfig {
+    CacheConfig::new(sets * ways as u64 * mlp_isa::LINE_BYTES, ways)
+}
 
 proptest! {
     #[test]
@@ -112,5 +216,46 @@ proptest! {
         }
         let s = h.stats();
         prop_assert_eq!(s.off_chip_total(), s.imisses + s.dmisses + s.smisses + s.pmisses);
+    }
+
+    /// Dropping the second touches of an inward fill is exact: on random
+    /// fetch/load/store/prefetch sequences over small geometries (so
+    /// lines conflict and evict constantly), with and without an L3,
+    /// every outcome, every hierarchy counter and every level's
+    /// hit/miss/eviction counts equal the reference's.
+    #[test]
+    fn inward_fills_need_no_second_touch(
+        l1 in (0u32..3, 1u32..4),
+        l2 in (1u32..4, 1u32..5),
+        l3 in proptest::option::of((2u32..5, 1u32..5)),
+        ops in proptest::collection::vec((0u8..4, 0u64..96, 0u64..64), 1..800),
+    ) {
+        let config = HierarchyConfig {
+            l1i: geometry(1 << l1.0, l1.1),
+            l1d: geometry(1 << l1.0, l1.1),
+            l2: geometry(1 << l2.0, l2.1),
+            l3: l3.map(|(sets, ways)| geometry(1 << sets, ways)),
+            tlb: TlbConfig::default(),
+        };
+        let mut h = Hierarchy::new(config);
+        let mut r = Reference::new(config);
+        for (i, &(op, line, offset)) in ops.iter().enumerate() {
+            let addr = line * mlp_isa::LINE_BYTES + offset;
+            let got = match op {
+                0 => h.ifetch(addr),
+                1 => h.load(addr),
+                2 => h.store(addr),
+                _ => h.prefetch(addr),
+            };
+            prop_assert_eq!(got, r.apply(op, addr), "op {} ({}, {:#x})", i, op, addr);
+        }
+        let (s, rs) = (h.stats(), r.stats);
+        prop_assert_eq!(
+            (s.imisses, s.dmisses, s.pmisses, s.smisses, s.insts),
+            (rs.imisses, rs.dmisses, rs.pmisses, rs.smisses, rs.insts)
+        );
+        let levels = r.level_stats();
+        prop_assert_eq!((s.l1i, s.l1d, s.l2), (levels[0].unwrap(), levels[1].unwrap(), levels[2].unwrap()));
+        prop_assert_eq!(h.level_stats(), levels);
     }
 }

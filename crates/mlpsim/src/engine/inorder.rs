@@ -10,7 +10,12 @@
 //! * **stall-on-use** stalls at the first *consumer* of a missing load's
 //!   value, so independent later loads (and prefetches) between a miss and
 //!   its use may overlap.
+//!
+//! Fetch and data outcomes come from the program-order pass
+//! ([`super::annotate`]); the engine decides only whether a load merges
+//! into a line still in flight and what the stall costs.
 
+use super::annotate::{Outcomes, DMISS, IMISS};
 use super::{scratch, Branches, EpochTracker, MissKind, Values};
 use crate::config::{InOrderPolicy, MlpsimConfig};
 use crate::report::{Inhibitor, Report};
@@ -19,20 +24,19 @@ use mlp_isa::{
     line_of, InstSource, AVAIL_SLOTS, CLASS_ALU, CLASS_ATOMIC, CLASS_LOAD, CLASS_MEMBAR, CLASS_NOP,
     CLASS_PREFETCH, CLASS_STORE,
 };
-use mlp_mem::Hierarchy;
 use mlp_obs::{IntervalSampler, Value};
 use mlp_predict::{BranchStats, ValuePrediction, ValueStats};
 
 const PRUNE_LIMIT: usize = 8192;
 
-pub(crate) fn run<S: InstSource>(
+pub(crate) fn run<S: InstSource, O: Outcomes>(
     cfg: &MlpsimConfig,
     policy: InOrderPolicy,
     src: &mut S,
+    mut outcomes: O,
     warmup: u64,
     measure: u64,
 ) -> Report {
-    let mut hierarchy = Hierarchy::new(cfg.hierarchy);
     let mut branches = Branches::new(cfg.branch);
     let mut values = Values::new(cfg.value);
     let pool = scratch::take();
@@ -94,7 +98,6 @@ pub(crate) fn run<S: InstSource>(
         consumed += 1;
         if consumed == warmup + 1 && !tracker.measuring {
             tracker.measuring = true;
-            hierarchy.reset_stats();
             branch_base = branches.stats();
             value_base = values.stats();
         }
@@ -103,9 +106,10 @@ pub(crate) fn run<S: InstSource>(
             tracker.note_inst();
         }
 
+        let bits = outcomes.bits(&*src, next - 1);
         // Instruction fetch is blocking: a missing fetch overlaps what is
         // already outstanding, then ends the window.
-        if !cfg.perfect_ifetch && hierarchy.ifetch(src.soa().pc()[idx]).is_off_chip() {
+        if bits & IMISS != 0 {
             let first = !tracker.has_miss(e);
             tracker.record_miss(e, MissKind::Imiss);
             tracker.note_block(
@@ -157,7 +161,7 @@ pub(crate) fn run<S: InstSource>(
                 let addr = src.soa().addr()[idx];
                 let line = line_of(addr);
                 let in_flight = line_avail.get(&line).copied().unwrap_or(0) > e;
-                let missed = !in_flight && hierarchy.load(addr).is_off_chip();
+                let missed = !in_flight && bits & DMISS != 0;
                 if missed {
                     tracker.record_miss(e, MissKind::Dmiss);
                     line_avail.insert(line, e + 1);
@@ -203,7 +207,7 @@ pub(crate) fn run<S: InstSource>(
                 }
                 debug_assert!(src.soa().has_mem(idx), "stores carry a memory access");
                 // Write-allocate; fills tracked for the store-MLP metric.
-                if hierarchy.store(src.soa().addr()[idx]).is_off_chip() {
+                if bits & DMISS != 0 {
                     tracker.record_store_fill(e);
                 }
             }
@@ -213,10 +217,9 @@ pub(crate) fn run<S: InstSource>(
                     advance_to!(dep_ready);
                 }
                 if src.soa().has_mem(idx) {
-                    let addr = src.soa().addr()[idx];
-                    let line = line_of(addr);
+                    let line = line_of(src.soa().addr()[idx]);
                     let in_flight = line_avail.get(&line).copied().unwrap_or(0) > e;
-                    if !in_flight && hierarchy.prefetch(addr).is_off_chip() {
+                    if !in_flight && bits & DMISS != 0 {
                         tracker.record_miss(e, MissKind::Pmiss);
                         line_avail.insert(line, e + 1);
                     }
@@ -295,6 +298,6 @@ pub(crate) fn run<S: InstSource>(
         tracker_ring,
     });
     crate::obs::flush_run(&report);
-    hierarchy.flush_obs();
+    outcomes.finish();
     report
 }

@@ -1,6 +1,9 @@
+mod annotate;
 mod inorder;
 mod ooo;
 mod scratch;
+
+pub use annotate::Annotation;
 
 use crate::config::{BranchMode, MlpsimConfig, ValueMode, WindowModel};
 use crate::report::{Inhibitor, InhibitorCounts, OffchipCounts, Report};
@@ -367,7 +370,10 @@ impl Values {
 /// The epoch-model simulator.
 ///
 /// Construct one per configuration; each [`Simulator::run`] starts from
-/// cold caches and predictors (deterministic, self-contained runs).
+/// cold caches and predictors (deterministic, self-contained runs). The
+/// caches are walked once per run in program order (see
+/// [`Annotation`]); [`Simulator::run_annotated`] reads that walk from a
+/// column shared by several runs instead.
 ///
 /// # Examples
 ///
@@ -428,6 +434,38 @@ impl Simulator {
         self.run_source(&mut src, warmup, measure)
     }
 
+    /// [`Simulator::run_shared`] reading every fetch and data outcome
+    /// from `column`, a program-order pass over the same columns, instead
+    /// of making the pass itself: runs of different window
+    /// configurations over one trace and hierarchy share one
+    /// [`Annotation`]. The report is identical to `run_shared`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `column` was built for another hierarchy or
+    /// instruction-fetch mode ([`Annotation::fits`]), or covers fewer than
+    /// `len` instructions, or if `len > soa.len()`.
+    pub fn run_annotated(
+        &mut self,
+        soa: &TraceSoA,
+        len: usize,
+        column: &Annotation,
+        warmup: u64,
+        measure: u64,
+    ) -> Report {
+        assert!(
+            column.fits(&self.config),
+            "annotation built for another hierarchy or fetch mode"
+        );
+        assert!(
+            column.len() >= len,
+            "annotation covers {} of {len} instructions",
+            column.len()
+        );
+        let mut src = SharedSoaSource::new(soa, len);
+        self.run_with(&mut src, annotate::Column(column), warmup, measure)
+    }
+
     /// Runs the epoch model over a stream of column chunks (a spilled
     /// trace file, a generator adapter, …), keeping only a sliding
     /// window of the trace resident: peak memory is bounded by the
@@ -441,12 +479,30 @@ impl Simulator {
         self.run_source(&mut src, warmup, measure)
     }
 
+    /// Runs the kernel with a live program-order pass alongside it.
     fn run_source<S: InstSource>(&mut self, src: &mut S, warmup: u64, measure: u64) -> Report {
+        // How far past fetch the kernel reads fetch outcomes.
+        let span = match self.config.window {
+            WindowModel::OutOfOrder { fetch_buffer, .. } => fetch_buffer,
+            WindowModel::Runahead { .. } => ooo::RUNAHEAD_FETCH_BUFFER,
+            WindowModel::InOrder(_) => 0,
+        };
+        let live = annotate::Live::new(&self.config, warmup, span);
+        self.run_with(src, live, warmup, measure)
+    }
+
+    fn run_with<S: InstSource, O: annotate::Outcomes>(
+        &mut self,
+        src: &mut S,
+        outcomes: O,
+        warmup: u64,
+        measure: u64,
+    ) -> Report {
         match self.config.window {
             WindowModel::InOrder(policy) => {
-                inorder::run(&self.config, policy, src, warmup, measure)
+                inorder::run(&self.config, policy, src, outcomes, warmup, measure)
             }
-            _ => ooo::run(&self.config, src, warmup, measure),
+            _ => ooo::run(&self.config, src, outcomes, warmup, measure),
         }
     }
 }

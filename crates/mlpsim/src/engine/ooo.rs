@@ -21,7 +21,13 @@
 //! class code, and tracks register availability in a flat 66-slot file
 //! indexed directly by the sentinel-encoded dependence columns — no
 //! `Option` unwrapping or zero-register tests in the hot loop.
+//!
+//! The engine owns no cache: it reads each instruction's fetch and data
+//! outcomes from the program-order pass ([`super::annotate`]) and decides
+//! only what the window makes of them — forwarding from a store, merging
+//! into a line still in flight, counting a useful miss.
 
+use super::annotate::{Outcomes, DMISS, IMISS};
 use super::{scratch, Branches, EpochTracker, MissKind, Values};
 use crate::config::{MlpsimConfig, WindowModel};
 use crate::report::{Inhibitor, Report};
@@ -30,7 +36,6 @@ use mlp_isa::{
     line_of, InstSource, AVAIL_SLOTS, CLASS_ALU, CLASS_ATOMIC, CLASS_LOAD, CLASS_MEMBAR, CLASS_NOP,
     CLASS_PREFETCH, CLASS_STORE, REG_NONE,
 };
-use mlp_mem::Hierarchy;
 use mlp_obs::{IntervalSampler, Value};
 use mlp_predict::{BranchStats, ValuePrediction, ValueStats};
 use std::collections::VecDeque;
@@ -38,7 +43,10 @@ use std::collections::VecDeque;
 /// Prune the in-flight line / store-forwarding maps beyond this size.
 const PRUNE_LIMIT: usize = 8192;
 
-struct Engine<'a, S> {
+/// Fetch-buffer depth of the runahead window model.
+pub(crate) const RUNAHEAD_FETCH_BUFFER: usize = 32;
+
+struct Engine<'a, S, O> {
     src: &'a mut S,
     // effective parameters
     iw: usize,
@@ -50,7 +58,7 @@ struct Engine<'a, S> {
     branches_in_order: bool,
     perfect_ifetch: bool,
     // components
-    hierarchy: Hierarchy,
+    outcomes: O,
     branches: Branches,
     values: Values,
     tracker: EpochTracker,
@@ -87,9 +95,10 @@ struct Engine<'a, S> {
     sampler: Option<IntervalSampler>,
 }
 
-pub(crate) fn run<S: InstSource>(
+pub(crate) fn run<S: InstSource, O: Outcomes>(
     cfg: &MlpsimConfig,
     src: &mut S,
+    outcomes: O,
     warmup: u64,
     measure: u64,
 ) -> Report {
@@ -99,7 +108,7 @@ pub(crate) fn run<S: InstSource>(
             rob,
             fetch_buffer,
         } => (iw, rob, fetch_buffer, cfg.issue.serializing()),
-        WindowModel::Runahead { max_dist } => (max_dist, max_dist, 32, false),
+        WindowModel::Runahead { max_dist } => (max_dist, max_dist, RUNAHEAD_FETCH_BUFFER, false),
         WindowModel::InOrder(_) => unreachable!("in-order runs use the in-order engine"),
     };
     let pool = scratch::take();
@@ -113,7 +122,7 @@ pub(crate) fn run<S: InstSource>(
         wait_store_addr: cfg.issue.loads_wait_store_addresses(),
         branches_in_order: cfg.issue.branches_in_order(),
         perfect_ifetch: cfg.perfect_ifetch,
-        hierarchy: Hierarchy::new(cfg.hierarchy),
+        outcomes,
         branches: Branches::new(cfg.branch),
         values: Values::new(cfg.value),
         tracker: EpochTracker::with_scratch(pool.tracker_ring),
@@ -164,7 +173,7 @@ pub(crate) fn run<S: InstSource>(
     report
 }
 
-impl<S: InstSource> Engine<'_, S> {
+impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
     /// Makes the next `k` unfetched instructions available; `false` when
     /// the trace ends first.
     #[inline]
@@ -224,7 +233,7 @@ impl<S: InstSource> Engine<'_, S> {
             },
         );
         crate::obs::flush_run(&report);
-        self.hierarchy.flush_obs();
+        self.outcomes.finish();
         report
     }
 
@@ -296,10 +305,9 @@ impl<S: InstSource> Engine<'_, S> {
             }
             // Instruction-fetch classification of the next instruction.
             if !self.perfect_ifetch && self.iclassified == 0 {
-                let pc = self.src.soa().pc()[self.rel(self.next)];
-                let acc = self.hierarchy.ifetch(pc);
+                let bits = self.outcomes.bits(&*self.src, self.next);
                 self.iclassified = 1;
-                if acc.is_off_chip() {
+                if bits & IMISS != 0 {
                     let first = !self.tracker.has_miss(self.e);
                     self.tracker.record_miss(self.e, MissKind::Imiss);
                     let reason = if first {
@@ -340,7 +348,6 @@ impl<S: InstSource> Engine<'_, S> {
 
     fn start_measuring(&mut self) {
         self.tracker.measuring = true;
-        self.hierarchy.reset_stats();
         self.branch_base = self.branches.stats();
         self.value_base = self.values.stats();
     }
@@ -356,10 +363,9 @@ impl<S: InstSource> Engine<'_, S> {
             if !self.have(self.iclassified + 1) {
                 return;
             }
-            let pc = self.src.soa().pc()[self.rel(self.next + self.iclassified)];
-            let acc = self.hierarchy.ifetch(pc);
+            let bits = self.outcomes.bits(&*self.src, self.next + self.iclassified);
             self.iclassified += 1;
-            if acc.is_off_chip() {
+            if bits & IMISS != 0 {
                 self.tracker.record_miss(self.e, MissKind::Imiss);
                 return; // fetch cannot pass a missing line this epoch
             }
@@ -417,25 +423,28 @@ impl<S: InstSource> Engine<'_, S> {
 
     fn admit(&mut self, idx: usize) {
         let data = self.data_epoch(idx);
+        // Asked for every admitted instruction, so the live pass never
+        // falls behind fetch; only memory classes read the bit.
+        let dmiss = self.outcomes.bits(&*self.src, idx) & DMISS != 0;
         match self.src.soa().class()[self.rel(idx)] {
             CLASS_ALU | CLASS_NOP => {
                 self.set_avail(idx, data);
                 self.push_entry(data, data);
             }
-            CLASS_LOAD => self.admit_load(idx, data, false),
+            CLASS_LOAD => self.admit_load(idx, data, dmiss, false),
             CLASS_ATOMIC => {
                 if self.serializing {
                     // Pipeline drain: every older instruction must commit
                     // before the atomic issues, and nothing younger is
                     // fetched until it does.
                     let exec = data.max(self.max_complete);
-                    self.admit_load_policy(idx, exec, exec, None, true);
+                    self.admit_load_policy(idx, exec, exec, None, dmiss, true);
                     if exec > self.e {
                         self.tracker.note_block(self.e, Inhibitor::Serialize);
                         self.fetch_block = Some((exec, Inhibitor::Serialize));
                     }
                 } else {
-                    self.admit_load(idx, data, true);
+                    self.admit_load(idx, data, dmiss, true);
                 }
             }
             CLASS_MEMBAR => {
@@ -450,14 +459,13 @@ impl<S: InstSource> Engine<'_, S> {
                     self.push_entry(data, data);
                 }
             }
-            CLASS_STORE => self.admit_store(idx, data),
+            CLASS_STORE => self.admit_store(idx, data, dmiss),
             CLASS_PREFETCH => {
                 let exec = data;
                 if self.src.soa().has_mem(self.rel(idx)) {
-                    let addr = self.src.soa().addr()[self.rel(idx)];
-                    let line = line_of(addr);
+                    let line = line_of(self.src.soa().addr()[self.rel(idx)]);
                     let in_flight = self.line_avail.get(&line).copied().unwrap_or(0) > exec;
-                    if !in_flight && self.hierarchy.prefetch(addr).is_off_chip() {
+                    if !in_flight && dmiss {
                         self.tracker.record_miss(exec, MissKind::Pmiss);
                         self.line_avail.insert(line, exec + 1);
                     }
@@ -468,7 +476,7 @@ impl<S: InstSource> Engine<'_, S> {
         }
     }
 
-    fn admit_load(&mut self, idx: usize, data: u64, also_store: bool) {
+    fn admit_load(&mut self, idx: usize, data: u64, dmiss: bool, also_store: bool) {
         // Issue-policy edges (Table 2).
         let mut exec = data;
         let mut policy_cause = None;
@@ -480,7 +488,7 @@ impl<S: InstSource> Engine<'_, S> {
             exec = self.store_addr_frontier;
             policy_cause = Some(Inhibitor::DepStore);
         }
-        self.admit_load_policy(idx, exec, data, policy_cause, also_store);
+        self.admit_load_policy(idx, exec, data, policy_cause, dmiss, also_store);
     }
 
     fn admit_load_policy(
@@ -489,6 +497,7 @@ impl<S: InstSource> Engine<'_, S> {
         exec: u64,
         data: u64,
         policy_cause: Option<Inhibitor>,
+        dmiss: bool,
         also_store: bool,
     ) {
         debug_assert!(
@@ -498,16 +507,14 @@ impl<S: InstSource> Engine<'_, S> {
         let addr = self.src.soa().addr()[self.rel(idx)];
         let line = line_of(addr);
         let fwd = self.store_fwd.get(&(addr & !7)).copied();
+        // A line whose transfer has finished is no longer special: the
+        // load takes the program-order hierarchy's answer, which is a
+        // miss again if the line was evicted since.
         let (ready, missed) = if let Some(ef) = fwd {
             (exec.max(ef), false)
-        } else if let Some(&av) = self.line_avail.get(&line) {
-            if av > exec {
-                (av, false) // merge with the in-flight line transfer
-            } else {
-                let _ = self.hierarchy.load(addr); // resident: on-chip hit
-                (exec, false)
-            }
-        } else if self.hierarchy.load(addr).is_off_chip() {
+        } else if let Some(av) = self.line_avail.get(&line).copied().filter(|&av| av > exec) {
+            (av, false) // merge with the in-flight line transfer
+        } else if dmiss {
             self.tracker.record_miss(exec, MissKind::Dmiss);
             self.line_avail.insert(line, exec + 1);
             // A policy-deferred miss whose data inputs were ready is lost
@@ -544,7 +551,7 @@ impl<S: InstSource> Engine<'_, S> {
         self.push_entry(exec, complete);
     }
 
-    fn admit_store(&mut self, idx: usize, data: u64) {
+    fn admit_store(&mut self, idx: usize, data: u64, dmiss: bool) {
         let mut exec = data;
         if self.loads_in_order && self.last_mem_exec > exec {
             exec = self.last_mem_exec;
@@ -558,7 +565,7 @@ impl<S: InstSource> Engine<'_, S> {
         // buffer and are not useful off-chip accesses (paper §2.1). With
         // a finite buffer (the paper's future-work store-MLP study) each
         // off-chip fill occupies an entry until it returns.
-        if self.hierarchy.store(addr).is_off_chip() {
+        if dmiss {
             self.tracker.record_store_fill(exec);
             if self.store_buffer.is_some() {
                 self.sb_occupancy += 1;
@@ -620,5 +627,35 @@ impl<S: InstSource> Engine<'_, S> {
             self.fetch_block = Some((exec, Inhibitor::MispredBr));
         }
         self.push_entry(exec, exec);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{MlpsimConfig, Simulator};
+    use mlp_isa::{Inst, Reg, SliceTrace};
+
+    /// A line whose transfer finished and which was evicted since is an
+    /// off-chip access again when reloaded: the kernel's in-flight map
+    /// still lists it, but only a transfer that has not finished may
+    /// absorb a load.
+    #[test]
+    fn reload_of_an_evicted_line_misses_again() {
+        // Lines 512 KB apart share a set in the default 4-way L1D (128
+        // sets) and 4-way L2 (8,192 sets), so four more of them evict
+        // the first from both.
+        const STRIDE: u64 = 512 << 10;
+        const LINE: u64 = 0x4000_0000;
+        let chase = Reg::int(4);
+        // A dependent chain: each load executes the epoch after the one
+        // before it, long after the first transfer has finished.
+        let mut trace: Vec<Inst> = (0..5u64)
+            .map(|k| Inst::load(0x1000 + 4 * k, chase, 0, chase, LINE + k * STRIDE))
+            .collect();
+        trace.push(Inst::load(0x1014, chase, 0, chase, LINE));
+        let config = MlpsimConfig::builder().perfect_ifetch(true).build();
+        let report = Simulator::new(config).run(&mut SliceTrace::new(&trace), 0, u64::MAX);
+        assert_eq!(report.offchip.dmiss, 6, "the reload must count as a D-miss");
+        assert_eq!(report.epochs, 6);
     }
 }

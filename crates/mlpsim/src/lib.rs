@@ -73,5 +73,5 @@ pub use config::{
     BranchMode, InOrderPolicy, IssueConfig, MlpsimConfig, MlpsimConfigBuilder, ValueMode,
     WindowModel,
 };
-pub use engine::Simulator;
+pub use engine::{Annotation, Simulator};
 pub use report::{Inhibitor, InhibitorCounts, OffchipCounts, Report};

@@ -18,6 +18,12 @@ static OFFCHIP_IMISS: Counter = Counter::new("mlpsim.offchip.imiss");
 static OFFCHIP_PMISS: Counter = Counter::new("mlpsim.offchip.pmiss");
 static OFFCHIP_USEFUL: Counter = Counter::new("mlpsim.offchip.useful");
 
+/// Annotation columns built: program-order hierarchy passes made once
+/// for several runs (each flushes its hierarchy's `mem.*` counters once).
+pub(crate) static ANNOTATE_PASSES: Counter = Counter::new("mlpsim.annotate.passes");
+/// Runs that read a column instead of making a pass of their own.
+pub(crate) static ANNOTATE_SHARED_RUNS: Counter = Counter::new("mlpsim.annotate.shared_runs");
+
 /// Measured instructions per counted epoch, flushed by
 /// `EpochTracker::into_report` — the paper's epoch-length distribution.
 pub(crate) static EPOCH_LEN: Histogram = Histogram::new("mlpsim.epoch.len_insts");

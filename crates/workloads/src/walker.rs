@@ -56,6 +56,24 @@ struct Excursion {
     ret_pc: u64,
 }
 
+impl Excursion {
+    /// Whether a cold call under `cfg` could have left this excursion:
+    /// its pc lies in the cold-code region (which an excursion starting
+    /// on the last line may run past by its length) and stepping through
+    /// its remaining instructions cannot overflow the pc.
+    fn fits(&self, cfg: &WorkloadConfig) -> bool {
+        let max_len = (cfg.icold_len_mean / 2 + cfg.icold_len_mean.max(1)) as u64;
+        let end = layout::COLD_CODE_BASE
+            .saturating_add(layout::COLD_CODE_BYTES)
+            .saturating_add(max_len.saturating_mul(4));
+        (layout::COLD_CODE_BASE..end).contains(&self.pc)
+            && (self.remaining as u64)
+                .checked_mul(4)
+                .and_then(|steps| self.pc.checked_add(steps))
+                .is_some()
+    }
+}
+
 /// A streaming synthetic workload trace.
 ///
 /// `Workload` implements [`Iterator`] over [`Inst`] (and therefore
@@ -424,6 +442,11 @@ impl Workload {
             }),
             _ => return Err("bad excursion tag"),
         };
+        if let Some(ex) = &excursion {
+            if !ex.fits(&program.cfg) {
+                return Err("excursion outside cold code");
+            }
+        }
         let n = cur.u32()? as usize;
         let mut planned: FxHashMap<u32, VecDeque<u64>> = FxHashMap::default();
         for _ in 0..n {
@@ -710,6 +733,28 @@ mod tests {
         }
         assert_eq!(a.checkpoint(), b.checkpoint(), "same state, same bytes");
         assert_eq!(Workload::checkpoint_seed(&a.checkpoint()), Ok(5));
+    }
+
+    #[test]
+    fn excursions_outside_cold_code_are_rejected() {
+        let cfg = WorkloadKind::Database.config();
+        let mut wl = Workload::new(WorkloadKind::Database, 17);
+        while wl.excursion.is_none() {
+            wl.next();
+        }
+        assert!(Workload::restore(&cfg, &wl.checkpoint()).is_ok());
+        let ex = wl.excursion.as_mut().expect("in an excursion");
+        // A pc that overflows on the next step used to panic `next()`
+        // ("attempt to add with overflow") after restoring fine.
+        ex.pc = u64::MAX - 1;
+        assert!(Workload::restore(&cfg, &wl.checkpoint()).is_err());
+        let ex = wl.excursion.as_mut().expect("in an excursion");
+        ex.pc = layout::CODE_BASE;
+        assert!(Workload::restore(&cfg, &wl.checkpoint()).is_err());
+        let ex = wl.excursion.as_mut().expect("in an excursion");
+        ex.pc = layout::COLD_CODE_BASE;
+        ex.remaining = usize::MAX / 2;
+        assert!(Workload::restore(&cfg, &wl.checkpoint()).is_err());
     }
 
     #[test]

@@ -49,6 +49,11 @@ echo "==> trace codec suites (release)"
 # hold with debug assertions and overflow checks compiled out.
 cargo test -q --release -p mlp-isa
 
+echo "==> epoch-model suites (release)"
+# Live runs and runs reading a shared annotation column must report
+# identically in the optimized build the sweeps use, too.
+cargo test -q --release -p mlpsim
+
 echo "==> model + observability property suites"
 # Algebraic laws of the §2.2 CPI model and conservation invariants of
 # the mlp-obs counters the engines flush.
@@ -70,17 +75,21 @@ target/release/mlp-stats diff \
     "$smoke_dir/epochs.quick.json" "$smoke_dir/epochs.quick.json" >/dev/null
 
 echo "==> streaming smoke (spilled trace run == in-memory run)"
-# Force every trace to spill as a chunked v2 file and re-run an
-# experiment from disk: the streamed report must be byte-identical to
-# the in-memory one.
+# Force every trace to spill as a chunked v2 file and re-run experiments
+# from disk: the streamed reports must be byte-identical to the
+# in-memory ones. table5 covers the in-order kernel; in epochs the 64C
+# and RAE runs share one annotation key per workload, so the in-memory
+# run reads shared columns while the spilled run makes its own passes.
 stream_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir" "$stream_dir"' EXIT
-target/release/mlp-experiments table5 --scale quick \
+target/release/mlp-experiments --only table5,epochs --scale quick \
     --json "$stream_dir/mem" >/dev/null
-MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments table5 --scale quick \
+MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments --only table5,epochs --scale quick \
     --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
 ls "$stream_dir"/cache/*.mlp2 >/dev/null   # traces really went to disk
-diff "$stream_dir/mem/table5.quick.json" "$stream_dir/disk/table5.quick.json"
+for exp in table5 epochs; do
+    diff "$stream_dir/mem/$exp.quick.json" "$stream_dir/disk/$exp.quick.json"
+done
 # A v2 trace survives a round trip through v1 byte for byte, and a
 # spilled cache file reads back as an ordinary trace.
 target/release/mlp-trace gen database 200000 "$stream_dir/x.mlp2" >/dev/null

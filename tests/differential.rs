@@ -30,7 +30,7 @@
 
 use mlp_cyclesim::{CycleSim, CycleSimConfig};
 use mlp_experiments::exp::sweep1000;
-use mlp_experiments::runner::{run_cyclesim, run_mlpsim, shared_seeded, SEED};
+use mlp_experiments::runner::{run_cyclesim, run_mlpsim, shared_seeded, sweep, SEED};
 use mlp_experiments::RunScale;
 use mlp_obs::Mode;
 use mlp_workloads::WorkloadKind;
@@ -218,6 +218,40 @@ fn surrogate_active_loop_matches_direct_simulation_bit_for_bit() {
             "{p:?}: simulate_point disagrees with the active loop's label"
         );
     }
+}
+
+/// Runs of one trace and hierarchy inside a sweep share one annotation
+/// column: the first runs live, the second builds the column, the rest
+/// read it. The annotation counters say so, and the engine counters
+/// still equal the reports exactly.
+#[test]
+fn sweep_runs_share_one_annotation_column() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    mlp_obs::set_for_test(Some(Mode::Counters));
+    let _ = mlp_obs::snapshot_and_reset();
+    let scale = RunScale {
+        warmup: 50_000,
+        measure: 150_000,
+        cycle_warmup: 0,
+        cycle_measure: 0,
+    };
+    let windows = vec![16usize, 64, 256, 1024];
+    let reports = sweep(windows, |&w| {
+        let config = MlpsimConfig::builder().coupled_window(w).build();
+        run_mlpsim(WorkloadKind::Database, config, scale)
+    });
+    let snap = mlp_obs::snapshot_and_reset();
+    mlp_obs::set_for_test(None);
+    assert_eq!(snap.counter("mlpsim.runs"), 4);
+    assert_eq!(snap.counter("mlpsim.annotate.passes"), 1);
+    assert_eq!(snap.counter("mlpsim.annotate.shared_runs"), 3);
+    let sum = |f: fn(&mlpsim::Report) -> u64| reports.iter().map(f).sum::<u64>();
+    assert_eq!(snap.counter("mlpsim.insts"), sum(|r| r.insts));
+    assert_eq!(snap.counter("mlpsim.epochs"), sum(|r| r.epochs));
+    assert_eq!(
+        snap.counter("mlpsim.offchip.useful"),
+        sum(|r| r.offchip.total())
+    );
 }
 
 /// With observability off, the same runs record nothing at all — the
