@@ -12,6 +12,7 @@ use mlp_obs::{Counter, Histogram, LocalHist, Value};
 
 static RUNS: Counter = Counter::new("cyclesim.runs");
 static INSTS: Counter = Counter::new("cyclesim.insts");
+static WARMUP_INSTS: Counter = Counter::new("cyclesim.warmup.insts");
 static CYCLES: Counter = Counter::new("cyclesim.cycles");
 static STALL_CYCLES: Counter = Counter::new("cyclesim.stall_cycles");
 static OFFCHIP_DMISS: Counter = Counter::new("cyclesim.offchip.dmiss");
@@ -32,7 +33,9 @@ static RUNAHEAD_EPISODE: Histogram = Histogram::new("cyclesim.runahead.episode")
 /// Per-run extras the [`CycleReport`] does not carry.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RunObs {
-    /// Cycles (in the measurement window) where no stage made progress.
+    /// Instructions the functional warm-up consumed, over all threads.
+    pub warmup_insts: u64,
+    /// Cycles where no stage made progress.
     pub stall_cycles: u64,
     /// Peak simultaneous MSHR occupancy over the whole run.
     pub mshr_high_water: u64,
@@ -40,7 +43,7 @@ pub(crate) struct RunObs {
     pub runahead_entries: u64,
     /// Runahead intervals exited.
     pub runahead_exits: u64,
-    /// Distribution of stall-burst lengths in the measurement window.
+    /// Distribution of stall-burst lengths.
     pub stall_burst: LocalHist,
     /// Distribution of completed runahead episode durations.
     pub runahead_episode: LocalHist,
@@ -52,6 +55,7 @@ pub(crate) fn flush_run(report: &CycleReport, extra: RunObs) {
     if mlp_obs::counters_on() {
         RUNS.inc();
         INSTS.add(report.insts);
+        WARMUP_INSTS.add(extra.warmup_insts);
         CYCLES.add(report.cycles);
         STALL_CYCLES.add(extra.stall_cycles);
         OFFCHIP_DMISS.add(report.offchip.dmiss);

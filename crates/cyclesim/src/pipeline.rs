@@ -36,6 +36,14 @@
 //!   shared, and every stage visits the threads round-robin. Thread `t`'s
 //!   pcs and addresses carry an address-space tag (`t << 44`), so
 //!   co-running threads never share cache lines.
+//!
+//! Warm-up is not timed. Before the first cycle, the epoch model's
+//! functional pass ([`mlpsim::warm`]) runs over each thread's first
+//! `warmup` instructions in program order — the threads interleaved one
+//! instruction per turn, each with its tag — touching the hierarchy and
+//! training the branch and value predictors. The clock then starts at
+//! cycle 0 with an empty ROB, fetch queue and MSHR file, fetch at each
+//! thread's warm-up boundary, and every retired instruction measured.
 
 use crate::{CycleReport, CycleSimConfig};
 use mlp_hash::FxHashMap;
@@ -47,11 +55,8 @@ use mlp_isa::{
 };
 use mlp_mem::{Access, Hierarchy, Mshr, MshrOutcome};
 use mlp_obs::{IntervalSampler, LocalHist, Value};
-use mlp_predict::{
-    BranchObserver, BranchPredictor, BranchStats, LastValuePredictor, PerfectBranchPredictor,
-    PerfectValuePredictor, ValueObserver, ValuePrediction,
-};
-use mlpsim::{BranchMode, OffchipCounts, ValueMode};
+use mlp_predict::{BranchStats, ValuePrediction};
+use mlpsim::{warm, Branches, OffchipCounts, ValueMode, Values};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -88,27 +93,6 @@ struct Entry {
 #[inline]
 fn attrs(class: u8) -> u8 {
     CLASS_ATTRS[class as usize]
-}
-
-enum Branches {
-    Real(BranchPredictor),
-    Perfect(PerfectBranchPredictor),
-}
-
-impl Branches {
-    fn observe_branch(&mut self, pc: u64, info: mlp_isa::BranchInfo) -> bool {
-        match self {
-            Branches::Real(p) => p.observe_branch(pc, info),
-            Branches::Perfect(p) => p.observe_branch(pc, info),
-        }
-    }
-
-    fn stats(&self) -> BranchStats {
-        match self {
-            Branches::Real(p) => p.stats(),
-            Branches::Perfect(p) => p.stats(),
-        }
-    }
 }
 
 /// One flag per in-flight sequence number: a ring bitset indexed by
@@ -220,10 +204,12 @@ impl CycleSim {
         &self.config
     }
 
-    /// Runs the pipeline over `trace`: `warmup` retired instructions
-    /// train the caches and predictors without counting, then up to
-    /// `measure` instructions are measured (the run also ends at
-    /// end-of-trace, after draining).
+    /// Runs the pipeline over `trace`: a functional pass over the first
+    /// `warmup` instructions trains the caches and predictors in program
+    /// order ([`mlpsim::warm`]), then the pipeline starts empty at
+    /// instruction `warmup` and cycle 0 and measures up to `measure`
+    /// retired instructions (the run also ends at end-of-trace, after
+    /// draining, so a warm-up at or past the end gives an empty report).
     ///
     /// The stream is decoded into a per-run column buffer and then runs
     /// through exactly the same kernel as [`CycleSim::run_shared`].
@@ -265,9 +251,10 @@ impl CycleSim {
     }
 }
 
-/// Runs one thread per source on the core: each retires `warmup`
-/// uncounted instructions, then up to `measure` measured ones. Returns
-/// the combined report and each thread's measured instruction count.
+/// Runs one thread per source on the core: the functional warm-up over
+/// each thread's first `warmup` instructions, then up to `measure`
+/// measured ones per thread from cycle 0. Returns the combined report and
+/// each thread's measured instruction count.
 pub(crate) fn simulate<'a, S: InstSource + 'a>(
     cfg: &CycleSimConfig,
     srcs: impl IntoIterator<Item = &'a mut S>,
@@ -454,7 +441,7 @@ struct Core<'a> {
     hierarchy: Hierarchy,
     mshr: Mshr,
     branches: Branches,
-    values: Option<Box<dyn ValueObserver>>,
+    values: Values,
     now: u64,
     completions: BinaryHeap<Reverse<(u64, u64)>>, // (complete_at, tid << TID_SHIFT | seq)
     // Reused scratch for issue(), so the per-cycle scan does not allocate.
@@ -473,12 +460,12 @@ struct Core<'a> {
     mlp_cursor: u64,
     rr: usize, // round-robin priority cursor
     // accounting
-    thread_count: usize,
-    warm_threads: usize,
-    warmup: u64,
+    /// Retired instructions each thread measures.
     limit: u64,
-    measuring: bool,
-    measure_start_cycle: u64,
+    /// Trace index fetch stops at: the warm-up boundary plus `limit`.
+    fetch_end: u64,
+    /// Instructions the functional warm-up consumed, over all threads.
+    warmup_insts: u64,
     offchip: OffchipCounts,
     mlp_weighted: u64,
     active_cycles: u64,
@@ -504,25 +491,12 @@ impl<'a, S: InstSource> Machine<'a, S> {
             .enumerate()
             .map(|(tid, src)| Thread::new(cfg, src, tid, n, pool.lanes.pop().unwrap_or_default()))
             .collect();
-        let values: Option<Box<dyn ValueObserver>> = match cfg.runahead.map(|r| r.value) {
-            None | Some(ValueMode::None) => None,
-            // The timing model carries the last-value table; the
-            // stride/hybrid variants matter only in the epoch model's
-            // ablation and behave identically on these workloads.
-            Some(ValueMode::LastValue(n) | ValueMode::Stride(n) | ValueMode::Hybrid(n)) => {
-                Some(Box::new(LastValuePredictor::new(n)))
-            }
-            Some(ValueMode::Perfect) => Some(Box::new(PerfectValuePredictor::new())),
-        };
         let core = Core {
             cfg,
             hierarchy: Hierarchy::new(cfg.hierarchy),
             mshr: Mshr::new(cfg.mshrs, cfg.mem_latency),
-            branches: match cfg.branch {
-                BranchMode::Real(c) => Branches::Real(BranchPredictor::new(c)),
-                BranchMode::Perfect => Branches::Perfect(PerfectBranchPredictor::new()),
-            },
-            values,
+            branches: Branches::new(cfg.branch),
+            values: Values::new(cfg.runahead.map_or(ValueMode::None, |r| r.value)),
             now: 0,
             completions: pool.completions,
             decisions: pool.decisions,
@@ -535,12 +509,9 @@ impl<'a, S: InstSource> Machine<'a, S> {
             fm_size: 0,
             mlp_cursor: 0,
             rr: 0,
-            thread_count: n,
-            warm_threads: 0,
-            warmup,
-            limit: warmup.saturating_add(measure),
-            measuring: warmup == 0,
-            measure_start_cycle: 0,
+            limit: measure,
+            fetch_end: warmup.saturating_add(measure),
+            warmup_insts: 0,
             offchip: OffchipCounts::default(),
             mlp_weighted: 0,
             active_cycles: 0,
@@ -551,7 +522,54 @@ impl<'a, S: InstSource> Machine<'a, S> {
             runahead_exits: 0,
             runahead_episode: LocalHist::new(),
         };
-        Machine { core, threads }
+        let mut machine = Machine { core, threads };
+        machine.warm_up(warmup);
+        machine
+    }
+
+    /// The functional warm-up: interleaves the threads' first `warmup`
+    /// instructions through the shared hierarchy and predictors, one
+    /// instruction per thread per turn, releasing what each thread has
+    /// passed, and leaves each thread's fetch at its warm-up boundary (or
+    /// its trace's end). Statistics then restart from the boundary.
+    fn warm_up(&mut self, warmup: u64) {
+        let warmup = usize::try_from(warmup).unwrap_or(usize::MAX);
+        let Machine { core, threads } = self;
+        // A thread still warming sits at `idx`; one whose trace ended
+        // stays behind.
+        let mut idx = 0;
+        let mut warming = true;
+        while warming && idx < warmup {
+            warming = false;
+            for t in threads.iter_mut().filter(|t| t.fetch_pos == idx) {
+                if idx >= t.src.available() {
+                    t.src.release(idx);
+                    if t.src.ensure(idx + 1) <= idx {
+                        continue;
+                    }
+                }
+                let slot = idx - t.src.base();
+                let soa = t.src.soa();
+                let bits = warm::touch(&mut core.hierarchy, soa, slot, false, t.asid);
+                warm::train(
+                    &mut core.branches,
+                    &mut core.values,
+                    soa,
+                    slot,
+                    bits,
+                    t.asid,
+                );
+                t.fetch_pos = idx + 1;
+                warming = true;
+            }
+            idx += 1;
+        }
+        for t in threads.iter_mut() {
+            t.src.release(t.fetch_pos);
+            core.warmup_insts += t.fetch_pos as u64;
+        }
+        core.hierarchy.reset_stats();
+        core.branch_base = core.branches.stats();
     }
 
     fn run(mut self) -> (CycleReport, Vec<u64>) {
@@ -575,11 +593,9 @@ impl<'a, S: InstSource> Machine<'a, S> {
                 self.core.advance_to(now + 1);
             } else {
                 let next = self.next_event().unwrap_or(now + 1).max(now + 1);
-                if self.core.measuring {
-                    stall_cycles += next - now;
-                    if obs_armed {
-                        cur_burst += next - now;
-                    }
+                stall_cycles += next - now;
+                if obs_armed {
+                    cur_burst += next - now;
                 }
                 self.core.advance_to(next);
             }
@@ -616,13 +632,10 @@ impl<'a, S: InstSource> Machine<'a, S> {
             }
         }
         let Machine { core, threads } = self;
-        let insts: Vec<u64> = threads
-            .iter()
-            .map(|t| t.retired.saturating_sub(core.warmup))
-            .collect();
+        let insts: Vec<u64> = threads.iter().map(|t| t.retired).collect();
         let b = core.branches.stats();
         let report = CycleReport {
-            cycles: core.now.saturating_sub(core.measure_start_cycle),
+            cycles: core.now,
             insts: insts.iter().sum(),
             offchip: core.offchip,
             mlp_weighted_cycles: core.mlp_weighted,
@@ -637,6 +650,7 @@ impl<'a, S: InstSource> Machine<'a, S> {
         crate::obs::flush_run(
             &report,
             crate::obs::RunObs {
+                warmup_insts: core.warmup_insts,
                 stall_cycles,
                 mshr_high_water: core.mshr.high_water() as u64,
                 runahead_entries: core.runahead_entries,
@@ -657,11 +671,7 @@ impl<'a, S: InstSource> Machine<'a, S> {
     }
 
     fn measured_insts(&self) -> u64 {
-        let warmup = self.core.warmup;
-        self.threads
-            .iter()
-            .map(|t| t.retired.saturating_sub(warmup))
-            .sum()
+        self.threads.iter().map(|t| t.retired).sum()
     }
 
     fn finished(&mut self) -> bool {
@@ -748,10 +758,7 @@ impl Core<'_> {
     /// Cumulative fields for one interval sample.
     fn sample_fields(&self) -> [(&'static str, Value<'static>); 5] {
         [
-            (
-                "cycles",
-                Value::U64(self.now.saturating_sub(self.measure_start_cycle)),
-            ),
+            ("cycles", Value::U64(self.now)),
             ("offchip", Value::U64(self.offchip.total())),
             ("mshr", Value::U64(self.mshr.outstanding() as u64)),
             ("mlp_weighted", Value::U64(self.mlp_weighted)),
@@ -775,15 +782,13 @@ impl Core<'_> {
             let next_boundary = if nb < to { nb } else { to };
             let seg_end = next_boundary.max(t + 1);
             let len = seg_end - t;
-            if self.measuring {
-                if size > 0 {
-                    self.active_cycles += len;
-                    self.mlp_weighted += size as u64 * len;
-                }
-                if fm_size > 0 {
-                    self.fm_active += len;
-                    self.fm_weighted += fm_size as u64 * len;
-                }
+            if size > 0 {
+                self.active_cycles += len;
+                self.mlp_weighted += size as u64 * len;
+            }
+            if fm_size > 0 {
+                self.fm_active += len;
+                self.fm_weighted += fm_size as u64 * len;
             }
             t = seg_end;
             // Pop transfers completing at the boundary we just reached.
@@ -890,12 +895,6 @@ impl Core<'_> {
             }
             t.retired += 1;
             n += 1;
-            if t.retired == self.warmup {
-                self.warm_threads += 1;
-                if self.warm_threads == self.thread_count {
-                    self.start_measuring();
-                }
-            }
             if t.retired >= self.limit {
                 break;
             }
@@ -905,13 +904,6 @@ impl Core<'_> {
             n += 1;
         }
         n
-    }
-
-    fn start_measuring(&mut self) {
-        self.measuring = true;
-        self.measure_start_cycle = self.now;
-        self.hierarchy.reset_stats();
-        self.branch_base = self.branches.stats();
     }
 
     // ----- runahead -------------------------------------------------------
@@ -990,15 +982,16 @@ impl Core<'_> {
     /// Whether the value predictor supplies the value of missing load
     /// `idx`, training it as a side effect.
     fn predicted<S: InstSource>(&mut self, t: &Thread<'_, S>, class: u8, idx: u32) -> bool {
-        let Some(values) = self.values.as_mut() else {
-            return false;
-        };
         if class != CLASS_LOAD {
             return false;
         }
         let slot = idx as usize - t.src.base();
         let soa = t.src.soa();
-        values.observe(soa.pc()[slot] | t.asid, soa.value()[slot]) == ValuePrediction::Correct
+        matches!(
+            self.values
+                .observe(soa.pc()[slot] | t.asid, soa.value()[slot]),
+            Some(ValuePrediction::Correct)
+        )
     }
 
     // ----- issue ------------------------------------------------------------
@@ -1195,12 +1188,10 @@ impl Core<'_> {
         };
         let runahead = t.runahead.is_some();
         if off_chip {
-            if idx as u64 >= self.warmup {
-                if is_prefetch || runahead {
-                    self.offchip.pmiss += 1;
-                } else {
-                    self.offchip.dmiss += 1;
-                }
+            if is_prefetch || runahead {
+                self.offchip.pmiss += 1;
+            } else {
+                self.offchip.dmiss += 1;
             }
             self.note_outstanding(data_at);
         }
@@ -1297,8 +1288,8 @@ impl Core<'_> {
         // Fetch stops at the retire limit, and inside runahead at the
         // distance cap past the trigger.
         let end = match (t.runahead, self.cfg.runahead) {
-            (Some(ep), Some(ra)) => self.limit.min((ep.trigger + 1 + ra.max_dist) as u64),
-            _ => self.limit,
+            (Some(ep), Some(ra)) => self.fetch_end.min((ep.trigger + 1 + ra.max_dist) as u64),
+            _ => self.fetch_end,
         };
         let mut n = 0;
         while n < budget && t.fetch_queue.len() < t.fetch_cap {
@@ -1315,7 +1306,7 @@ impl Core<'_> {
                     let line = line_of(pc);
                     if line != t.last_ifetch_line {
                         t.last_ifetch_line = line;
-                        if let Some(at) = self.ifetch(pc, line, idx) {
+                        if let Some(at) = self.ifetch(pc, line) {
                             // The instruction is not available until its
                             // line arrives; park it and stall fetch.
                             t.fetch_stall_until = at;
@@ -1351,7 +1342,7 @@ impl Core<'_> {
 
     /// Looks up a new I-cache line; returns when it arrives if fetch must
     /// wait for it.
-    fn ifetch(&mut self, pc: u64, line: u64, idx: u32) -> Option<u64> {
+    fn ifetch(&mut self, pc: u64, line: u64) -> Option<u64> {
         let now = self.now;
         let ready = match self.hierarchy.ifetch(pc) {
             Access::L1Hit => return None,
@@ -1363,9 +1354,7 @@ impl Core<'_> {
                 MshrOutcome::Full => now + self.cfg.mem_latency,
             },
         };
-        if idx as u64 >= self.warmup {
-            self.offchip.imiss += 1;
-        }
+        self.offchip.imiss += 1;
         self.note_outstanding(ready);
         Some(ready)
     }
@@ -1417,10 +1406,10 @@ mod tests {
         })
     }
 
-    /// The streaming path's memory bound: each cycle every thread
-    /// releases what it will not read again, so a chunked run holds a
-    /// window of a few chunks plus the configured window, however long
-    /// the trace.
+    /// The streaming path's memory bound: the functional warm-up, and
+    /// then each cycle every thread, releases what it will not read
+    /// again, so a chunked run holds a window of a few chunks plus the
+    /// configured window, however long the trace.
     #[test]
     fn chunked_runs_keep_a_bounded_window_resident() {
         const WINDOW: usize = 2048; // the runahead distance below
@@ -1446,14 +1435,85 @@ mod tests {
                     peak: 0,
                 })
                 .collect();
-            let (_, insts) = simulate(&config, &mut srcs, 0, u64::MAX);
-            assert_eq!(insts, vec![LEN as u64; threads], "{name} ran short");
+            let warmup = LEN as u64 / 2;
+            let (_, insts) = simulate(&config, &mut srcs, warmup, u64::MAX);
+            assert_eq!(
+                insts,
+                vec![LEN as u64 - warmup; threads],
+                "{name} ran short"
+            );
             for src in &srcs {
                 assert!(
                     src.peak <= BOUND,
                     "{name} held {} instructions resident (bound {BOUND})",
                     src.peak
                 );
+            }
+        }
+    }
+
+    /// A warm-up at or past the end of the trace leaves nothing to
+    /// measure: every entry point, single-threaded or SMT, reports what a
+    /// run over an empty trace reports, and none panics.
+    #[test]
+    fn warmup_at_or_past_the_end_gives_an_empty_report() {
+        use crate::smt::SmtSim;
+        use mlp_isa::SliceTrace;
+        const LEN: usize = 3 * CHUNK / 2;
+        let insts: Vec<_> = Workload::new(WorkloadKind::Database, 42)
+            .take(LEN)
+            .collect();
+        let soa = TraceSoA::from_insts(&insts);
+        let runahead = CycleSimConfig {
+            runahead: Some(RunaheadConfig {
+                max_dist: 2048,
+                value: ValueMode::LastValue(1024),
+            }),
+            ..CycleSimConfig::default()
+        };
+        let pair = |len| {
+            [
+                SharedSoaSource::new(&soa, len),
+                SharedSoaSource::new(&soa, len),
+            ]
+        };
+        for config in [CycleSimConfig::default(), runahead] {
+            let mut sim = CycleSim::new(config.clone());
+            let mut smt = SmtSim::new(config);
+            let empty = format!("{:?}", sim.run_shared(&soa, 0, 0, u64::MAX));
+            let empty_smt = format!("{:?}", smt.run_sources(&mut pair(0), 0, u64::MAX));
+            for warmup in [LEN as u64, LEN as u64 + 1, u64::MAX] {
+                let reports = [
+                    ("slice", sim.run(&mut SliceTrace::new(&insts), warmup, 10)),
+                    ("shared", sim.run_shared(&soa, LEN, warmup, 10)),
+                    ("chunked", sim.run_chunks(database_chunks(LEN), warmup, 10)),
+                ];
+                for (source, report) in reports {
+                    assert_eq!(format!("{report:?}"), empty, "{source}, warm-up {warmup}");
+                }
+                let (mut a, mut b) = (SliceTrace::new(&insts), SliceTrace::new(&insts));
+                let smt_reports = [
+                    ("slice", smt.run(vec![&mut a, &mut b], warmup, 10)),
+                    ("shared", smt.run_sources(&mut pair(LEN), warmup, 10)),
+                    (
+                        "chunked",
+                        smt.run_sources(
+                            &mut [
+                                ChunkedSoaSource::new(database_chunks(LEN)),
+                                ChunkedSoaSource::new(database_chunks(LEN)),
+                            ],
+                            warmup,
+                            10,
+                        ),
+                    ),
+                ];
+                for (source, report) in smt_reports {
+                    assert_eq!(
+                        format!("{report:?}"),
+                        empty_smt,
+                        "SMT {source}, warm-up {warmup}"
+                    );
+                }
             }
         }
     }

@@ -65,8 +65,9 @@ impl RunaheadSim {
         self
     }
 
-    /// Runs the core over `trace` with `warmup` uncounted retired
-    /// instructions followed by up to `measure` measured ones.
+    /// Runs the core over `trace`: the functional warm-up over the first
+    /// `warmup` instructions, then up to `measure` measured ones (see
+    /// [`CycleSim::run`]).
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, warmup: u64, measure: u64) -> CycleReport {
         CycleSim::new(self.config.clone()).run(trace, warmup, measure)
     }

@@ -25,7 +25,7 @@ use mlpsim::OffchipCounts;
 pub struct SmtReport {
     /// Cycles elapsed.
     pub cycles: u64,
-    /// Instructions retired per thread.
+    /// Instructions retired per thread (after its warm-up).
     pub insts: Vec<u64>,
     /// Useful off-chip accesses (all threads combined).
     pub offchip: OffchipCounts,
@@ -86,11 +86,13 @@ impl SmtSim {
         SmtSim { config }
     }
 
-    /// Runs the given threads: each first retires `warmup` instructions
-    /// (training caches and predictors, uncounted), then up to `measure`
-    /// more are measured (the run also ends when every trace is
-    /// exhausted). Measurement starts when the *last* thread crosses its
-    /// warm-up boundary.
+    /// Runs the given threads. A functional pass first trains the shared
+    /// caches and predictors on each thread's first `warmup` instructions,
+    /// interleaved one instruction per thread per turn; then every thread
+    /// starts measuring at cycle 0 from its instruction `warmup`, and
+    /// retires up to `measure` instructions. The run ends when every
+    /// thread has retired its `measure` instructions or exhausted its
+    /// trace, so each thread's count covers exactly the measured cycles.
     ///
     /// # Panics
     ///

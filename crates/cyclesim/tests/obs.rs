@@ -25,13 +25,17 @@ fn armed<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
 
 #[test]
 fn smt_runs_flush_run_and_memory_counters() {
+    // Thread B's trace ends inside the warm-up: the pass consumes
+    // min(warm-up, trace length) instructions per thread.
     let a = micro::random_trace(3, 300);
-    let b = micro::random_trace(4, 300);
+    let b = micro::random_trace(4, 80);
     let (r, snap) = armed(|| {
         let (mut sa, mut sb) = (SliceTrace::new(&a), SliceTrace::new(&b));
-        SmtSim::new(CycleSimConfig::default()).run(vec![&mut sa, &mut sb], 0, u64::MAX)
+        SmtSim::new(CycleSimConfig::default()).run(vec![&mut sa, &mut sb], 100, u64::MAX)
     });
+    assert_eq!(r.insts, vec![200, 0]);
     assert_eq!(snap.counter("cyclesim.runs"), 1);
+    assert_eq!(snap.counter("cyclesim.warmup.insts"), 100 + 80);
     assert_eq!(snap.counter("cyclesim.insts"), r.insts.iter().sum::<u64>());
     assert_eq!(snap.counter("cyclesim.cycles"), r.cycles);
     assert_eq!(snap.counter("cyclesim.offchip.useful"), r.offchip.total());

@@ -351,8 +351,8 @@ mod fork_differences {
     #[test]
     fn misses_count_by_trace_index() {
         // The last warm-up instruction and the first measured one both
-        // miss, in the same cycle: only the measured one counts, though
-        // fetch has passed the boundary and measurement has not begun.
+        // miss: only the measured one counts. The warm-up's miss is made
+        // by the functional pass, before the first cycle.
         let r = Reg::int;
         let mut t = vec![
             Inst::load(micro::PC_BASE, r(1), 0, r(2), micro::COLD_BASE),
@@ -444,4 +444,30 @@ mod fork_differences {
         );
         assert_eq!((smt_a, smt_c), (conv_a, conv_c));
     }
+}
+
+/// An SMT thread's measured instructions all retire inside the measured
+/// cycles. Thread A's nops warm up at once; thread B's warm-up is a
+/// pointer chase, one off-chip miss after another. Both measured windows
+/// are nops on code lines the warm-up fetched. A thread that could retire
+/// its measured window while its co-runner was still warming up would
+/// report more instructions than the retire width allows.
+#[test]
+fn smt_counts_only_instructions_retired_in_measured_cycles() {
+    use mlp_cyclesim::smt::SmtSim;
+    // Nops looping over the first 512 instruction slots (32 I-lines).
+    let hot_nops = |n: u64| (0..n).map(|k| Inst::nop(micro::PC_BASE + 4 * (k % 512)));
+    let fast: Vec<Inst> = hot_nops(20_000).collect();
+    let mut slow = micro::pointer_chase(2_000, 0);
+    slow.extend(hot_nops(100));
+    let cfg = CycleSimConfig::default();
+    let (mut a, mut b) = (SliceTrace::new(&fast), SliceTrace::new(&slow));
+    let r = SmtSim::new(cfg.clone()).run(vec![&mut a, &mut b], 2_000, 100);
+    assert_eq!(r.insts, vec![100, 100]);
+    assert!(
+        r.ipc() <= cfg.retire_width as f64,
+        "IPC {:.3} over {} cycles exceeds the retire width",
+        r.ipc(),
+        r.cycles
+    );
 }

@@ -12,8 +12,10 @@
 //! the same trace and hierarchy. Perfect instruction fetch is part of the
 //! pass: it makes no fetch accesses.
 //!
-//! The kernels read the pass's two bits per instruction ([`IMISS`],
-//! [`DMISS`]) through [`Outcomes`], which has two implementations:
+//! The per-instruction step is [`warm::touch`], which the functional
+//! warm-up shares. The kernels read the pass's two bits per instruction
+//! ([`warm::IMISS`], [`warm::DMISS`]) through [`Outcomes`], which has two
+//! implementations:
 //!
 //! * [`Live`] runs the pass lazily, alongside the kernel: an instruction
 //!   is annotated the first time the kernel asks about it, which is at
@@ -23,16 +25,10 @@
 //!   produced by running that same annotator to its end, so runs sharing
 //!   a trace and hierarchy pay for the pass once.
 
+use super::warm;
 use crate::config::MlpsimConfig;
-use mlp_isa::{
-    InstSource, SharedSoaSource, TraceSoA, CLASS_ATOMIC, CLASS_LOAD, CLASS_PREFETCH, CLASS_STORE,
-};
+use mlp_isa::{InstSource, SharedSoaSource, TraceSoA};
 use mlp_mem::{Hierarchy, HierarchyConfig};
-
-/// Outcome bit: the instruction's fetch went off-chip.
-pub(crate) const IMISS: u8 = 1;
-/// Outcome bit: the instruction's data access went off-chip.
-pub(crate) const DMISS: u8 = 2;
 
 /// Where a kernel reads the outcome bits of each instruction.
 pub(crate) trait Outcomes {
@@ -93,28 +89,14 @@ impl Live {
     }
 
     /// Touches the hierarchy for the next instruction, held in column
-    /// slot `i` of `soa`: its fetch (unless fetch is perfect), then its
-    /// data access. Returns its outcome bits.
+    /// slot `i` of `soa`, and returns its outcome bits.
     #[inline]
     fn step(&mut self, soa: &TraceSoA, i: usize) -> u8 {
         if self.done == self.reset_at {
             self.hierarchy.reset_stats();
         }
         self.done += 1;
-        let mut bits = 0;
-        if !self.perfect_ifetch && self.hierarchy.ifetch(soa.pc()[i]).is_off_chip() {
-            bits |= IMISS;
-        }
-        let access = match soa.class()[i] {
-            CLASS_LOAD | CLASS_ATOMIC => self.hierarchy.load(soa.addr()[i]),
-            CLASS_STORE => self.hierarchy.store(soa.addr()[i]),
-            CLASS_PREFETCH if soa.has_mem(i) => self.hierarchy.prefetch(soa.addr()[i]),
-            _ => return bits,
-        };
-        if access.is_off_chip() {
-            bits |= DMISS;
-        }
-        bits
+        warm::touch(&mut self.hierarchy, soa, i, self.perfect_ifetch, 0)
     }
 }
 
@@ -258,7 +240,7 @@ mod tests {
             let got: Vec<(bool, bool)> = column
                 .bits
                 .iter()
-                .map(|&b| (b & IMISS != 0, b & DMISS != 0))
+                .map(|&b| (b & warm::IMISS != 0, b & warm::DMISS != 0))
                 .collect();
             prop_assert_eq!(got, naive(&config, &insts));
         }

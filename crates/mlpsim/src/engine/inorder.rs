@@ -13,10 +13,13 @@
 //!
 //! Fetch and data outcomes come from the program-order pass
 //! ([`super::annotate`]); the engine decides only whether a load merges
-//! into a line still in flight and what the stall costs.
+//! into a line still in flight and what the stall costs. Like the
+//! out-of-order engine it starts at the warm-up boundary, after the
+//! functional warm-up ([`super::warm`]).
 
-use super::annotate::{Outcomes, DMISS, IMISS};
-use super::{scratch, Branches, EpochTracker, MissKind, Values};
+use super::annotate::Outcomes;
+use super::warm::{DMISS, IMISS};
+use super::{scratch, EpochTracker, MissKind, Predictors};
 use crate::config::{InOrderPolicy, MlpsimConfig};
 use crate::report::{Inhibitor, Report};
 use mlp_hash::FxHashMap;
@@ -25,33 +28,29 @@ use mlp_isa::{
     CLASS_PREFETCH, CLASS_STORE,
 };
 use mlp_obs::{IntervalSampler, Value};
-use mlp_predict::{BranchStats, ValuePrediction, ValueStats};
+use mlp_predict::ValuePrediction;
 
 const PRUNE_LIMIT: usize = 8192;
 
+/// Runs the core from trace index `start` (the warm-up boundary) for up
+/// to `measure` instructions.
 pub(crate) fn run<S: InstSource, O: Outcomes>(
     cfg: &MlpsimConfig,
     policy: InOrderPolicy,
     src: &mut S,
     mut outcomes: O,
-    warmup: u64,
+    mut predictors: Predictors,
+    start: usize,
     measure: u64,
 ) -> Report {
-    let mut branches = Branches::new(cfg.branch);
-    let mut values = Values::new(cfg.value);
     let pool = scratch::take();
     let mut tracker = EpochTracker::with_scratch(pool.tracker_ring);
-    tracker.measuring = warmup == 0;
 
     let mut e: u64 = 0;
     let mut avail = [0u64; AVAIL_SLOTS];
     let mut line_avail: FxHashMap<u64, u64> = pool.line_avail;
     let mut insts: u64 = 0;
-    let mut consumed: u64 = 0;
-    let mut next: usize = 0;
-    let limit = warmup.saturating_add(measure);
-    let mut branch_base = BranchStats::default();
-    let mut value_base = ValueStats::default();
+    let mut next = start;
     // Stall-on-miss defers its epoch advance until after the *next*
     // instruction's fetch is classified: the front end keeps fetching
     // while the load stalls, so an instruction-fetch miss (or a just
@@ -83,7 +82,7 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
         }};
     }
 
-    while consumed < limit {
+    while insts < measure {
         // Strictly in-order: nothing below the next instruction is ever
         // re-read, so a streaming source may evict it.
         src.release(next);
@@ -95,16 +94,8 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
         // further ensure/release happens before the reads).
         let idx = next - src.base();
         next += 1;
-        consumed += 1;
-        if consumed == warmup + 1 && !tracker.measuring {
-            tracker.measuring = true;
-            branch_base = branches.stats();
-            value_base = values.stats();
-        }
-        if tracker.measuring {
-            insts += 1;
-            tracker.note_inst();
-        }
+        insts += 1;
+        tracker.note_inst();
 
         let bits = outcomes.bits(&*src, next - 1);
         // Instruction fetch is blocking: a missing fetch overlaps what is
@@ -169,7 +160,9 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
                 let predicted = missed
                     && class == CLASS_LOAD
                     && matches!(
-                        values.observe(src.soa().pc()[idx], src.soa().value()[idx]),
+                        predictors
+                            .values
+                            .observe(src.soa().pc()[idx], src.soa().value()[idx]),
                         Some(ValuePrediction::Correct)
                     );
                 match policy {
@@ -237,7 +230,9 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
                     .soa()
                     .branch_info(idx)
                     .expect("branch classes carry branch info");
-                let mispredicted = branches.observe_branch(src.soa().pc()[idx], info);
+                let mispredicted = predictors
+                    .branches
+                    .observe_branch(src.soa().pc()[idx], info);
                 if dep_ready > e {
                     // The branch cannot issue until its condition is
                     // ready; a misprediction additionally means the front
@@ -273,22 +268,10 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
             );
         }
     }
-    let b = branches.stats();
-    let v = values.stats();
     // Recycle the drained scratch before the tracker is consumed.
     let tracker_ring = std::mem::take(&mut tracker.ring);
-    let report = tracker.into_report(
-        insts,
-        BranchStats {
-            branches: b.branches - branch_base.branches,
-            mispredicts: b.mispredicts - branch_base.mispredicts,
-        },
-        ValueStats {
-            correct: v.correct - value_base.correct,
-            wrong: v.wrong - value_base.wrong,
-            no_predict: v.no_predict - value_base.no_predict,
-        },
-    );
+    let (branches, values) = predictors.measured();
+    let report = tracker.into_report(insts, branches, values);
     scratch::put(scratch::Scratch {
         window: pool.window,
         issue_buckets: pool.issue_buckets,
@@ -297,7 +280,7 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
         line_avail,
         tracker_ring,
     });
-    crate::obs::flush_run(&report);
+    crate::obs::flush_run(&report, start as u64);
     outcomes.finish();
     report
 }

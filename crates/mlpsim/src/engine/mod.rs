@@ -2,6 +2,7 @@ mod annotate;
 mod inorder;
 mod ooo;
 mod scratch;
+pub mod warm;
 
 pub use annotate::Annotation;
 
@@ -42,7 +43,6 @@ pub(crate) struct EpochTracker {
     closed: u64,
     /// One past the highest epoch ever touched.
     high: u64,
-    pub(crate) measuring: bool,
     epochs: u64,
     offchip: OffchipCounts,
     inhibitors: InhibitorCounts,
@@ -137,9 +137,8 @@ impl EpochTracker {
         self.ring = ring;
     }
 
-    /// Counts one measured instruction toward the current epoch's length.
-    /// Engines call this from their existing `measuring` branch; one
-    /// branch when `MLP_OBS` is off.
+    /// Counts one measured instruction toward the current epoch's length;
+    /// one branch when `MLP_OBS` is off.
     #[inline]
     pub(crate) fn note_inst(&mut self) {
         if self.obs_armed {
@@ -171,9 +170,6 @@ impl EpochTracker {
 
     /// Records a useful off-chip access belonging to epoch `t`.
     pub(crate) fn record_miss(&mut self, t: u64, kind: MissKind) {
-        if !self.measuring {
-            return;
-        }
         let acc = self.slot(t);
         if acc.misses == 0 && kind == MissKind::Imiss {
             acc.trigger_imiss = true;
@@ -188,9 +184,6 @@ impl EpochTracker {
 
     /// Records an off-chip store fill in epoch `t` (store-MLP extension).
     pub(crate) fn record_store_fill(&mut self, t: u64) {
-        if !self.measuring {
-            return;
-        }
         self.slot(t).store_fills += 1;
         self.store_fills += 1;
     }
@@ -205,9 +198,6 @@ impl EpochTracker {
 
     /// Notes the first fetch-blocking condition of epoch `t`.
     pub(crate) fn note_block(&mut self, t: u64, reason: Inhibitor) {
-        if !self.measuring {
-            return;
-        }
         self.slot(t).first_block.get_or_insert(reason);
     }
 
@@ -215,9 +205,6 @@ impl EpochTracker {
     /// issue-policy edge (configuration A's in-order loads or A/B's
     /// store-address wait).
     pub(crate) fn note_policy(&mut self, t: u64, reason: Inhibitor) {
-        if !self.measuring {
-            return;
-        }
         self.slot(t).policy.get_or_insert(reason);
     }
 
@@ -291,15 +278,19 @@ impl EpochTracker {
     }
 }
 
-/// Static-dispatch wrapper over the branch-observer variants.
+/// The branch predictor of a [`BranchMode`], behind static dispatch:
+/// the one wrapper both engines train and consult.
 #[derive(Debug)]
-pub(crate) enum Branches {
+pub enum Branches {
+    /// The real front end (gshare, BTB, return-address stack).
     Real(BranchPredictor),
+    /// Perfect branch prediction: nothing mispredicts.
     Perfect(PerfectBranchPredictor),
 }
 
 impl Branches {
-    pub(crate) fn new(mode: BranchMode) -> Branches {
+    /// A fresh predictor for `mode`.
+    pub fn new(mode: BranchMode) -> Branches {
         match mode {
             BranchMode::Real(cfg) => Branches::Real(BranchPredictor::new(cfg)),
             BranchMode::Perfect => Branches::Perfect(PerfectBranchPredictor::new()),
@@ -307,15 +298,17 @@ impl Branches {
     }
 
     /// Returns whether the front end mispredicts this branch, given its
-    /// already-decoded parts (straight off the trace columns).
-    pub(crate) fn observe_branch(&mut self, pc: u64, info: mlp_isa::BranchInfo) -> bool {
+    /// already-decoded parts (straight off the trace columns), and trains
+    /// on it.
+    pub fn observe_branch(&mut self, pc: u64, info: mlp_isa::BranchInfo) -> bool {
         match self {
             Branches::Real(p) => p.observe_branch(pc, info),
             Branches::Perfect(p) => p.observe_branch(pc, info),
         }
     }
 
-    pub(crate) fn stats(&self) -> BranchStats {
+    /// Branches observed and mispredicted so far.
+    pub fn stats(&self) -> BranchStats {
         match self {
             Branches::Real(p) => p.stats(),
             Branches::Perfect(p) => p.stats(),
@@ -323,18 +316,25 @@ impl Branches {
     }
 }
 
-/// Static-dispatch wrapper over the value-observer variants.
+/// The value predictor of a [`ValueMode`], behind static dispatch: the
+/// one wrapper both engines train and consult.
 #[derive(Debug)]
-pub(crate) enum Values {
+pub enum Values {
+    /// No value prediction.
     Off,
+    /// A last-value table.
     Last(LastValuePredictor),
+    /// A stride table.
     Stride(StridePredictor),
+    /// A last-value/stride hybrid.
     Hybrid(HybridValuePredictor),
+    /// Perfect value prediction.
     Perfect(PerfectValuePredictor),
 }
 
 impl Values {
-    pub(crate) fn new(mode: ValueMode) -> Values {
+    /// A fresh predictor for `mode`.
+    pub fn new(mode: ValueMode) -> Values {
         match mode {
             ValueMode::None => Values::Off,
             ValueMode::LastValue(entries) => Values::Last(LastValuePredictor::new(entries)),
@@ -344,9 +344,9 @@ impl Values {
         }
     }
 
-    /// Consults the predictor for a missing load; `None` when value
-    /// prediction is disabled.
-    pub(crate) fn observe(&mut self, pc: u64, actual: u64) -> Option<ValuePrediction> {
+    /// Consults (and trains) the predictor for a missing load; `None`
+    /// when value prediction is off.
+    pub fn observe(&mut self, pc: u64, actual: u64) -> Option<ValuePrediction> {
         match self {
             Values::Off => None,
             Values::Last(p) => Some(p.observe(pc, actual)),
@@ -356,7 +356,8 @@ impl Values {
         }
     }
 
-    pub(crate) fn stats(&self) -> ValueStats {
+    /// Predictions made so far, by outcome.
+    pub fn stats(&self) -> ValueStats {
         match self {
             Values::Off => ValueStats::default(),
             Values::Last(p) => p.stats(),
@@ -367,13 +368,53 @@ impl Values {
     }
 }
 
+/// A run's predictors as the functional warm-up left them, with their
+/// statistics at the warm-up boundary, so a report counts only what the
+/// kernel observes.
+#[derive(Debug)]
+pub(crate) struct Predictors {
+    pub(crate) branches: Branches,
+    pub(crate) values: Values,
+    branch_base: BranchStats,
+    value_base: ValueStats,
+}
+
+impl Predictors {
+    fn warmed(branches: Branches, values: Values) -> Predictors {
+        Predictors {
+            branch_base: branches.stats(),
+            value_base: values.stats(),
+            branches,
+            values,
+        }
+    }
+
+    /// Branch and value statistics of the measured window.
+    pub(crate) fn measured(&self) -> (BranchStats, ValueStats) {
+        let (b, v) = (self.branches.stats(), self.values.stats());
+        (
+            BranchStats {
+                branches: b.branches - self.branch_base.branches,
+                mispredicts: b.mispredicts - self.branch_base.mispredicts,
+            },
+            ValueStats {
+                correct: v.correct - self.value_base.correct,
+                wrong: v.wrong - self.value_base.wrong,
+                no_predict: v.no_predict - self.value_base.no_predict,
+            },
+        )
+    }
+}
+
 /// The epoch-model simulator.
 ///
 /// Construct one per configuration; each [`Simulator::run`] starts from
 /// cold caches and predictors (deterministic, self-contained runs). The
 /// caches are walked once per run in program order (see
 /// [`Annotation`]); [`Simulator::run_annotated`] reads that walk from a
-/// column shared by several runs instead.
+/// column shared by several runs instead. Warm-up is part of the same
+/// walk ([`warm`]): the window model starts empty at the warm-up
+/// boundary.
 ///
 /// # Examples
 ///
@@ -408,9 +449,12 @@ impl Simulator {
         &self.config
     }
 
-    /// Runs the epoch model over `trace`: `warmup` instructions train the
-    /// caches and predictors without counting, then up to `measure`
-    /// instructions are measured (the run also ends at end-of-trace).
+    /// Runs the epoch model over `trace`: a functional pass over the
+    /// first `warmup` instructions trains the caches and predictors in
+    /// program order ([`warm`]), then the window model starts empty at
+    /// instruction `warmup` and measures up to `measure` instructions
+    /// (the run also ends at end-of-trace, so a warm-up at or past the
+    /// end gives an empty report).
     ///
     /// The stream is decoded into a per-run column buffer and then runs
     /// through exactly the same kernel as [`Simulator::run_shared`];
@@ -491,18 +535,30 @@ impl Simulator {
         self.run_with(src, live, warmup, measure)
     }
 
+    /// Makes the functional warm-up, then runs the kernel from the
+    /// warm-up boundary.
     fn run_with<S: InstSource, O: annotate::Outcomes>(
         &mut self,
         src: &mut S,
-        outcomes: O,
+        mut outcomes: O,
         warmup: u64,
         measure: u64,
     ) -> Report {
+        let mut branches = Branches::new(self.config.branch);
+        let mut values = Values::new(self.config.value);
+        let start = warm::run(src, &mut outcomes, &mut branches, &mut values, warmup);
+        let predictors = Predictors::warmed(branches, values);
         match self.config.window {
-            WindowModel::InOrder(policy) => {
-                inorder::run(&self.config, policy, src, outcomes, warmup, measure)
-            }
-            _ => ooo::run(&self.config, src, outcomes, warmup, measure),
+            WindowModel::InOrder(policy) => inorder::run(
+                &self.config,
+                policy,
+                src,
+                outcomes,
+                predictors,
+                start,
+                measure,
+            ),
+            _ => ooo::run(&self.config, src, outcomes, predictors, start, measure),
         }
     }
 }
@@ -553,9 +609,10 @@ mod tests {
         })
     }
 
-    /// The streaming path's memory bound: every engine releases what it
-    /// will not read again, so a chunked run holds a window of a few
-    /// chunks plus the configured window, however long the trace.
+    /// The streaming path's memory bound: every engine, and the
+    /// functional warm-up before it, releases what it will not read
+    /// again, so a chunked run holds a window of a few chunks plus the
+    /// configured window, however long the trace.
     #[test]
     fn chunked_runs_keep_a_bounded_window_resident() {
         const WINDOW: usize = 2048; // the largest window below
@@ -578,8 +635,9 @@ mod tests {
                 inner: ChunkedSoaSource::new(database_chunks(LEN)),
                 peak: 0,
             };
-            let report = Simulator::new(config).run_source(&mut src, 0, u64::MAX);
-            assert_eq!(report.insts, LEN as u64, "{window:?} ran short");
+            let warmup = LEN as u64 / 2;
+            let report = Simulator::new(config).run_source(&mut src, warmup, u64::MAX);
+            assert_eq!(report.insts, LEN as u64 - warmup, "{window:?} ran short");
             assert!(
                 src.peak <= BOUND,
                 "{window:?} held {} instructions resident (bound {BOUND})",
@@ -588,10 +646,57 @@ mod tests {
         }
     }
 
+    /// A warm-up at or past the end of the trace leaves nothing to
+    /// measure: every entry point reports what a run over an empty trace
+    /// reports, and none panics.
+    #[test]
+    fn warmup_at_or_past_the_end_gives_an_empty_report() {
+        const LEN: usize = 3 * CHUNK / 2;
+        let insts: Vec<_> = Workload::new(WorkloadKind::Database, 42)
+            .take(LEN)
+            .collect();
+        let soa = TraceSoA::from_insts(&insts);
+        let configs = [
+            MlpsimConfig::default(),
+            MlpsimConfig::builder()
+                .window(WindowModel::InOrder(InOrderPolicy::StallOnMiss))
+                .build(),
+            MlpsimConfig::builder()
+                .window(WindowModel::Runahead { max_dist: 2048 })
+                .build(),
+        ];
+        for config in configs {
+            let window = config.window;
+            let mut sim = Simulator::new(config);
+            let empty = format!("{:?}", sim.run_shared(&soa, 0, 0, u64::MAX));
+            let column = Annotation::new(sim.config(), &soa, LEN);
+            for warmup in [LEN as u64, LEN as u64 + 1, u64::MAX] {
+                let reports = [
+                    (
+                        "slice",
+                        sim.run(&mut mlp_isa::SliceTrace::new(&insts), warmup, 10),
+                    ),
+                    ("shared", sim.run_shared(&soa, LEN, warmup, 10)),
+                    (
+                        "annotated",
+                        sim.run_annotated(&soa, LEN, &column, warmup, 10),
+                    ),
+                    ("chunked", sim.run_chunks(database_chunks(LEN), warmup, 10)),
+                ];
+                for (source, report) in reports {
+                    assert_eq!(
+                        format!("{report:?}"),
+                        empty,
+                        "{window:?}, {source} source, warm-up {warmup}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn tracker_counts_epochs_with_misses_only() {
         let mut t = EpochTracker::new();
-        t.measuring = true;
         t.record_miss(0, MissKind::Dmiss);
         t.record_miss(0, MissKind::Dmiss);
         t.record_miss(2, MissKind::Pmiss);
@@ -608,7 +713,6 @@ mod tests {
     #[test]
     fn tracker_attributes_imiss_trigger() {
         let mut t = EpochTracker::new();
-        t.measuring = true;
         t.record_miss(0, MissKind::Imiss);
         t.record_miss(1, MissKind::Dmiss);
         t.record_miss(1, MissKind::Imiss);
@@ -622,7 +726,6 @@ mod tests {
     #[test]
     fn tracker_policy_beats_maxwin() {
         let mut t = EpochTracker::new();
-        t.measuring = true;
         t.record_miss(0, MissKind::Dmiss);
         t.note_block(0, Inhibitor::Maxwin);
         t.note_policy(0, Inhibitor::MissingLoad);
@@ -635,7 +738,6 @@ mod tests {
     #[test]
     fn tracker_serialize_beats_policy() {
         let mut t = EpochTracker::new();
-        t.measuring = true;
         t.record_miss(0, MissKind::Dmiss);
         t.note_block(0, Inhibitor::Serialize);
         t.note_policy(0, Inhibitor::DepStore);
@@ -645,23 +747,10 @@ mod tests {
     }
 
     #[test]
-    fn warmup_gating() {
-        let mut t = EpochTracker::new();
-        t.record_miss(0, MissKind::Dmiss); // not measuring
-        t.measuring = true;
-        t.record_miss(1, MissKind::Dmiss);
-        t.close_all();
-        let r = t.into_report(0, BranchStats::default(), ValueStats::default());
-        assert_eq!(r.offchip.total(), 1);
-        assert_eq!(r.epochs, 1);
-    }
-
-    #[test]
     fn tracker_measures_epoch_lengths_for_counted_epochs_only() {
         let mut t = EpochTracker::new();
         t.obs_armed = true; // what new() latches under MLP_OBS=counters
-        t.measuring = true;
-        // Epoch 0: 3 instructions, one miss.
+                            // Epoch 0: 3 instructions, one miss.
         for _ in 0..3 {
             t.note_inst();
         }
@@ -689,7 +778,6 @@ mod tests {
     fn disarmed_tracker_measures_no_epoch_lengths() {
         let mut t = EpochTracker::new();
         t.obs_armed = false; // what new() latches with MLP_OBS unset
-        t.measuring = true;
         t.note_inst();
         t.record_miss(0, MissKind::Dmiss);
         t.close_all();
@@ -700,7 +788,6 @@ mod tests {
     #[test]
     fn close_before_is_partial() {
         let mut t = EpochTracker::new();
-        t.measuring = true;
         t.record_miss(0, MissKind::Dmiss);
         t.record_miss(5, MissKind::Dmiss);
         t.close_before(3);

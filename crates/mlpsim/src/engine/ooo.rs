@@ -25,10 +25,14 @@
 //! The engine owns no cache: it reads each instruction's fetch and data
 //! outcomes from the program-order pass ([`super::annotate`]) and decides
 //! only what the window makes of them — forwarding from a store, merging
-//! into a line still in flight, counting a useful miss.
+//! into a line still in flight, counting a useful miss. It starts empty
+//! at the warm-up boundary, after the functional warm-up
+//! ([`super::warm`]) has trained the hierarchy and the predictors, and
+//! measures every instruction it admits.
 
-use super::annotate::{Outcomes, DMISS, IMISS};
-use super::{scratch, Branches, EpochTracker, MissKind, Values};
+use super::annotate::Outcomes;
+use super::warm::{DMISS, IMISS};
+use super::{scratch, EpochTracker, MissKind, Predictors};
 use crate::config::{MlpsimConfig, WindowModel};
 use crate::report::{Inhibitor, Report};
 use mlp_hash::FxHashMap;
@@ -37,7 +41,7 @@ use mlp_isa::{
     CLASS_PREFETCH, CLASS_STORE, REG_NONE,
 };
 use mlp_obs::{IntervalSampler, Value};
-use mlp_predict::{BranchStats, ValuePrediction, ValueStats};
+use mlp_predict::ValuePrediction;
 use std::collections::VecDeque;
 
 /// Prune the in-flight line / store-forwarding maps beyond this size.
@@ -59,8 +63,7 @@ struct Engine<'a, S, O> {
     perfect_ifetch: bool,
     // components
     outcomes: O,
-    branches: Branches,
-    values: Values,
+    predictors: Predictors,
     tracker: EpochTracker,
     // machine state
     e: u64,
@@ -86,20 +89,19 @@ struct Engine<'a, S, O> {
     next: usize,
     iclassified: usize,
     // run control
-    consumed: u64,
     limit: u64,
-    warmup: u64,
     insts: u64,
-    branch_base: BranchStats,
-    value_base: ValueStats,
     sampler: Option<IntervalSampler>,
 }
 
+/// Runs the window from trace index `start` (the warm-up boundary) for up
+/// to `measure` instructions.
 pub(crate) fn run<S: InstSource, O: Outcomes>(
     cfg: &MlpsimConfig,
     src: &mut S,
     outcomes: O,
-    warmup: u64,
+    predictors: Predictors,
+    start: usize,
     measure: u64,
 ) -> Report {
     let (iw, rob, fetch_buffer, serializing) = match cfg.window {
@@ -123,8 +125,7 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
         branches_in_order: cfg.issue.branches_in_order(),
         perfect_ifetch: cfg.perfect_ifetch,
         outcomes,
-        branches: Branches::new(cfg.branch),
-        values: Values::new(cfg.value),
+        predictors,
         tracker: EpochTracker::with_scratch(pool.tracker_ring),
         e: 0,
         window: pool.window,
@@ -148,20 +149,15 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
         sb_occupancy: 0,
         sb_releases: pool.sb_releases,
         fetch_block: None,
-        next: 0,
+        next: start,
         iclassified: 0,
-        consumed: 0,
-        limit: warmup.saturating_add(measure),
-        warmup,
+        limit: measure,
         insts: 0,
-        branch_base: BranchStats::default(),
-        value_base: ValueStats::default(),
         sampler: IntervalSampler::armed("mlpsim.sample"),
     };
-    if warmup == 0 {
-        engine.tracker.measuring = true;
-    }
     let report = engine.run_loop();
+    crate::obs::flush_run(&report, start as u64);
+    engine.outcomes.finish();
     scratch::put(scratch::Scratch {
         window: std::mem::take(&mut engine.window),
         issue_buckets: std::mem::take(&mut engine.issue_buckets),
@@ -218,27 +214,12 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
         // `self` so `run` can pool it after the tracker is consumed into
         // the report.
         self.tracker.ring = std::mem::take(&mut tracker.ring);
-        let b = self.branches.stats();
-        let v = self.values.stats();
-        let report = tracker.into_report(
-            self.insts,
-            BranchStats {
-                branches: b.branches - self.branch_base.branches,
-                mispredicts: b.mispredicts - self.branch_base.mispredicts,
-            },
-            ValueStats {
-                correct: v.correct - self.value_base.correct,
-                wrong: v.wrong - self.value_base.wrong,
-                no_predict: v.no_predict - self.value_base.no_predict,
-            },
-        );
-        crate::obs::flush_run(&report);
-        self.outcomes.finish();
-        report
+        let (branches, values) = self.predictors.measured();
+        tracker.into_report(self.insts, branches, values)
     }
 
     fn out_of_input(&mut self) -> bool {
-        self.consumed >= self.limit || !self.have(1)
+        self.insts >= self.limit || !self.have(1)
     }
 
     fn advance(&mut self) {
@@ -297,7 +278,7 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
                 }
                 self.fetch_block = None;
             }
-            if self.consumed >= self.limit {
+            if self.insts >= self.limit {
                 return;
             }
             if !self.have(1) {
@@ -331,25 +312,13 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
             let idx = self.next;
             self.next += 1;
             self.iclassified = self.iclassified.saturating_sub(1);
-            self.consumed += 1;
-            if self.consumed == self.warmup + 1 && !self.tracker.measuring {
-                self.start_measuring();
-            }
-            if self.tracker.measuring {
-                self.insts += 1;
-                self.tracker.note_inst();
-            }
+            self.insts += 1;
+            self.tracker.note_inst();
             self.admit(idx);
             if self.fetch_block.is_some() {
                 return;
             }
         }
-    }
-
-    fn start_measuring(&mut self) {
-        self.tracker.measuring = true;
-        self.branch_base = self.branches.stats();
-        self.value_base = self.values.stats();
     }
 
     /// While the window is full, instruction fetch may still run ahead up
@@ -528,7 +497,7 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
             let pc = self.src.soa().pc()[self.rel(idx)];
             let value = self.src.soa().value()[self.rel(idx)];
             let predicted = matches!(
-                self.values.observe(pc, value),
+                self.predictors.values.observe(pc, value),
                 Some(ValuePrediction::Correct)
             );
             (if predicted { exec } else { exec + 1 }, true)
@@ -618,6 +587,7 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
             .branch_info(self.rel(idx))
             .expect("branch classes carry branch info");
         let mispredicted = self
+            .predictors
             .branches
             .observe_branch(self.src.soa().pc()[self.rel(idx)], info);
         if mispredicted && exec > self.e {

@@ -1,0 +1,108 @@
+//! The functional warm-up, shared by both engines.
+//!
+//! A run with warm-up `W` makes one program-order pass over instructions
+//! `[0, W)` before its timing model sees anything. Per instruction the
+//! pass [`touch`]es the cache hierarchy exactly as an
+//! [`Annotation`](crate::Annotation) pass does, then [`train`]s the
+//! branch predictor on every branch and the value predictor on every
+//! load (atomics included) whose data access went off chip. The window
+//! kernels here and the cycle pipeline in `mlp-cyclesim` then start
+//! empty at instruction `W`, over a warmed hierarchy and warmed
+//! predictors, and measure from their first instruction.
+
+use super::annotate::Outcomes;
+use super::{Branches, Values};
+use mlp_isa::{
+    InstSource, TraceSoA, ATTR_BRANCH, CLASS_ATOMIC, CLASS_ATTRS, CLASS_LOAD, CLASS_PREFETCH,
+    CLASS_STORE,
+};
+use mlp_mem::Hierarchy;
+
+/// Outcome bit: the instruction's fetch went off chip.
+pub const IMISS: u8 = 1;
+/// Outcome bit: the instruction's data access went off chip.
+pub const DMISS: u8 = 2;
+
+/// The per-instruction hierarchy step of the program-order pass: touches
+/// `hierarchy` for the instruction in column slot `i` of `soa` — its
+/// fetch (unless `perfect_ifetch`), then its load or atomic, store or
+/// prefetch — with pcs and addresses OR-ed with the address-space tag
+/// `asid`. Returns the instruction's outcome bits ([`IMISS`], [`DMISS`]).
+#[inline]
+pub fn touch(
+    hierarchy: &mut Hierarchy,
+    soa: &TraceSoA,
+    i: usize,
+    perfect_ifetch: bool,
+    asid: u64,
+) -> u8 {
+    let mut bits = 0;
+    if !perfect_ifetch && hierarchy.ifetch(soa.pc()[i] | asid).is_off_chip() {
+        bits |= IMISS;
+    }
+    let addr = soa.addr()[i] | asid;
+    let access = match soa.class()[i] {
+        CLASS_LOAD | CLASS_ATOMIC => hierarchy.load(addr),
+        CLASS_STORE => hierarchy.store(addr),
+        CLASS_PREFETCH if soa.has_mem(i) => hierarchy.prefetch(addr),
+        _ => return bits,
+    };
+    if access.is_off_chip() {
+        bits |= DMISS;
+    }
+    bits
+}
+
+/// The predictor-training step of the warm-up: trains `branches` if the
+/// instruction in column slot `i` of `soa` is a branch, and `values` if
+/// it is a load or atomic whose data access went off chip according to
+/// its outcome `bits` (from [`touch`]). `asid` tags the pc as in
+/// [`touch`].
+#[inline]
+pub fn train(
+    branches: &mut Branches,
+    values: &mut Values,
+    soa: &TraceSoA,
+    i: usize,
+    bits: u8,
+    asid: u64,
+) {
+    let class = soa.class()[i];
+    if CLASS_ATTRS[class as usize] & ATTR_BRANCH != 0 {
+        let info = soa
+            .branch_info(i)
+            .expect("branch classes carry branch info");
+        branches.observe_branch(soa.pc()[i] | asid, info);
+    } else if matches!(class, CLASS_LOAD | CLASS_ATOMIC) && bits & DMISS != 0 {
+        values.observe(soa.pc()[i] | asid, soa.value()[i]);
+    }
+}
+
+/// Runs the warm-up over the first `warmup` instructions of `src`,
+/// reading each one's outcome bits from `outcomes` (which makes the
+/// hierarchy pass if it is live), and releases what it has passed so a
+/// streamed source stays bounded. Returns the instructions consumed:
+/// `warmup`, or fewer if the trace ends first.
+pub(crate) fn run<S: InstSource, O: Outcomes>(
+    src: &mut S,
+    outcomes: &mut O,
+    branches: &mut Branches,
+    values: &mut Values,
+    warmup: u64,
+) -> usize {
+    let warmup = usize::try_from(warmup).unwrap_or(usize::MAX);
+    let mut next = 0;
+    while next < warmup {
+        if next >= src.available() {
+            src.release(next);
+            if src.ensure(next + 1) <= next {
+                break;
+            }
+        }
+        let bits = outcomes.bits(&*src, next);
+        train(branches, values, src.soa(), next - src.base(), bits, 0);
+        next += 1;
+    }
+    src.release(next);
+    next
+}

@@ -12,6 +12,8 @@ use mlp_obs::{Counter, Histogram, Value};
 
 static RUNS: Counter = Counter::new("mlpsim.runs");
 static INSTS: Counter = Counter::new("mlpsim.insts");
+/// Instructions the functional warm-up consumed (`crate::engine::warm`).
+static WARMUP_INSTS: Counter = Counter::new("mlpsim.warmup.insts");
 static EPOCHS: Counter = Counter::new("mlpsim.epochs");
 static OFFCHIP_DMISS: Counter = Counter::new("mlpsim.offchip.dmiss");
 static OFFCHIP_IMISS: Counter = Counter::new("mlpsim.offchip.imiss");
@@ -46,12 +48,14 @@ static TERMINATIONS: [Counter; 9] = [
     Counter::new("mlpsim.term.none"),
 ];
 
-/// Flushes one finished run's [`Report`] into the global counters and,
-/// when events are armed, emits one `mlpsim.run` event line.
-pub(crate) fn flush_run(report: &Report) {
+/// Flushes one finished run's [`Report`], after a warm-up of
+/// `warmup_insts` instructions, into the global counters and, when
+/// events are armed, emits one `mlpsim.run` event line.
+pub(crate) fn flush_run(report: &Report, warmup_insts: u64) {
     if mlp_obs::counters_on() {
         RUNS.inc();
         INSTS.add(report.insts);
+        WARMUP_INSTS.add(warmup_insts);
         EPOCHS.add(report.epochs);
         OFFCHIP_DMISS.add(report.offchip.dmiss);
         OFFCHIP_IMISS.add(report.offchip.imiss);

@@ -193,19 +193,28 @@ proptest! {
     }
 
     /// The counters MLPsim flushes are the report, not an approximation
-    /// of it — and epochs exist exactly when off-chip accesses do.
+    /// of it — and epochs exist exactly when off-chip accesses do. The
+    /// warm-up counter is what the functional pass consumed, the trace's
+    /// end included.
     #[test]
-    fn mlpsim_counters_equal_its_report(seed in any::<u64>(), len in 1usize..300) {
+    fn mlpsim_counters_equal_its_report(
+        seed in any::<u64>(),
+        len in 1usize..300,
+        warmup in 0u64..400,
+    ) {
         let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         mlp_obs::set_for_test(Some(Mode::Counters));
         let _ = mlp_obs::snapshot_and_reset();
 
         let t = micro::random_trace(seed, len);
         let r = Simulator::new(MlpsimConfig::default())
-            .run(&mut SliceTrace::new(&t), 0, u64::MAX);
+            .run(&mut SliceTrace::new(&t), warmup, u64::MAX);
         let s = mlp_obs::snapshot_and_reset();
         mlp_obs::set_for_test(None);
 
+        let warmed = warmup.min(len as u64);
+        prop_assert_eq!(s.counter("mlpsim.warmup.insts"), warmed);
+        prop_assert_eq!(r.insts, len as u64 - warmed);
         prop_assert_eq!(s.counter("mlpsim.insts"), r.insts);
         prop_assert_eq!(s.counter("mlpsim.epochs"), r.epochs);
         prop_assert_eq!(s.counter("mlpsim.offchip.useful"), r.offchip.total());

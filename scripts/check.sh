@@ -79,15 +79,17 @@ echo "==> streaming smoke (spilled trace run == in-memory run)"
 # from disk: the streamed reports must be byte-identical to the
 # in-memory ones. table5 covers the in-order kernel; in epochs the 64C
 # and RAE runs share one annotation key per workload, so the in-memory
-# run reads shared columns while the spilled run makes its own passes.
+# run reads shared columns while the spilled run makes its own passes;
+# fm runs the cycle pipeline, whose functional warm-up then reads a
+# chunked source.
 stream_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir" "$stream_dir"' EXIT
-target/release/mlp-experiments --only table5,epochs --scale quick \
+target/release/mlp-experiments --only table5,epochs,fm --scale quick \
     --json "$stream_dir/mem" >/dev/null
-MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments --only table5,epochs --scale quick \
+MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments --only table5,epochs,fm --scale quick \
     --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
 ls "$stream_dir"/cache/*.mlp2 >/dev/null   # traces really went to disk
-for exp in table5 epochs; do
+for exp in table5 epochs fm; do
     diff "$stream_dir/mem/$exp.quick.json" "$stream_dir/disk/$exp.quick.json"
 done
 # A v2 trace survives a round trip through v1 byte for byte, and a

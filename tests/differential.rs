@@ -73,6 +73,7 @@ fn check_preset(kind: WorkloadKind) {
         "{kind:?}: mlpsim useful-offchip counter must equal its report"
     );
     assert_eq!(m_snap.counter("mlpsim.insts"), m.insts);
+    assert_eq!(m_snap.counter("mlpsim.warmup.insts"), scale.warmup);
     assert_eq!(m_snap.counter("mlpsim.epochs"), m.epochs);
     assert_eq!(
         m_snap.counter("mlpsim.offchip.dmiss")
@@ -94,6 +95,7 @@ fn check_preset(kind: WorkloadKind) {
         "{kind:?}: cyclesim useful-offchip counter must equal its report"
     );
     assert_eq!(c_snap.counter("cyclesim.insts"), c.insts);
+    assert_eq!(c_snap.counter("cyclesim.warmup.insts"), scale.cycle_warmup);
     assert!(
         c_snap.counter("cyclesim.mshr.high_water") >= 1,
         "{kind:?}: a preset with off-chip misses must use at least one MSHR"
