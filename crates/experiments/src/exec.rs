@@ -28,7 +28,7 @@ pub struct Isolated {
 
 /// Runs `e` at `scale` under an isolation boundary, converting any panic
 /// into an error string. Never unwinds into the caller.
-pub fn run_isolated(e: &'static dyn Experiment, scale: RunScale) -> Isolated {
+pub fn run_isolated(e: &Experiment, scale: RunScale) -> Isolated {
     let t0 = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| e.run(scale))).map_err(mlp_par::panic_message);
     Isolated {
@@ -64,38 +64,27 @@ mod tests {
     use super::*;
     use crate::registry;
 
-    /// A throwaway experiment whose run panics; local to the test so no
+    /// Throwaway experiments whose runs panic; local to the test so no
     /// global fault state is armed (other tests sweep concurrently).
-    struct Boom(&'static str);
-
-    impl Experiment for Boom {
-        fn name(&self) -> &'static str {
-            "test-boom"
-        }
-        fn module(&self) -> &'static str {
-            "test"
-        }
-        fn description(&self) -> &'static str {
-            "panics on purpose"
-        }
-        fn section(&self) -> &'static str {
-            "tests"
-        }
-        fn run(&self, _scale: RunScale) -> ExperimentRun {
-            if self.0.is_empty() {
-                std::panic::panic_any(0xbeefu64);
-            }
-            panic!("{}", self.0)
-        }
-    }
+    const BOOM: Experiment = Experiment {
+        name: "test-boom",
+        title: "Boom",
+        section: "tests",
+        description: "panics on purpose",
+        module: module_path!(),
+        run: |_, _| panic!("trace cache exploded"),
+    };
 
     #[test]
     fn isolated_run_contains_panics_as_error_strings() {
-        static STRINGY: Boom = Boom("trace cache exploded");
+        static STRINGY: Experiment = BOOM;
         let iso = run_isolated(&STRINGY, RunScale::quick());
         assert_eq!(iso.outcome.err().as_deref(), Some("trace cache exploded"));
 
-        static NON_STRING: Boom = Boom("");
+        static NON_STRING: Experiment = Experiment {
+            run: |_, _| std::panic::panic_any(0xbeefu64),
+            ..BOOM
+        };
         let iso = run_isolated(&NON_STRING, RunScale::quick());
         assert_eq!(
             iso.outcome.err().as_deref(),

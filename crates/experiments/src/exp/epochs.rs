@@ -8,9 +8,8 @@
 //! the default processor and for runahead.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
 use crate::runner::{run_mlpsim, sweep};
-use crate::table::{pct, TextTable};
+use crate::table::{append_rows, text_table, Col, Fmt::*};
 use crate::RunScale;
 use mlp_workloads::WorkloadKind;
 use mlpsim::{IssueConfig, MlpsimConfig, WindowModel};
@@ -78,102 +77,47 @@ pub fn run(scale: RunScale) -> EpochStats {
 }
 
 impl EpochStats {
-    /// Renders the cumulative distributions.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Benchmark".to_string(),
-            "Machine".into(),
-            "MLP".into(),
-            "<=1".into(),
-            "<=2".into(),
-            "<=3".into(),
-            "<=4".into(),
-            "<=5".into(),
-            "<=8".into(),
-            "<=16".into(),
-            "<=32".into(),
-        ])
-        .with_title("Epoch statistics: cumulative share of epochs by accesses per epoch (§4.1)");
-        for d in &self.distributions {
-            let mut row = vec![
-                d.kind.name().to_string(),
-                d.machine.to_string(),
-                format!("{:.2}", d.mlp),
-            ];
-            row.extend(d.cdf.iter().map(|&f| pct(100.0 * f)));
-            t.row(row);
-        }
-        t.render()
-    }
-
     /// The distribution for `(kind, machine)`.
     pub fn distribution(&self, kind: WorkloadKind, machine: &str) -> Option<&Distribution> {
         self.distributions
             .iter()
             .find(|d| d.kind == kind && d.machine == machine)
     }
-
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "epochs",
-            "Epoch statistics: accesses-per-epoch distribution",
-            "§4.1 (epoch model)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis("machine", vec!["64C", "RAE"]);
-        rep.axis("bucket", BUCKETS.map(|b| b as u64).to_vec());
-        for d in &self.distributions {
-            let mut row = JsonRow::new()
-                .field("benchmark", d.kind.name())
-                .field("machine", d.machine)
-                .field("mlp", d.mlp);
-            for (name, &f) in CDF_FIELDS.iter().zip(&d.cdf) {
-                row = row.field(name, f);
-            }
-            rep.row(row);
-        }
-        rep
-    }
 }
 
-/// JSON field names for the CDF buckets, aligned with [`BUCKETS`].
-const CDF_FIELDS: [&str; 8] = [
-    "cdf_le_1",
-    "cdf_le_2",
-    "cdf_le_3",
-    "cdf_le_4",
-    "cdf_le_5",
-    "cdf_le_8",
-    "cdf_le_16",
-    "cdf_le_32",
+/// One CDF column per [`BUCKETS`] entry.
+const COLS: [Col<Distribution>; 11] = [
+    Col::new("benchmark", "Benchmark", Plain, |d| d.kind.name().into()),
+    Col::new("machine", "Machine", Plain, |d| d.machine.into()),
+    Col::new("mlp", "MLP", F2, |d| d.mlp.into()),
+    Col::new("cdf_le_1", "<=1", Frac, |d| d.cdf[0].into()),
+    Col::new("cdf_le_2", "<=2", Frac, |d| d.cdf[1].into()),
+    Col::new("cdf_le_3", "<=3", Frac, |d| d.cdf[2].into()),
+    Col::new("cdf_le_4", "<=4", Frac, |d| d.cdf[3].into()),
+    Col::new("cdf_le_5", "<=5", Frac, |d| d.cdf[4].into()),
+    Col::new("cdf_le_8", "<=8", Frac, |d| d.cdf[5].into()),
+    Col::new("cdf_le_16", "<=16", Frac, |d| d.cdf[6].into()),
+    Col::new("cdf_le_32", "<=32", Frac, |d| d.cdf[7].into()),
 ];
 
 /// Registry entry for the epoch-statistics experiment.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "epochs"
-    }
-    fn module(&self) -> &'static str {
-        "epochs"
-    }
-    fn description(&self) -> &'static str {
-        "Distribution of useful off-chip accesses per epoch (64C and RAE)"
-    }
-    fn section(&self) -> &'static str {
-        "§4.1 (epoch model)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "epochs",
+    title: "Epoch statistics: accesses-per-epoch distribution",
+    section: "§4.1 (epoch model)",
+    description: "Distribution of useful off-chip accesses per epoch (64C and RAE)",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let e = run(scale);
-        ExperimentRun {
-            text: e.render(),
-            report: e.report(scale),
-        }
-    }
-}
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        rep.axis("machine", vec!["64C", "RAE"]);
+        rep.axis("bucket", BUCKETS.map(|b| b as u64).to_vec());
+        append_rows(&mut rep, &COLS, &e.distributions);
+        let title = "Epoch statistics: cumulative share of epochs by accesses per epoch (§4.1)";
+        let text = text_table(title, &COLS, &e.distributions).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -189,7 +133,8 @@ mod tests {
                 mlp: 1.4,
             }],
         };
-        assert!(s.render().contains("Epoch statistics"));
+        let text = text_table("Epochs", &COLS, &s.distributions).render();
+        assert!(text.contains("<=32") && text.contains("85.0%"));
         assert!(s.distribution(WorkloadKind::Database, "64C").is_some());
         assert!(s.distribution(WorkloadKind::Database, "RAE").is_none());
     }

@@ -9,11 +9,14 @@
 //!   `fM` counts *all* outstanding transfers, the paper's MLP only
 //!   *useful* ones; measuring both shows how much store traffic inflates
 //!   the naive metric.
+//! * **Off-chip L3** (§2.1's future configuration), **2-way SMT** (the
+//!   paper's future work) and **runahead timing**: runahead measured in
+//!   the cycle model against the CPI-equation prediction.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
+use crate::report::Row as JsonRow;
 use crate::runner::{run_cyclesim, run_mlpsim, run_smtsim, sweep, sweep_grid, SEED};
-use crate::table::{f3, TextTable};
+use crate::table::{append_rows, f3, text_table, Col, Fmt::*, TextTable};
 use crate::RunScale;
 use mlp_cyclesim::{CycleSimConfig, RunaheadConfig};
 use mlp_mem::HierarchyConfig;
@@ -75,7 +78,7 @@ impl StoreBufferStudy {
             "Web MLP",
             "Web stMLP",
         ])
-        .with_title("Extension: store MLP under a finite store buffer (paper future work)");
+        .with_title(format!("{} (paper future work)", STORE_MLP.title));
         for (i, sb) in STORE_BUFFERS.iter().enumerate() {
             let mut row = vec![sb.map_or("inf".to_string(), |n| n.to_string())];
             for s in &self.series {
@@ -91,15 +94,17 @@ impl StoreBufferStudy {
     pub fn series_for(&self, kind: WorkloadKind) -> Option<&StoreBufferSeries> {
         self.series.iter().find(|s| s.kind == kind)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "store-mlp",
-            "Extension: store MLP under a finite store buffer",
-            "§7 (future work: store MLP)",
-            scale,
-        );
+/// Registry entry for the store-MLP study.
+pub static STORE_MLP: Experiment = Experiment {
+    name: "store-mlp",
+    title: "Extension: store MLP under a finite store buffer",
+    section: "§7 (future work: store MLP)",
+    description: "Store MLP under a finite store buffer (paper future work)",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let study = run_store_buffer(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis(
             "store_buffer",
@@ -108,7 +113,7 @@ impl StoreBufferStudy {
                 .map(|sb| sb.map(|n| n as u64))
                 .collect::<Vec<_>>(),
         );
-        for s in &self.series {
+        for s in &study.series {
             for (i, &sb) in STORE_BUFFERS.iter().enumerate() {
                 rep.row(
                     JsonRow::new()
@@ -119,34 +124,12 @@ impl StoreBufferStudy {
                 );
             }
         }
-        rep
-    }
-}
-
-/// Registry entry for the store-MLP study.
-pub struct StoreMlpExp;
-
-impl Experiment for StoreMlpExp {
-    fn name(&self) -> &'static str {
-        "store-mlp"
-    }
-    fn module(&self) -> &'static str {
-        "extensions"
-    }
-    fn description(&self) -> &'static str {
-        "Store MLP under a finite store buffer (paper future work)"
-    }
-    fn section(&self) -> &'static str {
-        "§7 (future work: store MLP)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let s = run_store_buffer(scale);
         ExperimentRun {
-            text: s.render(),
-            report: s.report(scale),
+            text: study.render(),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 /// Fetch-buffer depths swept by the ablation.
 pub const FETCH_BUFFERS: [usize; 4] = [1, 8, 32, 128];
@@ -235,116 +218,75 @@ pub fn run_ablations(scale: RunScale) -> Ablations {
     }
 }
 
-impl Ablations {
-    /// Renders the three ablation tables.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
+/// A fetch-buffer or runahead-distance row: `(kind, swept value, mlp)`.
+type ParamRow = (WorkloadKind, usize, f64);
 
-        let mut t = TextTable::new(vec!["Benchmark", "Fetch buffer", "MLP"])
-            .with_title("Ablation: fetch-buffer depth (I-miss overlap past a full window)");
-        for &(kind, fb, mlp) in &self.fetch_buffer {
-            t.row(vec![kind.name().into(), fb.to_string(), f3(mlp)]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-
-        let mut t = TextTable::new(vec!["Benchmark", "Predictor", "MLP gain"])
-            .with_title("Ablation: value-predictor organisation on runahead");
-        for &(kind, label, gain) in &self.value_predictors {
-            t.row(vec![
-                kind.name().into(),
-                label.into(),
-                format!("{gain:+.1}%"),
-            ]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-
-        let mut t = TextTable::new(vec!["Benchmark", "Max distance", "MLP"])
-            .with_title("Ablation: runahead distance");
-        for &(kind, dist, mlp) in &self.rae_distance {
-            t.row(vec![kind.name().into(), dist.to_string(), f3(mlp)]);
-        }
-        out.push_str(&t.render());
-        out
-    }
-
-    /// The structured report. Rows carry an `ablation` discriminator so
-    /// all three sweeps share one flat row list.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "ablations",
-            "Ablations: fetch buffer, value predictor, runahead distance",
-            "§5 (design-parameter ablations)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis(
-            "ablation",
-            vec!["fetch_buffer", "value_predictor", "rae_distance"],
-        );
-        for &(kind, fb, mlp) in &self.fetch_buffer {
-            rep.row(
-                JsonRow::new()
-                    .field("ablation", "fetch_buffer")
-                    .field("benchmark", kind.name())
-                    .field("fetch_buffer", fb as u64)
-                    .field("mlp", mlp),
-            );
-        }
-        for &(kind, label, gain) in &self.value_predictors {
-            rep.row(
-                JsonRow::new()
-                    .field("ablation", "value_predictor")
-                    .field("benchmark", kind.name())
-                    .field("predictor", label)
-                    .field("mlp_gain_pct", gain),
-            );
-        }
-        for &(kind, dist, mlp) in &self.rae_distance {
-            rep.row(
-                JsonRow::new()
-                    .field("ablation", "rae_distance")
-                    .field("benchmark", kind.name())
-                    .field("max_dist", dist as u64)
-                    .field("mlp", mlp),
-            );
-        }
-        rep
-    }
-}
+/// Each ablation's rows carry an `ablation` discriminator, so the three
+/// sweeps share one flat report row list.
+const FB_COLS: [Col<ParamRow>; 4] = [
+    Col::new("ablation", "", Plain, |_| "fetch_buffer".into()),
+    Col::new("benchmark", "Benchmark", Plain, |r| r.0.name().into()),
+    Col::new("fetch_buffer", "Fetch buffer", Plain, |r| r.1.into()),
+    Col::new("mlp", "MLP", F3, |r| r.2.into()),
+];
+const VP_COLS: [Col<(WorkloadKind, &str, f64)>; 4] = [
+    Col::new("ablation", "", Plain, |_| "value_predictor".into()),
+    Col::new("benchmark", "Benchmark", Plain, |r| r.0.name().into()),
+    Col::new("predictor", "Predictor", Plain, |r| r.1.into()),
+    Col::new("mlp_gain_pct", "MLP gain", SignedPct, |r| r.2.into()),
+];
+const RD_COLS: [Col<ParamRow>; 4] = [
+    Col::new("ablation", "", Plain, |_| "rae_distance".into()),
+    Col::new("benchmark", "Benchmark", Plain, |r| r.0.name().into()),
+    Col::new("max_dist", "Max distance", Plain, |r| r.1.into()),
+    Col::new("mlp", "MLP", F3, |r| r.2.into()),
+];
 
 /// Registry entry for the ablation suite.
-pub struct AblationsExp;
-
-impl Experiment for AblationsExp {
-    fn name(&self) -> &'static str {
-        "ablations"
-    }
-    fn module(&self) -> &'static str {
-        "extensions"
-    }
-    fn description(&self) -> &'static str {
-        "Ablations of fetch-buffer depth, VP organisation and runahead distance"
-    }
-    fn section(&self) -> &'static str {
-        "§5 (design-parameter ablations)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static ABLATIONS: Experiment = Experiment {
+    name: "ablations",
+    title: "Ablations: fetch buffer, value predictor, runahead distance",
+    section: "§5 (design-parameter ablations)",
+    description: "Ablations of fetch-buffer depth, VP organisation and runahead distance",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let a = run_ablations(scale);
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        let ablations = vec!["fetch_buffer", "value_predictor", "rae_distance"];
+        rep.axis("ablation", ablations);
+        append_rows(&mut rep, &FB_COLS, &a.fetch_buffer);
+        append_rows(&mut rep, &VP_COLS, &a.value_predictors);
+        append_rows(&mut rep, &RD_COLS, &a.rae_distance);
+        let text = [
+            text_table(
+                "Ablation: fetch-buffer depth (I-miss overlap past a full window)",
+                &FB_COLS,
+                &a.fetch_buffer,
+            ),
+            text_table(
+                "Ablation: value-predictor organisation on runahead",
+                &VP_COLS,
+                &a.value_predictors,
+            ),
+            text_table("Ablation: runahead distance", &RD_COLS, &a.rae_distance),
+        ];
         ExperimentRun {
-            text: a.render(),
-            report: a.report(scale),
+            text: text.map(|t| t.render()).join("\n"),
+            report: rep,
         }
-    }
-}
+    },
+};
+
+/// One SMT-study row: `(label, combined MLP, combined IPC, per-thread
+/// insts)`.
+pub type SmtRow = (String, f64, f64, Vec<u64>);
 
 /// The SMT study (the paper's first stated future work: "studying MLP
 /// for multithreaded processors").
 #[derive(Clone, Debug)]
 pub struct SmtStudy {
-    /// `(label, combined MLP, combined IPC, per-thread insts)` rows.
-    pub rows: Vec<(String, f64, f64, Vec<u64>)>,
+    /// One row per solo run or co-run pair.
+    pub rows: Vec<SmtRow>,
 }
 
 /// Co-runs workload pairs on a 2-way SMT core and compares chip-level
@@ -378,17 +320,6 @@ pub fn run_smt(scale: RunScale) -> SmtStudy {
 }
 
 impl SmtStudy {
-    /// Renders the study.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec!["Threads", "Chip MLP", "IPC"]).with_title(
-            "Extension: MLP on a 2-way SMT core (paper future work), 1000-cycle memory",
-        );
-        for (label, mlp, ipc, _) in &self.rows {
-            t.row(vec![label.clone(), f3(*mlp), format!("{ipc:.3}")]);
-        }
-        t.render()
-    }
-
     /// The row whose label starts with `prefix`.
     pub fn row(&self, prefix: &str) -> Option<(f64, f64)> {
         self.rows
@@ -396,53 +327,31 @@ impl SmtStudy {
             .find(|(l, ..)| l.starts_with(prefix))
             .map(|&(_, m, i, _)| (m, i))
     }
-
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "smt",
-            "Extension: MLP on a 2-way SMT core",
-            "§7 (future work: SMT)",
-            scale,
-        );
-        rep.axis("memory_latency", vec![1000u64]);
-        for (label, mlp, ipc, insts) in &self.rows {
-            rep.row(
-                JsonRow::new()
-                    .field("threads", label.clone())
-                    .field("chip_mlp", *mlp)
-                    .field("ipc", *ipc)
-                    .field("per_thread_insts", insts.clone()),
-            );
-        }
-        rep
-    }
 }
+
+const SMT_COLS: [Col<SmtRow>; 4] = [
+    Col::new("threads", "Threads", Plain, |r| r.0.as_str().into()),
+    Col::new("chip_mlp", "Chip MLP", F3, |r| r.1.into()),
+    Col::new("ipc", "IPC", F3, |r| r.2.into()),
+    Col::new("per_thread_insts", "", Plain, |r| r.3.clone().into()),
+];
 
 /// Registry entry for the SMT study.
-pub struct SmtExp;
-
-impl Experiment for SmtExp {
-    fn name(&self) -> &'static str {
-        "smt"
-    }
-    fn module(&self) -> &'static str {
-        "extensions"
-    }
-    fn description(&self) -> &'static str {
-        "Chip-level MLP and throughput for co-running workloads on 2-way SMT"
-    }
-    fn section(&self) -> &'static str {
-        "§7 (future work: SMT)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static SMT: Experiment = Experiment {
+    name: "smt",
+    title: "Extension: MLP on a 2-way SMT core",
+    section: "§7 (future work: SMT)",
+    description: "Chip-level MLP and throughput for co-running workloads on 2-way SMT",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let s = run_smt(scale);
-        ExperimentRun {
-            text: s.render(),
-            report: s.report(scale),
-        }
-    }
-}
+        rep.axis("memory_latency", vec![1000u64]);
+        append_rows(&mut rep, &SMT_COLS, &s.rows);
+        let title = format!("{} (paper future work), 1000-cycle memory", rep.title);
+        let text = text_table(title, &SMT_COLS, &s.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 /// One timing-study row: `(kind, conventional CPI, runahead CPI,
 /// measured speedup %, MLPsim-predicted speedup %, conv MLP(t),
@@ -513,36 +422,6 @@ pub fn run_rae_timing(scale: RunScale) -> RaeTiming {
 }
 
 impl RaeTiming {
-    /// Renders the comparison.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Benchmark",
-            "conv CPI",
-            "RAE CPI",
-            "measured speedup",
-            "MLPsim-predicted",
-            "conv MLP(t)",
-            "RAE MLP(t)",
-            "RAE+VP speedup",
-        ])
-        .with_title(
-            "Extension: runahead measured in the timing domain vs the epoch-model prediction",
-        );
-        for &(kind, c, r, m, p, cm, rm, mv) in &self.rows {
-            t.row(vec![
-                kind.name().into(),
-                format!("{c:.2}"),
-                format!("{r:.2}"),
-                format!("{m:+.1}%"),
-                format!("{p:+.1}%"),
-                f3(cm),
-                f3(rm),
-                format!("{mv:+.1}%"),
-            ]);
-        }
-        t.render()
-    }
-
     /// The measured and predicted speedups for a workload.
     pub fn speedups(&self, kind: WorkloadKind) -> Option<(f64, f64)> {
         self.rows
@@ -550,60 +429,46 @@ impl RaeTiming {
             .find(|&&(k, ..)| k == kind)
             .map(|&(_, _, _, m, p, ..)| (m, p))
     }
-
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "rae-timing",
-            "Extension: runahead in the timing domain vs the epoch-model prediction",
-            "§4 (validation, extended)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis("memory_latency", vec![1000u64]);
-        for &(kind, conv_cpi, rae_cpi, measured, predicted, conv_mlp, rae_mlp, measured_vp) in
-            &self.rows
-        {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", kind.name())
-                    .field("conv_cpi", conv_cpi)
-                    .field("rae_cpi", rae_cpi)
-                    .field("measured_speedup_pct", measured)
-                    .field("predicted_speedup_pct", predicted)
-                    .field("conv_mlp_timing", conv_mlp)
-                    .field("rae_mlp_timing", rae_mlp)
-                    .field("rae_vp_speedup_pct", measured_vp),
-            );
-        }
-        rep
-    }
 }
+
+const RAE_TIMING_COLS: [Col<RaeTimingRow>; 8] = [
+    Col::new("benchmark", "Benchmark", Plain, |r| r.0.name().into()),
+    Col::new("conv_cpi", "conv CPI", F2, |r| r.1.into()),
+    Col::new("rae_cpi", "RAE CPI", F2, |r| r.2.into()),
+    Col::new("measured_speedup_pct", "measured speedup", SignedPct, |r| {
+        r.3.into()
+    }),
+    Col::new(
+        "predicted_speedup_pct",
+        "MLPsim-predicted",
+        SignedPct,
+        |r| r.4.into(),
+    ),
+    Col::new("conv_mlp_timing", "conv MLP(t)", F3, |r| r.5.into()),
+    Col::new("rae_mlp_timing", "RAE MLP(t)", F3, |r| r.6.into()),
+    Col::new("rae_vp_speedup_pct", "RAE+VP speedup", SignedPct, |r| {
+        r.7.into()
+    }),
+];
 
 /// Registry entry for the runahead timing study.
-pub struct RaeTimingExp;
-
-impl Experiment for RaeTimingExp {
-    fn name(&self) -> &'static str {
-        "rae-timing"
-    }
-    fn module(&self) -> &'static str {
-        "extensions"
-    }
-    fn description(&self) -> &'static str {
-        "Measured runahead speedup in the cycle model vs the CPI-equation prediction"
-    }
-    fn section(&self) -> &'static str {
-        "§4 (validation, extended)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static RAE_TIMING: Experiment = Experiment {
+    name: "rae-timing",
+    title: "Extension: runahead in the timing domain vs the epoch-model prediction",
+    section: "§4 (validation, extended)",
+    description: "Measured runahead speedup in the cycle model vs the CPI-equation prediction",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let r = run_rae_timing(scale);
-        ExperimentRun {
-            text: r.render(),
-            report: r.report(scale),
-        }
-    }
-}
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        rep.axis("memory_latency", vec![1000u64]);
+        append_rows(&mut rep, &RAE_TIMING_COLS, &r.rows);
+        let title =
+            "Extension: runahead measured in the timing domain vs the epoch-model prediction";
+        let text = text_table(title, &RAE_TIMING_COLS, &r.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 /// The fM-vs-MLP comparison (paper §6 related work).
 #[derive(Clone, Debug)]
@@ -631,16 +496,6 @@ pub fn run_fm(scale: RunScale) -> FmStudy {
 }
 
 impl FmStudy {
-    /// Renders the comparison.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec!["Benchmark", "Latency", "MLP (useful)", "fM (all)"])
-            .with_title("Extension: useful-access MLP vs Sorin et al.'s fM (all transfers, §6)");
-        for &(kind, lat, mlp, fm) in &self.rows {
-            t.row(vec![kind.name().into(), lat.to_string(), f3(mlp), f3(fm)]);
-        }
-        t.render()
-    }
-
     /// The row for `(kind, latency)`.
     pub fn row(&self, kind: WorkloadKind, latency: u64) -> Option<(f64, f64)> {
         self.rows
@@ -648,61 +503,42 @@ impl FmStudy {
             .find(|&&(k, l, _, _)| k == kind && l == latency)
             .map(|&(_, _, m, f)| (m, f))
     }
-
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "fm",
-            "Extension: useful-access MLP vs Sorin et al.'s fM",
-            "§6 (related work)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis("memory_latency", vec![200u64, 1000]);
-        for &(kind, latency, mlp, fm) in &self.rows {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", kind.name())
-                    .field("memory_latency", latency)
-                    .field("mlp_useful", mlp)
-                    .field("fm_all_transfers", fm),
-            );
-        }
-        rep
-    }
 }
+
+const FM_COLS: [Col<(WorkloadKind, u64, f64, f64)>; 4] = [
+    Col::new("benchmark", "Benchmark", Plain, |r| r.0.name().into()),
+    Col::new("memory_latency", "Latency", Plain, |r| r.1.into()),
+    Col::new("mlp_useful", "MLP (useful)", F3, |r| r.2.into()),
+    Col::new("fm_all_transfers", "fM (all)", F3, |r| r.3.into()),
+];
 
 /// Registry entry for the fM comparison.
-pub struct FmExp;
-
-impl Experiment for FmExp {
-    fn name(&self) -> &'static str {
-        "fm"
-    }
-    fn module(&self) -> &'static str {
-        "extensions"
-    }
-    fn description(&self) -> &'static str {
-        "Useful-access MLP vs the all-transfer fM metric of Sorin et al."
-    }
-    fn section(&self) -> &'static str {
-        "§6 (related work)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static FM: Experiment = Experiment {
+    name: "fm",
+    title: "Extension: useful-access MLP vs Sorin et al.'s fM",
+    section: "§6 (related work)",
+    description: "Useful-access MLP vs the all-transfer fM metric of Sorin et al.",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let f = run_fm(scale);
-        ExperimentRun {
-            text: f.render(),
-            report: f.report(scale),
-        }
-    }
-}
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        rep.axis("memory_latency", vec![200u64, 1000]);
+        append_rows(&mut rep, &FM_COLS, &f.rows);
+        let title = format!("{} (all transfers, §6)", rep.title);
+        let text = text_table(title, &FM_COLS, &f.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
+
+/// One off-chip-L3 row: `(kind, label, cpi, mlp, miss rate per 100)` at
+/// 1000-cycle memory latency.
+pub type L3Row = (WorkloadKind, &'static str, f64, f64, f64);
 
 /// The off-chip-L3 study (§2.1's future configuration).
 #[derive(Clone, Debug)]
 pub struct L3Study {
-    /// `(kind, label, cpi, mlp, miss rate per 100)` rows at 1000-cycle
-    /// memory latency.
-    pub rows: Vec<(WorkloadKind, &'static str, f64, f64, f64)>,
+    /// One row per workload × hierarchy.
+    pub rows: Vec<L3Row>,
 }
 
 /// Compares the default no-L3 hierarchy against a 16MB off-chip L3
@@ -732,22 +568,6 @@ pub fn run_l3(scale: RunScale) -> L3Study {
 }
 
 impl L3Study {
-    /// Renders the comparison.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec!["Benchmark", "Hierarchy", "CPI", "MLP", "off-chip/100"])
-            .with_title("Extension: an off-chip L3 (§2.1 future configuration), 1000-cycle memory");
-        for &(kind, label, cpi, mlp, mr) in &self.rows {
-            t.row(vec![
-                kind.name().into(),
-                label.into(),
-                format!("{cpi:.2}"),
-                f3(mlp),
-                format!("{mr:.2}"),
-            ]);
-        }
-        t.render()
-    }
-
     /// CPI for `(kind, label)`.
     pub fn cpi(&self, kind: WorkloadKind, label: &str) -> Option<f64> {
         self.rows
@@ -755,58 +575,34 @@ impl L3Study {
             .find(|&&(k, l, ..)| k == kind && l == label)
             .map(|&(_, _, c, ..)| c)
     }
-
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "l3",
-            "Extension: an off-chip L3 at 1000-cycle memory latency",
-            "§2.1 (future configuration)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis(
-            "hierarchy",
-            vec!["no L3 (paper default)", "16MB off-chip L3"],
-        );
-        for &(kind, label, cpi, mlp, mr) in &self.rows {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", kind.name())
-                    .field("hierarchy", label)
-                    .field("cpi", cpi)
-                    .field("mlp", mlp)
-                    .field("miss_rate_per_100", mr),
-            );
-        }
-        rep
-    }
 }
+
+const L3_COLS: [Col<L3Row>; 5] = [
+    Col::new("benchmark", "Benchmark", Plain, |r| r.0.name().into()),
+    Col::new("hierarchy", "Hierarchy", Plain, |r| r.1.into()),
+    Col::new("cpi", "CPI", F2, |r| r.2.into()),
+    Col::new("mlp", "MLP", F3, |r| r.3.into()),
+    Col::new("miss_rate_per_100", "off-chip/100", F2, |r| r.4.into()),
+];
 
 /// Registry entry for the off-chip-L3 study.
-pub struct L3Exp;
-
-impl Experiment for L3Exp {
-    fn name(&self) -> &'static str {
-        "l3"
-    }
-    fn module(&self) -> &'static str {
-        "extensions"
-    }
-    fn description(&self) -> &'static str {
-        "A 16MB off-chip L3 vs the paper's no-L3 hierarchy on the cycle model"
-    }
-    fn section(&self) -> &'static str {
-        "§2.1 (future configuration)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static L3: Experiment = Experiment {
+    name: "l3",
+    title: "Extension: an off-chip L3 at 1000-cycle memory latency",
+    section: "§2.1 (future configuration)",
+    description: "A 16MB off-chip L3 vs the paper's no-L3 hierarchy on the cycle model",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let l = run_l3(scale);
-        ExperimentRun {
-            text: l.render(),
-            report: l.report(scale),
-        }
-    }
-}
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        let hierarchies = vec!["no L3 (paper default)", "16MB off-chip L3"];
+        rep.axis("hierarchy", hierarchies);
+        append_rows(&mut rep, &L3_COLS, &l.rows);
+        let title = "Extension: an off-chip L3 (§2.1 future configuration), 1000-cycle memory";
+        let text = text_table(title, &L3_COLS, &l.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -844,7 +640,8 @@ mod tests {
                 55.0,
             )],
         };
-        assert!(r.render().contains("timing domain"));
+        let text = text_table("RAE", &RAE_TIMING_COLS, &r.rows).render();
+        assert!(text.contains("+46.0%") && text.contains("RAE+VP speedup"));
         assert_eq!(r.speedups(WorkloadKind::Database), Some((46.0, 40.0)));
         assert_eq!(r.speedups(WorkloadKind::SpecWeb99), None);
     }
@@ -854,7 +651,8 @@ mod tests {
         let s = SmtStudy {
             rows: vec![("Database alone".into(), 1.38, 0.15, vec![1000])],
         };
-        assert!(s.render().contains("SMT"));
+        let text = text_table("SMT", &SMT_COLS, &s.rows).render();
+        assert!(text.contains("Database alone") && !text.contains("1000"));
         assert_eq!(s.row("Database alone"), Some((1.38, 0.15)));
         assert_eq!(s.row("nope"), None);
     }
@@ -870,7 +668,8 @@ mod tests {
                 0.86,
             )],
         };
-        assert!(s.render().contains("off-chip L3"));
+        let text = text_table("L3", &L3_COLS, &s.rows).render();
+        assert!(text.contains("no L3 (paper default)") && text.contains("7.30"));
         assert_eq!(
             s.cpi(WorkloadKind::Database, "no L3 (paper default)"),
             Some(7.3)
@@ -883,7 +682,8 @@ mod tests {
         let f = FmStudy {
             rows: vec![(WorkloadKind::Database, 1000, 1.38, 1.55)],
         };
-        assert!(f.render().contains("fM"));
+        let text = text_table("fM", &FM_COLS, &f.rows).render();
+        assert!(text.contains("fM (all)") && text.contains("1.550"));
         assert_eq!(f.row(WorkloadKind::Database, 1000), Some((1.38, 1.55)));
         assert_eq!(f.row(WorkloadKind::Database, 200), None);
     }
@@ -895,9 +695,9 @@ mod tests {
             value_predictors: vec![(WorkloadKind::Database, "hybrid 16K", 5.0)],
             rae_distance: vec![(WorkloadKind::Database, 2048, 2.2)],
         };
-        let r = a.render();
-        assert!(r.contains("fetch-buffer"));
+        let r = text_table("VP", &VP_COLS, &a.value_predictors).render();
         assert!(r.contains("+5.0%"));
-        assert!(r.contains("2048"));
+        let r = text_table("RAE", &RD_COLS, &a.rae_distance).render();
+        assert!(r.contains("Max distance") && r.contains("2048"));
     }
 }

@@ -4,7 +4,7 @@
 
 use super::figure8::RAE_MAX_DIST;
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
+use crate::report::Row as JsonRow;
 use crate::runner::{run_mlpsim, sweep_grid};
 use crate::table::{f3, pct, TextTable};
 use crate::RunScale;
@@ -188,19 +188,21 @@ impl Figure10 {
     pub fn rae_series(&self, kind: WorkloadKind) -> Option<&Series> {
         self.rae.iter().find(|s| s.kind == kind)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure10",
-            "Figure 10: perfect-I/VP/BP limit study",
-            "§5.7 (Figure 10)",
-            scale,
-        );
+/// Registry entry for Figure 10.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure10",
+    title: "Figure 10: perfect-I/VP/BP limit study",
+    section: "§5.7 (Figure 10)",
+    description: "Limit study: perfect ifetch/value/branch prediction over RAE and conventional",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let f = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis("baseline", vec!["rae", "conventional"]);
         rep.axis("arm", Arm::ALL.map(|a| a.label()).to_vec());
-        for (baseline, series) in [("rae", &self.rae), ("conventional", &self.conventional)] {
+        for (baseline, series) in [("rae", &f.rae), ("conventional", &f.conventional)] {
             for s in series {
                 for (ai, arm) in Arm::ALL.into_iter().enumerate() {
                     rep.row(
@@ -214,34 +216,12 @@ impl Figure10 {
                 }
             }
         }
-        rep
-    }
-}
-
-/// Registry entry for Figure 10.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure10"
-    }
-    fn module(&self) -> &'static str {
-        "figure10"
-    }
-    fn description(&self) -> &'static str {
-        "Limit study: perfect ifetch/value/branch prediction over RAE and conventional"
-    }
-    fn section(&self) -> &'static str {
-        "§5.7 (Figure 10)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let f = run(scale);
         ExperimentRun {
             text: f.render(),
-            report: f.report(scale),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

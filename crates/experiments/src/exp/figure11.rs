@@ -9,9 +9,8 @@
 use super::figure8::RAE_MAX_DIST;
 use super::table1;
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
 use crate::runner::{run_mlpsim, sweep_grid};
-use crate::table::{f2, pct, TextTable};
+use crate::table::{append_rows, text_groups, Col, Fmt::*};
 use crate::RunScale;
 use mlp_model::CpiModel;
 use mlp_workloads::WorkloadKind;
@@ -73,6 +72,8 @@ pub fn sample_configs() -> Vec<(&'static str, MlpsimConfig)> {
 /// One configuration's predicted performance for one workload.
 #[derive(Clone, Debug)]
 pub struct Point {
+    /// Workload.
+    pub kind: WorkloadKind,
     /// Configuration label.
     pub label: &'static str,
     /// MLPsim-measured MLP.
@@ -83,22 +84,11 @@ pub struct Point {
     pub improvement_pct: f64,
 }
 
-/// One workload's series.
-#[derive(Clone, Debug)]
-pub struct Series {
-    /// Workload.
-    pub kind: WorkloadKind,
-    /// The fitted CPI model used for the translation.
-    pub model: CpiModel,
-    /// One point per sampled configuration.
-    pub points: Vec<Point>,
-}
-
 /// Figure 11 results.
 #[derive(Clone, Debug)]
 pub struct Figure11 {
-    /// One series per workload.
-    pub series: Vec<Series>,
+    /// One point per workload × sampled configuration, workload-major.
+    pub points: Vec<Point>,
 }
 
 /// Runs Figure 11.
@@ -114,12 +104,11 @@ pub fn run(scale: RunScale) -> Figure11 {
         let r = run_mlpsim(kind, configs[ci].1.clone(), scale);
         (r.mlp(), r.offchip.total() as f64 / r.insts as f64)
     });
-    let mut series = Vec::new();
+    let mut points = Vec::new();
     for kind in WorkloadKind::ALL {
         let row = t1
             .row(kind, LATENCY)
             .expect("table 1 has every workload at the chosen latency");
-        let mut points = Vec::new();
         let mut base_cpi = None;
         for (ci, (label, _)) in configs.iter().enumerate() {
             let (mlp, miss_rate) = stats[&(kind, ci)];
@@ -130,110 +119,71 @@ pub fn run(scale: RunScale) -> Figure11 {
             let cpi = model.cpi(mlp);
             let base = *base_cpi.get_or_insert(cpi);
             points.push(Point {
+                kind,
                 label,
                 mlp,
                 cpi,
                 improvement_pct: 100.0 * (base / cpi - 1.0),
             });
         }
-        series.push(Series {
-            kind,
-            model: row.model,
-            points,
-        });
     }
-    Figure11 { series }
+    Figure11 { points }
 }
 
 impl Figure11 {
-    /// Renders the improvement bars.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for s in &self.series {
-            let mut t = TextTable::new(vec!["Configuration", "MLP", "CPI", "Improvement"])
-                .with_title(format!(
-                    "Figure 11: Overall performance vs 64D — {} (latency {LATENCY})",
-                    s.kind.name()
-                ));
-            for p in &s.points {
-                t.row(vec![
-                    p.label.into(),
-                    f2(p.mlp),
-                    f2(p.cpi),
-                    pct(p.improvement_pct),
-                ]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-        out
-    }
-
     /// The improvement of a labelled configuration for a workload.
     pub fn improvement(&self, kind: WorkloadKind, label: &str) -> Option<f64> {
-        self.series
+        self.points
             .iter()
-            .find(|s| s.kind == kind)?
-            .points
-            .iter()
-            .find(|p| p.label == label)
+            .find(|p| p.kind == kind && p.label == label)
             .map(|p| p.improvement_pct)
     }
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure11",
-            "Figure 11: Overall performance improvement vs 64D",
-            "§5.8 (Figure 11)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis(
-            "configuration",
-            sample_configs().iter().map(|&(l, _)| l).collect::<Vec<_>>(),
-        );
-        rep.axis("latency", vec![LATENCY]);
-        for s in &self.series {
-            for p in &s.points {
-                rep.row(
-                    JsonRow::new()
-                        .field("benchmark", s.kind.name())
-                        .field("configuration", p.label)
-                        .field("mlp", p.mlp)
-                        .field("cpi", p.cpi)
-                        .field("improvement_pct", p.improvement_pct),
+    /// One text table per workload.
+    fn render(&self) -> String {
+        text_groups(
+            &COLS,
+            WorkloadKind::ALL.map(|kind| {
+                let title = format!(
+                    "Figure 11: Overall performance vs 64D — {} (latency {LATENCY})",
+                    kind.name()
                 );
-            }
-        }
-        rep
+                (title, self.points.iter().filter(move |p| p.kind == kind))
+            }),
+        )
     }
 }
+
+const COLS: [Col<Point>; 5] = [
+    Col::new("benchmark", "", Plain, |p| p.kind.name().into()),
+    Col::new("configuration", "Configuration", Plain, |p| p.label.into()),
+    Col::new("mlp", "MLP", F2, |p| p.mlp.into()),
+    Col::new("cpi", "CPI", F2, |p| p.cpi.into()),
+    Col::new("improvement_pct", "Improvement", Pct, |p| {
+        p.improvement_pct.into()
+    }),
+];
 
 /// Registry entry for Figure 11.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure11"
-    }
-    fn module(&self) -> &'static str {
-        "figure11"
-    }
-    fn description(&self) -> &'static str {
-        "MLP gains translated to overall performance via the CPI equation"
-    }
-    fn section(&self) -> &'static str {
-        "§5.8 (Figure 11)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure11",
+    title: "Figure 11: Overall performance improvement vs 64D",
+    section: "§5.8 (Figure 11)",
+    description: "MLP gains translated to overall performance via the CPI equation",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let f = run(scale);
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        let labels: Vec<&str> = sample_configs().iter().map(|&(l, _)| l).collect();
+        rep.axis("configuration", labels);
+        rep.axis("latency", vec![LATENCY]);
+        append_rows(&mut rep, &COLS, &f.points);
         ExperimentRun {
             text: f.render(),
-            report: f.report(scale),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -249,25 +199,17 @@ mod tests {
 
     #[test]
     fn lookup_and_render() {
-        let model = CpiModel {
-            cpi_perf: 1.5,
-            overlap_cm: 0.2,
-            miss_rate: 0.008,
-            miss_penalty: 1000.0,
-        };
         let f = Figure11 {
-            series: vec![Series {
+            points: vec![Point {
                 kind: WorkloadKind::Database,
-                model,
-                points: vec![Point {
-                    label: "RAE",
-                    mlp: 2.4,
-                    cpi: 4.5,
-                    improvement_pct: 60.0,
-                }],
+                label: "RAE",
+                mlp: 2.4,
+                cpi: 4.5,
+                improvement_pct: 60.0,
             }],
         };
         assert_eq!(f.improvement(WorkloadKind::Database, "RAE"), Some(60.0));
+        assert_eq!(f.improvement(WorkloadKind::SpecWeb99, "RAE"), None);
         assert!(f.render().contains("60.0%"));
     }
 }

@@ -7,7 +7,7 @@
 //! exploitable at all.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
+use crate::report::Row as JsonRow;
 use crate::runner::{cursor, sweep};
 use crate::table::{f3, TextTable};
 use crate::RunScale;
@@ -107,7 +107,7 @@ impl Figure2 {
             "obs SPECweb".into(),
             "uni SPECweb".into(),
         ])
-        .with_title("Figure 2: Clustering of Misses (cumulative P[next miss <= N])");
+        .with_title(EXPERIMENT.title);
         for (i, &d) in THRESHOLDS.iter().enumerate() {
             let mut row = vec![d.to_string()];
             for s in &self.series {
@@ -134,18 +134,20 @@ impl Figure2 {
     pub fn series_for(&self, kind: WorkloadKind) -> Option<&Series> {
         self.series.iter().find(|s| s.kind == kind)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure2",
-            "Figure 2: Clustering of Misses (cumulative P[next miss <= N])",
-            "§2.1 (Figure 2)",
-            scale,
-        );
+/// Registry entry for Figure 2.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure2",
+    title: "Figure 2: Clustering of Misses (cumulative P[next miss <= N])",
+    section: "§2.1 (Figure 2)",
+    description: "Clustering of off-chip accesses: observed vs uniform inter-miss CDF",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let f = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis("distance", THRESHOLDS.to_vec());
-        for s in &self.series {
+        for s in &f.series {
             for (i, &d) in THRESHOLDS.iter().enumerate() {
                 rep.row(
                     JsonRow::new()
@@ -157,34 +159,12 @@ impl Figure2 {
                 );
             }
         }
-        rep
-    }
-}
-
-/// Registry entry for Figure 2.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure2"
-    }
-    fn module(&self) -> &'static str {
-        "figure2"
-    }
-    fn description(&self) -> &'static str {
-        "Clustering of off-chip accesses: observed vs uniform inter-miss CDF"
-    }
-    fn section(&self) -> &'static str {
-        "§2.1 (Figure 2)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let f = run(scale);
         ExperimentRun {
             text: f.render(),
-            report: f.report(scale),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

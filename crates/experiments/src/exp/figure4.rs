@@ -4,7 +4,7 @@
 //! of the paper's five issue configurations A–E.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
+use crate::report::Row as JsonRow;
 use crate::runner::{run_mlpsim, sweep_grid};
 use crate::table::{f3, TextTable};
 use crate::RunScale;
@@ -71,11 +71,9 @@ impl Figure4 {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for s in &self.surfaces {
+            let title = format!("{} — {}", EXPERIMENT.title, s.kind.name());
             let mut t =
-                TextTable::new(vec!["ROB/IW size", "A", "B", "C", "D", "E"]).with_title(format!(
-                    "Figure 4: MLP vs window size and issue constraints — {}",
-                    s.kind.name()
-                ));
+                TextTable::new(vec!["ROB/IW size", "A", "B", "C", "D", "E"]).with_title(title);
             for (si, &size) in SIZES.iter().enumerate() {
                 let mut row = vec![size.to_string()];
                 row.extend(s.mlp[si].iter().map(|&m| f3(m)));
@@ -94,19 +92,21 @@ impl Figure4 {
         let ci = IssueConfig::ALL.iter().position(|&x| x == issue)?;
         Some(s.mlp[si][ci])
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure4",
-            "Figure 4: MLP vs window size and issue constraints",
-            "§5.2 (Figure 4)",
-            scale,
-        );
+/// Registry entry for Figure 4.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure4",
+    title: "Figure 4: MLP vs window size and issue constraints",
+    section: "§5.2 (Figure 4)",
+    description: "MLP across coupled window sizes 16-256 and issue configurations A-E",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let f = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis("size", SIZES.to_vec());
         rep.axis("config", IssueConfig::ALL.map(|c| c.letter()).to_vec());
-        for s in &self.surfaces {
+        for s in &f.surfaces {
             for (si, &size) in SIZES.iter().enumerate() {
                 for (ci, &issue) in IssueConfig::ALL.iter().enumerate() {
                     rep.row(
@@ -119,34 +119,12 @@ impl Figure4 {
                 }
             }
         }
-        rep
-    }
-}
-
-/// Registry entry for Figure 4.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure4"
-    }
-    fn module(&self) -> &'static str {
-        "figure4"
-    }
-    fn description(&self) -> &'static str {
-        "MLP across coupled window sizes 16-256 and issue configurations A-E"
-    }
-    fn section(&self) -> &'static str {
-        "§5.2 (Figure 4)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let f = run(scale);
         ExperimentRun {
             text: f.render(),
-            report: f.report(scale),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

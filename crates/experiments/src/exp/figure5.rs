@@ -6,9 +6,9 @@
 //! (configs A/B) and `Serialize`.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
+use crate::report::Json;
 use crate::runner::{run_mlpsim, sweep};
-use crate::table::{pct, TextTable};
+use crate::table::{append_rows, text_table, Col, Fmt::*};
 use crate::RunScale;
 use mlp_workloads::WorkloadKind;
 use mlpsim::{InhibitorCounts, IssueConfig, MlpsimConfig};
@@ -84,93 +84,56 @@ pub fn run_grid(scale: RunScale, sizes: &[usize], configs: &[IssueConfig]) -> Fi
 }
 
 impl Figure5 {
-    /// Renders the inhibitor mix (percent of epochs).
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Benchmark",
-            "Bar",
-            "Imiss start",
-            "Maxwin",
-            "Mispred br",
-            "Imiss end",
-            "Missing load",
-            "Dep store",
-            "Serialize",
-        ])
-        .with_title("Figure 5: Factors Inhibiting Further MLP (% of epochs)");
-        for b in &self.bars {
-            let f = b.fractions();
-            t.row(vec![
-                b.kind.name().into(),
-                format!("{}{}", b.size, b.issue.letter()),
-                pct(100.0 * f[0].1),
-                pct(100.0 * f[1].1),
-                pct(100.0 * f[2].1),
-                pct(100.0 * f[3].1),
-                pct(100.0 * f[4].1),
-                pct(100.0 * f[5].1),
-                pct(100.0 * f[6].1),
-            ]);
-        }
-        t.render()
-    }
-
     /// The bar for `(kind, size, config)`.
     pub fn bar(&self, kind: WorkloadKind, size: usize, issue: IssueConfig) -> Option<&Bar> {
         self.bars
             .iter()
             .find(|b| b.kind == kind && b.size == size && b.issue == issue)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure5",
-            "Figure 5: Factors Inhibiting Further MLP (% of epochs)",
-            "§5.2 (Figure 5)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis("size", SIZES.to_vec());
-        rep.axis("config", IssueConfig::ALL.map(|c| c.letter()).to_vec());
-        for b in &self.bars {
-            let mut row = JsonRow::new()
-                .field("benchmark", b.kind.name())
-                .field("size", b.size)
-                .field("config", b.issue.letter());
-            for (name, frac) in b.fractions() {
-                row = row.field(name, frac);
-            }
-            rep.row(row);
-        }
-        rep
-    }
+/// The inhibitor columns follow [`InhibitorCounts::as_rows`]; the text
+/// leaves out the store-buffer and unbound shares.
+const COLS: [Col<Bar>; 13] = [
+    Col::new("benchmark", "Benchmark", Plain, |b| b.kind.name().into()),
+    Col::new("", "Bar", Plain, |b| {
+        format!("{}{}", b.size, b.issue.letter()).into()
+    }),
+    Col::new("size", "", Plain, |b| b.size.into()),
+    Col::new("config", "", Plain, |b| b.issue.letter().into()),
+    Col::new("Imiss start", "Imiss start", Frac, |b| frac(b, 0)),
+    Col::new("Maxwin", "Maxwin", Frac, |b| frac(b, 1)),
+    Col::new("Mispred br", "Mispred br", Frac, |b| frac(b, 2)),
+    Col::new("Imiss end", "Imiss end", Frac, |b| frac(b, 3)),
+    Col::new("Missing load", "Missing load", Frac, |b| frac(b, 4)),
+    Col::new("Dep store", "Dep store", Frac, |b| frac(b, 5)),
+    Col::new("Serialize", "Serialize", Frac, |b| frac(b, 6)),
+    Col::new("Store buffer", "", Frac, |b| frac(b, 7)),
+    Col::new("(none)", "", Frac, |b| frac(b, 8)),
+];
+
+/// Share `i` of a bar's [`Bar::fractions`].
+fn frac(b: &Bar, i: usize) -> Json {
+    b.fractions()[i].1.into()
 }
 
 /// Registry entry for Figure 5.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure5"
-    }
-    fn module(&self) -> &'static str {
-        "figure5"
-    }
-    fn description(&self) -> &'static str {
-        "Window-termination mix: which factor bounds each epoch's MLP"
-    }
-    fn section(&self) -> &'static str {
-        "§5.2 (Figure 5)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure5",
+    title: "Figure 5: Factors Inhibiting Further MLP (% of epochs)",
+    section: "§5.2 (Figure 5)",
+    description: "Window-termination mix: which factor bounds each epoch's MLP",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let f = run(scale);
-        ExperimentRun {
-            text: f.render(),
-            report: f.report(scale),
-        }
-    }
-}
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        rep.axis("size", SIZES.to_vec());
+        rep.axis("config", IssueConfig::ALL.map(|c| c.letter()).to_vec());
+        append_rows(&mut rep, &COLS, &f.bars);
+        let text = text_table(rep.title, &COLS, &f.bars).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -193,7 +156,11 @@ mod tests {
         let sum: f64 = b.fractions().iter().map(|(_, f)| f).sum();
         assert!((sum - 1.0).abs() < 1e-12);
         let fig = Figure5 { bars: vec![b] };
-        assert!(fig.render().contains("Serialize"));
+        let s = text_table("Figure 5", &COLS, &fig.bars).render();
+        assert!(s.contains("64C") && s.contains("Serialize") && s.contains("50.0%"));
+        // The column spec follows the engine's inhibitor legend.
+        let fields: Vec<&str> = COLS[4..].iter().map(|c| c.field).collect();
+        assert_eq!(fields, counts.as_rows().map(|(name, _)| name));
         assert!(fig
             .bar(WorkloadKind::Database, 64, IssueConfig::C)
             .is_some());

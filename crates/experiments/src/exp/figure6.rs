@@ -5,9 +5,8 @@
 //! "INF" reference (2048-entry window and ROB under configuration E).
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
 use crate::runner::{run_mlpsim, sweep};
-use crate::table::{f3, TextTable};
+use crate::table::{append_rows, text_groups, Col, Fmt::*};
 use crate::RunScale;
 use mlp_workloads::WorkloadKind;
 use mlpsim::{IssueConfig, MlpsimConfig, WindowModel};
@@ -32,6 +31,8 @@ pub struct Bar {
     pub by_mult: [f64; 4],
     /// MLP at the fixed 2048-entry ROB.
     pub rob_2048: f64,
+    /// The workload's "INF" reference MLP (see [`Figure6::inf`]).
+    pub inf: f64,
 }
 
 /// Figure 6 results.
@@ -58,6 +59,9 @@ pub fn run_grid(scale: RunScale, iw_sizes: &[usize], configs: &[IssueConfig]) ->
             }
         }
     }
+    let inf = sweep(WorkloadKind::ALL.to_vec(), |&kind| {
+        (kind, run_one(kind, IssueConfig::E, BIG_ROB, BIG_ROB, scale))
+    });
     let bars = sweep(bar_jobs, |&(kind, iw, issue)| {
         let mut by_mult = [0.0; 4];
         for (k, &mult) in ROB_MULTS.iter().enumerate() {
@@ -69,22 +73,11 @@ pub fn run_grid(scale: RunScale, iw_sizes: &[usize], configs: &[IssueConfig]) ->
             issue,
             by_mult,
             rob_2048: run_one(kind, issue, iw, BIG_ROB, scale),
+            inf: inf
+                .iter()
+                .find(|&&(k, _)| k == kind)
+                .map_or(f64::NAN, |&(_, m)| m),
         }
-    });
-    let inf = sweep(WorkloadKind::ALL.to_vec(), |&kind| {
-        let r = run_mlpsim(
-            kind,
-            MlpsimConfig::builder()
-                .issue(IssueConfig::E)
-                .window(WindowModel::OutOfOrder {
-                    iw: BIG_ROB,
-                    rob: BIG_ROB,
-                    fetch_buffer: 32,
-                })
-                .build(),
-            scale,
-        );
-        (kind, r.mlp())
     });
     Figure6 { bars, inf }
 }
@@ -106,33 +99,6 @@ fn run_one(kind: WorkloadKind, issue: IssueConfig, iw: usize, rob: usize, scale:
 }
 
 impl Figure6 {
-    /// Renders one table per workload.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for &(kind, inf_mlp) in &self.inf {
-            let mut t = TextTable::new(vec!["Bar", "1X", "2X", "4X", "8X", "ROB 2048"]).with_title(
-                format!(
-                    "Figure 6: Decoupling issue window and ROB — {} (INF = {:.3})",
-                    kind.name(),
-                    inf_mlp
-                ),
-            );
-            for b in self.bars.iter().filter(|b| b.kind == kind) {
-                t.row(vec![
-                    format!("{}{}", b.iw, b.issue.letter()),
-                    f3(b.by_mult[0]),
-                    f3(b.by_mult[1]),
-                    f3(b.by_mult[2]),
-                    f3(b.by_mult[3]),
-                    f3(b.rob_2048),
-                ]);
-            }
-            out.push_str(&t.render());
-            out.push('\n');
-        }
-        out
-    }
-
     /// The bar for `(kind, iw, config)`.
     pub fn bar(&self, kind: WorkloadKind, iw: usize, issue: IssueConfig) -> Option<&Bar> {
         self.bars
@@ -145,60 +111,57 @@ impl Figure6 {
         self.inf.iter().find(|(k, _)| *k == kind).map(|&(_, m)| m)
     }
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure6",
-            "Figure 6: Decoupling issue window and ROB",
-            "§5.3 (Figure 6)",
-            scale,
-        );
+    /// One text table per workload, titled with its INF reference.
+    fn render(&self) -> String {
+        text_groups(
+            &COLS,
+            self.inf.iter().map(|&(kind, inf_mlp)| {
+                let title = format!(
+                    "{} — {} (INF = {inf_mlp:.3})",
+                    EXPERIMENT.title,
+                    kind.name()
+                );
+                (title, self.bars.iter().filter(move |b| b.kind == kind))
+            }),
+        )
+    }
+}
+
+const COLS: [Col<Bar>; 10] = [
+    Col::new("benchmark", "", Plain, |b| b.kind.name().into()),
+    Col::new("", "Bar", Plain, |b| {
+        format!("{}{}", b.iw, b.issue.letter()).into()
+    }),
+    Col::new("issue_window", "", Plain, |b| b.iw.into()),
+    Col::new("config", "", Plain, |b| b.issue.letter().into()),
+    Col::new("mlp_rob_1x", "1X", F3, |b| b.by_mult[0].into()),
+    Col::new("mlp_rob_2x", "2X", F3, |b| b.by_mult[1].into()),
+    Col::new("mlp_rob_4x", "4X", F3, |b| b.by_mult[2].into()),
+    Col::new("mlp_rob_8x", "8X", F3, |b| b.by_mult[3].into()),
+    Col::new("mlp_rob_2048", "ROB 2048", F3, |b| b.rob_2048.into()),
+    Col::new("mlp_inf", "", F3, |b| b.inf.into()),
+];
+
+/// Registry entry for Figure 6.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure6",
+    title: "Figure 6: Decoupling issue window and ROB",
+    section: "§5.3 (Figure 6)",
+    description: "MLP when the ROB grows past the issue window (1x-8x, 2048, INF)",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let f = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis("issue_window", IW_SIZES.to_vec());
         rep.axis("rob_multiplier", ROB_MULTS.to_vec());
         rep.axis("config", IssueConfig::ALL.map(|c| c.letter()).to_vec());
-        for b in &self.bars {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", b.kind.name())
-                    .field("issue_window", b.iw)
-                    .field("config", b.issue.letter())
-                    .field("mlp_rob_1x", b.by_mult[0])
-                    .field("mlp_rob_2x", b.by_mult[1])
-                    .field("mlp_rob_4x", b.by_mult[2])
-                    .field("mlp_rob_8x", b.by_mult[3])
-                    .field("mlp_rob_2048", b.rob_2048)
-                    .field("mlp_inf", self.inf_mlp(b.kind)),
-            );
-        }
-        rep
-    }
-}
-
-/// Registry entry for Figure 6.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure6"
-    }
-    fn module(&self) -> &'static str {
-        "figure6"
-    }
-    fn description(&self) -> &'static str {
-        "MLP when the ROB grows past the issue window (1x-8x, 2048, INF)"
-    }
-    fn section(&self) -> &'static str {
-        "§5.3 (Figure 6)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let f = run(scale);
+        append_rows(&mut rep, &COLS, &f.bars);
         ExperimentRun {
             text: f.render(),
-            report: f.report(scale),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -213,6 +176,7 @@ mod tests {
                 issue: IssueConfig::D,
                 by_mult: [1.4, 1.5, 1.62, 1.7],
                 rob_2048: 1.8,
+                inf: 2.4,
             }],
             inf: vec![(WorkloadKind::Database, 2.4)],
         };

@@ -5,7 +5,7 @@
 //! paper observes for SPECweb99.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
+use crate::report::Row as JsonRow;
 use crate::runner::{run_mlpsim, sweep_grid};
 use crate::table::{f2, f3, TextTable};
 use crate::RunScale;
@@ -77,7 +77,7 @@ impl Figure7 {
             "SPECweb MLP",
             "(miss/100)",
         ])
-        .with_title("Figure 7: Impact of L2 Cache Size");
+        .with_title(EXPERIMENT.title);
         for (i, &bytes) in L2_SIZES.iter().enumerate() {
             let mut row = vec![format!("{}KB", bytes / 1024)];
             for s in &self.series {
@@ -93,18 +93,20 @@ impl Figure7 {
     pub fn series_for(&self, kind: WorkloadKind) -> Option<&Series> {
         self.series.iter().find(|s| s.kind == kind)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure7",
-            "Figure 7: Impact of L2 Cache Size",
-            "§5.4 (Figure 7)",
-            scale,
-        );
+/// Registry entry for Figure 7.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure7",
+    title: "Figure 7: Impact of L2 Cache Size",
+    section: "§5.4 (Figure 7)",
+    description: "MLP and miss rate as the L2 grows from 512KB to 16MB",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let f = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis("l2_bytes", L2_SIZES.to_vec());
-        for s in &self.series {
+        for s in &f.series {
             for (i, &bytes) in L2_SIZES.iter().enumerate() {
                 rep.row(
                     JsonRow::new()
@@ -115,34 +117,12 @@ impl Figure7 {
                 );
             }
         }
-        rep
-    }
-}
-
-/// Registry entry for Figure 7.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure7"
-    }
-    fn module(&self) -> &'static str {
-        "figure7"
-    }
-    fn description(&self) -> &'static str {
-        "MLP and miss rate as the L2 grows from 512KB to 16MB"
-    }
-    fn section(&self) -> &'static str {
-        "§5.4 (Figure 7)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let f = run(scale);
         ExperimentRun {
             text: f.render(),
-            report: f.report(scale),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -5,9 +5,8 @@
 //! D and a 64- or 256-entry ROB.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
 use crate::runner::{run_mlpsim, sweep_grid};
-use crate::table::{f3, pct, TextTable};
+use crate::table::{append_rows, text_table, Col, Fmt::*};
 use crate::RunScale;
 use mlp_workloads::WorkloadKind;
 use mlpsim::{IssueConfig, MlpsimConfig, WindowModel};
@@ -98,84 +97,41 @@ pub fn run(scale: RunScale) -> Figure8 {
 }
 
 impl Figure8 {
-    /// Renders the paper-style comparison.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Benchmark",
-            "64D/ROB64",
-            "64D/ROB256",
-            "RAE",
-            "gain vs 64",
-            "gain vs 256",
-        ])
-        .with_title("Figure 8: Impact of Runahead Execution (MLP)");
-        for r in &self.rows {
-            t.row(vec![
-                r.kind.name().into(),
-                f3(r.conv_64),
-                f3(r.conv_256),
-                f3(r.rae),
-                pct(r.gain_over_64()),
-                pct(r.gain_over_256()),
-            ]);
-        }
-        t.render()
-    }
-
     /// The row for a workload.
     pub fn row(&self, kind: WorkloadKind) -> Option<&Row> {
         self.rows.iter().find(|r| r.kind == kind)
     }
-
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure8",
-            "Figure 8: Impact of Runahead Execution (MLP)",
-            "§5.5 (Figure 8)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis("machine", vec!["64D/ROB64", "64D/ROB256", "RAE"]);
-        for r in &self.rows {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", r.kind.name())
-                    .field("conv_rob64", r.conv_64)
-                    .field("conv_rob256", r.conv_256)
-                    .field("rae", r.rae)
-                    .field("gain_vs_rob64_pct", r.gain_over_64())
-                    .field("gain_vs_rob256_pct", r.gain_over_256()),
-            );
-        }
-        rep
-    }
 }
+
+const COLS: [Col<Row>; 6] = [
+    Col::new("benchmark", "Benchmark", Plain, |r| r.kind.name().into()),
+    Col::new("conv_rob64", "64D/ROB64", F3, |r| r.conv_64.into()),
+    Col::new("conv_rob256", "64D/ROB256", F3, |r| r.conv_256.into()),
+    Col::new("rae", "RAE", F3, |r| r.rae.into()),
+    Col::new("gain_vs_rob64_pct", "gain vs 64", Pct, |r| {
+        r.gain_over_64().into()
+    }),
+    Col::new("gain_vs_rob256_pct", "gain vs 256", Pct, |r| {
+        r.gain_over_256().into()
+    }),
+];
 
 /// Registry entry for Figure 8.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure8"
-    }
-    fn module(&self) -> &'static str {
-        "figure8"
-    }
-    fn description(&self) -> &'static str {
-        "Runahead execution vs conventional 64-entry-window machines"
-    }
-    fn section(&self) -> &'static str {
-        "§5.5 (Figure 8)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure8",
+    title: "Figure 8: Impact of Runahead Execution (MLP)",
+    section: "§5.5 (Figure 8)",
+    description: "Runahead execution vs conventional 64-entry-window machines",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let f = run(scale);
-        ExperimentRun {
-            text: f.render(),
-            report: f.report(scale),
-        }
-    }
-}
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        rep.axis("machine", vec!["64D/ROB64", "64D/ROB256", "RAE"]);
+        append_rows(&mut rep, &COLS, &f.rows);
+        let text = text_table(rep.title, &COLS, &f.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -192,7 +148,8 @@ mod tests {
         assert!((r.gain_over_64() - 71.42857).abs() < 1e-3);
         assert!((r.gain_over_256() - 50.0).abs() < 1e-9);
         let f = Figure8 { rows: vec![r] };
-        assert!(f.render().contains("RAE"));
+        let s = text_table("Figure 8", &COLS, &f.rows).render();
+        assert!(s.contains("RAE") && s.contains("71.4%"));
         assert!(f.row(WorkloadKind::Database).is_some());
     }
 

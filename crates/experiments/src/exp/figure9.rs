@@ -6,7 +6,7 @@
 
 use super::figure8;
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
+use crate::report::Row as JsonRow;
 use crate::runner::{run_mlpsim, sweep_grid};
 use crate::table::{f3, pct, TextTable};
 use crate::RunScale;
@@ -126,18 +126,20 @@ impl Figure9 {
     pub fn row(&self, kind: WorkloadKind) -> Option<&Row> {
         self.rows.iter().find(|r| r.kind == kind)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "figure9",
-            "Figure 9 + Table 6: missing-load value prediction",
-            "§5.6 (Figure 9, Table 6)",
-            scale,
-        );
+/// Registry entry for Figure 9.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "figure9",
+    title: "Figure 9 + Table 6: missing-load value prediction",
+    section: "§5.6 (Figure 9, Table 6)",
+    description: "Missing-load value prediction: MLP gains and predictor accuracy",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let f = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis("machine", vec!["64D/ROB64", "64D/ROB256", "RAE"]);
-        for r in &self.rows {
+        for r in &f.rows {
             let g = r.gains();
             rep.row(
                 JsonRow::new()
@@ -156,34 +158,12 @@ impl Figure9 {
                     .field("vp_no_predict", r.accuracy.2),
             );
         }
-        rep
-    }
-}
-
-/// Registry entry for Figure 9.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "figure9"
-    }
-    fn module(&self) -> &'static str {
-        "figure9"
-    }
-    fn description(&self) -> &'static str {
-        "Missing-load value prediction: MLP gains and predictor accuracy"
-    }
-    fn section(&self) -> &'static str {
-        "§5.6 (Figure 9, Table 6)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let f = run(scale);
         ExperimentRun {
             text: f.render(),
-            report: f.report(scale),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

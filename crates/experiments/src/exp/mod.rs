@@ -1,5 +1,9 @@
 //! One module per table/figure of the paper's evaluation.
 //!
+//! Each module declares its registry entry (a `pub static`
+//! [`Experiment`](crate::registry::Experiment)) next to the typed
+//! results it renders.
+//!
 //! | Module | Reproduces |
 //! |---|---|
 //! | [`table1`] | Table 1: on-/off-chip CPI components, MLP, Overlap_CM |
@@ -15,7 +19,7 @@
 //! | [`figure9`] | Figure 9 + Table 6: missing-load value prediction |
 //! | [`figure10`] | Figure 10: perfect-I/VP/BP limit study |
 //! | [`figure11`] | Figure 11: overall performance improvement |
-//! | [`extensions`] | store-MLP study (paper future work) + ablations |
+//! | [`extensions`] | store MLP (future work), ablations, fM vs MLP (§6), off-chip L3, SMT, runahead timing |
 //! | [`epochs`] | epoch-size distributions (§4.1 queueing-model use) |
 //! | [`sweep1000`] | surrogate-explored 3888-point design grid (§5 sweep space) |
 

@@ -28,7 +28,7 @@
 //! — the recorded `speedup_x` is grid points per simulated cell.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
+use crate::report::Row as JsonRow;
 use crate::runner::{run_mlpsim, sweep_grid};
 use crate::table::{f2, TextTable};
 use crate::RunScale;
@@ -253,8 +253,7 @@ impl Sweep1000 {
 
     /// Renders the exploration summary.
     pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec!["metric", "value"])
-            .with_title("sweep1000: surrogate-explored design grid");
+        let mut t = TextTable::new(vec!["metric", "value"]).with_title(EXPERIMENT.title);
         t.row(vec!["grid points".into(), self.grid.len().to_string()]);
         t.row(vec![
             "simulated points".into(),
@@ -287,44 +286,40 @@ impl Sweep1000 {
         ]);
         t.render()
     }
+}
 
-    /// The structured report: one summary row, then one row per
-    /// simulated point in labeling order (`pick` is the position in that
-    /// order), each carrying the measured CPI next to the final
-    /// surrogate's prediction.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "sweep1000",
-            "sweep1000: surrogate-explored design grid",
-            "§5 (sweep space, surrogate extension)",
-            scale,
-        );
+/// Registry entry for `sweep1000`.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "sweep1000",
+    title: "sweep1000: surrogate-explored design grid",
+    section: "§5 (sweep space, surrogate extension)",
+    description: "surrogate-explored 3888-point window/MSHR/latency/L2 grid with active sampling",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let s = run(scale);
         rep.axis("benchmark", WORKLOAD_NAMES.to_vec());
         rep.axis("window", WINDOWS.map(u64::from).to_vec());
         rep.axis("mshrs", MSHRS.map(u64::from).to_vec());
         rep.axis("latency", LATENCIES.map(u64::from).to_vec());
         rep.axis("l2_kb", L2_KB.map(u64::from).to_vec());
+        // One summary row, then one row per simulated point in labeling
+        // order (`pick`), its measured CPI next to the final surrogate's
+        // prediction.
         rep.row(
             JsonRow::new()
                 .field("source", "summary")
-                .field("grid_points", self.grid.len())
-                .field("simulated_points", self.explored.order.len())
-                .field("cells", self.cells)
-                .field("rounds", self.explored.rounds)
-                .field("converged", self.explored.converged)
-                .field("cv_median_pct", self.explored.cv.median_pct)
-                .field("cv_p99_pct", self.explored.cv.p99_pct)
-                .field("speedup_x", self.speedup_x()),
+                .field("grid_points", s.grid.len())
+                .field("simulated_points", s.explored.order.len())
+                .field("cells", s.cells)
+                .field("rounds", s.explored.rounds)
+                .field("converged", s.explored.converged)
+                .field("cv_median_pct", s.explored.cv.median_pct)
+                .field("cv_p99_pct", s.explored.cv.p99_pct)
+                .field("speedup_x", s.speedup_x()),
         );
-        for (pick, (&gi, &cpi)) in self
-            .explored
-            .order
-            .iter()
-            .zip(&self.explored.cpi)
-            .enumerate()
-        {
-            let p = &self.grid[gi];
-            let predicted = self.explored.surrogate.predict(p);
+        for (pick, (&gi, &cpi)) in s.explored.order.iter().zip(&s.explored.cpi).enumerate() {
+            let p = &s.grid[gi];
+            let predicted = s.explored.surrogate.predict(p);
             rep.row(
                 JsonRow::new()
                     .field("source", "simulated")
@@ -339,34 +334,12 @@ impl Sweep1000 {
                     .field("pct_error", mlp_model::pct_error(predicted, cpi)),
             );
         }
-        rep
-    }
-}
-
-/// Registry entry for `sweep1000`.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "sweep1000"
-    }
-    fn module(&self) -> &'static str {
-        "sweep1000"
-    }
-    fn description(&self) -> &'static str {
-        "surrogate-explored 3888-point window/MSHR/latency/L2 grid with active sampling"
-    }
-    fn section(&self) -> &'static str {
-        "§5 (sweep space, surrogate extension)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let s = run(scale);
         ExperimentRun {
             text: s.render(),
-            report: s.report(scale),
+            report: rep,
         }
-    }
-}
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -6,9 +6,8 @@
 //! equation, exactly as in the paper's §2.2.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
 use crate::runner::{run_cyclesim, sweep_grid};
-use crate::table::{f2, TextTable};
+use crate::table::{append_rows, text_table, Col, Fmt::*};
 use crate::RunScale;
 use mlp_cyclesim::CycleSimConfig;
 use mlp_model::CpiModel;
@@ -96,95 +95,48 @@ pub fn run_with_latencies(scale: RunScale, latencies: &[u64]) -> Table1 {
 }
 
 impl Table1 {
-    /// Renders the paper-style table.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Benchmark",
-            "Off-Chip Latency",
-            "CPI",
-            "CPI_on-chip",
-            "CPI_off-chip",
-            "L2 Miss Rate (/100)",
-            "MLP",
-            "Overlap_CM",
-        ])
-        .with_title("Table 1: On-Chip and Off-Chip Components of CPI");
-        for r in &self.rows {
-            t.row(vec![
-                r.kind.name().into(),
-                r.latency.to_string(),
-                f2(r.cpi),
-                f2(r.cpi_on_chip),
-                f2(r.cpi_off_chip),
-                f2(r.miss_rate_per_100),
-                f2(r.mlp),
-                f2(r.overlap_cm),
-            ]);
-        }
-        t.render()
-    }
-
     /// The row for a given workload and latency, if present.
     pub fn row(&self, kind: WorkloadKind, latency: u64) -> Option<&Row> {
         self.rows
             .iter()
             .find(|r| r.kind == kind && r.latency == latency)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "table1",
-            "Table 1: On-Chip and Off-Chip Components of CPI",
-            "§2.2",
-            scale,
-        );
+const COLS: [Col<Row>; 8] = [
+    Col::new("benchmark", "Benchmark", Plain, |r| r.kind.name().into()),
+    Col::new("latency", "Off-Chip Latency", Plain, |r| r.latency.into()),
+    Col::new("cpi", "CPI", F2, |r| r.cpi.into()),
+    Col::new("cpi_on_chip", "CPI_on-chip", F2, |r| r.cpi_on_chip.into()),
+    Col::new("cpi_off_chip", "CPI_off-chip", F2, |r| {
+        r.cpi_off_chip.into()
+    }),
+    Col::new("miss_rate_per_100", "L2 Miss Rate (/100)", F2, |r| {
+        r.miss_rate_per_100.into()
+    }),
+    Col::new("mlp", "MLP", F2, |r| r.mlp.into()),
+    Col::new("overlap_cm", "Overlap_CM", F2, |r| r.overlap_cm.into()),
+];
+
+/// Registry entry for Table 1.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "table1",
+    title: "Table 1: On-Chip and Off-Chip Components of CPI",
+    section: "§2.2",
+    description: "On-/off-chip CPI components, MLP and Overlap_CM per workload and latency",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let t = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        let mut latencies: Vec<u64> = self.rows.iter().map(|r| r.latency).collect();
+        let mut latencies: Vec<u64> = t.rows.iter().map(|r| r.latency).collect();
         latencies.sort_unstable();
         latencies.dedup();
         rep.axis("latency", latencies);
-        for r in &self.rows {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", r.kind.name())
-                    .field("latency", r.latency)
-                    .field("cpi", r.cpi)
-                    .field("cpi_on_chip", r.cpi_on_chip)
-                    .field("cpi_off_chip", r.cpi_off_chip)
-                    .field("miss_rate_per_100", r.miss_rate_per_100)
-                    .field("mlp", r.mlp)
-                    .field("overlap_cm", r.overlap_cm),
-            );
-        }
-        rep
-    }
-}
-
-/// Registry entry for Table 1.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "table1"
-    }
-    fn module(&self) -> &'static str {
-        "table1"
-    }
-    fn description(&self) -> &'static str {
-        "On-/off-chip CPI components, MLP and Overlap_CM per workload and latency"
-    }
-    fn section(&self) -> &'static str {
-        "§2.2 (Table 1)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let t = run(scale);
-        ExperimentRun {
-            text: t.render(),
-            report: t.report(scale),
-        }
-    }
-}
+        append_rows(&mut rep, &COLS, &t.rows);
+        let text = text_table(rep.title, &COLS, &t.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -211,7 +163,7 @@ mod tests {
                 model,
             }],
         };
-        let s = t.render();
+        let s = text_table("Table 1", &COLS, &t.rows).render();
         assert!(s.contains("Database"));
         assert!(s.contains("2.44"));
         assert!(t.row(WorkloadKind::Database, 200).is_some());

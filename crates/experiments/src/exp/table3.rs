@@ -8,9 +8,8 @@
 //! nearly exactly at 1000-cycle latency.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
 use crate::runner::{run_cyclesim, run_mlpsim, sweep};
-use crate::table::{f3, TextTable};
+use crate::table::{append_rows, text_table, Col, Fmt::*};
 use crate::RunScale;
 use mlp_cyclesim::CycleSimConfig;
 use mlp_workloads::WorkloadKind;
@@ -107,92 +106,45 @@ pub fn run_grid(scale: RunScale, sizes: &[usize], configs: &[IssueConfig]) -> Ta
 }
 
 impl Table3 {
-    /// Renders the paper-style table.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Benchmark",
-            "Size",
-            "Config",
-            "CycleSim 200",
-            "CycleSim 500",
-            "CycleSim 1000",
-            "MLPsim",
-            "err@1000",
-        ])
-        .with_title("Table 3: MLPsim vs Cycle-Accurate Simulator");
-        for r in &self.rows {
-            t.row(vec![
-                r.kind.name().into(),
-                r.size.to_string(),
-                r.issue.letter().into(),
-                f3(r.cyclesim[0]),
-                f3(r.cyclesim[1]),
-                f3(r.cyclesim[2]),
-                f3(r.mlpsim),
-                format!("{:.1}%", 100.0 * r.error_at_1000()),
-            ]);
-        }
-        t.render()
-    }
-
     /// Worst-case relative error of the epoch model at 1000 cycles.
     pub fn max_error_at_1000(&self) -> f64 {
         self.rows.iter().map(Row::error_at_1000).fold(0.0, f64::max)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "table3",
-            "Table 3: MLPsim vs Cycle-Accurate Simulator",
-            "§4.2 (Table 3)",
-            scale,
-        );
+const COLS: [Col<Row>; 8] = [
+    Col::new("benchmark", "Benchmark", Plain, |r| r.kind.name().into()),
+    Col::new("size", "Size", Plain, |r| r.size.into()),
+    Col::new("config", "Config", Plain, |r| r.issue.letter().into()),
+    Col::new("cyclesim_200", "CycleSim 200", F3, |r| r.cyclesim[0].into()),
+    Col::new("cyclesim_500", "CycleSim 500", F3, |r| r.cyclesim[1].into()),
+    Col::new("cyclesim_1000", "CycleSim 1000", F3, |r| {
+        r.cyclesim[2].into()
+    }),
+    Col::new("mlpsim", "MLPsim", F3, |r| r.mlpsim.into()),
+    Col::new("error_at_1000", "err@1000", Frac, |r| {
+        r.error_at_1000().into()
+    }),
+];
+
+/// Registry entry for Table 3.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "table3",
+    title: "Table 3: MLPsim vs Cycle-Accurate Simulator",
+    section: "§4.2 (Table 3)",
+    description: "MLPsim validation: epoch-model MLP vs the cycle-accurate simulator",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let t = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis("size", SIZES.to_vec());
         rep.axis("config", CONFIGS.map(|c| c.letter()).to_vec());
         rep.axis("latency", LATENCIES.to_vec());
-        for r in &self.rows {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", r.kind.name())
-                    .field("size", r.size)
-                    .field("config", r.issue.letter())
-                    .field("cyclesim_200", r.cyclesim[0])
-                    .field("cyclesim_500", r.cyclesim[1])
-                    .field("cyclesim_1000", r.cyclesim[2])
-                    .field("mlpsim", r.mlpsim)
-                    .field("error_at_1000", r.error_at_1000()),
-            );
-        }
-        rep
-    }
-}
-
-/// Registry entry for Table 3.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "table3"
-    }
-    fn module(&self) -> &'static str {
-        "table3"
-    }
-    fn description(&self) -> &'static str {
-        "MLPsim validation: epoch-model MLP vs the cycle-accurate simulator"
-    }
-    fn section(&self) -> &'static str {
-        "§4.2 (Table 3)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let t = run(scale);
-        ExperimentRun {
-            text: t.render(),
-            report: t.report(scale),
-        }
-    }
-}
+        append_rows(&mut rep, &COLS, &t.rows);
+        let text = text_table(rep.title, &COLS, &t.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -210,6 +162,7 @@ mod tests {
         assert!((r.error_at_1000() - 0.05).abs() < 1e-9);
         let t = Table3 { rows: vec![r] };
         assert!((t.max_error_at_1000() - 0.05).abs() < 1e-9);
-        assert!(t.render().contains("MLPsim"));
+        let s = text_table("Table 3", &COLS, &t.rows).render();
+        assert!(s.contains("MLPsim") && s.contains("5.0%"));
     }
 }

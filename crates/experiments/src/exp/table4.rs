@@ -9,9 +9,8 @@
 //! within 2%.
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
 use crate::runner::{run_cyclesim, run_mlpsim, sweep_grid};
-use crate::table::{f2, TextTable};
+use crate::table::{append_rows, text_table, Col, Fmt::*};
 use crate::RunScale;
 use mlp_cyclesim::CycleSimConfig;
 use mlp_model::{pct_error, CpiModel};
@@ -125,91 +124,51 @@ pub fn run(scale: RunScale) -> Table4 {
 }
 
 impl Table4 {
-    /// Renders the paper-style table.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Benchmark",
-            "Config",
-            "Est. w/ A",
-            "Est. w/ B",
-            "Est. w/ C",
-            "Measured",
-            "max err",
-        ])
-        .with_title(format!(
-            "Table 4: Estimated vs Measured CPI (window {SIZE}, latency {LATENCY})"
-        ));
-        for r in &self.rows {
-            t.row(vec![
-                r.kind.name().into(),
-                r.target.letter().into(),
-                f2(r.estimated[0]),
-                f2(r.estimated[1]),
-                f2(r.estimated[2]),
-                f2(r.measured),
-                format!("{:.1}%", r.max_error_pct()),
-            ]);
-        }
-        t.render()
-    }
-
     /// Worst-case estimation error over every row and source config.
     pub fn max_error_pct(&self) -> f64 {
         self.rows.iter().map(Row::max_error_pct).fold(0.0, f64::max)
     }
+}
 
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "table4",
-            "Table 4: Estimated vs Measured CPI",
-            "§4.3 (Table 4)",
-            scale,
-        );
+const COLS: [Col<Row>; 7] = [
+    Col::new("benchmark", "Benchmark", Plain, |r| r.kind.name().into()),
+    Col::new("target_config", "Config", Plain, |r| {
+        r.target.letter().into()
+    }),
+    Col::new("estimated_with_a", "Est. w/ A", F2, |r| {
+        r.estimated[0].into()
+    }),
+    Col::new("estimated_with_b", "Est. w/ B", F2, |r| {
+        r.estimated[1].into()
+    }),
+    Col::new("estimated_with_c", "Est. w/ C", F2, |r| {
+        r.estimated[2].into()
+    }),
+    Col::new("measured", "Measured", F2, |r| r.measured.into()),
+    Col::new("max_error_pct", "max err", Pct, |r| {
+        r.max_error_pct().into()
+    }),
+];
+
+/// Registry entry for Table 4.
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "table4",
+    title: "Table 4: Estimated vs Measured CPI",
+    section: "§4.3 (Table 4)",
+    description: "CPI-equation check: estimated vs cycle-measured CPI across configurations",
+    module: module_path!(),
+    run: |scale, mut rep| {
+        let t = run(scale);
         rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
         rep.axis("config", CONFIGS.map(|c| c.letter()).to_vec());
         rep.axis("latency", vec![LATENCY]);
         rep.axis("size", vec![SIZE]);
-        for r in &self.rows {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", r.kind.name())
-                    .field("target_config", r.target.letter())
-                    .field("estimated_with_a", r.estimated[0])
-                    .field("estimated_with_b", r.estimated[1])
-                    .field("estimated_with_c", r.estimated[2])
-                    .field("measured", r.measured)
-                    .field("max_error_pct", r.max_error_pct()),
-            );
-        }
-        rep
-    }
-}
-
-/// Registry entry for Table 4.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "table4"
-    }
-    fn module(&self) -> &'static str {
-        "table4"
-    }
-    fn description(&self) -> &'static str {
-        "CPI-equation check: estimated vs cycle-measured CPI across configurations"
-    }
-    fn section(&self) -> &'static str {
-        "§4.3 (Table 4)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
-        let t = run(scale);
-        ExperimentRun {
-            text: t.render(),
-            report: t.report(scale),
-        }
-    }
-}
+        append_rows(&mut rep, &COLS, &t.rows);
+        let title = format!("{} (window {SIZE}, latency {LATENCY})", rep.title);
+        let text = text_table(title, &COLS, &t.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -225,7 +184,9 @@ mod tests {
         };
         assert!(r.max_error_pct() < 1.5);
         let t = Table4 { rows: vec![r] };
-        assert!(t.render().contains("Measured"));
+        assert!(text_table("Table 4", &COLS, &t.rows)
+            .render()
+            .contains("Measured"));
         assert!(t.max_error_pct() < 1.5);
     }
 }

@@ -1,9 +1,8 @@
 //! Table 5: MLP of in-order issue (stall-on-miss vs stall-on-use).
 
 use crate::registry::{Experiment, ExperimentRun};
-use crate::report::{Report, Row as JsonRow};
 use crate::runner::{run_mlpsim, sweep_grid};
-use crate::table::{f2, TextTable};
+use crate::table::{append_rows, text_table, Col, Fmt::*};
 use crate::RunScale;
 use mlp_workloads::WorkloadKind;
 use mlpsim::{InOrderPolicy, MlpsimConfig, WindowModel};
@@ -55,71 +54,38 @@ pub fn run(scale: RunScale) -> Table5 {
 }
 
 impl Table5 {
-    /// Renders the paper-style table.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec!["Benchmark", "Stall-on-Miss", "Stall-on-Use"])
-            .with_title("Table 5: MLP of In-Order Issue");
-        for r in &self.rows {
-            t.row(vec![
-                r.kind.name().into(),
-                f2(r.stall_on_miss),
-                f2(r.stall_on_use),
-            ]);
-        }
-        t.render()
-    }
-
     /// The row for a workload.
     pub fn row(&self, kind: WorkloadKind) -> Option<&Row> {
         self.rows.iter().find(|r| r.kind == kind)
     }
-
-    /// The structured report.
-    pub fn report(&self, scale: RunScale) -> Report {
-        let mut rep = Report::new(
-            "table5",
-            "Table 5: MLP of In-Order Issue",
-            "§5.1 (Table 5)",
-            scale,
-        );
-        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
-        rep.axis("policy", vec!["stall-on-miss", "stall-on-use"]);
-        for r in &self.rows {
-            rep.row(
-                JsonRow::new()
-                    .field("benchmark", r.kind.name())
-                    .field("stall_on_miss", r.stall_on_miss)
-                    .field("stall_on_use", r.stall_on_use),
-            );
-        }
-        rep
-    }
 }
+
+const COLS: [Col<Row>; 3] = [
+    Col::new("benchmark", "Benchmark", Plain, |r| r.kind.name().into()),
+    Col::new("stall_on_miss", "Stall-on-Miss", F2, |r| {
+        r.stall_on_miss.into()
+    }),
+    Col::new("stall_on_use", "Stall-on-Use", F2, |r| {
+        r.stall_on_use.into()
+    }),
+];
 
 /// Registry entry for Table 5.
-pub struct Exp;
-
-impl Experiment for Exp {
-    fn name(&self) -> &'static str {
-        "table5"
-    }
-    fn module(&self) -> &'static str {
-        "table5"
-    }
-    fn description(&self) -> &'static str {
-        "In-order MLP under stall-on-miss and stall-on-use policies"
-    }
-    fn section(&self) -> &'static str {
-        "§5.1 (Table 5)"
-    }
-    fn run(&self, scale: RunScale) -> ExperimentRun {
+pub static EXPERIMENT: Experiment = Experiment {
+    name: "table5",
+    title: "Table 5: MLP of In-Order Issue",
+    section: "§5.1 (Table 5)",
+    description: "In-order MLP under stall-on-miss and stall-on-use policies",
+    module: module_path!(),
+    run: |scale, mut rep| {
         let t = run(scale);
-        ExperimentRun {
-            text: t.render(),
-            report: t.report(scale),
-        }
-    }
-}
+        rep.axis("benchmark", WorkloadKind::ALL.map(|k| k.name()).to_vec());
+        rep.axis("policy", vec!["stall-on-miss", "stall-on-use"]);
+        append_rows(&mut rep, &COLS, &t.rows);
+        let text = text_table(rep.title, &COLS, &t.rows).render();
+        ExperimentRun { text, report: rep }
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -134,7 +100,7 @@ mod tests {
                 stall_on_use: 1.13,
             }],
         };
-        let s = t.render();
+        let s = text_table("Table 5", &COLS, &t.rows).render();
         assert!(s.contains("Stall-on-Use"));
         assert!(s.contains("1.13"));
         assert!(t.row(WorkloadKind::SpecWeb99).is_some());

@@ -17,8 +17,14 @@
 //! ```no_run
 //! use mlp_experiments::{exp, RunScale};
 //!
+//! // Typed rows for analysis...
 //! let table5 = exp::table5::run(RunScale::quick());
-//! println!("{}", table5.render());
+//! for row in &table5.rows {
+//!     println!("{}: {:.2}", row.kind.name(), row.stall_on_use);
+//! }
+//! // ...or the registry entry's text table and JSON report.
+//! let run = exp::table5::EXPERIMENT.run(RunScale::quick());
+//! println!("{}\n{}", run.text, run.report.to_json());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -62,7 +62,6 @@
 
 use mlp_experiments::exec;
 use mlp_experiments::registry::{self, Experiment};
-use mlp_experiments::report::Report;
 use mlp_experiments::RunScale;
 use std::time::Instant;
 
@@ -82,16 +81,23 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn print_list() {
-    let width = registry::names().iter().map(|n| n.len()).max().unwrap_or(0);
-    for e in registry::REGISTRY {
-        println!(
-            "{:width$}  {:24}  {}",
-            e.name(),
-            e.section(),
-            e.description()
-        );
-    }
+/// The `--list` lines: name, section and description, each column as
+/// wide as its longest entry (in characters: sections carry `§`).
+fn list_lines() -> Vec<String> {
+    let width = |field: fn(&Experiment) -> &str| {
+        let chars = registry::REGISTRY.iter().map(|e| field(e).chars().count());
+        chars.max().unwrap_or(0)
+    };
+    let (names, sections) = (width(|e| e.name), width(|e| e.section));
+    registry::REGISTRY
+        .iter()
+        .map(|e| {
+            format!(
+                "{:names$}  {:sections$}  {}",
+                e.name, e.section, e.description
+            )
+        })
+        .collect()
 }
 
 struct Cli {
@@ -205,14 +211,14 @@ fn parse_args(args: &[String]) -> Cli {
 
 /// Resolves the CLI selection against the registry, exiting via `usage`
 /// on an unknown name or an `--only` filter that matches nothing.
-fn select(cli: &Cli) -> Vec<&'static dyn Experiment> {
+fn select(cli: &Cli) -> Vec<&'static Experiment> {
     if let Some(spec) = &cli.only {
         // Comma-separated substrings, unioned, in registry order.
         let subs: Vec<&str> = spec.split(',').map(str::trim).collect();
         let picked: Vec<_> = registry::REGISTRY
             .iter()
             .copied()
-            .filter(|e| subs.iter().any(|s| !s.is_empty() && e.name().contains(s)))
+            .filter(|e| subs.iter().any(|s| !s.is_empty() && e.name.contains(s)))
             .collect();
         if picked.is_empty() {
             eprintln!("--only '{spec}' matches no experiment");
@@ -373,7 +379,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = parse_args(&args);
     if cli.list {
-        print_list();
+        for line in list_lines() {
+            println!("{line}");
+        }
         return;
     }
     if let Some(dir) = &cli.surrogate_dir {
@@ -414,7 +422,7 @@ fn main() {
     static EXPERIMENT_TIMER: mlp_obs::PhaseTimer = mlp_obs::PhaseTimer::new("experiment.run");
     for e in &selected {
         let events_path = cli.events_dir.as_ref().map(|dir| {
-            std::path::Path::new(dir).join(format!("{}.{}.jsonl", e.name(), cli.scale.label()))
+            std::path::Path::new(dir).join(format!("{}.{}.jsonl", e.name, cli.scale.label()))
         });
         if let Some(path) = &events_path {
             if let Err(err) = mlp_obs::set_event_sink(Some(path)) {
@@ -432,7 +440,7 @@ fn main() {
         mlp_obs::emit(
             "experiment.start",
             &[
-                ("experiment", e.name().into()),
+                ("experiment", e.name.into()),
                 ("scale", cli.scale.label().into()),
             ],
         );
@@ -440,13 +448,13 @@ fn main() {
         // (its sweeps run under mlp_par's per-job containment and re-raise
         // here) must not abort the batch. Shared with the mlp-serve
         // daemon via exec::run_isolated.
-        let iso = exec::run_isolated(*e, cli.scale);
+        let iso = exec::run_isolated(e, cli.scale);
         let elapsed = iso.elapsed;
         EXPERIMENT_TIMER.record_ns(elapsed.as_nanos() as u64);
         mlp_obs::emit(
             "experiment.end",
             &[
-                ("experiment", e.name().into()),
+                ("experiment", e.name.into()),
                 ("ok", iso.outcome.is_ok().into()),
                 ("wall_ms", (elapsed.as_secs_f64() * 1e3).into()),
             ],
@@ -463,44 +471,37 @@ fn main() {
                     if let Err(err) = std::fs::write(&path, run.report.to_json()) {
                         eprintln!("cannot write '{}': {err}", path.display());
                         failures.push(Failure {
-                            name: e.name(),
+                            name: e.name,
                             elapsed_secs: elapsed.as_secs_f64(),
                             error: format!("cannot write '{}': {err}", path.display()),
                         });
                     } else {
-                        eprintln!("[{} report -> {}]", e.name(), path.display());
+                        eprintln!("[{} report -> {}]", e.name, path.display());
                     }
                 }
-                eprintln!("[{} finished in {:.1}s]\n", e.name(), elapsed.as_secs_f64());
+                eprintln!("[{} finished in {:.1}s]\n", e.name, elapsed.as_secs_f64());
             }
             Err(error) => {
                 eprintln!(
                     "[{} FAILED after {:.1}s: {error}]\n",
-                    e.name(),
+                    e.name,
                     elapsed.as_secs_f64()
                 );
                 if let Some(dir) = &cli.json_dir {
-                    let mut report = Report::failed(
-                        e.name(),
-                        e.description(),
-                        e.section(),
-                        cli.scale,
-                        error.clone(),
-                        elapsed.as_millis() as u64,
-                    );
+                    let mut report = e.failed(cli.scale, error.clone(), elapsed.as_millis() as u64);
                     if let Some(snapshot) = &metrics {
                         report.set_metrics(snapshot);
                     }
                     let path = std::path::Path::new(dir).join(report.filename());
                     match std::fs::write(&path, report.to_json()) {
                         Ok(()) => {
-                            eprintln!("[{} degraded report -> {}]", e.name(), path.display())
+                            eprintln!("[{} degraded report -> {}]", e.name, path.display())
                         }
                         Err(err) => eprintln!("cannot write '{}': {err}", path.display()),
                     }
                 }
                 failures.push(Failure {
-                    name: e.name(),
+                    name: e.name,
                     elapsed_secs: elapsed.as_secs_f64(),
                     error,
                 });
@@ -521,5 +522,25 @@ fn main() {
     if !failures.is_empty() {
         print_failure_summary(&failures, selected.len());
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every description starts in the same character column, however
+    /// long the names and sections are.
+    #[test]
+    fn list_descriptions_share_one_column() {
+        let starts: std::collections::BTreeSet<usize> = list_lines()
+            .iter()
+            .zip(registry::REGISTRY)
+            .map(|(line, e)| {
+                let at = line.rfind(e.description).expect("description listed");
+                line[..at].chars().count()
+            })
+            .collect();
+        assert_eq!(starts.len(), 1, "descriptions start at columns {starts:?}");
     }
 }

@@ -1,5 +1,12 @@
-//! Minimal text-table rendering for experiment output.
+//! Text tables for experiment output, and the column spec that renders
+//! one list of result rows as both a text table and report rows.
+//!
+//! An experiment whose text rows are its JSON rows declares one
+//! [`Col`] list; [`text_table`] prints the rows under the text headers
+//! and [`append_rows`] adds the same rows to the [`Report`], so the two
+//! outputs cannot drift apart.
 
+use crate::report::{Json, Report, Row};
 use std::fmt::Write as _;
 
 /// A simple aligned text table.
@@ -52,16 +59,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -112,6 +109,109 @@ pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
 }
 
+/// How a column prints in a text table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fmt {
+    /// Strings as they are, any other value in its JSON form (`64`).
+    Plain,
+    /// Two decimals ([`f2`]).
+    F2,
+    /// Three decimals ([`f3`]).
+    F3,
+    /// A percentage with one decimal ([`pct`]).
+    Pct,
+    /// A signed percentage with one decimal (`+4.2%`).
+    SignedPct,
+    /// A fraction as a percentage with one decimal (`0.123` → `12.3%`).
+    Frac,
+}
+
+impl Fmt {
+    /// The text cell for `v`; a non-number prints as [`Fmt::Plain`].
+    pub fn cell(self, v: &Json) -> String {
+        match (self, v.as_f64()) {
+            (Fmt::F2, Some(x)) => f2(x),
+            (Fmt::F3, Some(x)) => f3(x),
+            (Fmt::Pct, Some(x)) => pct(x),
+            (Fmt::SignedPct, Some(x)) => format!("{x:+.1}%"),
+            (Fmt::Frac, Some(x)) => pct(100.0 * x),
+            _ => match v {
+                Json::Str(s) => s.clone(),
+                v => v.to_line(),
+            },
+        }
+    }
+}
+
+/// One column of an experiment's result rows: its JSON field, its text
+/// header, how the text prints it, and how to read it from a row. An
+/// empty `field` leaves the column out of the report, an empty `header`
+/// out of the text table.
+pub struct Col<R> {
+    /// The report field name.
+    pub field: &'static str,
+    /// The text-table header.
+    pub header: &'static str,
+    /// How the text table prints the value.
+    pub fmt: Fmt,
+    /// Reads the value from a row.
+    pub get: fn(&R) -> Json,
+}
+
+impl<R> Col<R> {
+    /// A column (see the type's docs for empty `field` and `header`).
+    pub const fn new(
+        field: &'static str,
+        header: &'static str,
+        fmt: Fmt,
+        get: fn(&R) -> Json,
+    ) -> Col<R> {
+        Col {
+            field,
+            header,
+            fmt,
+            get,
+        }
+    }
+}
+
+/// `rows` as a text table under `title`, one column per non-empty header.
+pub fn text_table<'a, R: 'a>(
+    title: impl Into<String>,
+    cols: &[Col<R>],
+    rows: impl IntoIterator<Item = &'a R>,
+) -> TextTable {
+    let shown: Vec<&Col<R>> = cols.iter().filter(|c| !c.header.is_empty()).collect();
+    let mut t = TextTable::new(shown.iter().map(|c| c.header).collect()).with_title(title);
+    for r in rows {
+        t.row(shown.iter().map(|c| c.fmt.cell(&(c.get)(r))).collect());
+    }
+    t
+}
+
+/// One text table per `(title, rows)` group, each followed by a blank
+/// line.
+pub fn text_groups<'a, R: 'a, G: IntoIterator<Item = &'a R>>(
+    cols: &[Col<R>],
+    groups: impl IntoIterator<Item = (String, G)>,
+) -> String {
+    let render = |(title, rows): (String, G)| text_table(title, cols, rows).render() + "\n";
+    groups.into_iter().map(render).collect()
+}
+
+/// Appends `rows` to `report`, one member per non-empty field, in
+/// column order.
+pub fn append_rows<'a, R: 'a>(
+    report: &mut Report,
+    cols: &[Col<R>],
+    rows: impl IntoIterator<Item = &'a R>,
+) {
+    for r in rows {
+        let fields = cols.iter().filter(|c| !c.field.is_empty());
+        report.row(fields.fold(Row::new(), |row, c| row.field(c.field, (c.get)(r))));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,11 +245,77 @@ mod tests {
         assert_eq!(pct(12.34), "12.3%");
     }
 
+    /// Sample rows: a workload, a count and two ratios.
+    type Sample = (&'static str, u64, f64, f64);
+
+    const COLS: [Col<Sample>; 5] = [
+        Col::new("benchmark", "Benchmark", Fmt::Plain, |r| r.0.into()),
+        Col::new("", "Label", Fmt::Plain, |r| format!("{}x", r.1).into()),
+        Col::new("count", "", Fmt::Plain, |r| r.1.into()),
+        Col::new("mlp", "MLP", Fmt::F3, |r| r.2.into()),
+        Col::new("share", "Share", Fmt::Frac, |r| r.3.into()),
+    ];
+
+    const ROWS: [Sample; 2] = [("Database", 4, 1.38, 0.25), ("SPECweb99", 16, 2.0, 1.0)];
+
     #[test]
-    fn empty_and_len() {
-        let mut t = TextTable::new(vec!["a"]);
-        assert!(t.is_empty());
-        t.row(vec!["1".into()]);
-        assert_eq!(t.len(), 1);
+    fn text_only_and_json_only_columns() {
+        let text = text_table("T", &COLS, &ROWS).render();
+        assert_eq!(
+            text,
+            "T\nBenchmark  Label  MLP    Share\n-------------------------------\n\
+             Database   4x     1.380  25.0%\nSPECweb99  16x    2.000  100.0%\n"
+        );
+        assert!(!text.contains("count"));
+
+        let mut rep = Report::new("demo", "Demo", "§0", crate::RunScale::quick());
+        append_rows(&mut rep, &COLS, &ROWS);
+        assert_eq!(rep.rows.len(), 2);
+        assert!(rep.rows[0].get("Label").is_none());
+        assert_eq!(rep.rows[1].get("count"), Some(&Json::Int(16)));
+    }
+
+    #[test]
+    fn json_fields_follow_column_order() {
+        let mut rep = Report::new("demo", "Demo", "§0", crate::RunScale::quick());
+        append_rows(&mut rep, &COLS, &ROWS[..1]);
+        let keys: Vec<&str> = rep.rows[0].fields().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["benchmark", "count", "mlp", "share"]);
+        assert_eq!(
+            Json::obj(rep.rows[0].fields().iter().cloned()).to_line(),
+            r#"{"benchmark": "Database", "count": 4, "mlp": 1.38, "share": 0.25}"#
+        );
+    }
+
+    #[test]
+    fn each_formatter_on_a_sample_value() {
+        let x = Json::Num(12.3456);
+        assert_eq!(Fmt::Plain.cell(&Json::Int(64)), "64");
+        assert_eq!(Fmt::Plain.cell(&Json::from("64D/ROB256")), "64D/ROB256");
+        assert_eq!(Fmt::Plain.cell(&x), "12.3456");
+        assert_eq!(Fmt::F2.cell(&x), "12.35");
+        assert_eq!(Fmt::F3.cell(&x), "12.346");
+        assert_eq!(Fmt::Pct.cell(&x), "12.3%");
+        assert_eq!(Fmt::SignedPct.cell(&x), "+12.3%");
+        assert_eq!(Fmt::SignedPct.cell(&Json::Num(-0.04)), "-0.0%");
+        assert_eq!(Fmt::Frac.cell(&Json::Num(0.123)), "12.3%");
+        // A number formatter on a string prints it plainly.
+        assert_eq!(Fmt::F3.cell(&Json::from("inf")), "inf");
+        // A non-finite value is `null` in the report.
+        let nan: [Col<f64>; 1] = [Col::new("v", "V", Fmt::F2, |&v| v.into())];
+        let mut rep = Report::new("demo", "Demo", "§0", crate::RunScale::quick());
+        append_rows(&mut rep, &nan, &[f64::NAN]);
+        assert!(rep.to_json().contains("\"v\": null"));
+    }
+
+    #[test]
+    fn grouped_render_joins_per_group_tables() {
+        let grouped = text_groups(
+            &COLS,
+            [("A".to_string(), &ROWS[..1]), ("B".to_string(), &ROWS[1..])],
+        );
+        let a = text_table("A", &COLS, &ROWS[..1]).render();
+        let b = text_table("B", &COLS, &ROWS[1..]).render();
+        assert_eq!(grouped, format!("{a}\n{b}\n"));
     }
 }

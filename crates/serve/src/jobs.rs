@@ -12,8 +12,9 @@
 //!    worker.
 //! 3. This module — transient failures retried with exponential backoff
 //!    under the same deadline; exhausted or timed-out jobs degrade into
-//!    a `status:"failed"` [`Report`] exactly like the CLI's, so clients
-//!    always get a machine-readable body.
+//!    a `status:"failed"` [`Report`](mlp_experiments::report::Report)
+//!    exactly like the CLI's, under the experiment's registry identity,
+//!    so clients always get a machine-readable body.
 //!
 //! The deadline clock starts when a job is first dequeued and spans all
 //! retry attempts: retrying cannot extend a job's wall-clock budget.
@@ -21,7 +22,6 @@
 use crate::cache::{fnv1a64, ResultCache};
 use mlp_experiments::exec;
 use mlp_experiments::registry::Experiment;
-use mlp_experiments::report::Report;
 use mlp_experiments::RunScale;
 use mlp_obs::{Counter, Histogram};
 use mlp_par::Supervised;
@@ -99,7 +99,7 @@ pub struct JobCell {
     /// Monotonic job id, for the async status endpoint.
     pub id: u64,
     /// The experiment to run.
-    pub experiment: &'static dyn Experiment,
+    pub experiment: &'static Experiment,
     /// The scale to run it at.
     pub scale: RunScale,
     /// Admission priority.
@@ -267,11 +267,11 @@ impl Scheduler {
     /// and shedding when the queue is full.
     pub fn submit(
         &self,
-        experiment: &'static dyn Experiment,
+        experiment: &'static Experiment,
         scale: RunScale,
         priority: Priority,
     ) -> Result<Submitted, SubmitError> {
-        let key: JobKey = (experiment.name(), scale.label());
+        let key: JobKey = (experiment.name, scale.label());
         let mut st = self.inner.lock();
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -359,7 +359,7 @@ fn worker_loop(inner: &Inner) {
         {
             let mut st = inner.lock();
             st.inflight
-                .remove(&(cell.experiment.name(), cell.scale.label()));
+                .remove(&(cell.experiment.name, cell.scale.label()));
             st.done_order.push_back(cell.id);
             while st.done_order.len() > DONE_RING {
                 if let Some(old) = st.done_order.pop_front() {
@@ -379,7 +379,7 @@ fn run_job(inner: &Inner, cell: &JobCell) -> JobOutcome {
     let t0 = Instant::now();
 
     if let Some(cache) = &inner.cache {
-        if let Some(body) = cache.load(exp.name(), scale.label()) {
+        if let Some(body) = cache.load(exp.name, scale.label()) {
             CACHE_HITS.inc();
             JOBS_OK.inc();
             JOB_LATENCY_MS.record(t0.elapsed().as_millis() as u64);
@@ -414,7 +414,7 @@ fn run_job(inner: &Inner, cell: &JobCell) -> JobOutcome {
             Supervised::Finished(Ok(run)) => {
                 let body = run.report.to_json().into_bytes();
                 if let Some(cache) = &inner.cache {
-                    if cache.store(exp.name(), scale.label(), &body).is_err() {
+                    if cache.store(exp.name, scale.label(), &body).is_err() {
                         CACHE_STORE_ERRORS.inc();
                     }
                 }
@@ -434,8 +434,7 @@ fn run_job(inner: &Inner, cell: &JobCell) -> JobOutcome {
         };
         if is_transient(&error) && attempt < inner.retries {
             JOBS_RETRIED.inc();
-            let pause =
-                backoff(exp.name(), attempt).min(inner.deadline.saturating_sub(t0.elapsed()));
+            let pause = backoff(exp.name, attempt).min(inner.deadline.saturating_sub(t0.elapsed()));
             std::thread::sleep(pause);
             attempt += 1;
             continue;
@@ -470,20 +469,13 @@ fn backoff(name: &str, attempt: u32) -> Duration {
 
 /// A `status:"failed"` degraded report, same shape the CLI writes.
 fn degraded(
-    exp: &'static dyn Experiment,
+    exp: &'static Experiment,
     scale: RunScale,
     error: String,
     t0: Instant,
     attempt: u32,
 ) -> JobOutcome {
-    let report = Report::failed(
-        exp.name(),
-        exp.description(),
-        exp.section(),
-        scale,
-        error,
-        t0.elapsed().as_millis() as u64,
-    );
+    let report = exp.failed(scale, error, t0.elapsed().as_millis() as u64);
     JOBS_DEGRADED.inc();
     JOB_LATENCY_MS.record(t0.elapsed().as_millis() as u64);
     JobOutcome {
@@ -572,6 +564,16 @@ mod tests {
             body.contains("exceeded its 200ms deadline"),
             "error must name the deadline, got: {body}"
         );
+        // The degraded body carries the identity of fm's successful report.
+        let degraded = mlp_json::parse(&body).expect("degraded body parses");
+        let golden = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/fm.quick.json"
+        );
+        let ok = mlp_json::parse(&std::fs::read_to_string(golden).unwrap()).unwrap();
+        for key in ["experiment", "title", "section", "scale"] {
+            assert_eq!(degraded.get(key), ok.get(key), "{key}");
+        }
         s.shutdown();
     }
 

@@ -142,7 +142,7 @@ fn route(req: &Request, sched: &Scheduler, stopping: &AtomicBool) -> (Response, 
 /// What a job-submission body must say. `scale` and `priority` are
 /// optional (`quick`, `normal`).
 struct JobRequest {
-    experiment: &'static dyn registry::Experiment,
+    experiment: &'static registry::Experiment,
     scale: RunScale,
     priority: Priority,
 }

@@ -13,6 +13,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> benchmark builds against the workspace API"
+# mlpbench/ is its own package that calls registry::find(..).run(..),
+# exec::run_isolated and runner::shared_seeded. Its lock file is stale,
+# so cargo rewrites it; files under mlpbench/ change only together with
+# the benchmark, so the lock is restored afterwards.
+bench_lock=$(mktemp)
+cp mlpbench/Cargo.lock "$bench_lock"
+bench_ok=0
+cargo check --offline --manifest-path mlpbench/Cargo.toml --target-dir target || bench_ok=$?
+cp "$bench_lock" mlpbench/Cargo.lock
+rm -f "$bench_lock"
+[ "$bench_ok" -eq 0 ]
+
 echo "==> cargo test"
 cargo test -q --workspace
 

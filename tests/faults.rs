@@ -125,6 +125,12 @@ fn injected_sweep_panic_leaves_survivors_byte_identical() {
         "degraded report must carry the panic payload:\n{failed_json}"
     );
     assert!(failed_json.contains("\"elapsed_ms\": "));
+    // ...under the same identity as table5's successful report.
+    let failed = mlp_json::parse(&failed_json).expect("degraded report parses");
+    let golden = mlp_json::parse(&read(&golden_dir().join("table5.quick.json"))).unwrap();
+    for key in ["experiment", "title", "section", "scale"] {
+        assert_eq!(failed.get(key), golden.get(key), "degraded table5 {key}");
+    }
     assert!(faulted_stdout.contains("== failure summary: 1 of 3 experiments failed =="));
     assert!(faulted_stdout.contains("injected fault: sweep-panic:1"));
 

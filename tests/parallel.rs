@@ -20,15 +20,16 @@ fn parallel_sweep_output_is_byte_identical_to_serial() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
 
     // One figure sweep both ways: figure 5 over a reduced grid keeps the
-    // test fast while still fanning out 12 jobs.
+    // test fast while still fanning out 12 jobs. The debug rendering
+    // prints every result field at full precision, in sweep order.
     let sizes = [16, 64];
     let configs = [mlpsim::IssueConfig::A, mlpsim::IssueConfig::D];
 
     mlp_par::set_thread_override(Some(1));
-    let serial = exp::figure5::run_grid(quick(), &sizes, &configs).render();
+    let serial = format!("{:?}", exp::figure5::run_grid(quick(), &sizes, &configs));
 
     mlp_par::set_thread_override(Some(4));
-    let parallel = exp::figure5::run_grid(quick(), &sizes, &configs).render();
+    let parallel = format!("{:?}", exp::figure5::run_grid(quick(), &sizes, &configs));
 
     mlp_par::set_thread_override(None);
 
@@ -44,10 +45,10 @@ fn parallel_table_sweep_matches_serial() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
 
     mlp_par::set_thread_override(Some(1));
-    let serial = exp::table5::run(quick()).render();
+    let serial = format!("{:?}", exp::table5::run(quick()));
 
     mlp_par::set_thread_override(Some(3));
-    let parallel = exp::table5::run(quick()).render();
+    let parallel = format!("{:?}", exp::table5::run(quick()));
 
     mlp_par::set_thread_override(None);
 
