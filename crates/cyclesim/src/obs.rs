@@ -23,6 +23,12 @@ static MSHR_HIGH_WATER: Counter = Counter::new_max("cyclesim.mshr.high_water");
 static RUNAHEAD_ENTRIES: Counter = Counter::new("cyclesim.runahead.entries");
 static RUNAHEAD_EXITS: Counter = Counter::new("cyclesim.runahead.exits");
 
+/// Functional warm-up passes made: one per run that warms itself, and
+/// one per shared [`crate::WarmState`] built.
+pub(crate) static WARM_PASSES: Counter = Counter::new("cyclesim.warm.passes");
+/// Runs that started from a shared warm state instead of making a pass.
+pub(crate) static WARM_SHARED_RUNS: Counter = Counter::new("cyclesim.warm.shared_runs");
+
 /// Lengths of uninterrupted no-progress stretches (consecutive dead
 /// cycles the clock skipped), in cycles.
 static STALL_BURST: Histogram = Histogram::new("cyclesim.stall_burst");

@@ -44,6 +44,11 @@
 //! training the branch and value predictors. The clock then starts at
 //! cycle 0 with an empty ROB, fetch queue and MSHR file, fetch at each
 //! thread's warm-up boundary, and every retired instruction measured.
+//! What the pass leaves is a [`WarmState`]. No timing parameter changes
+//! it, so runs that differ only in latencies, window, issue
+//! configuration, perfect L2 or runahead distance can start from clones
+//! of one state ([`CycleSim::start_from`]) instead of each making the
+//! pass.
 
 use crate::{CycleReport, CycleSimConfig};
 use mlp_hash::FxHashMap;
@@ -56,7 +61,7 @@ use mlp_isa::{
 use mlp_mem::{Access, Hierarchy, Mshr, MshrOutcome};
 use mlp_obs::{IntervalSampler, LocalHist, Value};
 use mlp_predict::{BranchStats, ValuePrediction};
-use mlpsim::{warm, Branches, OffchipCounts, ValueMode, Values};
+use mlpsim::{warm, BranchMode, Branches, OffchipCounts, ValueMode, Values};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -186,6 +191,8 @@ fn take_scratch() -> Scratch {
 #[derive(Debug)]
 pub struct CycleSim {
     config: CycleSimConfig,
+    /// The warm-up the next run starts from instead of making its own.
+    start: Option<WarmState>,
 }
 
 impl CycleSim {
@@ -196,12 +203,27 @@ impl CycleSim {
     /// Panics if the configuration fails [`CycleSimConfig::validate`].
     pub fn new(config: CycleSimConfig) -> CycleSim {
         config.validate();
-        CycleSim { config }
+        CycleSim {
+            config,
+            start: None,
+        }
     }
 
     /// The configuration being simulated.
     pub fn config(&self) -> &CycleSimConfig {
         &self.config
+    }
+
+    /// Makes the next run start from `state`, the functional warm-up of
+    /// the same trace made once for several runs ([`WarmState::new`]),
+    /// instead of making the pass itself. Its report is identical. It is
+    /// meant for in-memory traces: a streamed run from a state holds its
+    /// warm-up prefix resident until its first cycle.
+    ///
+    /// The next run panics if `state` was built for another hierarchy,
+    /// branch mode, value predictor or warm-up ([`WarmState::fits`]).
+    pub fn start_from(&mut self, state: WarmState) {
+        self.start = Some(state);
     }
 
     /// Runs the pipeline over `trace`: a functional pass over the first
@@ -215,7 +237,7 @@ impl CycleSim {
     /// through exactly the same kernel as [`CycleSim::run_shared`].
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, warmup: u64, measure: u64) -> CycleReport {
         let mut src = StreamingSoaSource::new(trace);
-        simulate(&self.config, [&mut src], warmup, measure).0
+        simulate(&self.config, [&mut src], warmup, measure, self.start.take()).0
     }
 
     /// Runs the pipeline over a pre-materialized column trace (the first
@@ -233,7 +255,7 @@ impl CycleSim {
         measure: u64,
     ) -> CycleReport {
         let mut src = SharedSoaSource::new(soa, len);
-        simulate(&self.config, [&mut src], warmup, measure).0
+        simulate(&self.config, [&mut src], warmup, measure, self.start.take()).0
     }
 
     /// Runs the pipeline over a stream of column chunks, keeping only a
@@ -247,21 +269,124 @@ impl CycleSim {
         measure: u64,
     ) -> CycleReport {
         let mut src = ChunkedSoaSource::new(chunks);
-        simulate(&self.config, [&mut src], warmup, measure).0
+        simulate(&self.config, [&mut src], warmup, measure, self.start.take()).0
     }
 }
 
 /// Runs one thread per source on the core: the functional warm-up over
-/// each thread's first `warmup` instructions, then up to `measure`
-/// measured ones per thread from cycle 0. Returns the combined report and
-/// each thread's measured instruction count.
+/// each thread's first `warmup` instructions (or a clone of it, `start`),
+/// then up to `measure` measured ones per thread from cycle 0. Returns the
+/// combined report and each thread's measured instruction count.
 pub(crate) fn simulate<'a, S: InstSource + 'a>(
     cfg: &CycleSimConfig,
     srcs: impl IntoIterator<Item = &'a mut S>,
     warmup: u64,
     measure: u64,
+    start: Option<WarmState>,
 ) -> (CycleReport, Vec<u64>) {
-    Machine::new(cfg, srcs.into_iter().collect(), warmup, measure).run()
+    Machine::new(cfg, srcs.into_iter().collect(), warmup, measure, start).run()
+}
+
+/// What the functional warm-up leaves at the warm-up boundary: the
+/// hierarchy, the branch and value predictors, and each thread's fetch
+/// position. It depends on the traces, the hierarchy, the branch mode,
+/// the value predictor and the warm-up, and on no timing parameter, so
+/// one state serves every latency, window, issue configuration,
+/// perfect-L2 mode and runahead distance over the same trace.
+#[derive(Clone, Debug)]
+pub struct WarmState {
+    hierarchy: Hierarchy,
+    branches: Branches,
+    values: Values,
+    /// Each thread's warm-up boundary: `warmup`, or its trace's length.
+    fetch_pos: Vec<usize>,
+    branch: BranchMode,
+    value: ValueMode,
+    warmup: u64,
+}
+
+impl WarmState {
+    /// Makes the functional warm-up of `config`'s machine over the first
+    /// `warmup` of the first `len` instructions of `soa`, for runs over
+    /// that trace ([`CycleSim::start_from`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > soa.len()`.
+    pub fn new(config: &CycleSimConfig, soa: &TraceSoA, len: usize, warmup: u64) -> WarmState {
+        let mut src = SharedSoaSource::new(soa, len);
+        WarmState::pass(config, &mut [&mut src], warmup)
+    }
+
+    /// Whether runs of `config` with warm-up `warmup` may start from this
+    /// state: it was built for the same hierarchy, branch mode, value
+    /// predictor and warm-up.
+    pub fn fits(&self, config: &CycleSimConfig, warmup: u64) -> bool {
+        self.hierarchy.config() == config.hierarchy
+            && self.branch == config.branch
+            && self.value == value_mode(config)
+            && self.warmup == warmup
+    }
+
+    /// The pass: interleaves the threads' first `warmup` instructions
+    /// through one hierarchy and one set of predictors, one instruction
+    /// per thread per turn, each with its address-space tag, releasing
+    /// what each thread has passed. A thread whose trace ends stops at
+    /// its end.
+    fn pass<S: InstSource>(cfg: &CycleSimConfig, srcs: &mut [&mut S], warmup: u64) -> WarmState {
+        crate::obs::WARM_PASSES.inc();
+        let mut state = WarmState {
+            hierarchy: Hierarchy::new(cfg.hierarchy),
+            branches: Branches::new(cfg.branch),
+            values: Values::new(value_mode(cfg)),
+            fetch_pos: vec![0; srcs.len()],
+            branch: cfg.branch,
+            value: value_mode(cfg),
+            warmup,
+        };
+        let end = usize::try_from(warmup).unwrap_or(usize::MAX);
+        // A thread still warming sits at `idx`; one whose trace ended
+        // stays behind.
+        let mut idx = 0;
+        let mut warming = true;
+        while warming && idx < end {
+            warming = false;
+            for (tid, src) in srcs.iter_mut().enumerate() {
+                if state.fetch_pos[tid] != idx {
+                    continue;
+                }
+                if idx >= src.available() {
+                    src.release(idx);
+                    if src.ensure(idx + 1) <= idx {
+                        continue;
+                    }
+                }
+                let (soa, slot) = (src.soa(), idx - src.base());
+                let asid = (tid as u64) << ASID_SHIFT;
+                let bits = warm::touch(&mut state.hierarchy, soa, slot, false, asid);
+                warm::train(
+                    &mut state.branches,
+                    &mut state.values,
+                    soa,
+                    slot,
+                    bits,
+                    asid,
+                );
+                state.fetch_pos[tid] = idx + 1;
+                warming = true;
+            }
+            idx += 1;
+        }
+        for (src, &pos) in srcs.iter_mut().zip(&state.fetch_pos) {
+            src.release(pos);
+        }
+        state
+    }
+}
+
+/// The value predictor of `cfg`'s machine: runahead's, if any.
+fn value_mode(cfg: &CycleSimConfig) -> ValueMode {
+    cfg.runahead.map_or(ValueMode::None, |r| r.value)
 }
 
 /// An active runahead interval.
@@ -302,7 +427,8 @@ struct Thread<'a, S> {
     last_writer: [u64; AVAIL_SLOTS], // seq + 1; 0 = none; sentinel slots inert
     /// Runahead: registers whose last pseudo-retired writer was poisoned.
     poison_regs: [bool; AVAIL_SLOTS],
-    store_fwd: FxHashMap<u64, u64>, // addr8 -> latest store seq
+    /// addr8 -> seq of the youngest store in the ROB that writes it.
+    store_fwd: FxHashMap<u64, u64>,
     serialize_block: Option<u64>,
     // Single-cycle completions bypass the heap: everything issued during
     // one cycle with `complete_at == now + 1` lands here and is drained
@@ -322,7 +448,14 @@ struct Thread<'a, S> {
 }
 
 impl<'a, S: InstSource> Thread<'a, S> {
-    fn new(cfg: &CycleSimConfig, src: &'a mut S, tid: usize, threads: usize, lane: Lane) -> Self {
+    fn new(
+        cfg: &CycleSimConfig,
+        src: &'a mut S,
+        tid: usize,
+        threads: usize,
+        lane: Lane,
+        fetch_pos: usize,
+    ) -> Self {
         let rob_cap = (cfg.rob / threads).max(1);
         let ring = (2 * rob_cap).next_power_of_two().max(64);
         let Lane {
@@ -348,7 +481,7 @@ impl<'a, S: InstSource> Thread<'a, S> {
             fetch_stall_until: 0,
             awaiting_redirect: false,
             last_ifetch_line: u64::MAX,
-            fetch_pos: 0,
+            fetch_pos,
             rob,
             head_seq: 0,
             next_seq: 0,
@@ -423,15 +556,30 @@ impl<'a, S: InstSource> Thread<'a, S> {
             .all(|&p| p == NO_PRODUCER || self.producer_ready(p))
     }
 
+    /// Pops the ROB head, dropping its store-forwarding entry unless a
+    /// younger store to the same word has replaced it.
+    fn pop_head(&mut self) -> Entry {
+        let e = self.rob.pop_front().expect("head present");
+        if attrs(e.class) & ATTR_WRITES_MEM != 0 {
+            if let Some(addr) = e.mem_addr {
+                let word = addr & !7;
+                if self.store_fwd.get(&word) == Some(&self.head_seq) {
+                    self.store_fwd.remove(&word);
+                }
+            }
+        }
+        self.head_seq += 1;
+        e
+    }
+
     /// Pops the ROB head without committing it (runahead), recording
     /// whether its destination value is invalid.
     fn pseudo_retire_head(&mut self, poisoned: bool) {
-        let e = self.rob.pop_front().expect("head present");
         if poisoned {
             self.poisoned.set(self.head_seq);
         }
+        let e = self.pop_head();
         self.poison_regs[e.dst as usize] = poisoned;
-        self.head_seq += 1;
     }
 }
 
@@ -483,20 +631,52 @@ struct Machine<'a, S> {
 }
 
 impl<'a, S: InstSource> Machine<'a, S> {
-    fn new(cfg: &'a CycleSimConfig, srcs: Vec<&'a mut S>, warmup: u64, measure: u64) -> Self {
+    fn new(
+        cfg: &'a CycleSimConfig,
+        mut srcs: Vec<&'a mut S>,
+        warmup: u64,
+        measure: u64,
+        start: Option<WarmState>,
+    ) -> Self {
+        let warm = match start {
+            Some(state) => {
+                assert!(
+                    state.fits(cfg, warmup) && state.fetch_pos.len() == srcs.len(),
+                    "warm state built for another hierarchy, predictor mode, warm-up \
+                     or thread count"
+                );
+                crate::obs::WARM_SHARED_RUNS.inc();
+                state
+            }
+            None => WarmState::pass(cfg, &mut srcs, warmup),
+        };
+        let WarmState {
+            mut hierarchy,
+            branches,
+            values,
+            fetch_pos,
+            ..
+        } = warm;
+        // Statistics restart from the warm-up boundary.
+        hierarchy.reset_stats();
         let mut pool = take_scratch();
         let n = srcs.len();
         let threads = srcs
             .into_iter()
+            .zip(&fetch_pos)
             .enumerate()
-            .map(|(tid, src)| Thread::new(cfg, src, tid, n, pool.lanes.pop().unwrap_or_default()))
+            .map(|(tid, (src, &pos))| {
+                let lane = pool.lanes.pop().unwrap_or_default();
+                Thread::new(cfg, src, tid, n, lane, pos)
+            })
             .collect();
         let core = Core {
             cfg,
-            hierarchy: Hierarchy::new(cfg.hierarchy),
+            hierarchy,
             mshr: Mshr::new(cfg.mshrs, cfg.mem_latency),
-            branches: Branches::new(cfg.branch),
-            values: Values::new(cfg.runahead.map_or(ValueMode::None, |r| r.value)),
+            branch_base: branches.stats(),
+            branches,
+            values,
             now: 0,
             completions: pool.completions,
             decisions: pool.decisions,
@@ -511,65 +691,17 @@ impl<'a, S: InstSource> Machine<'a, S> {
             rr: 0,
             limit: measure,
             fetch_end: warmup.saturating_add(measure),
-            warmup_insts: 0,
+            warmup_insts: fetch_pos.iter().map(|&p| p as u64).sum(),
             offchip: OffchipCounts::default(),
             mlp_weighted: 0,
             active_cycles: 0,
             fm_weighted: 0,
             fm_active: 0,
-            branch_base: BranchStats::default(),
             runahead_entries: 0,
             runahead_exits: 0,
             runahead_episode: LocalHist::new(),
         };
-        let mut machine = Machine { core, threads };
-        machine.warm_up(warmup);
-        machine
-    }
-
-    /// The functional warm-up: interleaves the threads' first `warmup`
-    /// instructions through the shared hierarchy and predictors, one
-    /// instruction per thread per turn, releasing what each thread has
-    /// passed, and leaves each thread's fetch at its warm-up boundary (or
-    /// its trace's end). Statistics then restart from the boundary.
-    fn warm_up(&mut self, warmup: u64) {
-        let warmup = usize::try_from(warmup).unwrap_or(usize::MAX);
-        let Machine { core, threads } = self;
-        // A thread still warming sits at `idx`; one whose trace ended
-        // stays behind.
-        let mut idx = 0;
-        let mut warming = true;
-        while warming && idx < warmup {
-            warming = false;
-            for t in threads.iter_mut().filter(|t| t.fetch_pos == idx) {
-                if idx >= t.src.available() {
-                    t.src.release(idx);
-                    if t.src.ensure(idx + 1) <= idx {
-                        continue;
-                    }
-                }
-                let slot = idx - t.src.base();
-                let soa = t.src.soa();
-                let bits = warm::touch(&mut core.hierarchy, soa, slot, false, t.asid);
-                warm::train(
-                    &mut core.branches,
-                    &mut core.values,
-                    soa,
-                    slot,
-                    bits,
-                    t.asid,
-                );
-                t.fetch_pos = idx + 1;
-                warming = true;
-            }
-            idx += 1;
-        }
-        for t in threads.iter_mut() {
-            t.src.release(t.fetch_pos);
-            core.warmup_insts += t.fetch_pos as u64;
-        }
-        core.hierarchy.reset_stats();
-        core.branch_base = core.branches.stats();
+        Machine { core, threads }
     }
 
     fn run(mut self) -> (CycleReport, Vec<u64>) {
@@ -877,8 +1009,7 @@ impl Core<'_> {
             if t.rob.is_empty() || !t.completed.get(t.head_seq) {
                 break;
             }
-            let e = t.rob.pop_front().expect("front checked");
-            t.head_seq += 1;
+            let e = t.pop_head();
             if attrs(e.class) & ATTR_WRITES_MEM != 0 {
                 if let Some(addr) = e.mem_addr {
                     // Write-allocate. An off-chip fill is hidden by the
@@ -961,6 +1092,7 @@ impl Core<'_> {
     /// state is purely architectural.
     fn exit_runahead<S>(&mut self, t: &mut Thread<'_, S>, tid: usize, ep: Episode) {
         t.rob.clear();
+        t.store_fwd.clear();
         t.head_seq = t.next_seq;
         t.unissued = 0;
         t.short_done.clear();
@@ -1251,10 +1383,10 @@ impl Core<'_> {
             if a & ATTR_WRITES_MEM != 0 {
                 if let Some(addr) = mem_addr {
                     t.store_fwd.insert(addr & !7, seq);
-                    if t.store_fwd.len() > 1 << 16 {
-                        let head = t.head_seq;
-                        t.store_fwd.retain(|_, &mut s| s >= head);
-                    }
+                    debug_assert!(
+                        t.store_fwd.len() <= t.rob_cap,
+                        "store-forwarding map outgrew the ROB"
+                    );
                 }
             }
             t.issued.clear(seq);
@@ -1436,7 +1568,7 @@ mod tests {
                 })
                 .collect();
             let warmup = LEN as u64 / 2;
-            let (_, insts) = simulate(&config, &mut srcs, warmup, u64::MAX);
+            let (_, insts) = simulate(&config, &mut srcs, warmup, u64::MAX, None);
             assert_eq!(
                 insts,
                 vec![LEN as u64 - warmup; threads],

@@ -123,7 +123,7 @@ impl SmtSim {
             !threads.is_empty() && threads.len() <= 8,
             "1..=8 SMT threads supported"
         );
-        let (r, insts) = crate::pipeline::simulate(&self.config, threads, warmup, measure);
+        let (r, insts) = crate::pipeline::simulate(&self.config, threads, warmup, measure, None);
         SmtReport {
             cycles: r.cycles,
             insts,

@@ -366,17 +366,69 @@ pub struct RaeTiming {
     pub rows: Vec<RaeTimingRow>,
 }
 
+/// One engine run of the runahead timing study, per workload.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum RaeRun {
+    /// The conventional core.
+    Conv,
+    /// The conventional core with a perfect L2 (`CPI_perf`).
+    PerfectL2,
+    /// Runahead without value prediction.
+    Runahead,
+    /// Runahead with last-value prediction.
+    RunaheadVp,
+    /// The epoch model's conventional window (64C).
+    EpochConv,
+    /// The epoch model's runahead window.
+    EpochRunahead,
+}
+
+/// What one [`RaeRun`] reports: a cycle-level run, or an epoch-model MLP.
+enum RaeOut {
+    Cycle(mlp_cyclesim::CycleReport),
+    Epoch(f64),
+}
+
+impl RaeOut {
+    fn cycle(&self) -> &mlp_cyclesim::CycleReport {
+        match self {
+            RaeOut::Cycle(r) => r,
+            RaeOut::Epoch(_) => unreachable!("an epoch-model run has no cycle report"),
+        }
+    }
+
+    fn mlp(&self) -> f64 {
+        match self {
+            RaeOut::Cycle(r) => r.mlp(),
+            RaeOut::Epoch(mlp) => *mlp,
+        }
+    }
+}
+
 /// Measures runahead end to end in the cycle model (something the
 /// paper's own simulator could not do) and compares the observed speedup
 /// with the paper's methodology: the CPI equation fed by MLPsim MLP.
+/// Every run is its own sweep point, so the runs of one workload spread
+/// over the sweep threads.
 pub fn run_rae_timing(scale: RunScale) -> RaeTiming {
     use mlp_model::CpiModel;
+    use RaeRun::*;
 
     let latency = 1000u64;
-    let rows = sweep(WorkloadKind::ALL.to_vec(), |&kind| {
+    let runs = [
+        Conv,
+        PerfectL2,
+        Runahead,
+        RunaheadVp,
+        EpochConv,
+        EpochRunahead,
+    ];
+    let jobs = WorkloadKind::ALL
+        .into_iter()
+        .flat_map(|kind| runs.map(|run| (kind, run)))
+        .collect();
+    let grid = sweep_grid(jobs, |&(kind, run)| {
         let base_cfg = CycleSimConfig::default().with_mem_latency(latency);
-        let conv = run_cyclesim(kind, base_cfg.clone(), scale);
-        let perf = run_cyclesim(kind, base_cfg.clone().perfect_l2(), scale);
         let runahead = |value| CycleSimConfig {
             runahead: Some(RunaheadConfig {
                 max_dist: 2048,
@@ -384,40 +436,47 @@ pub fn run_rae_timing(scale: RunScale) -> RaeTiming {
             }),
             ..base_cfg.clone()
         };
-        let rae = run_cyclesim(kind, runahead(ValueMode::None), scale);
-        let measured = 100.0 * (conv.cpi() / rae.cpi() - 1.0);
-        let rae_vp = run_cyclesim(kind, runahead(ValueMode::LastValue(16 * 1024)), scale);
-        let measured_vp = 100.0 * (conv.cpi() / rae_vp.cpi() - 1.0);
-
-        // The paper's route: MLPsim MLP + the CPI equation.
-        let model = CpiModel::from_measured(
-            conv.cpi(),
-            perf.cpi(),
-            conv.offchip.total() as f64 / conv.insts as f64,
-            latency as f64,
-            conv.mlp(),
-        );
-        let m_conv = run_mlpsim(kind, MlpsimConfig::default(), scale);
-        let m_rae = run_mlpsim(
-            kind,
-            MlpsimConfig::builder()
-                .issue(IssueConfig::D)
-                .window(WindowModel::Runahead { max_dist: 2048 })
-                .build(),
-            scale,
-        );
-        let predicted = model.improvement_pct(m_conv.mlp(), m_rae.mlp());
-        (
-            kind,
-            conv.cpi(),
-            rae.cpi(),
-            measured,
-            predicted,
-            conv.mlp(),
-            rae.mlp(),
-            measured_vp,
-        )
+        let cycle = |config| RaeOut::Cycle(run_cyclesim(kind, config, scale));
+        let epoch = |config| RaeOut::Epoch(run_mlpsim(kind, config, scale).mlp());
+        match run {
+            Conv => cycle(base_cfg.clone()),
+            PerfectL2 => cycle(base_cfg.clone().perfect_l2()),
+            Runahead => cycle(runahead(ValueMode::None)),
+            RunaheadVp => cycle(runahead(ValueMode::LastValue(16 * 1024))),
+            EpochConv => epoch(MlpsimConfig::default()),
+            EpochRunahead => epoch(
+                MlpsimConfig::builder()
+                    .issue(IssueConfig::D)
+                    .window(WindowModel::Runahead { max_dist: 2048 })
+                    .build(),
+            ),
+        }
     });
+    let rows = WorkloadKind::ALL
+        .map(|kind| {
+            let at = |run| &grid[&(kind, run)];
+            let conv = at(Conv).cycle();
+            let (rae, rae_vp) = (at(Runahead).cycle(), at(RunaheadVp).cycle());
+            // The paper's route: MLPsim MLP + the CPI equation.
+            let model = CpiModel::from_measured(
+                conv.cpi(),
+                at(PerfectL2).cycle().cpi(),
+                conv.offchip.total() as f64 / conv.insts as f64,
+                latency as f64,
+                conv.mlp(),
+            );
+            (
+                kind,
+                conv.cpi(),
+                rae.cpi(),
+                100.0 * (conv.cpi() / rae.cpi() - 1.0),
+                model.improvement_pct(at(EpochConv).mlp(), at(EpochRunahead).mlp()),
+                conv.mlp(),
+                rae.mlp(),
+                100.0 * (conv.cpi() / rae_vp.cpi() - 1.0),
+            )
+        })
+        .to_vec();
     RaeTiming { rows }
 }
 

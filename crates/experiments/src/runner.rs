@@ -15,21 +15,24 @@
 //!    results in input order, so rendered output is byte-identical to a
 //!    serial run regardless of thread count (configure with the
 //!    `MLP_THREADS` environment variable).
-//! 3. **Shared annotation columns** — within one `sweep*` call, the
-//!    [`run_mlpsim`] runs over one trace and hierarchy share a single
-//!    program-order pass of the caches ([`mlpsim::Annotation`]) instead
-//!    of each making its own.
+//! 3. **Shared functional state** — within one `sweep*` call, the
+//!    [`run_mlpsim`] runs over one trace, hierarchy and branch mode share
+//!    a single program-order pass of the caches and the branch predictor
+//!    ([`mlpsim::Annotation`]), and the [`run_cyclesim`] runs over one
+//!    trace, hierarchy, predictor set and warm-up share a single
+//!    functional warm-up ([`mlp_cyclesim::WarmState`]), instead of each
+//!    making its own.
 
 use crate::RunScale;
 use mlp_cyclesim::smt::{SmtReport, SmtSim};
-use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig};
+use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig, WarmState};
 use mlp_isa::{ChunkedSoaSource, SharedSoaSource};
 use mlp_mem::HierarchyConfig;
-use mlp_par::JobPanic;
+use mlp_par::{JobPanic, SharedSlots};
 use mlp_workloads::{SharedTrace, TraceCursor, TraceStore, Workload, WorkloadKind};
-use mlpsim::{Annotation, MlpsimConfig, Report, Simulator};
+use mlpsim::{Annotation, BranchMode, MlpsimConfig, Report, Simulator, ValueMode};
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// The seed used by every experiment: results are fully deterministic.
 pub const SEED: u64 = 42;
@@ -43,56 +46,62 @@ thread_local! {
     /// currently evaluating, if any.
     static CURRENT_POINT: RefCell<Option<String>> = const { RefCell::new(None) };
 
-    /// The annotation columns of the sweep call whose job this thread is
-    /// running, if any.
-    static SWEEP_COLUMNS: RefCell<Option<Arc<SweepColumns>>> = const { RefCell::new(None) };
+    /// The shared functional state of the sweep call whose job this
+    /// thread is running, if any.
+    static SWEEP_SHARED: RefCell<Option<Arc<SweepShared>>> = const { RefCell::new(None) };
 }
 
 /// What an annotation column depends on: the trace (every
 /// [`run_mlpsim`] replays `(kind, SEED)`, so its kind and length name
-/// it), the hierarchy and the instruction-fetch mode.
+/// it), the hierarchy, the instruction-fetch mode and the branch mode.
 #[derive(Clone, Copy, PartialEq)]
 struct ColumnKey {
     kind: WorkloadKind,
     len: usize,
     hierarchy: HierarchyConfig,
     perfect_ifetch: bool,
+    branch: BranchMode,
 }
 
-/// One key's column, built by the first run that needs it while later
-/// runs wait for it.
-type SharedColumn = Arc<OnceLock<Annotation>>;
+/// What a cycle-level warm state depends on: the trace (named like a
+/// column's), the hierarchy, the branch mode, the value predictor and
+/// the warm-up. Latency, window, issue configuration, perfect L2 and
+/// runahead distance are not part of it.
+#[derive(Clone, Copy, PartialEq)]
+struct WarmKey {
+    kind: WorkloadKind,
+    len: usize,
+    hierarchy: HierarchyConfig,
+    branch: BranchMode,
+    value: ValueMode,
+    warmup: u64,
+}
 
-/// The annotation columns of one `sweep*` call, per key: `None` once
-/// the key's first run has gone live, then the column its second run
-/// builds and every later run reads. A key used once never pays for a
-/// column; the store is dropped when the sweep call returns.
+/// The functional state the jobs of one `sweep*` call share, per key: a
+/// key's first run makes its own pass, its second builds the shared
+/// state and every later run reads it ([`SharedSlots`]). A key used once
+/// never pays for a shared state; the store is dropped when the sweep
+/// call returns.
 #[derive(Default)]
-struct SweepColumns(Mutex<Vec<(ColumnKey, Option<SharedColumn>)>>);
+struct SweepShared {
+    columns: SharedSlots<ColumnKey, Annotation>,
+    warm: SharedSlots<WarmKey, WarmState>,
+}
 
-impl SweepColumns {
-    /// The column a run of `key` reads, or `None` for the key's first
-    /// run, which makes its own pass.
-    fn claim(&self, key: ColumnKey) -> Option<SharedColumn> {
-        let mut slots = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        match slots.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, slot)) => Some(Arc::clone(slot.get_or_insert_with(Arc::default))),
-            None => {
-                slots.push((key, None));
-                None
-            }
-        }
+/// Puts a thread's previous sweep store back when a job ends, even by
+/// panicking, so no store outlives its sweep call on a reused thread.
+struct SweepScope(Option<Arc<SweepShared>>);
+
+impl Drop for SweepScope {
+    fn drop(&mut self) {
+        SWEEP_SHARED.set(self.0.take());
     }
 }
 
-/// Puts a thread's previous column store back when a job ends, even by
-/// panicking, so no store outlives its sweep call on a reused thread.
-struct ColumnScope(Option<Arc<SweepColumns>>);
-
-impl Drop for ColumnScope {
-    fn drop(&mut self) {
-        SWEEP_COLUMNS.set(self.0.take());
-    }
+/// Runs `f` on the current sweep call's shared state; `None` outside a
+/// sweep.
+fn with_sweep<R>(f: impl FnOnce(&SweepShared) -> Option<R>) -> Option<R> {
+    SWEEP_SHARED.with_borrow(|s| f(s.as_ref()?))
 }
 
 /// The sweep point the current thread is running, if any. Set around
@@ -109,7 +118,7 @@ fn point_context() -> String {
 
 /// Wraps a sweep job with point attribution, the `runner.sweep_point`
 /// phase timer, (when armed) one event line per point, and the sweep
-/// call's annotation columns. Attribution is unconditional — panic
+/// call's shared functional state. Attribution is unconditional — panic
 /// messages must name their point even with `MLP_OBS` off — and costs
 /// one small allocation per job, noise next to the simulator run it
 /// labels.
@@ -119,9 +128,9 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let columns = Arc::new(SweepColumns::default());
+    let shared = Arc::new(SweepShared::default());
     move |job: &T| {
-        let _scope = ColumnScope(SWEEP_COLUMNS.replace(Some(Arc::clone(&columns))));
+        let _scope = SweepScope(SWEEP_SHARED.replace(Some(Arc::clone(&shared))));
         CURRENT_POINT.with(|p| *p.borrow_mut() = Some(format!("{job:?}")));
         let timed = mlp_obs::counters_on() || mlp_obs::events_on();
         let t0 = timed.then(std::time::Instant::now);
@@ -217,9 +226,10 @@ pub fn shared_seeded(kind: WorkloadKind, seed: u64, insts: u64) -> SharedTrace {
 /// Runs the epoch model over `kind` at the given scale.
 ///
 /// Inside a `sweep*` call, a run over the in-memory trace reads the
-/// sweep's annotation column for its trace and hierarchy once an earlier
-/// run of the same key has gone live (see [`SweepColumns`]); the report
-/// is the same either way. A spilled trace always runs live.
+/// sweep's annotation column for its trace, hierarchy and branch mode
+/// once an earlier run of the same key has gone live (see
+/// [`SweepShared`]); the report is the same either way. A spilled trace
+/// always runs live.
 ///
 /// # Panics
 ///
@@ -237,11 +247,12 @@ pub fn run_mlpsim(kind: WorkloadKind, config: MlpsimConfig, scale: RunScale) -> 
         len: shared.len(),
         hierarchy: config.hierarchy,
         perfect_ifetch: config.perfect_ifetch,
+        branch: config.branch,
     };
     let mut sim = Simulator::new(config);
     let report = if shared.is_spilled() {
         sim.run_chunks(shared.chunks(), scale.warmup, scale.measure)
-    } else if let Some(column) = SWEEP_COLUMNS.with_borrow(|c| c.as_ref()?.claim(key)) {
+    } else if let Some(column) = with_sweep(|s| s.columns.claim(key)) {
         let column =
             column.get_or_init(|| Annotation::new(sim.config(), shared.soa(), shared.len()));
         sim.run_annotated(
@@ -268,28 +279,43 @@ pub fn run_mlpsim(kind: WorkloadKind, config: MlpsimConfig, scale: RunScale) -> 
 
 /// Runs the cycle-accurate model over `kind` at the given scale.
 ///
+/// Inside a `sweep*` call, a run over the in-memory trace starts from
+/// the sweep's warm state for its trace, hierarchy, predictors and
+/// warm-up once an earlier run of the same key has warmed itself (see
+/// [`SweepShared`]); the report is the same either way. A spilled trace
+/// always warms itself.
+///
 /// # Panics
 ///
 /// Panics on a prematurely drained trace cursor, like [`run_mlpsim`].
 pub fn run_cyclesim(kind: WorkloadKind, config: CycleSimConfig, scale: RunScale) -> CycleReport {
-    let shared = shared_seeded(kind, SEED, scale.cycle_warmup + scale.cycle_measure);
+    let (warmup, measure) = (scale.cycle_warmup, scale.cycle_measure);
+    let shared = shared_seeded(kind, SEED, warmup + measure);
+    let key = WarmKey {
+        kind,
+        len: shared.len(),
+        hierarchy: config.hierarchy,
+        branch: config.branch,
+        value: config.runahead.map_or(ValueMode::None, |r| r.value),
+        warmup,
+    };
     let mut sim = CycleSim::new(config);
     let report = if shared.is_spilled() {
-        sim.run_chunks(shared.chunks(), scale.cycle_warmup, scale.cycle_measure)
+        sim.run_chunks(shared.chunks(), warmup, measure)
     } else {
-        sim.run_shared(
-            shared.soa(),
-            shared.len(),
-            scale.cycle_warmup,
-            scale.cycle_measure,
-        )
+        if let Some(state) = with_sweep(|s| s.warm.claim(key)) {
+            let state = state
+                .get_or_init(|| WarmState::new(sim.config(), shared.soa(), shared.len(), warmup));
+            sim.start_from(state.clone());
+        }
+        sim.run_shared(shared.soa(), shared.len(), warmup, measure)
     };
-    if report.insts < scale.cycle_measure {
+    if report.insts < measure {
         panic!(
             "cyclesim run on {kind:?} drained its trace after {} of {} measured \
              instructions (truncated or under-slacked trace){}",
             report.insts,
-            scale.cycle_measure,
+            measure,
             point_context()
         );
     }
@@ -505,31 +531,31 @@ mod tests {
         assert_eq!(a.epochs, b.epochs);
     }
 
-    /// The columns of a sweep call are shared by its jobs, and dropped
-    /// when it returns: no column reaches the next sweep, experiment or
-    /// request. Four runs of one key: the first goes live, the second
-    /// builds the column, all four agree with a run outside any sweep.
+    /// The shared state of a sweep call — annotation columns and cycle
+    /// warm states — is shared by its jobs and dropped when it returns:
+    /// none reaches the next sweep, experiment or request. Four jobs of
+    /// one column key and one warm key: the first of each goes live, the
+    /// second builds the shared state, and all four agree with runs
+    /// outside any sweep.
     #[test]
     fn columns_live_for_one_sweep_call() {
         let scale = RunScale {
             warmup: 5_000,
             measure: 20_000,
-            cycle_warmup: 0,
-            cycle_measure: 0,
+            cycle_warmup: 4_000,
+            cycle_measure: 8_000,
         };
         let config = |iw: usize| MlpsimConfig::builder().coupled_window(iw).build();
-        let seen = sweep(vec![16usize, 32, 64, 128], |&iw| {
+        let cycle = |iw: usize| CycleSimConfig::default().with_window(iw);
+        let sizes = [16usize, 32, 64, 128];
+        let seen = sweep(sizes.to_vec(), |&iw| {
             let report = run_mlpsim(WorkloadKind::Database, config(iw), scale);
-            let columns =
-                SWEEP_COLUMNS.with_borrow(|c| Arc::clone(c.as_ref().expect("in a sweep")));
-            let built: Vec<_> = columns
-                .0
-                .lock()
-                .unwrap()
-                .iter()
-                .flat_map(|(_, c)| c.as_ref().map(Arc::downgrade))
-                .collect();
-            (format!("{report:?}"), Arc::downgrade(&columns), built)
+            let cycles = run_cyclesim(WorkloadKind::Database, cycle(iw), scale);
+            let store = SWEEP_SHARED.with_borrow(|c| Arc::clone(c.as_ref().expect("in a sweep")));
+            let built: Vec<_> = store.columns.slots().iter().map(Arc::downgrade).collect();
+            let warm: Vec<_> = store.warm.slots().iter().map(Arc::downgrade).collect();
+            let reports = format!("{report:?} {cycles:?}");
+            (reports, Arc::downgrade(&store), built, warm)
         });
         assert!(
             seen.windows(2).all(|w| w[0].1.ptr_eq(&w[1].1)),
@@ -537,32 +563,41 @@ mod tests {
         );
         assert!(
             seen[0].1.upgrade().is_none(),
-            "the sweep's column store outlived it"
+            "the sweep's store outlived it"
         );
-        let built: Vec<_> = seen.iter().flat_map(|s| &s.2).collect();
-        assert!(
-            !built.is_empty(),
-            "the second run of a key builds its column"
-        );
-        assert!(
-            built.iter().all(|c| c.upgrade().is_none()),
-            "a column outlived its sweep"
-        );
-        assert!(SWEEP_COLUMNS.with_borrow(Option::is_none));
+        let columns: Vec<bool> = seen
+            .iter()
+            .flat_map(|s| &s.2)
+            .map(|c| c.upgrade().is_some())
+            .collect();
+        let warm: Vec<bool> = seen
+            .iter()
+            .flat_map(|s| &s.3)
+            .map(|c| c.upgrade().is_some())
+            .collect();
+        for (what, alive) in [("column", columns), ("warm state", warm)] {
+            assert!(
+                !alive.is_empty(),
+                "the second run of a key builds its {what}"
+            );
+            assert!(!alive.contains(&true), "a {what} outlived its sweep");
+        }
+        assert!(SWEEP_SHARED.with_borrow(Option::is_none));
         // With one sweep thread, jobs run on the calling thread, which
         // must get its previous (here: no) store back after each job.
         let job =
-            instrumented(|_: &u8| SWEEP_COLUMNS.with_borrow(|c| c.as_ref().map(Arc::downgrade)));
+            instrumented(|_: &u8| SWEEP_SHARED.with_borrow(|c| c.as_ref().map(Arc::downgrade)));
         let store = job(&0).expect("a job sees its sweep's store");
         drop(job);
         assert!(
             store.upgrade().is_none(),
             "an inline job kept the store alive"
         );
-        assert!(SWEEP_COLUMNS.with_borrow(Option::is_none));
-        for (&iw, (report, _, _)) in [16, 32, 64, 128].iter().zip(&seen) {
+        assert!(SWEEP_SHARED.with_borrow(Option::is_none));
+        for (&iw, (reports, ..)) in sizes.iter().zip(&seen) {
             let live = run_mlpsim(WorkloadKind::Database, config(iw), scale);
-            assert_eq!(*report, format!("{live:?}"), "iw {iw}");
+            let cycles = run_cyclesim(WorkloadKind::Database, cycle(iw), scale);
+            assert_eq!(*reports, format!("{live:?} {cycles:?}"), "iw {iw}");
         }
     }
 

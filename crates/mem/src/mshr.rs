@@ -104,23 +104,13 @@ impl Mshr {
         MshrOutcome::Primary { ready_at: ready }
     }
 
-    /// Releases every entry whose transfer has completed by cycle `now`,
-    /// returning the completed lines.
-    pub fn expire(&mut self, now: u64) -> Vec<u64> {
+    /// Releases every entry whose transfer has completed by cycle `now`.
+    pub fn expire(&mut self, now: u64) {
         if now < self.min_ready {
-            return Vec::new(); // nothing can have completed; no walk
+            return; // nothing can have completed; no walk
         }
-        let done: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|(_, &ready)| ready <= now)
-            .map(|(&line, _)| line)
-            .collect();
-        for l in &done {
-            self.in_flight.remove(l);
-        }
+        self.in_flight.retain(|_, &mut ready| ready > now);
         self.min_ready = self.in_flight.values().copied().min().unwrap_or(u64::MAX);
-        done
     }
 
     /// Whether `line` currently has an in-flight transfer.
@@ -178,8 +168,9 @@ mod tests {
         let mut m = Mshr::new(4, 10);
         m.request(0x40, 0); // ready 10
         m.request(0x80, 5); // ready 15
-        let done = m.expire(12);
-        assert_eq!(done, vec![0x40]);
+        m.expire(12);
+        assert!(!m.is_pending(0x40), "0x40 completed at 10");
+        assert_eq!(m.outstanding(), 1);
         assert!(m.is_pending(0x80));
         assert_eq!(m.ready_at(0x80), Some(15));
     }

@@ -11,7 +11,7 @@
 //!   value, so independent later loads (and prefetches) between a miss and
 //!   its use may overlap.
 //!
-//! Fetch and data outcomes come from the program-order pass
+//! Fetch, data and branch outcomes come from the program-order pass
 //! ([`super::annotate`]); the engine decides only whether a load merges
 //! into a line still in flight and what the stall costs. Like the
 //! out-of-order engine it starts at the warm-up boundary, after the
@@ -226,13 +226,8 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
             }
             _ => {
                 // The four branch classes.
-                let info = src
-                    .soa()
-                    .branch_info(idx)
-                    .expect("branch classes carry branch info");
-                let mispredicted = predictors
-                    .branches
-                    .observe_branch(src.soa().pc()[idx], info);
+                let mispredicted = outcomes.mispredicted(&*src, next - 1);
+                predictors.note_branch(mispredicted);
                 if dep_ready > e {
                     // The branch cannot issue until its condition is
                     // ready; a misprediction additionally means the front

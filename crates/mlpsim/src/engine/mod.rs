@@ -280,7 +280,7 @@ impl EpochTracker {
 
 /// The branch predictor of a [`BranchMode`], behind static dispatch:
 /// the one wrapper both engines train and consult.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum Branches {
     /// The real front end (gshare, BTB, return-address stack).
     Real(BranchPredictor),
@@ -318,7 +318,7 @@ impl Branches {
 
 /// The value predictor of a [`ValueMode`], behind static dispatch: the
 /// one wrapper both engines train and consult.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum Values {
     /// No value prediction.
     Off,
@@ -368,35 +368,37 @@ impl Values {
     }
 }
 
-/// A run's predictors as the functional warm-up left them, with their
-/// statistics at the warm-up boundary, so a report counts only what the
-/// kernel observes.
+/// A run's value predictor as the functional warm-up left it, with its
+/// statistics at the warm-up boundary, and the branches the kernel
+/// admits: a report counts only what the kernel observes.
 #[derive(Debug)]
 pub(crate) struct Predictors {
-    pub(crate) branches: Branches,
     pub(crate) values: Values,
-    branch_base: BranchStats,
     value_base: ValueStats,
+    branches: BranchStats,
 }
 
 impl Predictors {
-    fn warmed(branches: Branches, values: Values) -> Predictors {
+    fn warmed(values: Values) -> Predictors {
         Predictors {
-            branch_base: branches.stats(),
             value_base: values.stats(),
-            branches,
             values,
+            branches: BranchStats::default(),
         }
+    }
+
+    /// Counts one admitted branch.
+    #[inline]
+    pub(crate) fn note_branch(&mut self, mispredicted: bool) {
+        self.branches.branches += 1;
+        self.branches.mispredicts += u64::from(mispredicted);
     }
 
     /// Branch and value statistics of the measured window.
     pub(crate) fn measured(&self) -> (BranchStats, ValueStats) {
-        let (b, v) = (self.branches.stats(), self.values.stats());
+        let v = self.values.stats();
         (
-            BranchStats {
-                branches: b.branches - self.branch_base.branches,
-                mispredicts: b.mispredicts - self.branch_base.mispredicts,
-            },
+            self.branches,
             ValueStats {
                 correct: v.correct - self.value_base.correct,
                 wrong: v.wrong - self.value_base.wrong,
@@ -410,11 +412,11 @@ impl Predictors {
 ///
 /// Construct one per configuration; each [`Simulator::run`] starts from
 /// cold caches and predictors (deterministic, self-contained runs). The
-/// caches are walked once per run in program order (see
-/// [`Annotation`]); [`Simulator::run_annotated`] reads that walk from a
-/// column shared by several runs instead. Warm-up is part of the same
-/// walk ([`warm`]): the window model starts empty at the warm-up
-/// boundary.
+/// caches and the branch predictor are walked once per run in program
+/// order (see [`Annotation`]); [`Simulator::run_annotated`] reads that
+/// walk from a column shared by several runs instead. Warm-up is part of
+/// the same walk ([`warm`]): the window model starts empty at the
+/// warm-up boundary.
 ///
 /// # Examples
 ///
@@ -478,17 +480,19 @@ impl Simulator {
         self.run_source(&mut src, warmup, measure)
     }
 
-    /// [`Simulator::run_shared`] reading every fetch and data outcome
-    /// from `column`, a program-order pass over the same columns, instead
-    /// of making the pass itself: runs of different window
-    /// configurations over one trace and hierarchy share one
-    /// [`Annotation`]. The report is identical to `run_shared`'s.
+    /// [`Simulator::run_shared`] reading every fetch, data and branch
+    /// outcome from `column`, a program-order pass over the same columns,
+    /// instead of making the pass itself: runs of different window
+    /// configurations over one trace, hierarchy and branch mode share one
+    /// [`Annotation`]. Such a run builds no hierarchy or branch
+    /// predictor, and without value prediction it makes no warm-up pass.
+    /// The report is identical to `run_shared`'s.
     ///
     /// # Panics
     ///
-    /// Panics if `column` was built for another hierarchy or
-    /// instruction-fetch mode ([`Annotation::fits`]), or covers fewer than
-    /// `len` instructions, or if `len > soa.len()`.
+    /// Panics if `column` was built for another hierarchy,
+    /// instruction-fetch mode or branch mode ([`Annotation::fits`]), or
+    /// covers fewer than `len` instructions, or if `len > soa.len()`.
     pub fn run_annotated(
         &mut self,
         soa: &TraceSoA,
@@ -499,7 +503,7 @@ impl Simulator {
     ) -> Report {
         assert!(
             column.fits(&self.config),
-            "annotation built for another hierarchy or fetch mode"
+            "annotation built for another hierarchy, fetch mode or branch mode"
         );
         assert!(
             column.len() >= len,
@@ -507,7 +511,9 @@ impl Simulator {
             column.len()
         );
         let mut src = SharedSoaSource::new(soa, len);
-        self.run_with(&mut src, annotate::Column(column), warmup, measure)
+        let start = usize::try_from(warmup).map_or(len, |w| w.min(len));
+        let values = column.warm_values(soa, self.config.value, start);
+        self.run_from(&mut src, annotate::Column(column), values, start, measure)
     }
 
     /// Runs the epoch model over a stream of column chunks (a spilled
@@ -523,7 +529,8 @@ impl Simulator {
         self.run_source(&mut src, warmup, measure)
     }
 
-    /// Runs the kernel with a live program-order pass alongside it.
+    /// Makes the functional warm-up, then runs the kernel with a live
+    /// program-order pass alongside it.
     fn run_source<S: InstSource>(&mut self, src: &mut S, warmup: u64, measure: u64) -> Report {
         // How far past fetch the kernel reads fetch outcomes.
         let span = match self.config.window {
@@ -531,23 +538,22 @@ impl Simulator {
             WindowModel::Runahead { .. } => ooo::RUNAHEAD_FETCH_BUFFER,
             WindowModel::InOrder(_) => 0,
         };
-        let live = annotate::Live::new(&self.config, warmup, span);
-        self.run_with(src, live, warmup, measure)
+        let mut live = annotate::Live::new(&self.config, warmup, span);
+        let mut values = Values::new(self.config.value);
+        let start = warm::run(src, warmup, |src, idx| live.warm(src, idx, &mut values));
+        self.run_from(src, live, values, start, measure)
     }
 
-    /// Makes the functional warm-up, then runs the kernel from the
-    /// warm-up boundary.
-    fn run_with<S: InstSource, O: annotate::Outcomes>(
+    /// Runs the kernel from the warm-up boundary `start`.
+    fn run_from<S: InstSource, O: annotate::Outcomes>(
         &mut self,
         src: &mut S,
-        mut outcomes: O,
-        warmup: u64,
+        outcomes: O,
+        values: Values,
+        start: usize,
         measure: u64,
     ) -> Report {
-        let mut branches = Branches::new(self.config.branch);
-        let mut values = Values::new(self.config.value);
-        let start = warm::run(src, &mut outcomes, &mut branches, &mut values, warmup);
-        let predictors = Predictors::warmed(branches, values);
+        let predictors = Predictors::warmed(values);
         match self.config.window {
             WindowModel::InOrder(policy) => inorder::run(
                 &self.config,

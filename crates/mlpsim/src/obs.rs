@@ -25,6 +25,9 @@ static OFFCHIP_USEFUL: Counter = Counter::new("mlpsim.offchip.useful");
 pub(crate) static ANNOTATE_PASSES: Counter = Counter::new("mlpsim.annotate.passes");
 /// Runs that read a column instead of making a pass of their own.
 pub(crate) static ANNOTATE_SHARED_RUNS: Counter = Counter::new("mlpsim.annotate.shared_runs");
+/// Functional warm-up passes made: one per live run, and one per value
+/// predictor a column run trains (none without value prediction).
+pub(crate) static WARM_PASSES: Counter = Counter::new("mlpsim.warm.passes");
 
 /// Measured instructions per counted epoch, flushed by
 /// `EpochTracker::into_report` — the paper's epoch-length distribution.

@@ -36,7 +36,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -386,6 +386,45 @@ where
         .collect()
 }
 
+/// Values that the jobs of one sweep share, one per key, under the rule
+/// "first alone, second builds": a key's first [`claim`](Self::claim)
+/// gets `None` and computes what it needs itself; every later claim gets
+/// the key's slot, which the first of them to call
+/// [`OnceLock::get_or_init`] fills while the others wait. A key used
+/// once therefore never builds or keeps a shared value, and everything
+/// built dies with the `SharedSlots` (and the slots its callers hold).
+#[derive(Debug)]
+pub struct SharedSlots<K, V>(Mutex<Vec<(K, Option<Slot<V>>)>>);
+
+/// One key's shared value, filled by the first claim that builds it.
+pub type Slot<V> = Arc<OnceLock<V>>;
+
+impl<K, V> Default for SharedSlots<K, V> {
+    fn default() -> Self {
+        SharedSlots(Mutex::new(Vec::new()))
+    }
+}
+
+impl<K: PartialEq, V> SharedSlots<K, V> {
+    /// The shared slot of `key`, or `None` for the key's first claim.
+    pub fn claim(&self, key: K) -> Option<Slot<V>> {
+        let mut slots = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        match slots.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, slot)) => Some(Arc::clone(slot.get_or_insert_with(Arc::default))),
+            None => {
+                slots.push((key, None));
+                None
+            }
+        }
+    }
+
+    /// Every shared slot handed out so far, built or not.
+    pub fn slots(&self) -> Vec<Slot<V>> {
+        let slots = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        slots.iter().filter_map(|(_, s)| s.clone()).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,5 +641,18 @@ mod tests {
                 other => panic!("expected Panic in slot 3, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn shared_slots_build_from_the_second_claim() {
+        let slots: SharedSlots<u8, u32> = SharedSlots::default();
+        assert!(slots.claim(1).is_none(), "a key's first claim goes alone");
+        assert!(slots.claim(2).is_none());
+        let a = slots.claim(1).expect("second claim shares");
+        let b = slots.claim(1).expect("third claim shares");
+        assert!(Arc::ptr_eq(&a, &b), "one slot per key");
+        assert_eq!(*a.get_or_init(|| 7), 7);
+        assert_eq!(b.get(), Some(&7));
+        assert_eq!(slots.slots().len(), 1, "key 2 never built a slot");
     }
 }

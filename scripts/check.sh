@@ -67,6 +67,11 @@ echo "==> epoch-model suites (release)"
 # identically in the optimized build the sweeps use, too.
 cargo test -q --release -p mlpsim
 
+echo "==> cycle-pipeline suites (release)"
+# Runs starting from one shared warm state must equal cold runs, report
+# and counters alike, in the optimized build the sweeps use.
+cargo test -q --release -p mlp-cyclesim
+
 echo "==> model + observability property suites"
 # Algebraic laws of the §2.2 CPI model and conservation invariants of
 # the mlp-obs counters the engines flush.
@@ -94,15 +99,17 @@ echo "==> streaming smoke (spilled trace run == in-memory run)"
 # and RAE runs share one annotation key per workload, so the in-memory
 # run reads shared columns while the spilled run makes its own passes;
 # fm runs the cycle pipeline, whose functional warm-up then reads a
-# chunked source.
+# chunked source; in rae-timing the conventional, perfect-L2 and
+# runahead runs share one warm state per workload in memory, while
+# spilled each run warms itself.
 stream_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir" "$stream_dir"' EXIT
-target/release/mlp-experiments --only table5,epochs,fm --scale quick \
+target/release/mlp-experiments --only table5,epochs,fm,rae-timing --scale quick \
     --json "$stream_dir/mem" >/dev/null
-MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments --only table5,epochs,fm --scale quick \
-    --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
+MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments --only table5,epochs,fm,rae-timing \
+    --scale quick --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
 ls "$stream_dir"/cache/*.mlp2 >/dev/null   # traces really went to disk
-for exp in table5 epochs fm; do
+for exp in table5 epochs fm rae-timing; do
     diff "$stream_dir/mem/$exp.quick.json" "$stream_dir/disk/$exp.quick.json"
 done
 # A v2 trace survives a round trip through v1 byte for byte, and a
