@@ -247,6 +247,9 @@ fn sweep_runs_share_one_annotation_column() {
     assert_eq!(snap.counter("mlpsim.runs"), 4);
     assert_eq!(snap.counter("mlpsim.annotate.passes"), 1);
     assert_eq!(snap.counter("mlpsim.annotate.shared_runs"), 3);
+    // The live run warms; column runs without a value predictor make no
+    // warm-up pass.
+    assert_eq!(snap.counter("mlpsim.warm.passes"), 1);
     let sum = |f: fn(&mlpsim::Report) -> u64| reports.iter().map(f).sum::<u64>();
     assert_eq!(snap.counter("mlpsim.insts"), sum(|r| r.insts));
     assert_eq!(snap.counter("mlpsim.epochs"), sum(|r| r.epochs));
