@@ -108,12 +108,16 @@ fn runs_from_one_warm_state_equal_cold_runs() {
 
 /// The pass's own cache accesses never reach a run's counters: with the
 /// whole trace inside the warm-up, a run from a clone measures nothing
-/// and flushes no cache-level access, exactly like its cold run.
+/// and flushes no access of any cache level or of the TLB, exactly like
+/// its cold run.
 #[test]
 fn a_shared_warm_up_is_not_measured() {
     let _g = lock();
     let soa = database();
-    let config = CycleSimConfig::default();
+    let config = CycleSimConfig {
+        hierarchy: HierarchyConfig::default().with_l3_bytes(8 << 20),
+        ..CycleSimConfig::default()
+    };
     let warmup = LEN as u64;
     // Built armed, like the runs: a hierarchy walks its TLB only when
     // counters were armed as it was made.
@@ -121,7 +125,7 @@ fn a_shared_warm_up_is_not_measured() {
     let cold = run(&config, &soa, warmup, None);
     let shared = run(&config, &soa, warmup, Some(&state));
     assert_eq!(shared, cold);
-    let levels = ["mem.l1i.", "mem.l1d.", "mem.l2."];
+    let levels = ["mem.l1i.", "mem.l1d.", "mem.l2.", "mem.l3.", "mem.tlb."];
     assert!(
         shared
             .1

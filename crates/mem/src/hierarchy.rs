@@ -200,13 +200,17 @@ impl Hierarchy {
         ]
     }
 
-    /// Resets statistics (cache contents are kept) — call at the end of
-    /// the warm-up prefix.
+    /// Resets the statistics of every level and of the TLB (contents and
+    /// translations are kept) — call at the end of the warm-up prefix.
     pub fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
         self.l1i.reset_stats();
         self.l1d.reset_stats();
         self.l2.reset_stats();
+        if let Some(l3) = &mut self.l3 {
+            l3.reset_stats();
+        }
+        self.tlb.reset_stats();
     }
 
     /// Notes that one instruction has been processed (for per-instruction

@@ -5,6 +5,7 @@ use mlp_mem::{
     MshrOutcome, Tlb, TlbConfig,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// The hierarchy as it classified and prefetched before the inward fills
 /// lost their second touch: after an L2 hit the L1 is touched again, and
@@ -102,6 +103,86 @@ impl Reference {
     }
 }
 
+/// The TLB as it was before its index and recency list: every resident
+/// page keeps a last-use stamp, and a miss with the TLB full scans them
+/// all for the smallest.
+struct ReferenceTlb {
+    entries: usize,
+    page_bytes: u64,
+    stamps: HashMap<u64, u64>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl ReferenceTlb {
+    fn new(config: TlbConfig) -> ReferenceTlb {
+        ReferenceTlb {
+            entries: config.entries,
+            page_bytes: config.page_bytes,
+            stamps: HashMap::new(),
+            clock: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        self.clock += 1;
+        let page = addr / self.page_bytes;
+        if let Some(stamp) = self.stamps.get_mut(&page) {
+            *stamp = self.clock;
+            self.hits += 1;
+            return true;
+        }
+        self.misses += 1;
+        if self.stamps.len() >= self.entries {
+            let lru = self
+                .stamps
+                .iter()
+                .min_by_key(|(_, &stamp)| stamp)
+                .map(|(&p, _)| p)
+                .expect("full TLB is non-empty");
+            self.stamps.remove(&lru);
+        }
+        self.stamps.insert(page, self.clock);
+        false
+    }
+}
+
+/// One run of a TLB page stream, sized to the TLB it is replayed into.
+#[derive(Clone, Debug)]
+enum Segment {
+    /// Pages `a` and `b` in turn, `n` accesses.
+    Alternate(u64, u64, usize),
+    /// `rounds` passes over one page more than the TLB holds, from
+    /// `start`: every access of a true LRU misses.
+    Loop { start: u64, rounds: u64 },
+    /// Pages drawn from a universe about twice the TLB's size.
+    Random(Vec<u64>),
+}
+
+impl Segment {
+    fn pages(&self, entries: usize) -> Vec<u64> {
+        let span = entries as u64 + 1;
+        match self {
+            Segment::Alternate(a, b, n) => (0..*n).map(|i| [*a, *b][i % 2]).collect(),
+            Segment::Loop { start, rounds } => {
+                (0..rounds * span).map(|i| start + i % span).collect()
+            }
+            Segment::Random(draws) => draws.iter().map(|d| d % (2 * span + 8)).collect(),
+        }
+    }
+}
+
+fn segment() -> impl Strategy<Value = Segment> {
+    prop_oneof![
+        (0u64..128, 0u64..128, 1usize..64).prop_map(|(a, b, n)| Segment::Alternate(a, b, n)),
+        (0u64..128, 1u64..4).prop_map(|(start, rounds)| Segment::Loop { start, rounds }),
+        proptest::collection::vec(any::<u64>(), 1..64).prop_map(Segment::Random),
+    ]
+}
+
 /// A small geometry: `sets` sets of `ways` ways.
 fn geometry(sets: u64, ways: u32) -> CacheConfig {
     CacheConfig::new(sets * ways as u64 * mlp_isa::LINE_BYTES, ways)
@@ -164,6 +245,37 @@ proptest! {
         }
         prop_assert!(t.resident() <= 16);
         prop_assert_eq!(t.hits() + t.misses(), pages.len() as u64);
+    }
+
+    /// The index-and-recency-list TLB is the stamp-and-scan true LRU it
+    /// replaced: over capacities 1–64 and page sizes of 1 byte to 1 MB,
+    /// every access and the final hit, miss and resident counts agree.
+    /// Addresses carry a random offset within their page and a random
+    /// base, so the page shift is checked against the division.
+    #[test]
+    fn tlb_matches_a_stamp_and_scan_reference(
+        entries in 1usize..=64,
+        page_log2 in 0u32..=20,
+        segments in proptest::collection::vec(segment(), 1..12),
+        base in any::<u64>(),
+        salt in any::<u64>(),
+    ) {
+        let config = TlbConfig { entries, page_bytes: 1 << page_log2 };
+        let pages: Vec<u64> = segments.iter().flat_map(|s| s.pages(entries)).collect();
+        let mut tlb = Tlb::new(config);
+        let mut reference = ReferenceTlb::new(config);
+        for (i, &page) in pages.iter().enumerate() {
+            let offset = salt.wrapping_mul(i as u64 + 1) & (config.page_bytes - 1);
+            let addr = base
+                .wrapping_add(page)
+                .wrapping_mul(config.page_bytes)
+                .wrapping_add(offset);
+            prop_assert_eq!(tlb.access(addr), reference.access(addr), "access {} ({:#x})", i, addr);
+        }
+        prop_assert_eq!(
+            (tlb.hits(), tlb.misses(), tlb.resident()),
+            (reference.hits, reference.misses, reference.stamps.len())
+        );
     }
 
     #[test]

@@ -131,6 +131,17 @@ enum Op {
     Prefetch(u64),
 }
 
+impl Op {
+    fn apply(self, mem: &mut Hierarchy) {
+        match self {
+            Op::Ifetch(a) => mem.ifetch(a),
+            Op::Load(a) => mem.load(a),
+            Op::Store(a) => mem.store(a),
+            Op::Prefetch(a) => mem.prefetch(a),
+        };
+    }
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     // A few thousand distinct lines against a 32 KB L1: enough reuse for
     // hits, enough spread for misses and evictions.
@@ -147,26 +158,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Demand accesses are conserved across levels: every L1 demand miss
-    /// probes the L2 exactly once (prefetches fill without counting), the
-    /// TLB sees every operation, and each level's hits+misses equals the
-    /// demand accesses it was offered.
+    /// probes the L2 exactly once and every L2 demand miss the L3
+    /// (prefetches fill without counting), the TLB sees every operation,
+    /// and each level's hits+misses equals the demand accesses it was
+    /// offered. Statistics reset at a random point count only the
+    /// operations after it.
     #[test]
     fn hierarchy_counters_conserve_demand_accesses(
         ops in proptest::collection::vec(arb_op(), 1..600),
+        reset_at in 0usize..600,
     ) {
         let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         mlp_obs::set_for_test(Some(Mode::Counters));
         let _ = mlp_obs::snapshot_and_reset();
 
-        let mut mem = Hierarchy::new(HierarchyConfig::default());
+        let mut mem = Hierarchy::new(HierarchyConfig::default().with_l3_bytes(4 << 20));
+        let (warm, measured) = ops.split_at(reset_at.min(ops.len()));
+        for &op in warm {
+            op.apply(&mut mem);
+        }
+        mem.reset_stats();
         let (mut ifetches, mut demand_data) = (0u64, 0u64);
-        for op in &ops {
-            match *op {
-                Op::Ifetch(a) => { mem.ifetch(a); ifetches += 1; }
-                Op::Load(a) => { mem.load(a); demand_data += 1; }
-                Op::Store(a) => { mem.store(a); demand_data += 1; }
-                Op::Prefetch(a) => { mem.prefetch(a); }
+        for &op in measured {
+            match op {
+                Op::Ifetch(_) => ifetches += 1,
+                Op::Load(_) | Op::Store(_) => demand_data += 1,
+                Op::Prefetch(_) => {}
             }
+            op.apply(&mut mem);
         }
         mem.flush_obs();
         let s = mlp_obs::snapshot_and_reset();
@@ -178,12 +197,14 @@ proptest! {
         let (l1i_h, l1i_m) = level("l1i");
         let (l1d_h, l1d_m) = level("l1d");
         let (l2_h, l2_m) = level("l2");
+        let (l3_h, l3_m) = level("l3");
         prop_assert_eq!(l1i_h + l1i_m, ifetches, "L1I sees every ifetch");
         prop_assert_eq!(l1d_h + l1d_m, demand_data, "L1D sees every load/store");
         prop_assert_eq!(l2_h + l2_m, l1i_m + l1d_m, "L2 sees exactly the L1 misses");
+        prop_assert_eq!(l3_h + l3_m, l2_m, "L3 sees exactly the L2 misses");
         prop_assert_eq!(
             s.counter("mem.tlb.hits") + s.counter("mem.tlb.misses"),
-            ops.len() as u64,
+            measured.len() as u64,
             "TLB sees every operation"
         );
         // Evictions require fills; fills require misses somewhere.

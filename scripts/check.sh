@@ -62,6 +62,11 @@ echo "==> trace codec suites (release)"
 # hold with debug assertions and overflow checks compiled out.
 cargo test -q --release -p mlp-isa
 
+echo "==> memory-hierarchy suites (release)"
+# The O(1) TLB must match its stamp-and-scan reference, and the
+# hierarchy its reference copy, in the optimized build too.
+cargo test -q --release -p mlp-mem
+
 echo "==> epoch-model suites (release)"
 # Live runs and runs reading a shared annotation column must report
 # identically in the optimized build the sweeps use, too.
@@ -148,9 +153,12 @@ echo "==> serve chaos suite (hang/io-error/cache-corrupt/shed, release)"
 cargo test -q --release -p mlp-serve --test chaos
 
 echo "==> mlp-serve smoke (daemon response == CLI artifact bytes)"
-# Start the daemon on an ephemeral port, run one experiment through it,
-# and diff the response byte-for-byte against the file the CLI writes
-# for the same experiment and scale.
+# Start the daemon on an ephemeral port, run two experiments through it,
+# and diff each response byte-for-byte against the file the CLI writes
+# for the same experiment and scale. The daemon arms the mlp-obs
+# counters and the CLI does not, so the armed-only TLB walk and the
+# statistics reset at the warm-up boundary must leave the bytes alone;
+# l3 also runs a hierarchy with an L3.
 serve_dir=$(mktemp -d)
 target/release/mlp-serve --addr 127.0.0.1:0 --port-file "$serve_dir/port" \
     --workers 2 --cache-dir "$serve_dir/cache" 2>/dev/null &
@@ -160,9 +168,11 @@ trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir" "$stream_dir" "
 for _ in $(seq 150); do [ -s "$serve_dir/port" ] && break; sleep 0.1; done
 serve_addr=$(cat "$serve_dir/port")
 target/release/mlp-loadgen get "$serve_addr" /healthz | grep -q '"status":"ok"'
-target/release/mlp-loadgen run "$serve_addr" fm quick > "$serve_dir/served.json"
-target/release/mlp-experiments fm --scale quick --json "$serve_dir/cli" >/dev/null
-diff "$serve_dir/served.json" "$serve_dir/cli/fm.quick.json"
+for exp in fm l3; do
+    target/release/mlp-loadgen run "$serve_addr" "$exp" quick > "$serve_dir/$exp.served.json"
+    target/release/mlp-experiments "$exp" --scale quick --json "$serve_dir/cli" >/dev/null
+    diff "$serve_dir/$exp.served.json" "$serve_dir/cli/$exp.quick.json"
+done
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 
