@@ -1,24 +1,21 @@
-//! `mlp-trace` — generate, inspect, convert and import binary traces.
+//! `mlp-trace` — generate, inspect and import binary traces.
 //!
 //! ```text
-//! mlp-trace gen     <database|specjbb2000|specweb99> <count> <file> [seed]
-//! mlp-trace stats   <file>
-//! mlp-trace dump    <file> [count]
-//! mlp-trace info    <file>
-//! mlp-trace convert <in> <out>
-//! mlp-trace import  <in.txt> <out>
+//! mlp-trace gen    <database|specjbb2000|specweb99> <count> <file> [seed]
+//! mlp-trace stats  <file>
+//! mlp-trace dump   <file> [count]
+//! mlp-trace info   <file>
+//! mlp-trace import <in.txt> <out>
 //! ```
 //!
-//! Two binary formats are supported everywhere a trace is read: the
-//! fixed-record v1 format (`mlp_isa::tracefile`) and the chunked,
-//! delta-compressed v2 format (`mlp_isa::chunked`); the reader sniffs the
-//! magic. `gen`, `convert` and `import` choose the *output* format by
-//! extension — `.mlp2` writes v2, anything else v1 — so `convert` both
-//! upgrades v1 traces to v2 and flattens v2 back to v1.
+//! Every trace is read and written in the chunked, delta-compressed v2
+//! format (`mlp_isa::chunked`), whatever the file name; a file in any
+//! other format (an old flat v1 file among them) is refused as a bad
+//! trace magic.
 //!
-//! `info` prints the container details without decoding instruction
-//! payloads into memory: format version, instruction count, and for v2
-//! the chunk geometry and compression ratio versus the 40-byte v1 record.
+//! `info` prints the container details from the footer index without
+//! decoding instruction payloads: instruction count, chunk geometry and
+//! bytes per instruction.
 //!
 //! `import` reads a gem5-ish text listing, one instruction per line
 //! (`#` comments and blank lines ignored), fields whitespace-separated:
@@ -44,22 +41,20 @@
 //! A reader that closes the output early (`mlp-trace dump x | head`) is
 //! not a failure: the command stops quietly with `0`.
 
-use mlp_isa::{chunked, tracefile, Inst, InstMix, Reg, TraceStats};
+use mlp_isa::chunked::{self, TraceFileError};
+use mlp_isa::{Inst, InstMix, Reg, TraceStats};
 use mlp_workloads::{Workload, WorkloadKind};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::io::{self, BufReader, BufWriter, Write};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mlp-trace gen     <database|specjbb2000|specweb99> <count> <file> [seed]\n  \
-         mlp-trace stats   <file>\n  \
-         mlp-trace dump    <file> [count]\n  \
-         mlp-trace info    <file>\n  \
-         mlp-trace convert <in> <out>\n  \
-         mlp-trace import  <in.txt> <out>\n\
-         output format by extension: .mlp2 = chunked v2, otherwise v1"
+        "usage:\n  mlp-trace gen    <database|specjbb2000|specweb99> <count> <file> [seed]\n  \
+         mlp-trace stats  <file>\n  \
+         mlp-trace dump   <file> [count]\n  \
+         mlp-trace info   <file>\n  \
+         mlp-trace import <in.txt> <out>"
     );
     std::process::exit(2);
 }
@@ -82,7 +77,7 @@ struct CliError {
 
 enum CliCause {
     Io(std::io::Error),
-    Trace(tracefile::TraceFileError),
+    Trace(TraceFileError),
     Parse(String),
     /// Writing the command's own output failed.
     Stdout(std::io::Error),
@@ -124,8 +119,8 @@ impl From<std::io::Error> for CliCause {
     }
 }
 
-impl From<tracefile::TraceFileError> for CliCause {
-    fn from(e: tracefile::TraceFileError) -> CliCause {
+impl From<TraceFileError> for CliCause {
+    fn from(e: TraceFileError) -> CliCause {
         CliCause::Trace(e)
     }
 }
@@ -149,26 +144,14 @@ fn main() {
     }
 }
 
-/// Whether an output path selects the chunked v2 format.
-fn wants_v2(path: &str) -> bool {
-    Path::new(path)
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("mlp2"))
-}
-
-/// Writes `insts` to `path` in the format its extension selects.
+/// Writes `insts` to `path`.
 fn write_trace(path: &str, insts: &[Inst]) -> Result<(), CliError> {
     let file = File::create(path).map_err(ctx("create", path))?;
-    if wants_v2(path) {
-        let mut w = chunked::ChunkedWriter::new(BufWriter::new(file), chunked::DEFAULT_CHUNK_INSTS)
-            .map_err(ctx("write", path))?;
-        for inst in insts {
-            w.push(inst).map_err(ctx("write", path))?;
-        }
-        w.finish().map_err(ctx("write", path))?;
-    } else {
-        tracefile::write(BufWriter::new(file), insts).map_err(ctx("write", path))?;
-    }
+    let mut w = chunked::ChunkedWriter::new(BufWriter::new(file), chunked::DEFAULT_CHUNK_INSTS)
+        .map_err(ctx("write", path))?;
+    w.extend(insts.iter().copied())
+        .map_err(ctx("write", path))?;
+    w.finish().map_err(ctx("write", path))?;
     Ok(())
 }
 
@@ -190,10 +173,9 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 .unwrap_or(42);
             let insts: Vec<_> = Workload::new(kind, seed).take(count).collect();
             write_trace(path, &insts)?;
-            let v = if wants_v2(path) { "v2" } else { "v1" };
             writeln!(
                 out,
-                "wrote {count} instructions of {kind} (seed {seed}) to {path} ({v})"
+                "wrote {count} instructions of {kind} (seed {seed}) to {path}"
             )?;
         }
         Some("stats") => {
@@ -238,17 +220,6 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             let [_, path] = args else { usage() };
             info(path, out)?;
         }
-        Some("convert") => {
-            let [_, input, output] = args else { usage() };
-            let insts = read_trace(input)?;
-            write_trace(output, &insts)?;
-            let v = if wants_v2(output) { "v2" } else { "v1" };
-            writeln!(
-                out,
-                "converted {} instructions: {input} -> {output} ({v})",
-                insts.len()
-            )?;
-        }
         Some("import") => {
             let [_, input, output] = args else { usage() };
             let text = std::fs::read_to_string(input).map_err(ctx("open", input))?;
@@ -257,10 +228,9 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 cause: CliCause::Parse(e),
             })?;
             write_trace(output, &insts)?;
-            let v = if wants_v2(output) { "v2" } else { "v1" };
             writeln!(
                 out,
-                "imported {} instructions: {input} -> {output} ({v})",
+                "imported {} instructions: {input} -> {output}",
                 insts.len()
             )?;
         }
@@ -269,61 +239,32 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads a trace in either binary format, sniffing the magic.
-fn read_trace(path: &str) -> Result<Vec<mlp_isa::Inst>, CliError> {
+/// Reads a whole trace.
+fn read_trace(path: &str) -> Result<Vec<Inst>, CliError> {
     let file = File::open(path).map_err(ctx("open", path))?;
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(ctx("read trace", path))?;
-    r.seek(SeekFrom::Start(0))
-        .map_err(ctx("read trace", path))?;
-    if &magic == b"MLP2" {
-        let soa = chunked::read_all(r).map_err(ctx("read trace", path))?;
-        Ok((0..soa.len()).map(|i| soa.get(i)).collect())
-    } else {
-        tracefile::read(r).map_err(ctx("read trace", path))
-    }
+    let soa = chunked::read_all(BufReader::new(file)).map_err(ctx("read trace", path))?;
+    Ok((0..soa.len()).map(|i| soa.get(i)).collect())
 }
 
-/// Prints container-level details without decoding payloads into memory.
+/// Prints container-level details from the footer index, without
+/// decoding payloads.
 fn info(path: &str, out: &mut impl Write) -> Result<(), CliError> {
     let file_bytes = std::fs::metadata(path).map_err(ctx("stat", path))?.len();
     let file = File::open(path).map_err(ctx("open", path))?;
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(ctx("read", path))?;
-    r.seek(SeekFrom::Start(0)).map_err(ctx("read", path))?;
-    if &magic == b"MLP2" {
-        let index = chunked::read_index(&mut r).map_err(ctx("read index of", path))?;
-        writeln!(out, "format:       v2 chunked (delta+varint columns)")?;
-        writeln!(out, "instructions: {}", index.total_insts)?;
-        writeln!(
-            out,
-            "chunks:       {} (cap {} insts)",
-            index.chunks.len(),
-            index.chunk_cap
-        )?;
-        writeln!(out, "file bytes:   {file_bytes}")?;
-        if index.total_insts > 0 {
-            let b_per = file_bytes as f64 / index.total_insts as f64;
-            let v1_bytes = 16 + index.total_insts * tracefile::RECORD_BYTES as u64;
-            writeln!(out, "bytes/inst:   {b_per:.2}")?;
-            writeln!(
-                out,
-                "compression:  {:.2}x vs v1 ({v1_bytes} bytes)",
-                v1_bytes as f64 / file_bytes as f64,
-            )?;
-        }
-    } else {
-        // v1 validates the whole stream on read; decode for the count.
-        let insts = tracefile::read(r).map_err(ctx("read trace", path))?;
-        writeln!(
-            out,
-            "format:       v1 fixed records ({} bytes)",
-            tracefile::RECORD_BYTES
-        )?;
-        writeln!(out, "instructions: {}", insts.len())?;
-        writeln!(out, "file bytes:   {file_bytes}")?;
+    let index =
+        chunked::read_index(&mut BufReader::new(file)).map_err(ctx("read index of", path))?;
+    writeln!(out, "format:       v2 chunked (delta+varint columns)")?;
+    writeln!(out, "instructions: {}", index.total_insts)?;
+    writeln!(
+        out,
+        "chunks:       {} (cap {} insts)",
+        index.chunks.len(),
+        index.chunk_cap
+    )?;
+    writeln!(out, "file bytes:   {file_bytes}")?;
+    if index.total_insts > 0 {
+        let b_per = file_bytes as f64 / index.total_insts as f64;
+        writeln!(out, "bytes/inst:   {b_per:.2}")?;
     }
     Ok(())
 }

@@ -1,13 +1,14 @@
-//! Chunked, compressed binary trace format (v2).
+//! Chunked, compressed binary trace format (v2): the one on-disk trace
+//! format.
 //!
-//! The flat [`tracefile`](crate::tracefile) format (v1) stores 40 bytes
-//! per instruction and must be decoded whole; fine for determinism
-//! fixtures, useless for the paper's 50M-warmup + 100M-measure windows.
-//! Version 2 frames the trace into fixed-capacity chunks of
-//! column-oriented, delta+varint-compressed records so a reader can
+//! The paper's 50M-warmup + 100M-measure windows are too long to decode
+//! whole, so the format frames the trace into fixed-capacity chunks of
+//! column-oriented, delta+varint-compressed records: a reader can
 //! stream one [`TraceSoA`] chunk at a time in bounded memory, verify
 //! each chunk independently (per-chunk FNV-1a checksum), and seek
-//! straight to any chunk through the footer index.
+//! straight to any chunk through the footer index. A stream in any
+//! other format (an old flat v1 file among them) is refused with
+//! [`TraceFileError::BadMagic`].
 //!
 //! Layout (little-endian throughout):
 //!
@@ -55,14 +56,15 @@
 //! let mut r = ChunkedTrace::new(buf.as_slice())?;
 //! let first = r.next_chunk()?.expect("one chunk");
 //! assert_eq!(first.len(), 2);
-//! # Ok::<(), mlp_isa::tracefile::TraceFileError>(())
+//! # Ok::<(), mlp_isa::chunked::TraceFileError>(())
 //! ```
 
 use crate::soa::{
     StoredColumns, FLAG_BKIND_SHIFT, FLAG_HAS_BRANCH, FLAG_HAS_MEM, FLAG_TAKEN, REG_NONE,
 };
-use crate::tracefile::TraceFileError;
 use crate::{Inst, Reg, TraceSoA, CLASS_COUNT};
+use std::error::Error;
+use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 
@@ -92,9 +94,71 @@ const MAX_RECORD_ENC: u64 = 47;
 /// bytes.
 const MIN_RECORD_ENC: u64 = 11;
 
-/// Largest footer entry count we pre-reserve for (same rationale as the
-/// v1 record-count cap).
+/// Largest footer entry count we pre-reserve for. A hostile footer can
+/// declare up to `u32::MAX` entries; reserving for the claim would let a
+/// few bytes allocate gigabytes before the first failing read. Above
+/// this cap the vector grows with the entries actually present.
 const MAX_PREALLOC_CHUNKS: u32 = 1 << 16;
+
+/// Error produced when reading or writing a trace.
+#[derive(Debug)]
+pub enum TraceFileError {
+    /// Underlying I/O failure (truncation included).
+    Io(io::Error),
+    /// The stream does not start with the `MLP2` magic.
+    BadMagic([u8; 4]),
+    /// The format version is not supported by this library.
+    UnsupportedVersion(u16),
+    /// The stream carried an invalid frame: bad frame magic, checksum
+    /// mismatch, a record that fails validation, an inconsistent footer
+    /// index, or trailing bytes. Carries both the chunk ordinal and the
+    /// record index *within* that chunk so corruption reports point at
+    /// the exact spot in the file.
+    CorruptChunk {
+        /// What was wrong with the frame.
+        what: &'static str,
+        /// Ordinal of the offending chunk (0-based; equal to the chunk
+        /// count for footer/trailer problems).
+        chunk: u64,
+        /// Index of the offending record within the chunk (0 when the
+        /// problem is not tied to one record).
+        record: u64,
+    },
+}
+
+impl fmt::Display for TraceFileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceFileError::Io(e) => write!(f, "trace i/o error: {e}"),
+            TraceFileError::BadMagic(m) => write!(f, "bad trace magic {m:02x?}"),
+            TraceFileError::UnsupportedVersion(v) => {
+                write!(f, "unsupported trace version {v}")
+            }
+            TraceFileError::CorruptChunk {
+                what,
+                chunk,
+                record,
+            } => {
+                write!(f, "corrupt trace chunk {chunk} record {record}: {what}")
+            }
+        }
+    }
+}
+
+impl Error for TraceFileError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            TraceFileError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<io::Error> for TraceFileError {
+    fn from(e: io::Error) -> TraceFileError {
+        TraceFileError::Io(e)
+    }
+}
 
 /// Running FNV-1a-64 state, fed one byte at a time by the encoder and
 /// decoder as they walk a payload.
@@ -204,8 +268,8 @@ impl ChunkIndex {
 }
 
 /// Deterministic single-bit fault injector for the streaming read path
-/// (the `trace-bitflip` site, shared with the v1 reader): flips one bit
-/// at the armed offset as bytes stream past.
+/// (the `trace-bitflip` site): flips one bit at the armed offset, counted
+/// from the start of the stream, as bytes stream past.
 struct Flipper {
     pos: u64,
     bit: Option<u64>,
@@ -439,8 +503,9 @@ impl<R: Read> ChunkedTrace<R> {
     /// # Errors
     ///
     /// [`TraceFileError::BadMagic`] / [`TraceFileError::UnsupportedVersion`]
-    /// for foreign or v1 streams, [`TraceFileError::CorruptChunk`] for an
-    /// out-of-range chunk capacity, [`TraceFileError::Io`] on read failure.
+    /// for foreign streams (old v1 files included),
+    /// [`TraceFileError::CorruptChunk`] for an out-of-range chunk capacity,
+    /// [`TraceFileError::Io`] on read failure.
     pub fn new(mut r: R) -> Result<ChunkedTrace<R>, TraceFileError> {
         let mut flip = Flipper::new();
         let mut head = [0u8; HEADER_BYTES as usize];
@@ -595,7 +660,7 @@ impl<R: Read> ChunkedTrace<R> {
             return Err(corrupt("bad trailing magic"));
         }
         // The stream must end here; junk past the trailer is corruption,
-        // not a clean trace (mirrors the v1 trailing-garbage rule).
+        // not a clean trace.
         let mut probe = [0u8; 1];
         loop {
             match self.r.read(&mut probe) {
@@ -1015,8 +1080,8 @@ mod tests {
 
     #[test]
     fn oddball_branch_info_on_non_branch_round_trips() {
-        // The SoA supports branch metadata on a non-branch class (v1
-        // rejects it); v2 must round-trip whatever the builder makes.
+        // The SoA supports branch metadata on a non-branch class; the
+        // format must round-trip whatever the builder makes.
         let insts = vec![InstBuilder::new(0x130, OpKind::Alu)
             .branch(BranchKind::Call, false, 0x5000)
             .build()];
@@ -1129,12 +1194,43 @@ mod tests {
 
     #[test]
     fn v1_stream_reports_bad_magic() {
-        let mut v1 = Vec::new();
-        crate::tracefile::write(&mut v1, &sample(3)).unwrap();
+        // The 16-byte header of an empty v1 file: magic, version 1,
+        // reserved, record count 0.
+        let mut v1 = b"MLPT".to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&[0; 10]);
         assert!(matches!(
             read_all(v1.as_slice()),
             Err(TraceFileError::BadMagic(m)) if &m == b"MLPT"
         ));
+    }
+
+    #[test]
+    fn bad_version_rejected() {
+        let (mut buf, _) = written(&sample(3), 4);
+        buf[4] = 0x7f;
+        assert!(matches!(
+            read_all(buf.as_slice()),
+            Err(TraceFileError::UnsupportedVersion(0x7f))
+        ));
+        assert!(matches!(
+            read_index(&mut std::io::Cursor::new(&buf)),
+            Err(TraceFileError::UnsupportedVersion(0x7f))
+        ));
+    }
+
+    #[test]
+    fn error_display_is_informative() {
+        let e = TraceFileError::UnsupportedVersion(9);
+        assert!(format!("{e}").contains('9'));
+        let e = TraceFileError::CorruptChunk {
+            what: "whatever",
+            chunk: 3,
+            record: 17,
+        };
+        assert_eq!(format!("{e}"), "corrupt trace chunk 3 record 17: whatever");
+        let e = TraceFileError::BadMagic(*b"NOPE");
+        assert!(format!("{e}").starts_with("bad trace magic"));
     }
 
     #[test]

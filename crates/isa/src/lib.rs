@@ -5,8 +5,8 @@
 //! [`OpKind`] instruction classes (including the SPARC-flavoured
 //! *serializing* instructions `MEMBAR`/`CASA` that the paper shows are a
 //! major MLP impediment), architectural [`Reg`]isters, and streaming trace
-//! abstractions ([`TraceSource`]) plus a compact binary trace format in
-//! [`tracefile`].
+//! abstractions ([`TraceSource`]) plus the chunked on-disk trace format in
+//! [`chunked`].
 //!
 //! The model is deliberately minimal: the epoch model of MLP (Chou, Fahs &
 //! Abraham, ISCA 2004) only needs instruction *classes*, *register and
@@ -41,7 +41,6 @@ mod reg;
 mod soa;
 mod stats;
 mod trace;
-pub mod tracefile;
 
 pub use inst::{BranchInfo, Inst, InstBuilder, MemAccess};
 pub use op::{BranchKind, OpKind};

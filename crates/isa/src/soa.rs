@@ -633,11 +633,12 @@ impl TraceSoA {
 /// A column source the simulator kernels run over: a [`TraceSoA`] plus a
 /// way to make more instructions available ([`InstSource::ensure`]).
 ///
-/// The two implementations — [`SharedSoaSource`] borrowing a pre-built
-/// trace and [`StreamingSoaSource`] decoding from any [`TraceSource`] on
-/// demand — let one engine body serve both the shared-materialized
-/// experiment path and arbitrary streaming traces, so the fast path
-/// cannot drift from the general one.
+/// The three implementations — [`SharedSoaSource`] borrowing a pre-built
+/// trace, [`StreamingSoaSource`] decoding from any [`TraceSource`] on
+/// demand, and [`ChunkedSoaSource`] keeping a sliding window of a chunk
+/// stream — let one engine body serve the shared-materialized experiment
+/// path, arbitrary streaming traces and spilled traces, so the fast path
+/// cannot drift from the general ones.
 pub trait InstSource {
     /// Tries to make at least `upto` instructions available; returns how
     /// many actually are (less only when the trace ends first).

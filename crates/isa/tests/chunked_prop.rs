@@ -183,7 +183,7 @@ proptest! {
         buf[at] ^= xor;
         match chunked::read_all(buf.as_slice()) {
             Ok(soa) => prop_assert!(soa.len() <= insts.len()),
-            Err(mlp_isa::tracefile::TraceFileError::CorruptChunk { chunk, .. }) => {
+            Err(chunked::TraceFileError::CorruptChunk { chunk, .. }) => {
                 prop_assert!(chunk <= buf.len() as u64 / 20 + 1);
             }
             Err(e) => {

@@ -1,6 +1,7 @@
-//! Property-based tests of the trace model and binary trace format.
+//! Property-based tests of the trace model and its column layout (the
+//! chunked trace format has its own suite, `chunked_prop.rs`).
 
-use mlp_isa::{tracefile, BranchKind, Inst, InstBuilder, OpKind, Reg, LINE_BYTES};
+use mlp_isa::{BranchKind, Inst, InstBuilder, OpKind, Reg, LINE_BYTES};
 use proptest::prelude::*;
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
@@ -50,14 +51,6 @@ prop_compose! {
 
 proptest! {
     #[test]
-    fn tracefile_round_trips(insts in proptest::collection::vec(arb_inst(), 0..200)) {
-        let mut buf = Vec::new();
-        tracefile::write(&mut buf, &insts).unwrap();
-        let back = tracefile::read(buf.as_slice()).unwrap();
-        prop_assert_eq!(back, insts);
-    }
-
-    #[test]
     fn line_of_is_aligned_and_containing(addr in any::<u64>()) {
         let line = mlp_isa::line_of(addr);
         prop_assert_eq!(line % LINE_BYTES, 0);
@@ -79,78 +72,6 @@ proptest! {
         match inst.branch {
             Some(b) if b.taken => prop_assert_eq!(next, b.target),
             _ => prop_assert_eq!(next, inst.pc.wrapping_add(4)),
-        }
-    }
-
-    #[test]
-    fn truncated_streams_never_panic(
-        insts in proptest::collection::vec(arb_inst(), 1..50),
-        cut in any::<prop::sample::Index>(),
-    ) {
-        let mut buf = Vec::new();
-        tracefile::write(&mut buf, &insts).unwrap();
-        let cut = cut.index(buf.len());
-        // Reading any prefix must return an error or a shorter trace,
-        // never panic.
-        let _ = tracefile::read(&buf[..cut]);
-    }
-
-    /// Arbitrary byte soup is a total function of the input: `read` must
-    /// return `Ok` or a typed `TraceFileError`, never panic. The tight
-    /// time budget of a proptest run also catches overallocation — a
-    /// hostile header claiming `u64::MAX` records must fail on the
-    /// missing bytes, not reserve memory for the claim.
-    #[test]
-    fn arbitrary_bytes_never_panic(
-        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
-    ) {
-        match tracefile::read(bytes.as_slice()) {
-            Ok(insts) => {
-                // A successful parse accounts for the whole stream.
-                prop_assert_eq!(bytes.len(), 16 + insts.len() * 40);
-            }
-            Err(e) => {
-                // Errors must render without panicking too.
-                let _ = e.to_string();
-            }
-        }
-    }
-
-    /// Same with a valid header stapled on: exercises the record decoder
-    /// instead of dying at the magic check.
-    #[test]
-    fn arbitrary_records_behind_valid_header_never_panic(
-        count in 0u64..64,
-        body in proptest::collection::vec(any::<u8>(), 0..1024),
-    ) {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"MLPT");
-        buf.extend_from_slice(&1u16.to_le_bytes());
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.extend_from_slice(&count.to_le_bytes());
-        buf.extend_from_slice(&body);
-        let _ = tracefile::read(buf.as_slice());
-    }
-
-    /// Mutating any single byte of a valid stream must yield `Ok` or a
-    /// typed error — and a `Corrupt` error must point at a record the
-    /// stream actually declares (or one past, for trailing garbage).
-    #[test]
-    fn mutated_valid_streams_never_panic(
-        insts in proptest::collection::vec(arb_inst(), 1..40),
-        at in any::<prop::sample::Index>(),
-        xor in 1u8..=255,
-    ) {
-        let mut buf = Vec::new();
-        tracefile::write(&mut buf, &insts).unwrap();
-        let at = at.index(buf.len());
-        buf[at] ^= xor;
-        match tracefile::read(buf.as_slice()) {
-            Ok(_) => {}
-            Err(tracefile::TraceFileError::Corrupt { record, .. }) => {
-                prop_assert!(record <= insts.len() as u64);
-            }
-            Err(_) => {}
         }
     }
 }

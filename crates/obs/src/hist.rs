@@ -20,7 +20,7 @@
 //! [`LocalHist::flush_to`] (the same end-of-run discipline as the
 //! counter flushes from PR 4).
 
-use crate::counters_on;
+use crate::{counters_on, take};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -68,12 +68,14 @@ pub const fn bucket_hi(b: usize) -> u64 {
 pub(crate) static HISTOGRAMS: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
 
 /// A named, process-global log2-bucketed histogram. Declare as a
-/// `static`; recording is a no-op unless counters are armed. First touch
-/// while armed registers the histogram so
-/// [`snapshot_and_reset`](crate::snapshot_and_reset) can find it.
+/// `static`; recording is a no-op unless counters are armed (or the
+/// histogram is [`Histogram::always`]). First recording touch registers
+/// the histogram so [`snapshot_and_reset`](crate::snapshot_and_reset)
+/// can find it.
 #[derive(Debug)]
 pub struct Histogram {
     name: &'static str,
+    always: bool,
     buckets: [AtomicU64; HIST_BUCKETS],
     sum: AtomicU64,
     max: AtomicU64,
@@ -81,15 +83,26 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A new histogram; declare as a `static`.
-    pub const fn new(name: &'static str) -> Histogram {
+    const fn with(name: &'static str, always: bool) -> Histogram {
         Histogram {
             name,
+            always,
             buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             registered: AtomicBool::new(false),
         }
+    }
+
+    /// A new histogram; declare as a `static`.
+    pub const fn new(name: &'static str) -> Histogram {
+        Histogram::with(name, false)
+    }
+
+    /// A histogram that records whether or not counters are armed, for a
+    /// daemon's own status.
+    pub const fn always(name: &'static str) -> Histogram {
+        Histogram::with(name, true)
     }
 
     /// The histogram's name as it appears in snapshots.
@@ -115,7 +128,7 @@ impl Histogram {
     /// per-bucket flushes fold in (no-op when disarmed or `n == 0`).
     #[inline]
     pub fn record_n(&'static self, v: u64, n: u64) {
-        if n == 0 || !counters_on() {
+        if n == 0 || !(self.always || counters_on()) {
             return;
         }
         self.register();
@@ -124,45 +137,20 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Drains the histogram to zero, returning its value if any
-    /// observation was recorded.
-    pub(crate) fn drain(&'static self) -> Option<HistogramValue> {
+    /// Reads the histogram (`drain`: and zeroes it), returning its value
+    /// if any observation was recorded.
+    pub(crate) fn read(&'static self, drain: bool) -> Option<HistogramValue> {
         let mut buckets = Vec::new();
         let mut count = 0u64;
         for (b, slot) in self.buckets.iter().enumerate() {
-            let n = slot.swap(0, Ordering::Relaxed);
+            let n = take(slot, drain);
             if n != 0 {
                 buckets.push((b as u32, n));
                 count += n;
             }
         }
-        let sum = self.sum.swap(0, Ordering::Relaxed);
-        let max = self.max.swap(0, Ordering::Relaxed);
-        (count != 0).then_some(HistogramValue {
-            name: self.name,
-            buckets,
-            count,
-            sum,
-            max,
-        })
-    }
-
-    /// Reads the histogram without resetting it, returning its value if
-    /// any observation was recorded. The non-draining sibling of
-    /// [`Histogram::drain`] for live status endpoints that must not
-    /// perturb accumulating state.
-    pub(crate) fn peek(&'static self) -> Option<HistogramValue> {
-        let mut buckets = Vec::new();
-        let mut count = 0u64;
-        for (b, slot) in self.buckets.iter().enumerate() {
-            let n = slot.load(Ordering::Relaxed);
-            if n != 0 {
-                buckets.push((b as u32, n));
-                count += n;
-            }
-        }
-        let sum = self.sum.load(Ordering::Relaxed);
-        let max = self.max.load(Ordering::Relaxed);
+        let sum = take(&self.sum, drain);
+        let max = take(&self.max, drain);
         (count != 0).then_some(HistogramValue {
             name: self.name,
             buckets,

@@ -158,9 +158,9 @@ pub fn enable_events() {
     MODE.store(encode(upgraded), Ordering::Relaxed);
 }
 
-/// Arms counter accumulation on top of whatever the env said — the
-/// `mlp-serve` daemon's `/statusz` metrics must work without requiring
-/// every deployment to export `MLP_OBS`. Never downgrades.
+/// Arms counter accumulation on top of whatever the env said — a
+/// benchmark's traced runs read the engine counters without requiring
+/// `MLP_OBS` to be exported. Never downgrades.
 pub fn enable_counters() {
     let upgraded = match mode() {
         Mode::Off => Mode::Counters,
@@ -187,35 +187,43 @@ static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
 static TIMERS: Mutex<Vec<&'static PhaseTimer>> = Mutex::new(Vec::new());
 
 /// A named, process-global counter. Declare as a `static`; recording is
-/// a no-op unless [`counters_on`]. First touch while armed registers the
-/// counter so [`snapshot_and_reset`] can find it.
+/// a no-op unless [`counters_on`] (or the counter is [`Counter::always`]).
+/// First recording touch registers the counter so [`snapshot_and_reset`]
+/// can find it.
 #[derive(Debug)]
 pub struct Counter {
     name: &'static str,
     kind: CounterKind,
+    always: bool,
     value: AtomicU64,
     registered: AtomicBool,
 }
 
 impl Counter {
-    /// A summing counter.
-    pub const fn new(name: &'static str) -> Counter {
+    const fn with(name: &'static str, kind: CounterKind, always: bool) -> Counter {
         Counter {
             name,
-            kind: CounterKind::Sum,
+            kind,
+            always,
             value: AtomicU64::new(0),
             registered: AtomicBool::new(false),
         }
     }
 
+    /// A summing counter.
+    pub const fn new(name: &'static str) -> Counter {
+        Counter::with(name, CounterKind::Sum, false)
+    }
+
     /// A high-water-mark counter (`record_max` keeps the largest value).
     pub const fn new_max(name: &'static str) -> Counter {
-        Counter {
-            name,
-            kind: CounterKind::Max,
-            value: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
-        }
+        Counter::with(name, CounterKind::Max, false)
+    }
+
+    /// A summing counter that records whether or not counters are armed,
+    /// for a daemon's own status.
+    pub const fn always(name: &'static str) -> Counter {
+        Counter::with(name, CounterKind::Sum, true)
     }
 
     /// The counter's name as it appears in snapshots.
@@ -233,7 +241,7 @@ impl Counter {
     /// Adds `n` (no-op when disarmed or `n == 0`).
     #[inline]
     pub fn add(&'static self, n: u64) {
-        if n == 0 || !counters_on() {
+        if n == 0 || !(self.always || counters_on()) {
             return;
         }
         self.register();
@@ -249,7 +257,7 @@ impl Counter {
     /// Records a high-water mark (no-op when disarmed or `v == 0`).
     #[inline]
     pub fn record_max(&'static self, v: u64) {
-        if v == 0 || !counters_on() {
+        if v == 0 || !(self.always || counters_on()) {
             return;
         }
         self.register();
@@ -397,47 +405,7 @@ impl Snapshot {
 /// nonzero ones, sorted by name. Sums and maxima commute, so the result
 /// is deterministic no matter how many sweep threads recorded.
 pub fn snapshot_and_reset() -> Snapshot {
-    let mut counters: Vec<CounterValue> = {
-        let reg = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-        reg.iter()
-            .filter_map(|c| {
-                let value = c.value.swap(0, Ordering::Relaxed);
-                (value != 0).then_some(CounterValue {
-                    name: c.name,
-                    kind: c.kind,
-                    value,
-                })
-            })
-            .collect()
-    };
-    counters.sort_by_key(|c| c.name);
-    let mut timers: Vec<TimerValue> = {
-        let reg = TIMERS.lock().unwrap_or_else(|e| e.into_inner());
-        reg.iter()
-            .filter_map(|t| {
-                let count = t.count.swap(0, Ordering::Relaxed);
-                let total_ns = t.total_ns.swap(0, Ordering::Relaxed);
-                let max_ns = t.max_ns.swap(0, Ordering::Relaxed);
-                (count != 0).then_some(TimerValue {
-                    name: t.name,
-                    count,
-                    total_ns,
-                    max_ns,
-                })
-            })
-            .collect()
-    };
-    timers.sort_by_key(|t| t.name);
-    let mut histograms: Vec<HistogramValue> = {
-        let reg = hist::HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-        reg.iter().filter_map(|h| h.drain()).collect()
-    };
-    histograms.sort_by_key(|h| h.name);
-    Snapshot {
-        counters,
-        timers,
-        histograms,
-    }
+    read(true)
 }
 
 /// Reads every registered counter, timer and histogram **without
@@ -449,11 +417,25 @@ pub fn snapshot_and_reset() -> Snapshot {
 /// two consecutive probes with no intervening activity return identical
 /// snapshots.
 pub fn snapshot() -> Snapshot {
+    read(false)
+}
+
+/// Reads (`drain`: and zeroes) one accumulator.
+fn take(a: &AtomicU64, drain: bool) -> u64 {
+    if drain {
+        a.swap(0, Ordering::Relaxed)
+    } else {
+        a.load(Ordering::Relaxed)
+    }
+}
+
+/// Both snapshots: every registered value, zeroed as read when `drain`.
+fn read(drain: bool) -> Snapshot {
     let mut counters: Vec<CounterValue> = {
         let reg = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         reg.iter()
             .filter_map(|c| {
-                let value = c.value.load(Ordering::Relaxed);
+                let value = take(&c.value, drain);
                 (value != 0).then_some(CounterValue {
                     name: c.name,
                     kind: c.kind,
@@ -467,9 +449,9 @@ pub fn snapshot() -> Snapshot {
         let reg = TIMERS.lock().unwrap_or_else(|e| e.into_inner());
         reg.iter()
             .filter_map(|t| {
-                let count = t.count.load(Ordering::Relaxed);
-                let total_ns = t.total_ns.load(Ordering::Relaxed);
-                let max_ns = t.max_ns.load(Ordering::Relaxed);
+                let count = take(&t.count, drain);
+                let total_ns = take(&t.total_ns, drain);
+                let max_ns = take(&t.max_ns, drain);
                 (count != 0).then_some(TimerValue {
                     name: t.name,
                     count,
@@ -482,7 +464,7 @@ pub fn snapshot() -> Snapshot {
     timers.sort_by_key(|t| t.name);
     let mut histograms: Vec<HistogramValue> = {
         let reg = hist::HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-        reg.iter().filter_map(|h| h.peek()).collect()
+        reg.iter().filter_map(|h| h.read(drain)).collect()
     };
     histograms.sort_by_key(|h| h.name);
     Snapshot {
@@ -616,6 +598,8 @@ mod tests {
     static HITS: Counter = Counter::new("test.hits");
     static PEAK: Counter = Counter::new_max("test.peak");
     static PHASE: PhaseTimer = PhaseTimer::new("test.phase");
+    static ALWAYS_HITS: Counter = Counter::always("test.always.hits");
+    static ALWAYS_HIST: Histogram = Histogram::always("test.always.hist");
 
     #[test]
     fn disarmed_probes_record_nothing() {
@@ -626,7 +610,17 @@ mod tests {
         PEAK.record_max(9);
         PHASE.record_ns(1000);
         drop(PHASE.start());
-        assert!(snapshot_and_reset().is_empty());
+        EPOCH_LEN.record(7);
+        // `always` probes are never disarmed.
+        ALWAYS_HITS.add(2);
+        ALWAYS_HITS.inc();
+        ALWAYS_HIST.record(40);
+        let snap = snapshot_and_reset();
+        let counters: Vec<_> = snap.counters.iter().map(|c| (c.name, c.value)).collect();
+        assert_eq!(counters, [("test.always.hits", 3)]);
+        assert!(snap.timers.is_empty());
+        let hists: Vec<_> = snap.histograms.iter().map(|h| (h.name, h.sum)).collect();
+        assert_eq!(hists, [("test.always.hist", 40)]);
         set_for_test(None);
     }
 

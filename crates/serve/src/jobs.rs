@@ -29,15 +29,15 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-static JOBS_SUBMITTED: Counter = Counter::new("serve.jobs.submitted");
-static JOBS_DEDUPED: Counter = Counter::new("serve.jobs.deduped");
-static JOBS_SHED: Counter = Counter::new("serve.jobs.shed");
-static JOBS_OK: Counter = Counter::new("serve.jobs.ok");
-static JOBS_DEGRADED: Counter = Counter::new("serve.jobs.degraded");
-static JOBS_RETRIED: Counter = Counter::new("serve.jobs.retried");
-static CACHE_HITS: Counter = Counter::new("serve.cache.hits");
-static CACHE_STORE_ERRORS: Counter = Counter::new("serve.cache.store_errors");
-static JOB_LATENCY_MS: Histogram = Histogram::new("serve.job.latency_ms");
+static JOBS_SUBMITTED: Counter = Counter::always("serve.jobs.submitted");
+static JOBS_DEDUPED: Counter = Counter::always("serve.jobs.deduped");
+static JOBS_SHED: Counter = Counter::always("serve.jobs.shed");
+static JOBS_OK: Counter = Counter::always("serve.jobs.ok");
+static JOBS_DEGRADED: Counter = Counter::always("serve.jobs.degraded");
+static JOBS_RETRIED: Counter = Counter::always("serve.jobs.retried");
+static CACHE_HITS: Counter = Counter::always("serve.cache.hits");
+static CACHE_STORE_ERRORS: Counter = Counter::always("serve.cache.store_errors");
+static JOB_LATENCY_MS: Histogram = Histogram::always("serve.job.latency_ms");
 
 /// Completed (ok or degraded) jobs kept addressable by id after they
 /// leave the dedup map; older ones are forgotten.

@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-static REQUESTS: Counter = Counter::new("serve.requests");
-static REQUESTS_BAD: Counter = Counter::new("serve.requests.bad");
-static REQUEST_LATENCY_MS: Histogram = Histogram::new("serve.request.latency_ms");
+static REQUESTS: Counter = Counter::always("serve.requests");
+static REQUESTS_BAD: Counter = Counter::always("serve.requests.bad");
+static REQUEST_LATENCY_MS: Histogram = Histogram::always("serve.request.latency_ms");
 
 /// Per-connection socket read/write budget; a stalled client costs one
 /// bounded thread.
@@ -46,10 +46,10 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) in front
-    /// of `sched`. Counters are enabled so `/statusz` always has data,
-    /// whatever `MLP_OBS` says.
+    /// of `sched`. Arms nothing: `/statusz` reads the daemon's own
+    /// `serve.*` counters, which record whatever `MLP_OBS` says, and a
+    /// served run takes the same engine path as the CLI's.
     pub fn bind(addr: &str, sched: Scheduler) -> std::io::Result<Server> {
-        mlp_obs::enable_counters();
         Ok(Server {
             listener: TcpListener::bind(addr)?,
             sched: Arc::new(sched),
@@ -362,6 +362,8 @@ mod tests {
     #[test]
     fn end_to_end_run_matches_cli_bytes() {
         let _g = crate::test_guard();
+        mlp_obs::set_for_test(Some(mlp_obs::Mode::Off));
+        let _ = mlp_obs::snapshot_and_reset();
         let (addr, handle) = start_server(8);
         let (status, health) = get(addr, "/healthz");
         assert_eq!((status, health.trim()), (200, "{\"status\":\"ok\"}"));
@@ -377,8 +379,17 @@ mod tests {
 
         let (status, statusz) = get(addr, "/statusz");
         assert_eq!(status, 200);
-        assert!(statusz.contains("\"serve.jobs.ok\": 1") || statusz.contains("serve.jobs.ok"));
+        assert!(statusz.contains("\"serve.jobs.ok\": 1"), "{statusz}");
         assert!(statusz.contains("\"queued\""));
+        // The daemon arms nothing: only its own status recorded.
+        let snap = mlp_obs::snapshot();
+        let armed: Vec<_> = (snap.counters.iter().map(|c| c.name))
+            .chain(snap.timers.iter().map(|t| t.name))
+            .chain(snap.histograms.iter().map(|h| h.name))
+            .filter(|name| !name.starts_with("serve."))
+            .collect();
+        assert!(armed.is_empty(), "recorded while disarmed: {armed:?}");
+        mlp_obs::set_for_test(None);
 
         let (status, _) = post(addr, "/v1/shutdown", "");
         assert_eq!(status, 200);

@@ -33,10 +33,10 @@ use mlp_obs::Counter;
 use mlp_surrogate::{workload_index, ConfigPoint, Surrogate};
 use std::sync::OnceLock;
 
-static REQUESTS: Counter = Counter::new("serve.surrogate.requests");
-static TRAINED: Counter = Counter::new("serve.surrogate.trained");
-static HITS: Counter = Counter::new("serve.surrogate.hits");
-static FALLBACK: Counter = Counter::new("serve.surrogate.fallback");
+static REQUESTS: Counter = Counter::always("serve.surrogate.requests");
+static TRAINED: Counter = Counter::always("serve.surrogate.trained");
+static HITS: Counter = Counter::always("serve.surrogate.hits");
+static FALLBACK: Counter = Counter::always("serve.surrogate.fallback");
 
 /// Predictions whose ensemble uncertainty exceeds this bound (percent)
 /// are not trusted: the request falls back to a real simulation. The

@@ -40,8 +40,9 @@
 //! count or request interleaving.
 
 use crate::{Workload, WorkloadKind};
-use mlp_isa::chunked::{read_chunk_at, read_index, ChunkIndex, ChunkedWriter, DEFAULT_CHUNK_INSTS};
-use mlp_isa::tracefile::TraceFileError;
+use mlp_isa::chunked::{
+    read_chunk_at, read_index, ChunkIndex, ChunkedWriter, TraceFileError, DEFAULT_CHUNK_INSTS,
+};
 use mlp_isa::{Inst, TraceSoA};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};

@@ -46,7 +46,7 @@ cargo test -q --release -p mlp-experiments --test differential
 
 echo "==> no-panic property suites"
 # Hostile-input coverage: arbitrary/mutated trace bytes must never panic
-# the decoders (v1 and chunked v2), arbitrary/damaged JSON must never
+# the chunked v2 decoder, arbitrary/damaged JSON must never
 # panic the parser (and every golden must re-print byte-identically),
 # arbitrary/damaged HTTP requests and responses must never panic either
 # parser (and the size caps hold at their boundaries), and randomly
@@ -117,12 +117,14 @@ ls "$stream_dir"/cache/*.mlp2 >/dev/null   # traces really went to disk
 for exp in table5 epochs fm rae-timing; do
     diff "$stream_dir/mem/$exp.quick.json" "$stream_dir/disk/$exp.quick.json"
 done
-# A v2 trace survives a round trip through v1 byte for byte, and a
+# The trace writer is deterministic (the same trace twice is the same
+# bytes), a written trace reads back through info and dump, and a
 # spilled cache file reads back as an ordinary trace.
 target/release/mlp-trace gen database 200000 "$stream_dir/x.mlp2" >/dev/null
-target/release/mlp-trace convert "$stream_dir/x.mlp2" "$stream_dir/x.bin" >/dev/null
-target/release/mlp-trace convert "$stream_dir/x.bin" "$stream_dir/y.mlp2" >/dev/null
+target/release/mlp-trace gen database 200000 "$stream_dir/y.mlp2" >/dev/null
 cmp "$stream_dir/x.mlp2" "$stream_dir/y.mlp2"
+target/release/mlp-trace info "$stream_dir/x.mlp2" >/dev/null
+target/release/mlp-trace dump "$stream_dir/x.mlp2" 5 >/dev/null
 spilled=("$stream_dir"/cache/*.mlp2)
 target/release/mlp-trace stats "${spilled[0]}" >/dev/null
 
@@ -152,13 +154,20 @@ echo "==> serve chaos suite (hang/io-error/cache-corrupt/shed, release)"
 # the daemon keeps serving.
 cargo test -q --release -p mlp-serve --test chaos
 
+echo "==> armed smoke (MLP_OBS=counters output == unarmed output)"
+# Arming the mlp-obs counters must not change a result: the armed-only
+# TLB walk and the statistics reset at the warm-up boundary must leave
+# the text alone; l3 also runs a hierarchy with an L3. Timings go to
+# stderr.
+target/release/mlp-experiments --only fm,l3 --scale quick > "$stream_dir/unarmed.txt"
+MLP_OBS=counters target/release/mlp-experiments --only fm,l3 --scale quick \
+    > "$stream_dir/armed.txt"
+diff "$stream_dir/unarmed.txt" "$stream_dir/armed.txt"
+
 echo "==> mlp-serve smoke (daemon response == CLI artifact bytes)"
 # Start the daemon on an ephemeral port, run two experiments through it,
 # and diff each response byte-for-byte against the file the CLI writes
-# for the same experiment and scale. The daemon arms the mlp-obs
-# counters and the CLI does not, so the armed-only TLB walk and the
-# statistics reset at the warm-up boundary must leave the bytes alone;
-# l3 also runs a hierarchy with an L3.
+# for the same experiment and scale.
 serve_dir=$(mktemp -d)
 target/release/mlp-serve --addr 127.0.0.1:0 --port-file "$serve_dir/port" \
     --workers 2 --cache-dir "$serve_dir/cache" 2>/dev/null &

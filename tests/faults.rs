@@ -271,18 +271,18 @@ fn degraded_report_shape_matches_golden() {
 }
 
 /// `mlp-trace` exit-code policy: 2 for usage, 1 for I/O and corrupt
-/// traces, with the record index of the corruption on stderr.
+/// traces, with the chunk index of the corruption on stderr.
 #[test]
 fn mlp_trace_error_paths() {
     let dir = scratch("trace");
-    let trace = dir.join("t.bin");
+    let trace = dir.join("t.mlp2");
     let trace_str = trace.to_str().unwrap();
 
     let usage = Command::new(trace_bin()).output().expect("spawn");
     assert_eq!(usage.status.code(), Some(2));
 
     let missing = Command::new(trace_bin())
-        .args(["stats", dir.join("nope.bin").to_str().unwrap()])
+        .args(["stats", dir.join("nope.mlp2").to_str().unwrap()])
         .output()
         .expect("spawn");
     assert_eq!(missing.status.code(), Some(1));
@@ -293,34 +293,42 @@ fn mlp_trace_error_paths() {
         .output()
         .expect("spawn");
     assert!(gen.status.success(), "stderr:\n{}", stderr_of(&gen));
+    let stats_of = |bytes: &[u8]| {
+        fs::write(&trace, bytes).expect("rewrite trace");
+        Command::new(trace_bin())
+            .args(["stats", trace_str])
+            .output()
+            .expect("spawn")
+    };
 
-    // Corrupt the kind byte of record 3 (16-byte header, 40-byte records).
+    // Flip a payload byte of chunk 0 (12-byte file header, then a
+    // 20-byte frame header).
     let mut bytes = fs::read(&trace).expect("read trace");
-    let kind_byte = 16 + 3 * 40 + 32;
-    let orig = bytes[kind_byte];
-    bytes[kind_byte] = 0xee;
-    fs::write(&trace, &bytes).expect("rewrite trace");
-    let corrupt = Command::new(trace_bin())
-        .args(["stats", trace_str])
-        .output()
-        .expect("spawn");
+    let payload_byte = 12 + 20;
+    bytes[payload_byte] ^= 0x40;
+    let corrupt = stats_of(&bytes);
     assert_eq!(corrupt.status.code(), Some(1));
     let err = stderr_of(&corrupt);
     assert!(
-        err.contains("corrupt trace record 3"),
-        "corruption report must carry the record index, got:\n{err}"
+        err.contains("corrupt trace chunk 0"),
+        "corruption report must carry the chunk index, got:\n{err}"
     );
 
-    // Trailing garbage is corruption too, reported at one past the end.
-    bytes[kind_byte] = orig;
+    // Trailing garbage is corruption too.
+    bytes[payload_byte] ^= 0x40;
     bytes.push(0xff);
-    fs::write(&trace, &bytes).expect("rewrite trace");
-    let trailing = Command::new(trace_bin())
-        .args(["stats", trace_str])
-        .output()
-        .expect("spawn");
+    let trailing = stats_of(&bytes);
     assert_eq!(trailing.status.code(), Some(1));
-    assert!(stderr_of(&trailing).contains("corrupt trace record 100"));
+    assert!(stderr_of(&trailing).contains("trailing bytes"));
+
+    // An old flat v1 file is refused at its magic: the 16-byte header of
+    // an empty one (magic, version 1, reserved, record count 0).
+    let mut v1 = b"MLPT".to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&[0; 10]);
+    let refused = stats_of(&v1);
+    assert_eq!(refused.status.code(), Some(1));
+    assert!(stderr_of(&refused).contains("bad trace magic"));
 
     let _ = fs::remove_dir_all(&dir);
 }

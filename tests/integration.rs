@@ -2,7 +2,8 @@
 //! simulators and the experiment harness end to end.
 
 use mlp_experiments::{exp, RunScale};
-use mlp_isa::{tracefile, TraceSource, VecTrace};
+use mlp_isa::chunked::{self, ChunkedWriter};
+use mlp_isa::{TraceSource, VecTrace};
 use mlp_workloads::{Workload, WorkloadKind};
 use mlpsim::{MlpsimConfig, Simulator};
 
@@ -14,9 +15,13 @@ fn quick() -> RunScale {
 fn workload_survives_trace_file_round_trip() {
     let mut wl = Workload::new(WorkloadKind::Database, 7);
     let insts = wl.take_insts(20_000);
+    // Several chunks, the last one partial.
     let mut buf = Vec::new();
-    tracefile::write(&mut buf, &insts).expect("write trace");
-    let back = tracefile::read(buf.as_slice()).expect("read trace");
+    let mut w = ChunkedWriter::new(&mut buf, 4096).expect("start trace");
+    w.extend(insts.iter().copied()).expect("write trace");
+    assert_eq!(w.finish().expect("finish trace").chunks.len(), 5);
+    let soa = chunked::read_all(buf.as_slice()).expect("read trace");
+    let back: Vec<_> = (0..soa.len()).map(|i| soa.get(i)).collect();
     assert_eq!(back, insts);
 
     // Simulating the replayed trace gives the same result as the stream.
