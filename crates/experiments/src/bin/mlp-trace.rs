@@ -15,7 +15,10 @@
 //!
 //! `info` prints the container details from the footer index without
 //! decoding instruction payloads: instruction count, chunk geometry and
-//! bytes per instruction.
+//! bytes per instruction. `dump` reads only what it prints: the chunks
+//! holding its first `count` instructions, and the count of the rest
+//! from the footer index, so it needs one chunk's memory whatever the
+//! trace's length. `stats` decodes every chunk.
 //!
 //! `import` reads a gem5-ish text listing, one instruction per line
 //! (`#` comments and blank lines ignored), fields whitespace-separated:
@@ -208,13 +211,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 [_, path, n] => (path, n.parse().unwrap_or_else(|_| usage())),
                 _ => usage(),
             };
-            let insts = read_trace(path)?;
-            for inst in insts.iter().take(count) {
-                writeln!(out, "{inst}")?;
-            }
-            if insts.len() > count {
-                writeln!(out, "... ({} more)", insts.len() - count)?;
-            }
+            dump(path, count, out)?;
         }
         Some("info") => {
             let [_, path] = args else { usage() };
@@ -244,6 +241,30 @@ fn read_trace(path: &str) -> Result<Vec<Inst>, CliError> {
     let file = File::open(path).map_err(ctx("open", path))?;
     let soa = chunked::read_all(BufReader::new(file)).map_err(ctx("read trace", path))?;
     Ok((0..soa.len()).map(|i| soa.get(i)).collect())
+}
+
+/// Prints the first `count` instructions, decoding only the chunks that
+/// hold them, then how many more the footer index counts.
+fn dump(path: &str, count: usize, out: &mut impl Write) -> Result<(), CliError> {
+    let file = File::open(path).map_err(ctx("open", path))?;
+    let mut r = BufReader::new(file);
+    let index = chunked::read_index(&mut r).map_err(ctx("read trace", path))?;
+    let mut left = count;
+    for k in 0..index.chunks.len() {
+        if left == 0 {
+            break;
+        }
+        let chunk = chunked::read_chunk_at(&mut r, &index, k).map_err(ctx("read trace", path))?;
+        let n = chunk.len().min(left);
+        for i in 0..n {
+            writeln!(out, "{}", chunk.get(i))?;
+        }
+        left -= n;
+    }
+    if index.total_insts > count as u64 {
+        writeln!(out, "... ({} more)", index.total_insts - count as u64)?;
+    }
+    Ok(())
 }
 
 /// Prints container-level details from the footer index, without

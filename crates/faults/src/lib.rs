@@ -14,7 +14,7 @@
 //! |------|----------|--------|
 //! | [`SWEEP_PANIC`] | `sweep-panic:<n>` | the *n*-th sweep job started by `mlp_par::try_par_map` (counted process-wide, 1-based) panics |
 //! | [`CURSOR_TRUNCATE`] | `cursor-truncate:<n>` | every materialized trace cursor is capped at `n` instructions, so a run drains its trace early |
-//! | [`TRACE_BITFLIP`] | `trace-bitflip:<bit>` | `mlp_isa::chunked::ChunkedTrace` sees bit `bit` (a bit offset from the start of the stream) flipped |
+//! | [`TRACE_BITFLIP`] | `trace-bitflip:<bit>` | both v2 trace readers, `mlp_isa::chunked::ChunkedTrace` and `mlp_isa::chunked::read_chunk_at` (the read path of spilled runs), see bit `bit` (a bit offset from the start of the file) flipped |
 //! | [`SERVE_JOB_HANG`] | `serve-job-hang:<n>` | the *n*-th job body started by the `mlp-serve` worker pool wedges (sleeps past any deadline) |
 //! | [`SERVE_IO_ERROR`] | `serve-io-error:<n>` | the *n*-th serve job attempt fails with a transient injected IO error (retried with backoff) |
 //! | [`SERVE_CACHE_CORRUPT`] | `serve-cache-corrupt:<n>` | the *n*-th result-cache write by `mlp-serve` stores corrupt bytes |

@@ -267,18 +267,20 @@ impl ChunkIndex {
     }
 }
 
-/// Deterministic single-bit fault injector for the streaming read path
-/// (the `trace-bitflip` site): flips one bit at the armed offset, counted
-/// from the start of the stream, as bytes stream past.
+/// Deterministic single-bit fault injector for both readers (the
+/// `trace-bitflip` site): flips one bit at the armed offset, counted
+/// from the start of the stream, as the bytes read from file offset
+/// `pos` on pass through it. The random-access reader starts it at the
+/// frame it seeks to, so one bit names the same file byte in both.
 struct Flipper {
     pos: u64,
     bit: Option<u64>,
 }
 
 impl Flipper {
-    fn new() -> Flipper {
+    fn new(pos: u64) -> Flipper {
         Flipper {
-            pos: 0,
+            pos,
             bit: mlp_faults::param(mlp_faults::TRACE_BITFLIP),
         }
     }
@@ -291,6 +293,13 @@ impl Flipper {
             }
         }
         self.pos += buf.len() as u64;
+    }
+
+    /// Fills `buf` from `r`, then [`Flipper::apply`]s it.
+    fn read(&mut self, r: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
+        r.read_exact(buf)?;
+        self.apply(buf);
+        Ok(())
     }
 }
 
@@ -507,10 +516,9 @@ impl<R: Read> ChunkedTrace<R> {
     /// [`TraceFileError::CorruptChunk`] for an out-of-range chunk capacity,
     /// [`TraceFileError::Io`] on read failure.
     pub fn new(mut r: R) -> Result<ChunkedTrace<R>, TraceFileError> {
-        let mut flip = Flipper::new();
+        let mut flip = Flipper::new(0);
         let mut head = [0u8; HEADER_BYTES as usize];
-        r.read_exact(&mut head)?;
-        flip.apply(&mut head);
+        flip.read(&mut r, &mut head)?;
         if head[0..4] != MAGIC {
             return Err(TraceFileError::BadMagic(head[0..4].try_into().expect("4")));
         }
@@ -548,9 +556,7 @@ impl<R: Read> ChunkedTrace<R> {
     }
 
     fn fill(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.r.read_exact(buf)?;
-        self.flip.apply(buf);
-        Ok(())
+        self.flip.read(&mut self.r, buf)
     }
 
     /// Decodes the next chunk; `Ok(None)` once the footer is reached
@@ -567,57 +573,30 @@ impl<R: Read> ChunkedTrace<R> {
         }
         let frame_off = self.flip.pos;
         let chunk = self.seen.len() as u64;
-        let corrupt = |what| TraceFileError::CorruptChunk {
-            what,
-            chunk,
-            record: 0,
-        };
-        let mut magic = [0u8; 4];
-        self.fill(&mut magic)?;
-        if magic == FOOTER_MAGIC {
+        let Some(head) = read_frame_head(&mut self.r, &mut self.flip, self.chunk_cap, chunk)?
+        else {
             self.read_footer(frame_off)?;
             return Ok(None);
-        }
-        if magic != CHUNK_MAGIC {
-            return Err(corrupt("bad frame magic"));
-        }
-        let mut head = [0u8; 16];
-        self.fill(&mut head)?;
-        let n_insts = u32::from_le_bytes(head[0..4].try_into().expect("4"));
-        let payload_len = u32::from_le_bytes(head[4..8].try_into().expect("4"));
-        let checksum = u64::from_le_bytes(head[8..16].try_into().expect("8"));
-        if n_insts == 0 {
-            return Err(corrupt("empty chunk"));
-        }
-        if n_insts > self.chunk_cap {
-            return Err(corrupt("chunk exceeds declared capacity"));
-        }
-        let (lo, hi) = (
-            n_insts as u64 * MIN_RECORD_ENC,
-            n_insts as u64 * MAX_RECORD_ENC,
-        );
-        if !(lo..=hi).contains(&(payload_len as u64)) {
-            return Err(corrupt("payload length implausible for record count"));
-        }
+        };
         // Grow organically: a truncated stream stops the allocation at
         // the bytes actually present, whatever the claimed length.
         let mut payload = Vec::new();
         let got = (&mut self.r)
-            .take(payload_len as u64)
+            .take(head.payload_len as u64)
             .read_to_end(&mut payload)?;
-        if got < payload_len as usize {
+        if got < head.payload_len as usize {
             return Err(TraceFileError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "truncated chunk payload",
             )));
         }
         self.flip.apply(&mut payload);
-        let soa = decode_chunk(&payload, n_insts as usize, checksum, chunk)?;
+        let soa = decode_chunk(&payload, head.n_insts as usize, head.checksum, chunk)?;
         self.seen.push(ChunkEntry {
             offset: frame_off,
-            n_insts,
+            n_insts: head.n_insts,
         });
-        self.total += n_insts as u64;
+        self.total += head.n_insts as u64;
         Ok(Some(soa))
     }
 
@@ -677,6 +656,61 @@ impl<R: Read> ChunkedTrace<R> {
         });
         Ok(())
     }
+}
+
+/// What a chunk frame's header declares about the payload after it.
+struct FrameHead {
+    n_insts: u32,
+    payload_len: u32,
+    checksum: u64,
+}
+
+/// Reads the header of frame `chunk` through `flip` and checks it: the
+/// `CHNK` magic, a record count in `1..=chunk_cap`, and a payload length
+/// plausible for that count. A `FIDX` magic in its place ends the frames:
+/// `Ok(None)`, with only the magic consumed.
+fn read_frame_head<R: Read>(
+    r: &mut R,
+    flip: &mut Flipper,
+    chunk_cap: u32,
+    chunk: u64,
+) -> Result<Option<FrameHead>, TraceFileError> {
+    let corrupt = |what| TraceFileError::CorruptChunk {
+        what,
+        chunk,
+        record: 0,
+    };
+    let mut magic = [0u8; 4];
+    flip.read(r, &mut magic)?;
+    if magic == FOOTER_MAGIC {
+        return Ok(None);
+    }
+    if magic != CHUNK_MAGIC {
+        return Err(corrupt("bad frame magic"));
+    }
+    let mut head = [0u8; FRAME_HEADER_BYTES as usize - 4];
+    flip.read(r, &mut head)?;
+    let n_insts = u32::from_le_bytes(head[0..4].try_into().expect("4"));
+    let payload_len = u32::from_le_bytes(head[4..8].try_into().expect("4"));
+    let checksum = u64::from_le_bytes(head[8..16].try_into().expect("8"));
+    if n_insts == 0 {
+        return Err(corrupt("empty chunk"));
+    }
+    if n_insts > chunk_cap {
+        return Err(corrupt("chunk exceeds declared capacity"));
+    }
+    let (lo, hi) = (
+        n_insts as u64 * MIN_RECORD_ENC,
+        n_insts as u64 * MAX_RECORD_ENC,
+    );
+    if !(lo..=hi).contains(&(payload_len as u64)) {
+        return Err(corrupt("payload length implausible for record count"));
+    }
+    Ok(Some(FrameHead {
+        n_insts,
+        payload_len,
+        checksum,
+    }))
 }
 
 /// A frame payload being decoded: walks the columns in file order,
@@ -973,23 +1007,15 @@ pub fn read_chunk_at<R: Read + Seek>(
         record: 0,
     };
     r.seek(SeekFrom::Start(entry.offset))?;
-    let mut head = [0u8; FRAME_HEADER_BYTES as usize];
-    r.read_exact(&mut head)?;
-    if head[0..4] != CHUNK_MAGIC {
-        return Err(corrupt("bad frame magic"));
-    }
-    let n_insts = u32::from_le_bytes(head[4..8].try_into().expect("4"));
-    let payload_len = u32::from_le_bytes(head[8..12].try_into().expect("4"));
-    let checksum = u64::from_le_bytes(head[12..20].try_into().expect("8"));
-    if n_insts != entry.n_insts {
+    let mut flip = Flipper::new(entry.offset);
+    let head = read_frame_head(r, &mut flip, index.chunk_cap, k as u64)?
+        .ok_or_else(|| corrupt("bad frame magic"))?;
+    if head.n_insts != entry.n_insts {
         return Err(corrupt("frame record count disagrees with index"));
     }
-    if payload_len as u64 > n_insts as u64 * MAX_RECORD_ENC {
-        return Err(corrupt("payload length implausible for record count"));
-    }
-    let mut payload = vec![0u8; payload_len as usize];
-    r.read_exact(&mut payload)?;
-    decode_chunk(&payload, n_insts as usize, checksum, k as u64)
+    let mut payload = vec![0u8; head.payload_len as usize];
+    flip.read(r, &mut payload)?;
+    decode_chunk(&payload, head.n_insts as usize, head.checksum, k as u64)
 }
 
 /// Decodes a whole v2 stream into one materialized [`TraceSoA`]

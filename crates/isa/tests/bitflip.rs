@@ -4,6 +4,7 @@
 
 use mlp_isa::chunked::{self, ChunkedWriter, TraceFileError};
 use mlp_isa::{Inst, TraceSoA};
+use std::io::Cursor;
 use std::sync::Mutex;
 
 /// A frame's header before its payload: magic, record count, payload
@@ -60,6 +61,34 @@ fn injected_bitflip_corrupts_exactly_the_armed_chunk() {
         chunked::read_all(buf.as_slice()).unwrap(),
         TraceSoA::from_insts(&trace)
     );
+}
+
+#[test]
+fn random_access_reads_flip_the_same_file_bit() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let trace: Vec<Inst> = (0..6).map(|i| Inst::nop(4 * i)).collect();
+    let (buf, payloads) = written(&trace, 2);
+    let mut file = Cursor::new(buf.as_slice());
+    let index = chunked::read_index(&mut file).unwrap();
+    assert_eq!(index.chunks.len(), 3);
+
+    // The bit the streaming test flips, counted from the start of the
+    // file, corrupts the same chunk when that chunk is read alone.
+    mlp_faults::set_for_test(Some((mlp_faults::TRACE_BITFLIP, payloads[1] * 8 + 7)));
+    let reads: Vec<_> = (0..3)
+        .map(|k| chunked::read_chunk_at(&mut file, &index, k))
+        .collect();
+    mlp_faults::set_for_test(None);
+    match &reads[1] {
+        Err(TraceFileError::CorruptChunk { chunk, what, .. }) => {
+            assert_eq!((*chunk, *what), (1, "chunk checksum mismatch"));
+        }
+        other => panic!("expected chunk-1 corruption, got {other:?}"),
+    }
+    for k in [0, 2] {
+        let want = TraceSoA::from_insts(&trace[2 * k..2 * k + 2]);
+        assert_eq!(reads[k].as_ref().unwrap(), &want, "chunk {k}");
+    }
 }
 
 #[test]

@@ -221,16 +221,6 @@ where
         .collect()
 }
 
-/// [`par_map`] over an owned `Vec`, consuming the items.
-pub fn par_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map(&items, f)
-}
-
 /// Outcome of running one closure under [`supervised`].
 #[derive(Debug)]
 pub enum Supervised<R> {
@@ -281,109 +271,6 @@ where
         }
         Err(_) => Supervised::TimedOut,
     }
-}
-
-/// Why a deadline-supervised job produced no result.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JobFailure {
-    /// The job panicked (contained, message preserved).
-    Panic(JobPanic),
-    /// The job exceeded its wall-clock deadline and was abandoned.
-    Timeout {
-        /// Index of the job in the input slice.
-        index: usize,
-        /// The deadline it exceeded.
-        deadline: Duration,
-    },
-}
-
-impl std::fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JobFailure::Panic(p) => write!(f, "{p}"),
-            JobFailure::Timeout { index, deadline } => write!(
-                f,
-                "sweep job {index} exceeded its {}ms deadline",
-                deadline.as_millis()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for JobFailure {}
-
-/// [`try_par_map`] with a per-job wall-clock deadline.
-///
-/// Each job runs on its own [`supervised`] thread: a job that panics
-/// yields `Err(JobFailure::Panic)` in its slot, a job that outlives
-/// `deadline` yields `Err(JobFailure::Timeout)` and its thread is
-/// detached, and every other job still runs to completion, in input
-/// order. Because a timed-out job's thread can outlive this call, the
-/// items and closure are owned (`Clone`/`'static`) rather than borrowed —
-/// the abandoned thread keeps its own copies.
-pub fn try_par_map_deadline<T, R, F>(
-    items: &[T],
-    deadline: Duration,
-    f: F,
-) -> Vec<Result<R, JobFailure>>
-where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    let run = |i: usize, item: T| -> Result<R, JobFailure> {
-        let f = Arc::clone(&f);
-        match supervised(deadline, move || {
-            mlp_faults::fire(mlp_faults::SWEEP_PANIC);
-            f(item)
-        }) {
-            Supervised::Finished(r) => Ok(r),
-            Supervised::Panicked(message) => Err(JobFailure::Panic(JobPanic { index: i, message })),
-            Supervised::TimedOut => Err(JobFailure::Timeout { index: i, deadline }),
-        }
-    };
-
-    let threads = thread_count().min(items.len());
-    if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| run(i, item.clone()))
-            .collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<R, JobFailure>)>();
-    let mut slots: Vec<Option<Result<R, JobFailure>>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-
-    thread::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let run = &run;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = run(i, items[i].clone());
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|r| r.expect("every job index was claimed exactly once"))
-        .collect()
 }
 
 /// Values that the jobs of one sweep share, one per key, under the rule
@@ -606,40 +493,6 @@ mod tests {
         }) {
             Supervised::Panicked(msg) => assert_eq!(msg, NON_STRING_PANIC),
             other => panic!("expected Panicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn deadline_map_contains_timeouts_and_panics_in_their_slots() {
-        let _g = lock();
-        for threads in [1, 3] {
-            set_thread_override(Some(threads));
-            let deadline = Duration::from_millis(200);
-            let out = try_par_map_deadline(&[0u32, 1, 2, 3, 4], deadline, |x| {
-                match x {
-                    1 => thread::sleep(Duration::from_secs(30)), // wedged
-                    3 => panic!("job three exploded"),
-                    _ => {}
-                }
-                x * 10
-            });
-            set_thread_override(None);
-            assert_eq!(out.len(), 5);
-            assert_eq!(out[0], Ok(0));
-            assert_eq!(out[2], Ok(20));
-            assert_eq!(out[4], Ok(40));
-            assert_eq!(out[1], Err(JobFailure::Timeout { index: 1, deadline }));
-            assert_eq!(
-                out[1].as_ref().unwrap_err().to_string(),
-                "sweep job 1 exceeded its 200ms deadline"
-            );
-            match &out[3] {
-                Err(JobFailure::Panic(p)) => {
-                    assert_eq!(p.index, 3);
-                    assert_eq!(p.message, "job three exploded");
-                }
-                other => panic!("expected Panic in slot 3, got {other:?}"),
-            }
         }
     }
 

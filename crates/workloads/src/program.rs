@@ -115,8 +115,6 @@ fn site_unit(seed: u64, idx: usize, salt: u64) -> f64 {
 /// address-space layout. Built deterministically from `(config, seed)`.
 #[derive(Clone, Debug)]
 pub(crate) struct Program {
-    /// The build seed (recorded so checkpoints can rebuild the program).
-    pub(crate) seed: u64,
     pub(crate) slots: Vec<Slot>,
     /// Flattened pointer-chase node addresses (line-aligned, persistent).
     pub(crate) chase_nodes: Vec<u64>,
@@ -144,7 +142,6 @@ impl Program {
             .collect();
 
         Program {
-            seed,
             slots,
             chase_nodes,
             cfg: cfg.clone(),

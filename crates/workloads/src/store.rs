@@ -21,19 +21,25 @@
 //! disk) **spill**: the stream is written once through
 //! [`mlp_isa::chunked::ChunkedWriter`] into a v2 chunked trace file under
 //! the cache directory (`MLP_TRACE_CACHE_DIR` or a per-user temp
-//! directory; see [`TraceStore::set_cache_dir`]), alongside a `.ckpt`
-//! sidecar holding the paused generator's [`Workload::checkpoint`]. Spilled
-//! handles replay by streaming fixed-size chunks back from disk
+//! directory; see [`TraceStore::set_cache_dir`]). Spilled handles replay
+//! by streaming fixed-size chunks back from disk
 //! ([`SharedTrace::chunks`]), so peak memory is bounded by the chunk size
 //! instead of the trace length; a later, longer request *appends* to the
-//! file by resuming the checkpointed generator rather than regenerating.
-//! Spilled files persist across processes: a new run finding a valid
-//! `(file, sidecar)` pair adopts it instead of regenerating.
+//! file rather than regenerating it.
+//!
+//! A spilled file is its own checkpoint. Every stream is a pure function
+//! of `(kind, seed)`, so the file's instruction count says where its
+//! generator stands: an append first replays `Workload::new(kind, seed)`
+//! up to the file's tail (nothing to replay when this entry wrote that
+//! tail itself), then continues it into the file. Spilled files persist
+//! across processes: a new run adopts a file whose footer index reads
+//! and whose first chunk equals what this build generates for
+//! `(kind, seed)`, and regenerates anything else.
 //!
 //! Prefixes are stable in both tiers: cached columns and spilled files are
-//! extended by continuing the same generator instance, so the first `n`
-//! cached instructions are always exactly the first `n` instructions of
-//! `Workload::with_config(cfg, seed)` no matter how the cache grew. A
+//! extended by continuing the same stream, so the first `n` cached
+//! instructions are always exactly the first `n` instructions of
+//! `Workload::new(kind, seed)` no matter how the cache grew. A
 //! handle for a request of length `n` exposes exactly those `n`
 //! instructions, which keeps every simulator run a pure function of
 //! `(config, kind, seed, n)` — independent of cache state, tier, thread
@@ -43,7 +49,7 @@ use crate::{Workload, WorkloadKind};
 use mlp_isa::chunked::{
     read_chunk_at, read_index, ChunkIndex, ChunkedWriter, TraceFileError, DEFAULT_CHUNK_INSTS,
 };
-use mlp_isa::{Inst, TraceSoA};
+use mlp_isa::{Inst, TraceSoA, TraceSource};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Write as _};
@@ -287,7 +293,7 @@ impl Iterator for TraceCursor {
     }
 }
 
-/// One cached trace: the paused generator plus everything it has emitted
+/// One cached trace: the paused generator plus what is materialized
 /// (in the column buffer, or in a spilled chunk file, never both).
 struct Entry {
     kind: WorkloadKind,
@@ -296,8 +302,10 @@ struct Entry {
     buf: TraceSoA,
     /// Immutable snapshot of `buf`, rebuilt lazily after growth.
     shared: Option<Arc<TraceSoA>>,
-    /// Set once the trace has spilled; `buf` is empty from then on and
-    /// the generator is positioned at the end of the file.
+    /// Set once the trace has spilled; `buf` is empty from then on. The
+    /// generator stands at the file's tail when this entry wrote it, and
+    /// anywhere else after adoption or another process's append;
+    /// [`Entry::extend_spill`] replays it to the tail before appending.
     spilled: Option<Arc<SpilledTrace>>,
 }
 
@@ -331,22 +339,14 @@ impl Entry {
     }
 
     /// Moves this entry to the spilled tier with at least `len`
-    /// instructions on disk, reusing a valid existing `(file, sidecar)`
-    /// pair when one is present. Callers must hold the [`SpillLock`] for
-    /// the file: adoption + append and fresh writes both mutate the
-    /// shared on-disk pair.
-    fn spill(
-        &mut self,
-        kind: WorkloadKind,
-        seed: u64,
-        len: usize,
-        dir: &Path,
-    ) -> Result<(), TraceFileError> {
+    /// instructions on disk, adopting an existing file of this stream
+    /// when one is present. Callers must hold the [`SpillLock`] for the
+    /// file: adoption + append and fresh writes both mutate the shared
+    /// file.
+    fn spill(&mut self, len: usize, dir: &Path) -> Result<(), TraceFileError> {
         fs::create_dir_all(dir)?;
-        let path = spill_path(dir, kind, seed);
-        let ckpt = path.with_extension("ckpt");
-        if let Some((generator, index)) = try_adopt(&path, &ckpt, kind, seed) {
-            self.generator = generator;
+        let path = spill_path(dir, self.kind, self.seed);
+        if let Some(index) = try_adopt(&path, self.kind, self.seed) {
             self.buf = TraceSoA::new();
             self.shared = None;
             self.spilled = Some(Arc::new(SpilledTrace {
@@ -368,20 +368,23 @@ impl Entry {
         }
         let index = w.finish()?;
         fs::rename(&tmp, &path)?;
-        write_sidecar(&ckpt, &self.generator.checkpoint())?;
         self.buf = TraceSoA::new();
         self.shared = None;
         self.spilled = Some(Arc::new(SpilledTrace { path, index }));
         Ok(())
     }
 
-    /// Appends to the spilled file until it holds `len` instructions,
-    /// resuming the paused generator. Handles holding the pre-append
+    /// Appends to the spilled file until it holds `len` instructions.
+    /// The generator is first replayed to the file's tail: restarted if
+    /// it stands past it, then skipped over the gap, which is empty when
+    /// this entry wrote the tail itself. Handles holding the pre-append
     /// index stay valid: appending only adds frames and rewrites the
     /// footer, never moves existing chunks.
     ///
     /// Callers must hold the [`SpillLock`] for the file: appends rewrite
-    /// the footer in place, so two writers interleaving would corrupt it.
+    /// the footer in place, so two writers interleaving would corrupt it,
+    /// and the tail read under the lock includes any other process's
+    /// appends, which are replayed here rather than overwritten.
     fn extend_spill(&mut self, len: usize) -> Result<(), TraceFileError> {
         let sp = self.spilled.as_ref().expect("extend requires a spill");
         if sp.index.total_insts >= len as u64 {
@@ -390,37 +393,18 @@ impl Entry {
         let path = sp.path.clone();
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut w = ChunkedWriter::resume(file)?;
-        if w.total_insts() != self.generator.emitted() {
-            // Another process appended since this entry last synced with
-            // the file (its sidecar moved with it). Re-adopt the on-disk
-            // (file, sidecar) pair so we resume from the true tail
-            // instead of appending stale instructions over it.
-            drop(w);
-            let ckpt = path.with_extension("ckpt");
-            let (generator, index) =
-                try_adopt(&path, &ckpt, self.kind, self.seed).ok_or_else(|| {
-                    TraceFileError::Io(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "spill file advanced but its sidecar no longer validates",
-                    ))
-                })?;
-            self.generator = generator;
-            self.spilled = Some(Arc::new(SpilledTrace {
-                path: path.clone(),
-                index,
-            }));
-            if self.spilled.as_ref().expect("just set").index.total_insts >= len as u64 {
-                return Ok(());
+        let tail = w.total_insts();
+        if tail < len as u64 {
+            if self.generator.emitted() > tail {
+                self.generator = Workload::new(self.kind, self.seed);
             }
-            let file = OpenOptions::new().read(true).write(true).open(&path)?;
-            w = ChunkedWriter::resume(file)?;
-        }
-        let need = len as u64 - w.total_insts();
-        for inst in self.generator.by_ref().take(need as usize) {
-            w.push(&inst)?;
+            self.generator
+                .skip_insts((tail - self.generator.emitted()) as usize);
+            for inst in self.generator.by_ref().take((len as u64 - tail) as usize) {
+                w.push(&inst)?;
+            }
         }
         let index = w.finish()?;
-        write_sidecar(&path.with_extension("ckpt"), &self.generator.checkpoint())?;
         self.spilled = Some(Arc::new(SpilledTrace { path, index }));
         Ok(())
     }
@@ -439,17 +423,19 @@ fn spill_path(dir: &Path, kind: WorkloadKind, seed: u64) -> PathBuf {
     dir.join(format!("{kind:?}-{seed}.mlp2").to_lowercase())
 }
 
-/// Advisory writer lock for one spill file: a `.lock` sidecar created
-/// with `O_EXCL` holding the owner's pid, removed on drop.
+/// Advisory writer lock for one spill file: a `.lock` file beside it,
+/// created with `O_EXCL` holding the owner's pid, removed on drop.
 ///
 /// Spill files are shared across processes (adoption), and appends
 /// rewrite the footer in place, so two writers interleaving would
-/// corrupt the file. The lock serializes *writers* only — reads of
-/// already-written frames need no lock because appends never move
-/// existing chunks. A lock whose owner pid is no longer alive (per
-/// `/proc`) is stale — e.g. a crashed run — and is stolen; on platforms
-/// without `/proc` liveness is unknowable, so locks are honoured until
-/// their owner removes them.
+/// corrupt the file. Under the lock the file's instruction count is
+/// exactly where an appending generator must stand, so a writer replays
+/// another's appends instead of writing over them. The lock serializes
+/// *writers* only — reads of already-written frames need no lock
+/// because appends never move existing chunks. A lock whose owner pid
+/// is no longer alive (per `/proc`) is stale — e.g. a crashed run — and
+/// is stolen; on platforms without `/proc` liveness is unknowable, so
+/// locks are honoured until their owner removes them.
 struct SpillLock {
     path: PathBuf,
 }
@@ -521,34 +507,18 @@ fn lock_is_stale(lock_path: &Path) -> bool {
     !proc_root.join(pid.to_string()).exists()
 }
 
-/// Writes a checkpoint sidecar atomically (temp + rename).
-fn write_sidecar(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("ckpt.tmp");
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
-}
-
-/// Validates an existing spill `(file, sidecar)` pair for `(kind, seed)`
-/// and returns the resumed generator plus the file's index, or `None` if
-/// anything is missing, corrupt, or inconsistent (in which case the
-/// caller regenerates from scratch).
-fn try_adopt(
-    path: &Path,
-    ckpt: &Path,
-    kind: WorkloadKind,
-    seed: u64,
-) -> Option<(Workload, ChunkIndex)> {
-    let bytes = fs::read(ckpt).ok()?;
-    if Workload::checkpoint_seed(&bytes) != Ok(seed) {
-        return None;
-    }
-    let generator = Workload::restore(&kind.config(), &bytes).ok()?;
+/// The index of the spill file at `path` if it holds the stream of
+/// `(kind, seed)`: its footer index reads and its first chunk equals
+/// what this build generates. `None` for a missing or damaged file, or
+/// one of another stream or another build's generator; the caller then
+/// regenerates from scratch.
+fn try_adopt(path: &Path, kind: WorkloadKind, seed: u64) -> Option<ChunkIndex> {
     let mut file = File::open(path).ok()?;
     let index = read_index(&mut file).ok()?;
-    if index.total_insts != generator.emitted() {
-        return None;
-    }
-    Some((generator, index))
+    let first = index.chunks.first()?.n_insts as usize;
+    let on_disk = read_chunk_at(&mut file, &index, 0).ok()?;
+    let fresh: Vec<Inst> = Workload::new(kind, seed).take(first).collect();
+    (on_disk == TraceSoA::from_insts(&fresh)).then_some(index)
 }
 
 /// The store's spill policy: where spilled files go and how many resident
@@ -670,7 +640,7 @@ impl TraceStore {
         if policy.should_spill(len) && fs::create_dir_all(&policy.dir).is_ok() {
             let path = spill_path(&policy.dir, kind, seed);
             if let Some(_lock) = SpillLock::acquire(&path) {
-                if entry.spill(kind, seed, len, &policy.dir).is_ok() {
+                if entry.spill(len, &policy.dir).is_ok() {
                     return entry.spilled_trace(len);
                 }
             }
@@ -681,7 +651,7 @@ impl TraceStore {
     }
 
     /// Drop every cached trace (used to benchmark cold-vs-cached sweeps),
-    /// deleting spilled files and their checkpoint sidecars.
+    /// deleting spilled files.
     /// Outstanding `SharedTrace`s on the memory tier stay valid; spilled
     /// handles must not outlive the clear. Future requests regenerate.
     pub fn clear(&self) {
@@ -690,7 +660,6 @@ impl TraceStore {
             let entry = cell.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(sp) = &entry.spilled {
                 let _ = fs::remove_file(&sp.path);
-                let _ = fs::remove_file(sp.path.with_extension("ckpt"));
                 let _ = fs::remove_file(sp.path.with_extension("lock"));
             }
         }
@@ -743,16 +712,20 @@ impl Default for TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_isa::TraceSource;
 
     /// A store spilling everything into a fresh temp dir, plus the dir
     /// (removed on drop).
     fn spilling_store(tag: &str) -> (TraceStore, TempDir) {
         let dir = TempDir::new(tag);
+        (store_in(&dir.0), dir)
+    }
+
+    /// A store spilling everything into `dir`.
+    fn store_in(dir: &Path) -> TraceStore {
         let store = TraceStore::new();
-        store.set_cache_dir(&dir.0);
+        store.set_cache_dir(dir);
         store.set_cache_bytes(0);
-        (store, dir)
+        store
     }
 
     struct TempDir(PathBuf);
@@ -976,7 +949,7 @@ mod tests {
         let (store, dir) = spilling_store("clear");
         store.trace(WorkloadKind::Database, 3, 80_000);
         let entries = fs::read_dir(&dir.0).unwrap().count();
-        assert!(entries >= 2, "file + sidecar on disk");
+        assert_eq!(entries, 1, "the spilled file alone on disk");
         store.clear();
         assert_eq!(fs::read_dir(&dir.0).unwrap().count(), 0);
         assert_eq!(store.spilled_bytes(), 0);
@@ -989,19 +962,51 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_sidecar_triggers_regeneration() {
-        let (store, dir) = spilling_store("corrupt");
-        let t = store.trace(WorkloadKind::Database, 5, 60_000);
-        let want = t.to_vec();
-        drop(store);
-        // Corrupt the sidecar; a new store must regenerate, not adopt.
-        let ckpt = spill_path(&dir.0, WorkloadKind::Database, 5).with_extension("ckpt");
-        fs::write(&ckpt, b"garbage").unwrap();
-        let store = TraceStore::new();
-        store.set_cache_dir(&dir.0);
-        store.set_cache_bytes(0);
-        let again = store.trace(WorkloadKind::Database, 5, 60_000);
-        assert_eq!(again.to_vec(), want);
+    fn a_file_of_another_stream_is_regenerated() {
+        let want: Vec<Inst> = Workload::new(WorkloadKind::Database, 5)
+            .take(60_000)
+            .collect();
+        // Seed 6's file under seed 5's name: its footer reads, but its
+        // first chunk is another stream.
+        let foreign = TempDir::new("foreign");
+        store_in(&foreign.0).trace(WorkloadKind::Database, 6, 60_000);
+        fs::copy(
+            spill_path(&foreign.0, WorkloadKind::Database, 6),
+            spill_path(&foreign.0, WorkloadKind::Database, 5),
+        )
+        .unwrap();
+        // Seed 5's own file, cut inside its footer (the trailer's first
+        // eight bytes hold the footer's offset).
+        let cut = TempDir::new("cut");
+        store_in(&cut.0).trace(WorkloadKind::Database, 5, 60_000);
+        let path = spill_path(&cut.0, WorkloadKind::Database, 5);
+        let bytes = fs::read(&path).unwrap();
+        let trailer: [u8; 8] = bytes[bytes.len() - 12..][..8].try_into().unwrap();
+        fs::write(&path, &bytes[..u64::from_le_bytes(trailer) as usize + 8]).unwrap();
+        for dir in [&foreign, &cut] {
+            let again = store_in(&dir.0).trace(WorkloadKind::Database, 5, 60_000);
+            assert!(again.is_spilled());
+            assert_eq!(again.to_vec(), want, "{}", dir.0.display());
+        }
+    }
+
+    #[test]
+    fn a_longer_memory_prefix_adopts_a_shorter_file() {
+        let dir = TempDir::new("prefix");
+        let a = store_in(&dir.0);
+        a.trace(WorkloadKind::SpecWeb99, 9, 60_000);
+        // b holds more of the stream in memory than a's file does, so
+        // after adopting the file its generator stands past the tail.
+        let b = store_in(&dir.0);
+        b.set_cache_bytes(u64::MAX);
+        assert!(!b.trace(WorkloadKind::SpecWeb99, 9, 100_000).is_spilled());
+        b.set_cache_bytes(0);
+        let t = b.trace(WorkloadKind::SpecWeb99, 9, 150_000);
+        assert!(t.is_spilled());
+        let fresh: Vec<Inst> = Workload::new(WorkloadKind::SpecWeb99, 9)
+            .take(150_000)
+            .collect();
+        assert_eq!(t.to_vec(), fresh);
     }
 
     #[test]
@@ -1082,8 +1087,8 @@ mod tests {
         // b adopts the file at 60k and appends to 90k; a's generator is
         // now 30k instructions behind the file tail.
         let _b1 = b.trace(WorkloadKind::SpecJbb2000, 17, 90_000);
-        // a extending to 120k must resync from the sidecar and append
-        // after the true tail, not write stale instructions over it.
+        // a extending to 120k must replay its generator to the true tail
+        // and append after it, not write stale instructions over it.
         let t = a.trace(WorkloadKind::SpecJbb2000, 17, 120_000);
         assert!(t.is_spilled());
         let fresh: Vec<Inst> = Workload::new(WorkloadKind::SpecJbb2000, 17)

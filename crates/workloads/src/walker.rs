@@ -56,29 +56,15 @@ struct Excursion {
     ret_pc: u64,
 }
 
-impl Excursion {
-    /// Whether a cold call under `cfg` could have left this excursion:
-    /// its pc lies in the cold-code region (which an excursion starting
-    /// on the last line may run past by its length) and stepping through
-    /// its remaining instructions cannot overflow the pc.
-    fn fits(&self, cfg: &WorkloadConfig) -> bool {
-        let max_len = (cfg.icold_len_mean / 2 + cfg.icold_len_mean.max(1)) as u64;
-        let end = layout::COLD_CODE_BASE
-            .saturating_add(layout::COLD_CODE_BYTES)
-            .saturating_add(max_len.saturating_mul(4));
-        (layout::COLD_CODE_BASE..end).contains(&self.pc)
-            && (self.remaining as u64)
-                .checked_mul(4)
-                .and_then(|steps| self.pc.checked_add(steps))
-                .is_some()
-    }
-}
-
 /// A streaming synthetic workload trace.
 ///
 /// `Workload` implements [`Iterator`] over [`Inst`] (and therefore
 /// [`mlp_isa::TraceSource`]), generating the dynamic instruction stream on
-/// the fly, deterministically from `(kind/config, seed)`.
+/// the fly, deterministically from `(kind/config, seed)`. The stream is a
+/// pure function of those two, so a generator's state after `n`
+/// instructions is reached by replaying them from [`Workload::new`]: the
+/// trace store grows a spilled file by skipping a fresh generator past
+/// the instructions the file holds, and saves no generator state.
 ///
 /// # Examples
 ///
@@ -328,169 +314,6 @@ impl Workload {
         inst
     }
 
-    /// Serializes the generator's dynamic state (RNG, ring position, call
-    /// stack, planned prefetches, sticky values, ...) into a stable,
-    /// versioned byte snapshot. Restoring it with [`Workload::restore`]
-    /// resumes the stream exactly where it left off: the continuation is
-    /// byte-identical to an uninterrupted run.
-    ///
-    /// The static program is *not* serialized — it is a pure function of
-    /// `(config, seed)` and is rebuilt on restore. Map contents are
-    /// written in sorted key order, so the same state always produces the
-    /// same bytes.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(ckpt::MAGIC);
-        out.extend_from_slice(&ckpt::VERSION.to_le_bytes());
-        out.extend_from_slice(&self.program.seed.to_le_bytes());
-        for w in self.rng.state() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.extend_from_slice(&self.emitted.to_le_bytes());
-        out.extend_from_slice(&(self.idx as u64).to_le_bytes());
-        out.extend_from_slice(&(self.chase_pos as u64).to_le_bytes());
-        out.extend_from_slice(&(self.alu_rot as u64).to_le_bytes());
-        out.extend_from_slice(&(self.hot_rot as u64).to_le_bytes());
-        out.push(self.last_cold_reg.index() as u8);
-        out.extend_from_slice(&self.last_cold_value.to_le_bytes());
-        out.extend_from_slice(&(self.call_stack.len() as u32).to_le_bytes());
-        for &f in &self.call_stack {
-            out.extend_from_slice(&(f as u64).to_le_bytes());
-        }
-        match &self.excursion {
-            None => out.push(0),
-            Some(ex) => {
-                out.push(1);
-                out.extend_from_slice(&(ex.remaining as u64).to_le_bytes());
-                out.extend_from_slice(&ex.pc.to_le_bytes());
-                out.extend_from_slice(&(ex.ret_idx as u64).to_le_bytes());
-                out.extend_from_slice(&ex.ret_pc.to_le_bytes());
-            }
-        }
-        let mut planned: Vec<_> = self.planned.iter().collect();
-        planned.sort_by_key(|(k, _)| **k);
-        out.extend_from_slice(&(planned.len() as u32).to_le_bytes());
-        for (k, q) in planned {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&(q.len() as u32).to_le_bytes());
-            for &a in q {
-                out.extend_from_slice(&a.to_le_bytes());
-            }
-        }
-        let mut sticky: Vec<_> = self.sticky.iter().collect();
-        sticky.sort_by_key(|(k, _)| **k);
-        out.extend_from_slice(&(sticky.len() as u32).to_le_bytes());
-        for (k, v) in sticky {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut visits: Vec<_> = self.branch_visits.iter().collect();
-        visits.sort_by_key(|(k, _)| **k);
-        out.extend_from_slice(&(visits.len() as u32).to_le_bytes());
-        for (k, v) in visits {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// The seed recorded in a [`Workload::checkpoint`] snapshot, without
-    /// restoring it.
-    pub fn checkpoint_seed(bytes: &[u8]) -> Result<u64, &'static str> {
-        let mut cur = ckpt::Cur::new(bytes)?;
-        cur.u64()
-    }
-
-    /// Rebuilds a generator from a configuration and a
-    /// [`Workload::checkpoint`] snapshot (the seed is part of the
-    /// snapshot). Returns an error on any truncated, corrupt or
-    /// version-mismatched snapshot; never panics.
-    pub fn restore(config: &WorkloadConfig, bytes: &[u8]) -> Result<Workload, &'static str> {
-        let mut cur = ckpt::Cur::new(bytes)?;
-        let seed = cur.u64()?;
-        let mut rng_state = [0u64; 4];
-        for w in &mut rng_state {
-            *w = cur.u64()?;
-        }
-        if rng_state == [0; 4] {
-            return Err("all-zero rng state");
-        }
-        let program = Program::build(config, seed);
-        let ring = program.len();
-        let emitted = cur.u64()?;
-        let idx = cur.index(ring)?;
-        let chase_pos = cur.index(program.chase_nodes.len().max(1))?;
-        let alu_rot = cur.u64()? as usize;
-        let hot_rot = cur.u64()? as usize;
-        let last_cold_reg = Reg::int_masked(cur.u8()?);
-        let last_cold_value = cur.u64()?;
-        let n = cur.u32()? as usize;
-        if n > MAX_CALL_DEPTH {
-            return Err("call stack too deep");
-        }
-        let mut call_stack = Vec::with_capacity(n);
-        for _ in 0..n {
-            call_stack.push(cur.index(ring)?);
-        }
-        let excursion = match cur.u8()? {
-            0 => None,
-            1 => Some(Excursion {
-                remaining: cur.u64()? as usize,
-                pc: cur.u64()?,
-                ret_idx: cur.index(ring)?,
-                ret_pc: cur.u64()?,
-            }),
-            _ => return Err("bad excursion tag"),
-        };
-        if let Some(ex) = &excursion {
-            if !ex.fits(&program.cfg) {
-                return Err("excursion outside cold code");
-            }
-        }
-        let n = cur.u32()? as usize;
-        let mut planned: FxHashMap<u32, VecDeque<u64>> = FxHashMap::default();
-        for _ in 0..n {
-            let k = cur.u32()?;
-            let qlen = cur.u32()? as usize;
-            let mut q = VecDeque::with_capacity(qlen.min(1 << 16));
-            for _ in 0..qlen {
-                q.push_back(cur.u64()?);
-            }
-            planned.insert(k, q);
-        }
-        let n = cur.u32()? as usize;
-        let mut sticky: FxHashMap<u32, u64> = FxHashMap::default();
-        for _ in 0..n {
-            let k = cur.u32()?;
-            sticky.insert(k, cur.u64()?);
-        }
-        let n = cur.u32()? as usize;
-        let mut branch_visits: FxHashMap<u32, u32> = FxHashMap::default();
-        for _ in 0..n {
-            let k = cur.u32()?;
-            branch_visits.insert(k, cur.u32()?);
-        }
-        if !cur.done() {
-            return Err("trailing bytes");
-        }
-        Ok(Workload {
-            program,
-            rng: SmallRng::from_state(rng_state),
-            idx,
-            call_stack,
-            excursion,
-            planned,
-            sticky,
-            chase_pos,
-            branch_visits,
-            last_cold_reg,
-            last_cold_value,
-            alu_rot,
-            hot_rot,
-            emitted,
-        })
-    }
-
     fn step_excursion(&mut self) -> Inst {
         let ex = self.excursion.as_mut().expect("excursion active");
         if ex.remaining > 0 {
@@ -503,71 +326,6 @@ impl Workload {
             self.excursion = None;
             self.idx = ret_idx;
             Inst::ret(pc, ret_pc)
-        }
-    }
-}
-
-/// Wire helpers for [`Workload::checkpoint`] snapshots.
-mod ckpt {
-    pub(super) const MAGIC: &[u8; 4] = b"MLPK";
-    pub(super) const VERSION: u16 = 1;
-
-    /// Bounds-checked little-endian reader over a snapshot.
-    pub(super) struct Cur<'a> {
-        b: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cur<'a> {
-        pub(super) fn new(b: &'a [u8]) -> Result<Cur<'a>, &'static str> {
-            let mut cur = Cur { b, pos: 0 };
-            let mut magic = [0u8; 4];
-            for m in &mut magic {
-                *m = cur.u8()?;
-            }
-            if &magic != MAGIC {
-                return Err("bad checkpoint magic");
-            }
-            let version = u16::from_le_bytes([cur.u8()?, cur.u8()?]);
-            if version != VERSION {
-                return Err("unsupported checkpoint version");
-            }
-            Ok(cur)
-        }
-
-        fn take(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
-            let end = self.pos.checked_add(n).ok_or("truncated checkpoint")?;
-            if end > self.b.len() {
-                return Err("truncated checkpoint");
-            }
-            let s = &self.b[self.pos..end];
-            self.pos = end;
-            Ok(s)
-        }
-
-        pub(super) fn u8(&mut self) -> Result<u8, &'static str> {
-            Ok(self.take(1)?[0])
-        }
-
-        pub(super) fn u32(&mut self) -> Result<u32, &'static str> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-
-        pub(super) fn u64(&mut self) -> Result<u64, &'static str> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-
-        /// A u64 that must be a valid index below `bound`.
-        pub(super) fn index(&mut self, bound: usize) -> Result<usize, &'static str> {
-            let v = self.u64()?;
-            if v >= bound as u64 {
-                return Err("index out of range");
-            }
-            Ok(v as usize)
-        }
-
-        pub(super) fn done(&self) -> bool {
-            self.pos == self.b.len()
         }
     }
 }
@@ -700,87 +458,6 @@ mod tests {
             wl.next();
         }
         assert_eq!(wl.emitted(), 1000);
-    }
-
-    #[test]
-    fn checkpoint_resume_is_byte_identical() {
-        for kind in [
-            WorkloadKind::Database,
-            WorkloadKind::SpecJbb2000,
-            WorkloadKind::SpecWeb99,
-        ] {
-            let mut wl = Workload::new(kind, 21);
-            let head: Vec<Inst> = wl.by_ref().take(30_000).collect();
-            let snap = wl.checkpoint();
-            let tail: Vec<Inst> = wl.take(30_000).collect();
-            let mut resumed = Workload::restore(&kind.config(), &snap).expect("valid snapshot");
-            assert_eq!(resumed.emitted(), head.len() as u64);
-            let resumed_tail: Vec<Inst> = resumed.by_ref().take(30_000).collect();
-            assert_eq!(resumed_tail, tail, "{kind:?} continuation must match");
-            // And the whole stream equals an uninterrupted run.
-            let full: Vec<Inst> = Workload::new(kind, 21).take(60_000).collect();
-            assert_eq!([head, tail].concat(), full);
-        }
-    }
-
-    #[test]
-    fn checkpoint_encoding_is_stable() {
-        let mut a = Workload::new(WorkloadKind::Database, 5);
-        let mut b = Workload::new(WorkloadKind::Database, 5);
-        for _ in 0..40_000 {
-            a.next();
-            b.next();
-        }
-        assert_eq!(a.checkpoint(), b.checkpoint(), "same state, same bytes");
-        assert_eq!(Workload::checkpoint_seed(&a.checkpoint()), Ok(5));
-    }
-
-    #[test]
-    fn excursions_outside_cold_code_are_rejected() {
-        let cfg = WorkloadKind::Database.config();
-        let mut wl = Workload::new(WorkloadKind::Database, 17);
-        while wl.excursion.is_none() {
-            wl.next();
-        }
-        assert!(Workload::restore(&cfg, &wl.checkpoint()).is_ok());
-        let ex = wl.excursion.as_mut().expect("in an excursion");
-        // A pc that overflows on the next step used to panic `next()`
-        // ("attempt to add with overflow") after restoring fine.
-        ex.pc = u64::MAX - 1;
-        assert!(Workload::restore(&cfg, &wl.checkpoint()).is_err());
-        let ex = wl.excursion.as_mut().expect("in an excursion");
-        ex.pc = layout::CODE_BASE;
-        assert!(Workload::restore(&cfg, &wl.checkpoint()).is_err());
-        let ex = wl.excursion.as_mut().expect("in an excursion");
-        ex.pc = layout::COLD_CODE_BASE;
-        ex.remaining = usize::MAX / 2;
-        assert!(Workload::restore(&cfg, &wl.checkpoint()).is_err());
-    }
-
-    #[test]
-    fn corrupt_checkpoints_are_rejected() {
-        let mut wl = Workload::new(WorkloadKind::SpecJbb2000, 3);
-        for _ in 0..10_000 {
-            wl.next();
-        }
-        let good = wl.checkpoint();
-        let cfg = WorkloadKind::SpecJbb2000.config();
-        assert!(Workload::restore(&cfg, &good).is_ok());
-        // Truncations at every prefix length parse-fail, never panic.
-        for n in 0..good.len() {
-            assert!(Workload::restore(&cfg, &good[..n]).is_err());
-        }
-        // Trailing garbage is rejected.
-        let mut long = good.clone();
-        long.push(0);
-        assert!(Workload::restore(&cfg, &long).is_err());
-        // Bad magic / version.
-        let mut bad = good.clone();
-        bad[0] ^= 0xff;
-        assert!(Workload::restore(&cfg, &bad).is_err());
-        let mut bad = good;
-        bad[4] = 0xee;
-        assert!(Workload::restore(&cfg, &bad).is_err());
     }
 
     #[test]

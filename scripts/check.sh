@@ -106,7 +106,11 @@ echo "==> streaming smoke (spilled trace run == in-memory run)"
 # fm runs the cycle pipeline, whose functional warm-up then reads a
 # chunked source; in rae-timing the conventional, perfect-L2 and
 # runahead runs share one warm state per workload in memory, while
-# spilled each run warms itself.
+# spilled each run warms itself. A spill leaves its trace file alone,
+# with no generator snapshot beside it. Then a new process runs table5
+# at a longer window on the same cache: it adopts each spilled file,
+# replays the generator past what the file holds and appends, and its
+# report must equal the in-memory run's at that window.
 stream_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir" "$stream_dir"' EXIT
 target/release/mlp-experiments --only table5,epochs,fm,rae-timing --scale quick \
@@ -114,9 +118,17 @@ target/release/mlp-experiments --only table5,epochs,fm,rae-timing --scale quick 
 MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments --only table5,epochs,fm,rae-timing \
     --scale quick --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
 ls "$stream_dir"/cache/*.mlp2 >/dev/null   # traces really went to disk
+if compgen -G "$stream_dir/cache/*.ckpt" >/dev/null; then
+    echo "a spilled run left .ckpt files in its cache" >&2
+    exit 1
+fi
 for exp in table5 epochs fm rae-timing; do
     diff "$stream_dir/mem/$exp.quick.json" "$stream_dir/disk/$exp.quick.json"
 done
+target/release/mlp-experiments table5 --inst-window 2M --json "$stream_dir/mem" >/dev/null
+MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments table5 --inst-window 2M \
+    --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
+diff "$stream_dir/mem/table5.custom.json" "$stream_dir/disk/table5.custom.json"
 # The trace writer is deterministic (the same trace twice is the same
 # bytes), a written trace reads back through info and dump, and a
 # spilled cache file reads back as an ordinary trace.

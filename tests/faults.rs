@@ -366,3 +366,76 @@ fn mlp_trace_dump_into_a_closed_pipe_exits_quietly() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// `trace-bitflip` reaches spilled runs: armed at chunk 0's first
+/// payload byte (12-byte file header, then a 20-byte frame header), it
+/// corrupts the first chunk of every spilled trace as the run reads it
+/// back, so `table5` degrades naming that chunk instead of reporting as
+/// if nothing were armed.
+#[test]
+fn trace_bitflip_reaches_spilled_runs() {
+    let dir = scratch("bitflip-spill");
+    let out = Command::new(experiments_bin())
+        .args(["table5", "--scale", "quick", "--trace-cache"])
+        .arg(dir.join("cache"))
+        .arg("--json")
+        .arg(&dir)
+        .env_remove("MLP_BLESS")
+        .env("MLP_THREADS", "1")
+        .env("MLP_TRACE_CACHE_BYTES", "0")
+        .env("MLP_FAULT", format!("trace-bitflip:{}", (12 + 20) * 8))
+        .output()
+        .expect("spawn mlp-experiments");
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{}", stderr_of(&out));
+    let json = read(&dir.join("table5.quick.json"));
+    assert!(json.contains("\"status\": \"failed\""), "{json}");
+    assert!(json.contains("corrupt trace chunk 0"), "{json}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `mlp-trace dump` decodes only the chunks it prints. With the last of
+/// three chunks damaged, `dump` still prints its first lines and takes
+/// the count of the rest from the footer index, while `stats`, which
+/// decodes every chunk, names the damaged one.
+#[test]
+fn mlp_trace_dump_reads_only_what_it_prints() {
+    let dir = scratch("dump");
+    let trace = dir.join("t.mlp2");
+    let trace_str = trace.to_str().unwrap();
+    let gen = Command::new(trace_bin())
+        .args(["gen", "db", "140000", trace_str])
+        .output()
+        .expect("spawn");
+    assert!(gen.status.success(), "stderr:\n{}", stderr_of(&gen));
+
+    // Flip the byte just before the footer, the last payload byte of
+    // chunk 2; the trailer's first eight bytes hold the footer's offset.
+    let mut bytes = fs::read(&trace).expect("read trace");
+    let trailer = bytes.len() - 12;
+    let footer = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
+    bytes[footer as usize - 1] ^= 0xff;
+    fs::write(&trace, &bytes).expect("rewrite trace");
+
+    let dump = Command::new(trace_bin())
+        .args(["dump", trace_str, "5"])
+        .output()
+        .expect("spawn");
+    assert_eq!(dump.status.code(), Some(0), "stderr:\n{}", stderr_of(&dump));
+    let text = stdout_of(&dump);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 6, "{text}");
+    assert_eq!(lines[5], "... (139995 more)");
+
+    let stats = Command::new(trace_bin())
+        .args(["stats", trace_str])
+        .output()
+        .expect("spawn");
+    assert_eq!(stats.status.code(), Some(1));
+    let err = stderr_of(&stats);
+    assert!(
+        err.contains("chunk 2"),
+        "stats must name the damaged chunk:\n{err}"
+    );
+
+    let _ = fs::remove_dir_all(&dir);
+}
