@@ -18,7 +18,10 @@
 //! bytes per instruction. `dump` reads only what it prints: the chunks
 //! holding its first `count` instructions, and the count of the rest
 //! from the footer index, so it needs one chunk's memory whatever the
-//! trace's length. `stats` decodes every chunk.
+//! trace's length. `stats` decodes every chunk but folds each one into
+//! its counts as it goes, so it too holds one chunk at a time (plus the
+//! sets of distinct lines it counts), and `gen` writes the generator's
+//! stream as it comes.
 //!
 //! `import` reads a gem5-ish text listing, one instruction per line
 //! (`#` comments and blank lines ignored), fields whitespace-separated:
@@ -45,7 +48,7 @@
 //! not a failure: the command stops quietly with `0`.
 
 use mlp_isa::chunked::{self, TraceFileError};
-use mlp_isa::{Inst, InstMix, Reg, TraceStats};
+use mlp_isa::{Inst, Reg, TraceStats};
 use mlp_workloads::{Workload, WorkloadKind};
 use std::fmt;
 use std::fs::File;
@@ -148,12 +151,11 @@ fn main() {
 }
 
 /// Writes `insts` to `path`.
-fn write_trace(path: &str, insts: &[Inst]) -> Result<(), CliError> {
+fn write_trace(path: &str, insts: impl IntoIterator<Item = Inst>) -> Result<(), CliError> {
     let file = File::create(path).map_err(ctx("create", path))?;
     let mut w = chunked::ChunkedWriter::new(BufWriter::new(file), chunked::DEFAULT_CHUNK_INSTS)
         .map_err(ctx("write", path))?;
-    w.extend(insts.iter().copied())
-        .map_err(ctx("write", path))?;
+    w.extend(insts).map_err(ctx("write", path))?;
     w.finish().map_err(ctx("write", path))?;
     Ok(())
 }
@@ -174,8 +176,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 .first()
                 .map(|s| s.parse::<u64>().unwrap_or_else(|_| usage()))
                 .unwrap_or(42);
-            let insts: Vec<_> = Workload::new(kind, seed).take(count).collect();
-            write_trace(path, &insts)?;
+            write_trace(path, Workload::new(kind, seed).take(count))?;
             writeln!(
                 out,
                 "wrote {count} instructions of {kind} (seed {seed}) to {path}"
@@ -183,10 +184,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         }
         Some("stats") => {
             let [_, path] = args else { usage() };
-            let insts = read_trace(path)?;
-            let mix: InstMix = insts.iter().collect();
-            let stats = TraceStats::from_insts(&insts);
-            writeln!(out, "{mix}")?;
+            let stats = read_stats(path)?;
+            writeln!(out, "{}", stats.mix)?;
             writeln!(
                 out,
                 "data footprint: {} KB in {} lines",
@@ -202,7 +201,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             writeln!(
                 out,
                 "taken conditional branches: {} of {}",
-                stats.taken_cond, mix.cond_branches
+                stats.taken_cond, stats.mix.cond_branches
             )?;
         }
         Some("dump") => {
@@ -224,7 +223,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 context: format!("cannot import {input}"),
                 cause: CliCause::Parse(e),
             })?;
-            write_trace(output, &insts)?;
+            write_trace(output, insts.iter().copied())?;
             writeln!(
                 out,
                 "imported {} instructions: {input} -> {output}",
@@ -236,11 +235,27 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads a whole trace.
-fn read_trace(path: &str) -> Result<Vec<Inst>, CliError> {
+/// Folds every chunk of a trace into its statistics, one chunk at a
+/// time; the streaming reader still checks every frame, the footer and
+/// the end of the file.
+fn read_stats(path: &str) -> Result<TraceStats, CliError> {
     let file = File::open(path).map_err(ctx("open", path))?;
-    let soa = chunked::read_all(BufReader::new(file)).map_err(ctx("read trace", path))?;
-    Ok((0..soa.len()).map(|i| soa.get(i)).collect())
+    let mut trace =
+        chunked::ChunkedTrace::new(BufReader::new(file)).map_err(ctx("read trace", path))?;
+    let mut failed = None;
+    let chunks = std::iter::from_fn(|| {
+        trace.next_chunk().unwrap_or_else(|e| {
+            failed = Some(e);
+            None
+        })
+    });
+    let stats = chunks
+        .flat_map(|c| (0..c.len()).map(move |i| c.get(i)))
+        .collect();
+    match failed {
+        Some(e) => Err(ctx("read trace", path)(e)),
+        None => Ok(stats),
+    }
 }
 
 /// Prints the first `count` instructions, decoding only the chunks that

@@ -8,7 +8,7 @@
 
 use crate::registry::{Experiment, ExperimentRun};
 use crate::report::Row as JsonRow;
-use crate::runner::{cursor, sweep};
+use crate::runner::{shared_seeded, sweep, SEED};
 use crate::table::{f3, TextTable};
 use crate::RunScale;
 use mlp_isa::{OpKind, TraceSource};
@@ -43,7 +43,7 @@ pub struct Figure2 {
 pub fn run(scale: RunScale) -> Figure2 {
     let series = sweep(WorkloadKind::ALL.to_vec(), |&kind| {
         let total = scale.warmup + scale.measure;
-        let mut wl = cursor(kind, total);
+        let mut wl = shared_seeded(kind, SEED, total).cursor();
         let mut mem = Hierarchy::new(HierarchyConfig::default());
         let mut distances: Vec<u64> = Vec::new();
         let mut last_miss_at: Option<u64> = None;

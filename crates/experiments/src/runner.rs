@@ -28,8 +28,8 @@ use mlp_cyclesim::smt::{SmtReport, SmtSim};
 use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig, WarmState};
 use mlp_isa::{ChunkedSoaSource, SharedSoaSource};
 use mlp_mem::HierarchyConfig;
-use mlp_par::{JobPanic, SharedSlots};
-use mlp_workloads::{SharedTrace, TraceCursor, TraceStore, Workload, WorkloadKind};
+use mlp_par::SharedSlots;
+use mlp_workloads::{SharedTrace, TraceStore, WorkloadKind};
 use mlpsim::{Annotation, BranchMode, MlpsimConfig, Report, Simulator, ValueMode};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -107,7 +107,7 @@ fn with_sweep<R>(f: impl FnOnce(&SweepShared) -> Option<R>) -> Option<R> {
 /// The sweep point the current thread is running, if any. Set around
 /// every sweep job so failures deep inside a run — the drained-cursor
 /// guard, an engine assertion — can name the point that died.
-pub fn current_sweep_point() -> Option<String> {
+fn current_sweep_point() -> Option<String> {
     CURRENT_POINT.with(|p| p.borrow().clone())
 }
 
@@ -190,22 +190,6 @@ pub const MAX_READ_AHEAD: u64 = {
 /// stack (a runahead burst on top of a full fetch buffer near the retire
 /// limit), so a single [`MAX_READ_AHEAD`] is not enough margin.
 const TRACE_SLACK: u64 = 4 * MAX_READ_AHEAD;
-
-/// Creates the calibrated workload trace for `kind`.
-///
-/// Prefer [`cursor`] (or the `run_*` helpers) in sweeps: a streaming
-/// `Workload` regenerates the trace per run, a cursor replays the shared
-/// materialized copy.
-pub fn workload(kind: WorkloadKind) -> Workload {
-    Workload::new(kind, SEED)
-}
-
-/// A replay cursor over the shared materialized trace for `kind`,
-/// covering at least `insts` instructions plus engine read-ahead slack
-/// (and capped by the same fault-injection site as [`shared_seeded`]).
-pub fn cursor(kind: WorkloadKind, insts: u64) -> TraceCursor {
-    shared_seeded(kind, SEED, insts).cursor()
-}
 
 /// The shared column-trace handle for `kind`, covering at least `insts`
 /// instructions plus engine read-ahead slack. The hot `run_*` helpers
@@ -378,21 +362,6 @@ where
     mlp_par::par_map(&jobs, instrumented(f))
 }
 
-/// [`sweep`] with per-job panic containment: one slot per job, in job
-/// order, a panicking job yielding `Err(JobPanic)` while its siblings
-/// still complete. Use this when partial sweep results are worth
-/// keeping; [`sweep`] (which re-raises the first failure after the whole
-/// sweep finishes) is right for experiments whose tables need every
-/// point.
-pub fn try_sweep<T, R, F>(jobs: Vec<T>, f: F) -> Vec<Result<R, JobPanic>>
-where
-    T: Sync + std::fmt::Debug,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    mlp_par::try_par_map(&jobs, instrumented(f))
-}
-
 /// A sweep result indexed by job key.
 ///
 /// Experiments used to rebuild their tables from the *position* of each
@@ -415,39 +384,15 @@ pub struct SweepGrid<K, R> {
 }
 
 /// Maps `f` over `keys` in parallel (like [`sweep`]) and returns the
-/// results indexed by key.
+/// results indexed by key. Every point runs even when some panic: a grid
+/// is only useful complete, so the call then panics once, counting the
+/// failed points and quoting the first (in job order).
 ///
 /// # Panics
 ///
-/// Panics (debug builds) if two keys compare equal: every sweep point
-/// must be uniquely addressable.
+/// Panics if any point panicked, and (debug builds) if two keys compare
+/// equal: every sweep point must be uniquely addressable.
 pub fn sweep_grid<K, R, F>(keys: Vec<K>, f: F) -> SweepGrid<K, R>
-where
-    K: Sync + PartialEq + std::fmt::Debug,
-    R: Send,
-    F: Fn(&K) -> R + Sync,
-{
-    match try_sweep_grid(keys, f) {
-        Ok(grid) => grid,
-        Err(failures) => panic!(
-            "{} of the sweep's points panicked; first: {}",
-            failures.len(),
-            failures[0]
-        ),
-    }
-}
-
-/// [`sweep_grid`] with panic containment: `Ok(grid)` when every point
-/// completed, otherwise `Err` with every failed job (ordered by job
-/// index, each carrying its panic message). A grid is only useful
-/// complete — experiments index it by key and a missing key panics — so
-/// unlike [`try_sweep`] there is no partial-grid result.
-///
-/// # Panics
-///
-/// Panics (debug builds) if two keys compare equal: every sweep point
-/// must be uniquely addressable.
-pub fn try_sweep_grid<K, R, F>(keys: Vec<K>, f: F) -> Result<SweepGrid<K, R>, Vec<JobPanic>>
 where
     K: Sync + PartialEq + std::fmt::Debug,
     R: Send,
@@ -465,12 +410,15 @@ where
             Err(p) => failures.push(p),
         }
     }
-    if !failures.is_empty() {
-        return Err(failures);
+    if let Some(first) = failures.first() {
+        panic!(
+            "{} of the sweep's points panicked; first: {first}",
+            failures.len()
+        );
     }
-    Ok(SweepGrid {
+    SweepGrid {
         entries: keys.into_iter().zip(results).collect(),
-    })
+    }
 }
 
 impl<K: PartialEq + std::fmt::Debug, R> SweepGrid<K, R> {
@@ -603,8 +551,13 @@ mod tests {
 
     #[test]
     fn cursor_matches_streaming_workload() {
-        let fresh: Vec<_> = workload(WorkloadKind::Database).take(1_000).collect();
-        let cached: Vec<_> = cursor(WorkloadKind::Database, 1_000).take(1_000).collect();
+        let fresh: Vec<_> = mlp_workloads::Workload::new(WorkloadKind::Database, SEED)
+            .take(1_000)
+            .collect();
+        let cached: Vec<_> = shared_seeded(WorkloadKind::Database, SEED, 1_000)
+            .cursor()
+            .take(1_000)
+            .collect();
         assert_eq!(fresh, cached);
     }
 
@@ -614,41 +567,31 @@ mod tests {
         assert_eq!(out, (0..64u64).map(|x| x * x).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn try_sweep_contains_panics_per_slot() {
-        let out = try_sweep((0..8u64).collect(), |&x| {
-            if x == 5 {
-                panic!("point {x} exploded");
-            }
-            x + 100
-        });
-        assert_eq!(out.len(), 8);
-        for (i, slot) in out.iter().enumerate() {
-            if i == 5 {
-                let p = slot.as_ref().expect_err("job 5 must fail");
-                assert_eq!(p.index, 5);
-                assert!(p.message.contains("point 5 exploded"));
-            } else {
-                assert_eq!(slot.as_ref().ok().copied(), Some(i as u64 + 100));
-            }
-        }
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("must panic");
+        *payload.downcast::<String>().expect("a formatted message")
     }
 
     #[test]
-    fn try_sweep_grid_reports_every_failure() {
-        let failures = try_sweep_grid(vec![1u64, 2, 3, 4], |&k| {
-            if k % 2 == 0 {
-                panic!("even key {k}");
-            }
-            k
-        })
-        .expect_err("even keys must fail");
-        assert_eq!(failures.len(), 2);
-        assert_eq!(failures[0].index, 1);
-        assert_eq!(failures[1].index, 3);
-
-        let grid = try_sweep_grid(vec![1u64, 3], |&k| k * 2).expect("clean sweep");
-        assert_eq!(grid[&3], 6);
+    fn sweep_grid_reports_every_failure() {
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let message = panic_message(|| {
+            sweep_grid(vec![1u64, 2, 3, 4], |&k| {
+                ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if k % 2 == 0 {
+                    panic!("even key {k}");
+                }
+                k
+            });
+        });
+        assert_eq!(ran.into_inner(), 4, "every point runs");
+        assert!(
+            message.starts_with("2 of the sweep's points panicked; first: ")
+                && message.contains("even key 2")
+                && !message.contains("even key 4"),
+            "got: {message}"
+        );
     }
 
     #[test]
@@ -673,18 +616,17 @@ mod tests {
 
     #[test]
     fn sweep_panics_name_their_point() {
-        let out = try_sweep(vec![("db", 1u64), ("web", 2)], |&(name, n)| {
-            if n == 2 {
-                panic!("{name} exploded{}", point_context());
-            }
-            n
+        let message = panic_message(|| {
+            sweep_grid(vec![("db", 1u64), ("web", 2)], |&(name, n)| {
+                if n == 2 {
+                    panic!("{name} exploded{}", point_context());
+                }
+                n
+            });
         });
-        assert_eq!(out[0].as_ref().ok().copied(), Some(1));
-        let p = out[1].as_ref().expect_err("job 1 must fail");
         assert!(
-            p.message.contains("sweep point (\"web\", 2)"),
-            "panic must carry the Debug-rendered sweep point, got: {}",
-            p.message
+            message.contains("web exploded (sweep point (\"web\", 2))"),
+            "panic must carry the Debug-rendered sweep point, got: {message}"
         );
     }
 

@@ -26,17 +26,17 @@
 //! `Δvarint` columns store per-column successive differences,
 //! zigzag-mapped and LEB128-encoded: program counters, effective
 //! addresses and branch targets are locally dense, so deltas are short.
-//! Derived columns (dependence slots, the candidate index) are *not*
-//! stored. Both directions move whole columns, never `Inst` records:
-//! the writer buffers only the stored columns and encodes them straight
-//! into the frame payload, and the decoder reads each column straight
-//! into the output [`TraceSoA`], re-validates every record, then
-//! derives the dependence slots and candidate index column by column
-//! with the same code [`TraceSoA::push`] uses. Each side folds the
-//! FNV-1a checksum into that one pass over the payload; a reader still
-//! reports a checksum mismatch ahead of any decode error. The trailer
-//! makes the file appendable: seek to `footer_offset`, continue writing
-//! frames, then rewrite footer + trailer ([`ChunkedWriter::resume`]).
+//! Derived columns (the dependence slots) are *not* stored. Both
+//! directions move whole columns, never `Inst` records: the writer
+//! buffers only the stored columns and encodes them straight into the
+//! frame payload, and the decoder reads each column straight into the
+//! output [`TraceSoA`], re-validates every record, then derives the
+//! dependence slots column by column with the same code
+//! [`TraceSoA::push`] uses. Each side folds the FNV-1a checksum into
+//! that one pass over the payload; a reader still reports a checksum
+//! mismatch ahead of any decode error. The trailer makes the file
+//! appendable: seek to `footer_offset`, continue writing frames, then
+//! rewrite footer + trailer ([`ChunkedWriter::resume`]).
 //!
 //! # Examples
 //!

@@ -50,7 +50,7 @@ pub use soa::{
     StreamingSoaSource, TraceSoA, ATTR_BRANCH, ATTR_READS_MEM, ATTR_SERIALIZING, ATTR_WRITES_MEM,
     AVAIL_SLOTS, CLASS_ALU, CLASS_ATOMIC, CLASS_ATTRS, CLASS_BR_CALL, CLASS_BR_COND, CLASS_BR_IND,
     CLASS_BR_RET, CLASS_COUNT, CLASS_LOAD, CLASS_MEMBAR, CLASS_NOP, CLASS_PREFETCH, CLASS_STORE,
-    DEP_READ_NONE, DEP_WRITE_NONE, REG_NONE,
+    DEP_READ_NONE, DEP_WRITE_NONE, REG_NONE, SOA_BYTES_PER_INST,
 };
 pub use stats::{InstMix, TraceStats};
 pub use trace::{SliceTrace, TraceSource, VecTrace};

@@ -15,16 +15,11 @@
 //!   register filtering already applied, encoded with sentinels
 //!   ([`DEP_READ_NONE`]/[`DEP_WRITE_NONE`]) so dependence tracking is
 //!   three unconditional array reads and one unconditional write against
-//!   a 66-slot availability file — no per-slot branching;
-//! * a sparse **candidate index** of the instructions that read memory
-//!   through an effective address (loads, atomics, prefetches) — exactly
-//!   the instructions that can turn into useful off-chip accesses, so
-//!   analysis passes can walk candidates instead of scanning every
-//!   instruction.
+//!   a 66-slot availability file — no per-slot branching.
 //!
 //! The encoding is lossless: [`TraceSoA::get`] reconstructs the original
 //! [`Inst`] exactly, for any instruction the builder API can produce
-//! (property-tested in `tests/soa_prop.rs`).
+//! (property-tested in `crates/isa/tests/prop.rs`).
 
 use crate::{BranchInfo, BranchKind, Inst, MemAccess, OpKind, Reg, TraceSource};
 use std::ops::Range;
@@ -311,21 +306,18 @@ fn dep_dst_of(raw: u8) -> u8 {
     }
 }
 
-/// Whether a class reads memory through an effective address, i.e. its
-/// instructions belong in the candidate index.
-#[inline]
-fn reads_mem(class: u8) -> bool {
-    CLASS_ATTRS[class as usize] & ATTR_READS_MEM != 0
-}
+/// Resident column bytes per instruction: pc 8 + class 1 + flags 1 +
+/// srcs 3 + dst 1 + dep_srcs 3 + dep_dst 1 + addr 8 + asize 1 +
+/// btarget 8 + value 8 (see [`TraceSoA::approx_bytes`]).
+pub const SOA_BYTES_PER_INST: u64 = 43;
 
 /// A structure-of-arrays trace: one column per [`Inst`] field, plus
-/// derived dependence columns and the sparse off-chip-candidate index.
+/// derived dependence columns.
 ///
-/// Columns and the candidate index grow in lockstep and existing
-/// entries are never mutated (only [`TraceSoA::truncate`] and
-/// [`TraceSoA::drain_prefix`] remove any), so a `TraceSoA` prefix is
-/// stable under growth (the invariant `TraceStore` relies on for shared
-/// materialization).
+/// Columns grow in lockstep and existing entries are never mutated (only
+/// [`TraceSoA::truncate`] and [`TraceSoA::drain_prefix`] remove any), so
+/// a `TraceSoA` prefix is stable under growth (the invariant
+/// `TraceStore` relies on for shared materialization).
 ///
 /// # Examples
 ///
@@ -339,14 +331,12 @@ fn reads_mem(class: u8) -> bool {
 /// let soa = TraceSoA::from_insts(&insts);
 /// assert_eq!(soa.get(0), insts[0]);
 /// assert_eq!(soa.get(1), insts[1]);
-/// assert_eq!(soa.candidates(), &[1]); // only the load reads memory
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceSoA {
     stored: StoredColumns,
     dep_srcs: Vec<[u8; 3]>,
     dep_dst: Vec<u8>,
-    candidates: Vec<u32>,
 }
 
 impl TraceSoA {
@@ -371,7 +361,6 @@ impl TraceSoA {
             },
             dep_srcs: Vec::with_capacity(n),
             dep_dst: Vec::with_capacity(n),
-            candidates: Vec::new(),
         }
     }
 
@@ -388,19 +377,10 @@ impl TraceSoA {
     pub(crate) fn from_stored(stored: StoredColumns) -> TraceSoA {
         let dep_srcs = stored.srcs.iter().map(|&r| dep_srcs_of(r)).collect();
         let dep_dst = stored.dst.iter().map(|&r| dep_dst_of(r)).collect();
-        // Branch-free compaction: write every index, keep the readers'.
-        let mut candidates = vec![0u32; stored.len()];
-        let mut k = 0;
-        for (i, &class) in stored.class.iter().enumerate() {
-            candidates[k] = i as u32;
-            k += reads_mem(class) as usize;
-        }
-        candidates.truncate(k);
         TraceSoA {
             stored,
             dep_srcs,
             dep_dst,
-            candidates,
         }
     }
 
@@ -416,18 +396,13 @@ impl TraceSoA {
         }
     }
 
-    /// Appends one instruction, deriving its dependence columns and (if
-    /// it reads memory) its candidate-index entry.
+    /// Appends one instruction, deriving its dependence columns.
     pub fn push(&mut self, inst: &Inst) {
-        debug_assert!(self.len() < u32::MAX as usize, "trace too long");
         let idx = self.len();
         self.stored.push(inst);
         let s = &self.stored;
         self.dep_srcs.push(dep_srcs_of(s.srcs[idx]));
         self.dep_dst.push(dep_dst_of(s.dst[idx]));
-        if reads_mem(s.class[idx]) {
-            self.candidates.push(idx as u32);
-        }
     }
 
     /// Number of instructions.
@@ -547,59 +522,36 @@ impl TraceSoA {
         &self.stored.value
     }
 
-    /// The sparse off-chip-candidate index: positions of every
-    /// instruction whose class reads memory through an effective address
-    /// (loads, atomics, software prefetches), in trace order.
-    #[inline]
-    pub fn candidates(&self) -> &[u32] {
-        &self.candidates
-    }
-
-    /// Appends every instruction of `other`, re-basing its candidate
-    /// index. Equivalent to pushing `other.get(i)` for each `i`, but
-    /// copies the columns directly.
+    /// Appends every instruction of `other`. Equivalent to pushing
+    /// `other.get(i)` for each `i`, but copies the columns directly.
     pub fn append_from(&mut self, other: &TraceSoA) {
         self.append_range(other, 0..other.len());
     }
 
-    /// Appends instructions `range` of `other`, re-basing their
-    /// candidate-index entries. Equivalent to pushing `other.get(i)` for
-    /// each `i` in `range`, but copies the columns directly.
+    /// Appends instructions `range` of `other`. Equivalent to pushing
+    /// `other.get(i)` for each `i` in `range`, but copies the columns
+    /// directly.
     ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds for `other`.
     pub fn append_range(&mut self, other: &TraceSoA, range: Range<usize>) {
-        let rebase = self.len() as u32;
         self.stored.extend_range(&other.stored, range.clone());
         self.dep_srcs
             .extend_from_slice(&other.dep_srcs[range.clone()]);
-        self.dep_dst
-            .extend_from_slice(&other.dep_dst[range.clone()]);
-        let cands = &other.candidates;
-        let lo = cands.partition_point(|&c| (c as usize) < range.start);
-        let hi = cands.partition_point(|&c| (c as usize) < range.end);
-        self.candidates.extend(
-            cands[lo..hi]
-                .iter()
-                .map(|&c| c - range.start as u32 + rebase),
-        );
+        self.dep_dst.extend_from_slice(&other.dep_dst[range]);
     }
 
-    /// Keeps the first `n` instructions (and their candidate-index
-    /// entries); no-op if `n >= self.len()`.
+    /// Keeps the first `n` instructions; no-op if `n >= self.len()`.
     pub fn truncate(&mut self, n: usize) {
         self.stored.truncate(n);
         self.dep_srcs.truncate(n);
         self.dep_dst.truncate(n);
-        let keep = self.candidates.partition_point(|&c| (c as usize) < n);
-        self.candidates.truncate(keep);
     }
 
-    /// Drops the first `n` instructions, shifting the rest (and the
-    /// candidate index) down. Used by streaming sources to evict consumed
-    /// prefixes and keep resident memory bounded by the read-ahead
-    /// window, not the trace length.
+    /// Drops the first `n` instructions, shifting the rest down. Used by
+    /// streaming sources to evict consumed prefixes and keep resident
+    /// memory bounded by the read-ahead window, not the trace length.
     ///
     /// # Panics
     ///
@@ -612,21 +564,14 @@ impl TraceSoA {
         self.stored.drain_prefix(n);
         self.dep_srcs.drain(..n);
         self.dep_dst.drain(..n);
-        let keep = self.candidates.partition_point(|&c| (c as usize) < n);
-        self.candidates.drain(..keep);
-        for c in &mut self.candidates {
-            *c -= n as u32;
-        }
     }
 
-    /// Approximate resident heap bytes of the columns (per-instruction
-    /// column widths plus the sparse candidate index; allocator slack and
-    /// unused capacity are not counted). Used for cache-budget
-    /// accounting, not allocation.
+    /// Approximate resident heap bytes of the columns:
+    /// [`SOA_BYTES_PER_INST`] per instruction (allocator slack and unused
+    /// capacity are not counted). Used for cache-budget accounting, not
+    /// allocation.
     pub fn approx_bytes(&self) -> u64 {
-        // pc 8 + class 1 + flags 1 + srcs 3 + dst 1 + dep_srcs 3 +
-        // dep_dst 1 + addr 8 + asize 1 + btarget 8 + value 8 = 43.
-        self.len() as u64 * 43 + self.candidates.len() as u64 * 4
+        self.len() as u64 * SOA_BYTES_PER_INST
     }
 }
 
@@ -893,19 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn candidates_are_memory_readers() {
-        let insts = sample();
-        let soa = TraceSoA::from_insts(&insts);
-        let naive: Vec<u32> = insts
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| i.kind.reads_memory())
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(soa.candidates(), naive.as_slice());
-    }
-
-    #[test]
     fn class_codes_round_trip() {
         for c in 0..CLASS_COUNT as u8 {
             assert_eq!(class_of(kind_of(c)), c);
@@ -978,25 +910,11 @@ mod tests {
         let insts = sample();
         let mut soa = TraceSoA::from_insts(&insts[..4]);
         soa.append_from(&TraceSoA::from_insts(&insts[4..]));
-        let whole = TraceSoA::from_insts(&insts);
-        assert_eq!(soa.candidates(), whole.candidates());
-        for (i, inst) in insts.iter().enumerate() {
-            assert_eq!(soa.get(i), *inst, "after append, instruction {i}");
-        }
+        assert!(soa == TraceSoA::from_insts(&insts), "after append");
         soa.drain_prefix(3);
-        assert_eq!(soa.len(), insts.len() - 3);
-        for (i, inst) in insts[3..].iter().enumerate() {
-            assert_eq!(soa.get(i), *inst, "after drain, instruction {i}");
-        }
-        let naive: Vec<u32> = insts[3..]
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| i.kind.reads_memory())
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(soa.candidates(), naive.as_slice());
+        assert!(soa == TraceSoA::from_insts(&insts[3..]), "after drain");
         soa.drain_prefix(soa.len());
-        assert!(soa.is_empty() && soa.candidates().is_empty());
+        assert!(soa == TraceSoA::new(), "after draining everything");
     }
 
     #[test]

@@ -141,13 +141,31 @@ impl TraceStats {
     /// assert_eq!(stats.code_lines, 1);
     /// ```
     pub fn from_insts(insts: &[Inst]) -> TraceStats {
+        insts.iter().copied().collect()
+    }
+
+    /// Data footprint in bytes (distinct lines × line size).
+    pub fn data_footprint_bytes(&self) -> u64 {
+        self.data_lines * crate::LINE_BYTES
+    }
+
+    /// Code footprint in bytes (distinct lines × line size).
+    pub fn code_footprint_bytes(&self) -> u64 {
+        self.code_lines * crate::LINE_BYTES
+    }
+}
+
+/// Folds a stream of instructions, in one pass and without holding
+/// them: only the distinct line sets grow with the trace.
+impl FromIterator<Inst> for TraceStats {
+    fn from_iter<T: IntoIterator<Item = Inst>>(iter: T) -> TraceStats {
         use std::collections::HashSet;
         let mut mix = InstMix::new();
         let mut data = HashSet::new();
         let mut code = HashSet::new();
         let mut taken = 0;
-        for i in insts {
-            mix.record(i);
+        for i in iter {
+            mix.record(&i);
             if let Some(m) = i.mem {
                 data.insert(m.line());
             }
@@ -164,16 +182,6 @@ impl TraceStats {
             code_lines: code.len() as u64,
             taken_cond: taken,
         }
-    }
-
-    /// Data footprint in bytes (distinct lines × line size).
-    pub fn data_footprint_bytes(&self) -> u64 {
-        self.data_lines * crate::LINE_BYTES
-    }
-
-    /// Code footprint in bytes (distinct lines × line size).
-    pub fn code_footprint_bytes(&self) -> u64 {
-        self.code_lines * crate::LINE_BYTES
     }
 }
 

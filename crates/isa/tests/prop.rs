@@ -92,25 +92,4 @@ proptest! {
             prop_assert_eq!(&soa.get(i), inst);
         }
     }
-
-    /// The pre-classified candidate index matches a naive per-inst
-    /// classification scan: exactly the memory-reading instructions, in
-    /// trace order, regardless of how the trace was generated.
-    #[test]
-    fn soa_candidates_match_naive_scan(
-        insts in proptest::collection::vec(arb_inst(), 0..300),
-    ) {
-        let soa = mlp_isa::TraceSoA::from_insts(&insts);
-        let naive: Vec<u32> = insts
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| i.kind.reads_memory())
-            .map(|(i, _)| i as u32)
-            .collect();
-        prop_assert_eq!(soa.candidates(), naive.as_slice());
-        // Incremental pushes agree with batch construction.
-        let mut grown = mlp_isa::TraceSoA::new();
-        grown.extend_from_slice(&insts);
-        prop_assert_eq!(grown.candidates(), soa.candidates());
-    }
 }

@@ -11,10 +11,11 @@
 //!
 //! # Tiers
 //!
-//! Small traces live in memory as an immutable, column-oriented
-//! [`mlp_isa::TraceSoA`] snapshot (including the pre-classified
-//! off-chip-candidate index — see [`mlp_isa::TraceSoA::candidates`]), and
-//! simulators run directly over the shared columns.
+//! Small traces live in memory as one column-oriented
+//! [`mlp_isa::TraceSoA`] per trace, which every handle shares, and
+//! simulators run directly over the shared columns. A longer request
+//! grows it in place when no older handle is alive, and copies it once
+//! when one is, so the older handle keeps reading its own window.
 //!
 //! Traces whose projected footprint exceeds the byte budget
 //! (`MLP_TRACE_CACHE_BYTES`, default unlimited; `0` forces every trace to
@@ -49,16 +50,12 @@ use crate::{Workload, WorkloadKind};
 use mlp_isa::chunked::{
     read_chunk_at, read_index, ChunkIndex, ChunkedWriter, TraceFileError, DEFAULT_CHUNK_INSTS,
 };
-use mlp_isa::{Inst, TraceSoA, TraceSource};
+use mlp_isa::{Inst, TraceSoA, TraceSource, SOA_BYTES_PER_INST};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Projected resident bytes per instruction, used for the spill decision
-/// (43 bytes of fixed column content plus the amortized candidate index).
-const SPILL_EST_BYTES_PER_INST: u64 = 45;
 
 /// A trace spilled to a v2 chunked file: the path plus its chunk index.
 ///
@@ -143,25 +140,6 @@ impl SharedTrace {
             backing: self.backing.clone(),
             len: self.len,
             pos: 0,
-        }
-    }
-
-    /// Reconstructs instruction `i` of this window.
-    ///
-    /// On the spilled tier this decodes the chunk containing `i` per
-    /// call; iterate a [`SharedTrace::cursor`] for sequential access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn get(&self, i: usize) -> Inst {
-        assert!(i < self.len, "index beyond trace window");
-        match &self.backing {
-            Backing::Memory(soa) => soa.get(i),
-            Backing::Spilled(sp) => {
-                let (k, start) = sp.index.locate(i as u64).expect("index bounds-checked");
-                sp.read_chunk(k).get(i - start as usize)
-            }
         }
     }
 
@@ -299,9 +277,9 @@ struct Entry {
     kind: WorkloadKind,
     seed: u64,
     generator: Workload,
-    buf: TraceSoA,
-    /// Immutable snapshot of `buf`, rebuilt lazily after growth.
-    shared: Option<Arc<TraceSoA>>,
+    /// The memory tier's columns, shared with every handle: grown in
+    /// place when no handle holds them, copied once when one does.
+    buf: Arc<TraceSoA>,
     /// Set once the trace has spilled; `buf` is empty from then on. The
     /// generator stands at the file's tail when this entry wrote it, and
     /// anywhere else after adoption or another process's append;
@@ -315,25 +293,20 @@ impl Entry {
             kind,
             seed,
             generator: Workload::new(kind, seed),
-            buf: TraceSoA::new(),
-            shared: None,
+            buf: Arc::default(),
             spilled: None,
         }
     }
 
     fn memory_trace_of_len(&mut self, len: usize) -> SharedTrace {
         if self.buf.len() < len {
-            let need = len - self.buf.len();
-            for inst in self.generator.by_ref().take(need) {
-                self.buf.push(&inst);
+            let buf = Arc::make_mut(&mut self.buf);
+            for inst in self.generator.by_ref().take(len - buf.len()) {
+                buf.push(&inst);
             }
-            self.shared = None;
         }
-        let soa = self
-            .shared
-            .get_or_insert_with(|| Arc::new(self.buf.clone()));
         SharedTrace {
-            backing: Backing::Memory(Arc::clone(soa)),
+            backing: Backing::Memory(Arc::clone(&self.buf)),
             len,
         }
     }
@@ -347,8 +320,7 @@ impl Entry {
         fs::create_dir_all(dir)?;
         let path = spill_path(dir, self.kind, self.seed);
         if let Some(index) = try_adopt(&path, self.kind, self.seed) {
-            self.buf = TraceSoA::new();
-            self.shared = None;
+            self.buf = Arc::default();
             self.spilled = Some(Arc::new(SpilledTrace {
                 path: path.clone(),
                 index,
@@ -356,20 +328,20 @@ impl Entry {
             return self.extend_spill(len);
         }
         // Fresh spill: flush what is already materialized, then continue
-        // the same generator straight into the file. Written to a temp
-        // name and renamed so a crash never leaves a half-written file
-        // under the adopted name.
+        // the same generator straight into the file. The file takes the
+        // whole memory prefix, which may already be longer than `len`.
+        // Written to a temp name and renamed so a crash never leaves a
+        // half-written file under the adopted name.
         let tmp = path.with_extension("mlp2.tmp");
         let mut w = ChunkedWriter::new(File::create(&tmp)?, DEFAULT_CHUNK_INSTS)?;
         w.push_range(&self.buf, 0..self.buf.len())?;
-        let need = len - self.buf.len();
+        let need = len.saturating_sub(self.buf.len());
         for inst in self.generator.by_ref().take(need) {
             w.push(&inst)?;
         }
         let index = w.finish()?;
         fs::rename(&tmp, &path)?;
-        self.buf = TraceSoA::new();
-        self.shared = None;
+        self.buf = Arc::default();
         self.spilled = Some(Arc::new(SpilledTrace { path, index }));
         Ok(())
     }
@@ -542,7 +514,7 @@ impl Policy {
     }
 
     fn should_spill(&self, len: usize) -> bool {
-        (len as u64).saturating_mul(SPILL_EST_BYTES_PER_INST) > self.budget
+        (len as u64).saturating_mul(SOA_BYTES_PER_INST) > self.budget
     }
 }
 
@@ -582,15 +554,6 @@ impl TraceStore {
     /// `u64::MAX` never spills.
     pub fn set_cache_bytes(&self, budget: u64) {
         self.policy.lock().unwrap_or_else(|e| e.into_inner()).budget = budget;
-    }
-
-    /// The directory future spills write into.
-    pub fn cache_dir(&self) -> PathBuf {
-        self.policy
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .dir
-            .clone()
     }
 
     /// The first `len` instructions of `Workload::new(kind, seed)`,
@@ -667,9 +630,9 @@ impl TraceStore {
     }
 
     /// Resident memory occupied by cached column content, in bytes —
-    /// exact column-content bytes (43 per instruction plus 4 per
-    /// candidate-index entry), excluding allocator slack. Spilled traces
-    /// contribute nothing here; see [`TraceStore::spilled_bytes`].
+    /// exact column-content bytes ([`SOA_BYTES_PER_INST`] per
+    /// instruction), excluding allocator slack. Spilled traces contribute
+    /// nothing here; see [`TraceStore::spilled_bytes`].
     pub fn cached_bytes(&self) -> u64 {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         entries
@@ -794,13 +757,7 @@ mod tests {
         assert_ne!(a.to_vec(), b.to_vec());
         assert_ne!(a.to_vec(), c.to_vec());
         assert_eq!(store.cached_traces(), 3);
-        // 1,500 instructions at 43 column bytes each, plus 4 bytes per
-        // candidate-index entry.
-        let candidates: usize = [&a, &b, &c]
-            .iter()
-            .map(|t| t.soa().candidates().len())
-            .sum();
-        assert_eq!(store.cached_bytes(), 1_500 * 43 + 4 * candidates as u64);
+        assert_eq!(store.cached_bytes(), 1_500 * SOA_BYTES_PER_INST);
     }
 
     #[test]
@@ -816,26 +773,41 @@ mod tests {
         assert_eq!(a.to_vec(), before);
     }
 
+    /// The address of a memory-tier handle's shared columns.
+    fn columns_of(t: &SharedTrace) -> *const TraceSoA {
+        match &t.backing {
+            Backing::Memory(soa) => Arc::as_ptr(soa),
+            Backing::Spilled(_) => panic!("trace spilled"),
+        }
+    }
+
     #[test]
-    fn candidate_index_matches_naive_scan() {
+    fn memory_traces_grow_in_place() {
         let store = TraceStore::new();
-        let t = store.trace(WorkloadKind::Database, 42, 3_000);
-        let naive: Vec<u32> = t
-            .to_vec()
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| i.kind.reads_memory())
-            .map(|(i, _)| i as u32)
-            .collect();
-        // The shared SoA may extend past this window; compare the prefix.
-        let within: Vec<u32> = t
-            .soa()
-            .candidates()
-            .iter()
-            .copied()
-            .take_while(|&i| (i as usize) < t.len())
-            .collect();
-        assert_eq!(within, naive);
+        let held = || {
+            let entries = store.entries.lock().unwrap();
+            let entry = entries[&(WorkloadKind::Database, 4)].lock().unwrap();
+            Arc::as_ptr(&entry.buf)
+        };
+        let first = columns_of(&store.trace(WorkloadKind::Database, 4, 1_000));
+        // No handle of the 1,000 is alive: the columns grow in place.
+        let kept = store.trace(WorkloadKind::Database, 4, 4_000);
+        assert_eq!(columns_of(&kept), first, "grown in place");
+        assert_eq!(
+            columns_of(&kept),
+            held(),
+            "the handle shares the store's copy"
+        );
+        // `kept` is alive: the growth copies once and leaves it alone.
+        let longer = store.trace(WorkloadKind::Database, 4, 8_000);
+        assert_ne!(columns_of(&longer), first, "copied on write");
+        assert_eq!(
+            columns_of(&longer),
+            held(),
+            "the handle shares the store's copy"
+        );
+        assert_eq!(kept.soa().len(), 4_000);
+        assert_eq!(kept.to_vec(), longer.to_vec()[..4_000]);
     }
 
     #[test]
@@ -883,7 +855,7 @@ mod tests {
         // A prefix materialized in memory first: the spill then writes it
         // as columns before continuing the generator into the file.
         let (store, _dir) = spilling_store("tiers");
-        store.set_cache_bytes(SPILL_EST_BYTES_PER_INST * 70_000);
+        store.set_cache_bytes(SOA_BYTES_PER_INST * 70_000);
         assert!(!store.trace(WorkloadKind::Database, 19, 70_000).is_spilled());
         assert!(store
             .trace(WorkloadKind::Database, 19, n + 1_000)
@@ -1010,6 +982,25 @@ mod tests {
     }
 
     #[test]
+    fn a_longer_memory_prefix_spills_whole() {
+        let dir = TempDir::new("whole");
+        let store = store_in(&dir.0);
+        store.set_cache_bytes(u64::MAX);
+        assert!(!store.trace(WorkloadKind::Database, 12, 10_000).is_spilled());
+        // The budget drops below a shorter request: the file takes all
+        // 10,000 instructions already in memory.
+        store.set_cache_bytes(0);
+        let t = store.trace(WorkloadKind::Database, 12, 5_000);
+        assert!(t.is_spilled());
+        let fresh: Vec<Inst> = Workload::new(WorkloadKind::Database, 12)
+            .take(5_000)
+            .collect();
+        assert_eq!(t.to_vec(), fresh);
+        let mut file = File::open(spill_path(&dir.0, WorkloadKind::Database, 12)).unwrap();
+        assert_eq!(read_index(&mut file).unwrap().total_insts, 10_000);
+    }
+
+    #[test]
     fn contended_fresh_spill_falls_back_to_memory() {
         let (store, dir) = spilling_store("contend");
         fs::create_dir_all(&dir.0).unwrap();
@@ -1102,9 +1093,8 @@ mod tests {
         let store = TraceStore::new();
         assert_eq!(store.cached_bytes(), 0);
         let t = store.trace(WorkloadKind::Database, 8, 2_000);
-        let expect = t.soa().approx_bytes();
-        assert_eq!(store.cached_bytes(), expect);
-        assert!(expect >= 2_000 * 43, "43 fixed bytes per instruction");
+        assert_eq!(store.cached_bytes(), 2_000 * SOA_BYTES_PER_INST);
+        assert_eq!(t.soa().approx_bytes(), store.cached_bytes());
         store.clear();
         assert_eq!(store.cached_bytes(), 0);
     }

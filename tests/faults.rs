@@ -12,6 +12,9 @@
 
 use mlp_experiments::report::Report;
 use mlp_experiments::RunScale;
+use mlp_isa::chunked::read_index;
+use mlp_isa::TraceStats;
+use mlp_workloads::{Workload, WorkloadKind};
 use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -436,6 +439,51 @@ fn mlp_trace_dump_reads_only_what_it_prints() {
         err.contains("chunk 2"),
         "stats must name the damaged chunk:\n{err}"
     );
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `mlp-trace stats` folds every chunk into one set of statistics: on an
+/// undamaged three-chunk file it prints exactly the statistics of the
+/// whole stream. The data and code line sets span chunk boundaries, so
+/// per-chunk statistics would not add up to these.
+#[test]
+fn mlp_trace_stats_folds_every_chunk() {
+    let dir = scratch("stats");
+    let trace = dir.join("t.mlp2");
+    let trace_str = trace.to_str().unwrap();
+    let gen = Command::new(trace_bin())
+        .args(["gen", "db", "140000", trace_str])
+        .output()
+        .expect("spawn");
+    assert!(gen.status.success(), "stderr:\n{}", stderr_of(&gen));
+    let mut file = fs::File::open(&trace).expect("open trace");
+    assert_eq!(read_index(&mut file).expect("index").chunks.len(), 3);
+
+    let stream = || Workload::new(WorkloadKind::Database, 42);
+    let whole: TraceStats = stream().take(140_000).collect();
+    let first: TraceStats = stream().take(65_536).collect();
+    let rest: TraceStats = stream().skip(65_536).take(140_000 - 65_536).collect();
+    assert!(first.data_lines + rest.data_lines > whole.data_lines);
+    assert!(first.code_lines + rest.code_lines > whole.code_lines);
+    let want = format!(
+        "{}\ndata footprint: {} KB in {} lines\ncode footprint: {} KB in {} lines\n\
+         taken conditional branches: {} of {}\n",
+        whole.mix,
+        whole.data_footprint_bytes() / 1024,
+        whole.data_lines,
+        whole.code_footprint_bytes() / 1024,
+        whole.code_lines,
+        whole.taken_cond,
+        whole.mix.cond_branches
+    );
+
+    let stats = Command::new(trace_bin())
+        .args(["stats", trace_str])
+        .output()
+        .expect("spawn");
+    assert!(stats.status.success(), "stderr:\n{}", stderr_of(&stats));
+    assert_eq!(stdout_of(&stats), want);
 
     let _ = fs::remove_dir_all(&dir);
 }

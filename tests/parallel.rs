@@ -99,8 +99,9 @@ fn runner_cursor_survives_store_clear() {
     // Materializing, clearing, and re-materializing yields the same
     // trace: the store is a cache, not a source of state.
     let kind = WorkloadKind::Database;
-    let before: Vec<_> = runner::cursor(kind, 1_000).take(1_000).collect();
+    let cursor = || runner::shared_seeded(kind, runner::SEED, 1_000).cursor();
+    let before: Vec<_> = cursor().take(1_000).collect();
     TraceStore::global().clear();
-    let after: Vec<_> = runner::cursor(kind, 1_000).take(1_000).collect();
+    let after: Vec<_> = cursor().take(1_000).collect();
     assert_eq!(before, after);
 }
