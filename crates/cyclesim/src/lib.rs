@@ -27,7 +27,7 @@
 //!
 //! let trace = micro::independent_misses(4, 2);
 //! let report = CycleSim::new(CycleSimConfig::default())
-//!     .run(&mut mlp_isa::SliceTrace::new(&trace), 0, u64::MAX);
+//!     .run(&mut trace.iter().copied(), 0, u64::MAX);
 //! assert_eq!(report.insts, 12);
 //! assert!(report.cycles > 0);
 //! ```

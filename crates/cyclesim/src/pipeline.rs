@@ -53,10 +53,10 @@
 use crate::{CycleReport, CycleSimConfig};
 use mlp_hash::FxHashMap;
 use mlp_isa::{
-    line_of, ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks, StreamingSoaSource,
-    TraceSoA, TraceSource, ATTR_BRANCH, ATTR_READS_MEM, ATTR_SERIALIZING, ATTR_WRITES_MEM,
-    AVAIL_SLOTS, CLASS_ALU, CLASS_ATOMIC, CLASS_ATTRS, CLASS_LOAD, CLASS_MEMBAR, CLASS_NOP,
-    CLASS_PREFETCH, CLASS_STORE,
+    line_of, row_chunks, ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks, TraceSoA,
+    TraceSource, ATTR_BRANCH, ATTR_READS_MEM, ATTR_SERIALIZING, ATTR_WRITES_MEM, AVAIL_SLOTS,
+    CLASS_ALU, CLASS_ATOMIC, CLASS_ATTRS, CLASS_LOAD, CLASS_MEMBAR, CLASS_NOP, CLASS_PREFETCH,
+    CLASS_STORE,
 };
 use mlp_mem::{Access, Hierarchy, Mshr, MshrOutcome};
 use mlp_obs::{IntervalSampler, LocalHist, Value};
@@ -184,7 +184,7 @@ fn take_scratch() -> Scratch {
 ///
 /// let trace = micro::pointer_chase(4, 1);
 /// let report = CycleSim::new(CycleSimConfig::default())
-///     .run(&mut mlp_isa::SliceTrace::new(&trace), 0, u64::MAX);
+///     .run(&mut trace.iter().copied(), 0, u64::MAX);
 /// // Four serialized misses: at least 4 x 200 cycles.
 /// assert!(report.cycles >= 800);
 /// ```
@@ -233,11 +233,12 @@ impl CycleSim {
     /// retired instructions (the run also ends at end-of-trace, after
     /// draining, so a warm-up at or past the end gives an empty report).
     ///
-    /// The stream is decoded into a per-run column buffer and then runs
-    /// through exactly the same kernel as [`CycleSim::run_shared`].
+    /// The rows are cut into column chunks ([`row_chunks`]) and run as
+    /// [`CycleSim::run_chunks`] runs them, so the run holds a bounded
+    /// window of the trace, however long, and may read up to one chunk
+    /// past the last instruction it simulates.
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, warmup: u64, measure: u64) -> CycleReport {
-        let mut src = StreamingSoaSource::new(trace);
-        simulate(&self.config, [&mut src], warmup, measure, self.start.take()).0
+        self.run_chunks(row_chunks(trace), warmup, measure)
     }
 
     /// Runs the pipeline over a pre-materialized column trace (the first
@@ -1498,17 +1499,18 @@ mod tests {
     use crate::RunaheadConfig;
     use mlp_workloads::{Workload, WorkloadKind};
 
-    /// Instructions per chunk of the streamed test trace.
-    const CHUNK: usize = 4096;
+    /// Instructions per chunk of the streamed test traces: the length
+    /// [`row_chunks`] cuts, so chunked and row-fed inputs stream alike.
+    const CHUNK: usize = mlp_isa::ROW_CHUNK_INSTS;
 
     /// An [`InstSource`] wrapper recording the most instructions the
     /// wrapped source ever held resident.
-    struct PeakProbe<S> {
-        inner: S,
+    struct PeakProbe<'a> {
+        inner: Box<dyn InstSource + 'a>,
         peak: usize,
     }
 
-    impl<S: InstSource> InstSource for PeakProbe<S> {
+    impl InstSource for PeakProbe<'_> {
         fn ensure(&mut self, upto: usize) -> usize {
             let n = self.inner.ensure(upto);
             self.peak = self.peak.max(self.inner.soa().len());
@@ -1541,7 +1543,9 @@ mod tests {
     /// The streaming path's memory bound: the functional warm-up, and
     /// then each cycle every thread, releases what it will not read
     /// again, so a chunked run holds a window of a few chunks plus the
-    /// configured window, however long the trace.
+    /// configured window, however long the trace. A row-fed run
+    /// ([`CycleSim::run`], `SmtSim::run`) streams through the same
+    /// source.
     #[test]
     fn chunked_runs_keep_a_bounded_window_resident() {
         const WINDOW: usize = 2048; // the runahead distance below
@@ -1560,26 +1564,36 @@ mod tests {
             ("runahead", runahead, 1),
             ("2-thread SMT", CycleSimConfig::default(), 2),
         ];
+        let warmup = LEN as u64 / 2;
         for (name, config, threads) in runs {
-            let mut srcs: Vec<_> = (0..threads)
-                .map(|_| PeakProbe {
-                    inner: ChunkedSoaSource::new(database_chunks(LEN)),
-                    peak: 0,
-                })
+            let mut rows: Vec<_> = (0..threads)
+                .map(|_| Workload::new(WorkloadKind::Database, 42).take(LEN))
                 .collect();
-            let warmup = LEN as u64 / 2;
-            let (_, insts) = simulate(&config, &mut srcs, warmup, u64::MAX, None);
-            assert_eq!(
-                insts,
-                vec![LEN as u64 - warmup; threads],
-                "{name} ran short"
-            );
-            for src in &srcs {
-                assert!(
-                    src.peak <= BOUND,
-                    "{name} held {} instructions resident (bound {BOUND})",
-                    src.peak
+            let chunked: Vec<Box<dyn InstSource>> = (0..threads)
+                .map(|_| Box::new(ChunkedSoaSource::new(database_chunks(LEN))) as _)
+                .collect();
+            let row_fed: Vec<Box<dyn InstSource>> = rows
+                .iter_mut()
+                .map(|r| Box::new(ChunkedSoaSource::new(row_chunks(r))) as _)
+                .collect();
+            for (input, inners) in [("chunked", chunked), ("row-fed", row_fed)] {
+                let mut srcs: Vec<_> = inners
+                    .into_iter()
+                    .map(|inner| PeakProbe { inner, peak: 0 })
+                    .collect();
+                let (_, insts) = simulate(&config, &mut srcs, warmup, u64::MAX, None);
+                assert_eq!(
+                    insts,
+                    vec![LEN as u64 - warmup; threads],
+                    "{name} {input} ran short"
                 );
+                for src in &srcs {
+                    assert!(
+                        src.peak <= BOUND,
+                        "{name} {input} held {} instructions resident (bound {BOUND})",
+                        src.peak
+                    );
+                }
             }
         }
     }
@@ -1590,7 +1604,6 @@ mod tests {
     #[test]
     fn warmup_at_or_past_the_end_gives_an_empty_report() {
         use crate::smt::SmtSim;
-        use mlp_isa::SliceTrace;
         const LEN: usize = 3 * CHUNK / 2;
         let insts: Vec<_> = Workload::new(WorkloadKind::Database, 42)
             .take(LEN)
@@ -1616,16 +1629,16 @@ mod tests {
             let empty_smt = format!("{:?}", smt.run_sources(&mut pair(0), 0, u64::MAX));
             for warmup in [LEN as u64, LEN as u64 + 1, u64::MAX] {
                 let reports = [
-                    ("slice", sim.run(&mut SliceTrace::new(&insts), warmup, 10)),
+                    ("rows", sim.run(&mut insts.iter().copied(), warmup, 10)),
                     ("shared", sim.run_shared(&soa, LEN, warmup, 10)),
                     ("chunked", sim.run_chunks(database_chunks(LEN), warmup, 10)),
                 ];
                 for (source, report) in reports {
                     assert_eq!(format!("{report:?}"), empty, "{source}, warm-up {warmup}");
                 }
-                let (mut a, mut b) = (SliceTrace::new(&insts), SliceTrace::new(&insts));
+                let (mut a, mut b) = (insts.iter().copied(), insts.iter().copied());
                 let smt_reports = [
-                    ("slice", smt.run(vec![&mut a, &mut b], warmup, 10)),
+                    ("rows", smt.run(vec![&mut a, &mut b], warmup, 10)),
                     ("shared", smt.run_sources(&mut pair(LEN), warmup, 10)),
                     (
                         "chunked",

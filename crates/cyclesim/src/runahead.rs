@@ -66,8 +66,9 @@ impl RunaheadSim {
     }
 
     /// Runs the core over `trace`: the functional warm-up over the first
-    /// `warmup` instructions, then up to `measure` measured ones (see
-    /// [`CycleSim::run`]).
+    /// `warmup` instructions, then up to `measure` measured ones. As in
+    /// [`CycleSim::run`], the run holds a bounded window of the trace and
+    /// may read up to one chunk past the last instruction it simulates.
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, warmup: u64, measure: u64) -> CycleReport {
         CycleSim::new(self.config.clone()).run(trace, warmup, measure)
     }
@@ -76,7 +77,7 @@ impl RunaheadSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_isa::{Inst, SliceTrace};
+    use mlp_isa::Inst;
     use mlp_workloads::micro;
 
     fn run_warm(trace: &[Inst], max_dist: usize) -> CycleReport {
@@ -93,7 +94,7 @@ mod tests {
         let warm = full.len() as u64;
         full.extend_from_slice(trace);
         RunaheadSim::new(CycleSimConfig::default(), max_dist).run(
-            &mut SliceTrace::new(&full),
+            &mut full.iter().copied(),
             warm,
             u64::MAX,
         )
@@ -120,8 +121,8 @@ mod tests {
             .collect();
         let warm = full.len() as u64;
         full.extend_from_slice(&t);
-        let conv = CycleSim::new(conv_cfg.clone()).run(&mut SliceTrace::new(&full), warm, u64::MAX);
-        let rae = RunaheadSim::new(conv_cfg, 2048).run(&mut SliceTrace::new(&full), warm, u64::MAX);
+        let conv = CycleSim::new(conv_cfg.clone()).run(&mut full.iter().copied(), warm, u64::MAX);
+        let rae = RunaheadSim::new(conv_cfg, 2048).run(&mut full.iter().copied(), warm, u64::MAX);
         assert!(
             rae.cycles < conv.cycles,
             "runahead {} cycles vs conventional {}",
@@ -149,11 +150,7 @@ mod tests {
                 .collect();
             let warm = full.len() as u64;
             full.extend_from_slice(&t);
-            CycleSim::new(CycleSimConfig::default()).run(
-                &mut SliceTrace::new(&full),
-                warm,
-                u64::MAX,
-            )
+            CycleSim::new(CycleSimConfig::default()).run(&mut full.iter().copied(), warm, u64::MAX)
         };
         let rae = run_warm(&t, 2048);
         assert_eq!(rae.offchip.total(), conv.offchip.total());
@@ -174,11 +171,7 @@ mod tests {
                 .collect();
             let warm = full.len() as u64;
             full.extend_from_slice(&t);
-            CycleSim::new(CycleSimConfig::default()).run(
-                &mut SliceTrace::new(&full),
-                warm,
-                u64::MAX,
-            )
+            CycleSim::new(CycleSimConfig::default()).run(&mut full.iter().copied(), warm, u64::MAX)
         };
         let rae = run_warm(&t, 2048);
         assert!(

@@ -17,7 +17,7 @@
 //! combined MLP(t) integration plus per-thread instruction counts.
 
 use crate::CycleSimConfig;
-use mlp_isa::{InstSource, StreamingSoaSource, TraceSource};
+use mlp_isa::{row_chunks, ChunkedSoaSource, InstSource, TraceSource};
 use mlpsim::OffchipCounts;
 
 /// Results of an SMT run.
@@ -94,6 +94,11 @@ impl SmtSim {
     /// thread has retired its `measure` instructions or exhausted its
     /// trace, so each thread's count covers exactly the measured cycles.
     ///
+    /// Each thread's rows are cut into column chunks ([`row_chunks`]) and
+    /// run through a [`ChunkedSoaSource`], so the run holds a bounded
+    /// window of every trace, however long, and may read up to one chunk
+    /// past the last instruction it simulates of each.
+    ///
     /// # Panics
     ///
     /// Panics if `threads` is empty or larger than 8.
@@ -103,7 +108,10 @@ impl SmtSim {
         warmup: u64,
         measure: u64,
     ) -> SmtReport {
-        let mut srcs: Vec<_> = threads.into_iter().map(StreamingSoaSource::new).collect();
+        let mut srcs: Vec<_> = threads
+            .into_iter()
+            .map(|t| ChunkedSoaSource::new(row_chunks(t)))
+            .collect();
         self.run_sources(&mut srcs, warmup, measure)
     }
 
@@ -137,11 +145,11 @@ impl SmtSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_isa::{Inst, SliceTrace};
+    use mlp_isa::Inst;
     use mlp_workloads::micro;
 
     fn smt_run(traces: Vec<Vec<Inst>>, per_thread: u64) -> SmtReport {
-        let mut sources: Vec<SliceTrace> = traces.iter().map(|t| SliceTrace::new(t)).collect();
+        let mut sources: Vec<_> = traces.into_iter().map(Vec::into_iter).collect();
         let dyns: Vec<&mut dyn TraceSource> = sources
             .iter_mut()
             .map(|s| s as &mut dyn TraceSource)

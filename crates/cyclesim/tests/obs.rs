@@ -4,7 +4,7 @@
 use mlp_cyclesim::runahead::RunaheadSim;
 use mlp_cyclesim::smt::SmtSim;
 use mlp_cyclesim::{CycleSim, CycleSimConfig};
-use mlp_isa::{Inst, SliceTrace};
+use mlp_isa::Inst;
 use mlp_obs::{Mode, Snapshot};
 use mlp_workloads::micro;
 use std::sync::Mutex;
@@ -30,7 +30,7 @@ fn smt_runs_flush_run_and_memory_counters() {
     let a = micro::random_trace(3, 300);
     let b = micro::random_trace(4, 80);
     let (r, snap) = armed(|| {
-        let (mut sa, mut sb) = (SliceTrace::new(&a), SliceTrace::new(&b));
+        let (mut sa, mut sb) = (a.iter().copied(), b.iter().copied());
         SmtSim::new(CycleSimConfig::default()).run(vec![&mut sa, &mut sb], 100, u64::MAX)
     });
     assert_eq!(r.insts, vec![200, 0]);
@@ -60,9 +60,9 @@ fn runahead_replays_through_the_icache() {
     cfg.iw = 6;
     let icache = |s: &Snapshot| s.counter("mem.l1i.hits") + s.counter("mem.l1i.misses");
     let (_, conv) =
-        armed(|| CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&full), warm, u64::MAX));
+        armed(|| CycleSim::new(cfg.clone()).run(&mut full.iter().copied(), warm, u64::MAX));
     let (_, rae) =
-        armed(|| RunaheadSim::new(cfg, 2048).run(&mut SliceTrace::new(&full), warm, u64::MAX));
+        armed(|| RunaheadSim::new(cfg, 2048).run(&mut full.iter().copied(), warm, u64::MAX));
     let exits = rae.counter("cyclesim.runahead.exits");
     assert!(exits > 0);
     assert!(

@@ -2,7 +2,7 @@
 //! with hand-checkable cycle counts.
 
 use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig};
-use mlp_isa::{Inst, Reg, SliceTrace};
+use mlp_isa::{Inst, Reg};
 use mlp_workloads::micro;
 use mlpsim::IssueConfig;
 
@@ -19,7 +19,7 @@ fn run_warm(cfg: CycleSimConfig, trace: &[Inst]) -> CycleReport {
         .collect();
     let warm = full.len() as u64;
     full.extend_from_slice(trace);
-    CycleSim::new(cfg).run(&mut SliceTrace::new(&full), warm, u64::MAX)
+    CycleSim::new(cfg).run(&mut full.iter().copied(), warm, u64::MAX)
 }
 
 #[test]
@@ -256,13 +256,13 @@ fn runahead_value_prediction_unblocks_chains() {
     full.extend_from_slice(&t);
 
     let plain = RunaheadSim::new(CycleSimConfig::default(), 2048).run(
-        &mut SliceTrace::new(&full),
+        &mut full.iter().copied(),
         warm,
         u64::MAX,
     );
     let vp = RunaheadSim::new(CycleSimConfig::default(), 2048)
         .with_value_prediction(ValueMode::Perfect)
-        .run(&mut SliceTrace::new(&full), warm, u64::MAX);
+        .run(&mut full.iter().copied(), warm, u64::MAX);
     assert!(
         vp.cycles * 2 < plain.cycles,
         "VP-assisted runahead must collapse the chain ({} vs {})",
@@ -299,16 +299,16 @@ mod fork_differences {
     }
 
     fn smt_solo(cfg: CycleSimConfig, trace: &[Inst], warmup: u64, measure: u64) -> SmtReport {
-        let mut s = SliceTrace::new(trace);
+        let mut s = trace.iter().copied();
         SmtSim::new(cfg).run(vec![&mut s as &mut dyn TraceSource], warmup, measure)
     }
 
     /// Conventional, runahead and one-thread SMT runs of `trace`, warm.
     fn three_ways(cfg: CycleSimConfig, trace: &[Inst]) -> (CycleReport, CycleReport, SmtReport) {
         let (full, warm) = with_warm_prefix(trace);
-        let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&full), warm, u64::MAX);
+        let conv = CycleSim::new(cfg.clone()).run(&mut full.iter().copied(), warm, u64::MAX);
         let rae =
-            RunaheadSim::new(cfg.clone(), 2048).run(&mut SliceTrace::new(&full), warm, u64::MAX);
+            RunaheadSim::new(cfg.clone(), 2048).run(&mut full.iter().copied(), warm, u64::MAX);
         (conv, rae, smt_solo(cfg, &full, warm, u64::MAX))
     }
 
@@ -365,9 +365,9 @@ mod fork_differences {
         let (full, warm) = with_warm_prefix(&t);
         let warmup = warm + 1;
         let cfg = CycleSimConfig::default();
-        let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&full), warmup, u64::MAX);
+        let conv = CycleSim::new(cfg.clone()).run(&mut full.iter().copied(), warmup, u64::MAX);
         let rae =
-            RunaheadSim::new(cfg.clone(), 2048).run(&mut SliceTrace::new(&full), warmup, u64::MAX);
+            RunaheadSim::new(cfg.clone(), 2048).run(&mut full.iter().copied(), warmup, u64::MAX);
         let smt = smt_solo(cfg, &full, warmup, u64::MAX);
         assert_eq!(conv.offchip.total(), 1);
         assert_eq!(rae.offchip.total(), 1);
@@ -396,7 +396,7 @@ mod fork_differences {
     fn smt_threads_stop_at_their_limit() {
         let a = micro::random_trace(1, 400);
         let b = micro::random_trace(2, 400);
-        let (mut sa, mut sb) = (SliceTrace::new(&a), SliceTrace::new(&b));
+        let (mut sa, mut sb) = (a.iter().copied(), b.iter().copied());
         let r = SmtSim::new(CycleSimConfig::default()).run(vec![&mut sa, &mut sb], 50, 200);
         assert_eq!(r.insts, vec![200, 200]);
     }
@@ -413,7 +413,7 @@ mod fork_differences {
         let mut pc = micro::PC_BASE;
         let t: Vec<Inst> = (0..400).map(|_| micro::filler(&mut pc)).collect();
         let (full, warm) = with_warm_prefix(&t);
-        let (mut sa, mut sb) = (SliceTrace::new(&full), SliceTrace::new(&full));
+        let (mut sa, mut sb) = (full.iter().copied(), full.iter().copied());
         let r = SmtSim::new(cfg).run(vec![&mut sa, &mut sb], warm, u64::MAX);
         assert_eq!(r.insts, vec![400, 400]);
         // Per-thread retire slots would allow twice this.
@@ -433,7 +433,7 @@ mod fork_differences {
         let (full, warm) = with_warm_prefix(&t);
         let run = |issue| {
             let cfg = CycleSimConfig::default().with_issue(issue);
-            let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&full), warm, u64::MAX);
+            let conv = CycleSim::new(cfg.clone()).run(&mut full.iter().copied(), warm, u64::MAX);
             (conv.cycles, smt_solo(cfg, &full, warm, u64::MAX).cycles)
         };
         let (conv_a, smt_a) = run(IssueConfig::A);
@@ -461,7 +461,7 @@ fn smt_counts_only_instructions_retired_in_measured_cycles() {
     let mut slow = micro::pointer_chase(2_000, 0);
     slow.extend(hot_nops(100));
     let cfg = CycleSimConfig::default();
-    let (mut a, mut b) = (SliceTrace::new(&fast), SliceTrace::new(&slow));
+    let (mut a, mut b) = (fast.iter().copied(), slow.iter().copied());
     let r = SmtSim::new(cfg.clone()).run(vec![&mut a, &mut b], 2_000, 100);
     assert_eq!(r.insts, vec![100, 100]);
     assert!(

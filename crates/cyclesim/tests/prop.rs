@@ -1,13 +1,12 @@
 //! Property-based tests of the cycle-accurate pipeline on random traces.
 
 use mlp_cyclesim::{CycleSim, CycleSimConfig};
-use mlp_isa::SliceTrace;
 use mlp_workloads::micro;
 use mlpsim::IssueConfig;
 use proptest::prelude::*;
 
 fn run(cfg: CycleSimConfig, trace: &[mlp_isa::Inst]) -> mlp_cyclesim::CycleReport {
-    CycleSim::new(cfg).run(&mut SliceTrace::new(trace), 0, u64::MAX)
+    CycleSim::new(cfg).run(&mut trace.iter().copied(), 0, u64::MAX)
 }
 
 proptest! {
@@ -87,7 +86,7 @@ mod runahead_props {
         fn runahead_retires_every_instruction_once(seed in any::<u64>(), len in 10usize..250) {
             let t = micro::random_trace(seed, len);
             let r = RunaheadSim::new(CycleSimConfig::default(), 2048)
-                .run(&mut SliceTrace::new(&t), 0, u64::MAX);
+                .run(&mut t.iter().copied(), 0, u64::MAX);
             prop_assert_eq!(r.insts, len as u64);
         }
 
@@ -95,9 +94,9 @@ mod runahead_props {
         fn runahead_is_deterministic(seed in any::<u64>(), len in 10usize..200) {
             let t = micro::random_trace(seed, len);
             let a = RunaheadSim::new(CycleSimConfig::default(), 2048)
-                .run(&mut SliceTrace::new(&t), 0, u64::MAX);
+                .run(&mut t.iter().copied(), 0, u64::MAX);
             let b = RunaheadSim::new(CycleSimConfig::default(), 2048)
-                .run(&mut SliceTrace::new(&t), 0, u64::MAX);
+                .run(&mut t.iter().copied(), 0, u64::MAX);
             prop_assert_eq!(a.cycles, b.cycles);
             prop_assert_eq!(a.offchip, b.offchip);
         }
@@ -110,7 +109,7 @@ mod runahead_props {
             let t = micro::random_trace(seed, len);
             let conv = run(CycleSimConfig::default(), &t);
             let rae = RunaheadSim::new(CycleSimConfig::default(), 2048)
-                .run(&mut SliceTrace::new(&t), 0, u64::MAX);
+                .run(&mut t.iter().copied(), 0, u64::MAX);
             prop_assert!(
                 rae.offchip.total() <= conv.offchip.total() + 2,
                 "rae {} vs conv {}",
@@ -132,7 +131,7 @@ mod runahead_props {
             let t = micro::random_trace(seed, len);
             let conv = run(CycleSimConfig::default(), &t);
             let rae = RunaheadSim::new(CycleSimConfig::default(), 2048)
-                .run(&mut SliceTrace::new(&t), 0, u64::MAX);
+                .run(&mut t.iter().copied(), 0, u64::MAX);
             prop_assert!(
                 rae.cycles <= conv.cycles * 3 / 2 + 200,
                 "rae {} vs conv {}",
@@ -145,7 +144,7 @@ mod runahead_props {
         fn smt_solo_matches_instruction_count(seed in any::<u64>(), len in 10usize..200) {
             use mlp_cyclesim::smt::SmtSim;
             let t = micro::random_trace(seed, len);
-            let mut s = SliceTrace::new(&t);
+            let mut s = t.iter().copied();
             let r = SmtSim::new(CycleSimConfig::default())
                 .run(vec![&mut s as &mut dyn mlp_isa::TraceSource], 0, u64::MAX);
             prop_assert_eq!(r.insts.iter().sum::<u64>(), len as u64);
@@ -178,8 +177,8 @@ mod fold_equivalence {
             let t = micro::random_trace(seed, len);
             let cfg = CycleSimConfig::default().with_issue(ISSUE[issue]);
             let warmup = len as u64 * warm_quarters / 4;
-            let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&t), warmup, u64::MAX);
-            let mut s = SliceTrace::new(&t);
+            let conv = CycleSim::new(cfg.clone()).run(&mut t.iter().copied(), warmup, u64::MAX);
+            let mut s = t.iter().copied();
             let smt = SmtSim::new(cfg).run(vec![&mut s as &mut dyn TraceSource], warmup, u64::MAX);
             prop_assert_eq!(smt.cycles, conv.cycles);
             prop_assert_eq!(smt.insts, vec![conv.insts]);
@@ -200,8 +199,8 @@ mod fold_equivalence {
             let t = micro::random_trace(seed, len);
             let cfg = CycleSimConfig::default().with_issue(ISSUE[issue]).perfect_l2();
             let warmup = len as u64 * warm_quarters / 4;
-            let conv = CycleSim::new(cfg.clone()).run(&mut SliceTrace::new(&t), warmup, u64::MAX);
-            let rae = RunaheadSim::new(cfg, 2048).run(&mut SliceTrace::new(&t), warmup, u64::MAX);
+            let conv = CycleSim::new(cfg.clone()).run(&mut t.iter().copied(), warmup, u64::MAX);
+            let rae = RunaheadSim::new(cfg, 2048).run(&mut t.iter().copied(), warmup, u64::MAX);
             prop_assert_eq!(format!("{rae:?}"), format!("{conv:?}"));
         }
     }

@@ -39,7 +39,9 @@
 //! (`addr=`, `base=`), `branch` (`cond=`, `taken=`, `target=`), `call` /
 //! `ret` (`target=`), `indirect` (`base=`, `target=`), `casa` (`addr=`,
 //! `base=`, `cmp=`, `swap=`, `dst=`, optional `val=`), `membar`, `nop`.
-//! Registers are `rN` (0-63); numbers accept `0x` hex or decimal.
+//! Registers are `rN` (0-63); numbers accept `0x` hex or decimal. Each
+//! key appears at most once on a line, and `srcs=` lists one to three
+//! registers; a repeated key or a fourth source is a malformed line.
 //!
 //! Exit codes are uniform: `0` on success, `1` for I/O failures, corrupt
 //! traces and malformed import lines (details — including the offending
@@ -333,7 +335,7 @@ fn parse_line(line: &str) -> Result<Inst, String> {
         kv.set(k, v)?;
     }
     let inst = match op {
-        "alu" => Inst::alu(pc, &kv.srcs, kv.reg("dst")?),
+        "alu" => Inst::alu(pc, kv.srcs.as_deref().unwrap_or_default(), kv.reg("dst")?),
         "load" => Inst::load(pc, kv.reg("base")?, 0, kv.reg("dst")?, kv.num("addr")?)
             .with_value(kv.val.unwrap_or(0)),
         "store" => Inst::store(pc, kv.reg("base")?, 0, kv.reg("src")?, kv.num("addr")?),
@@ -366,7 +368,7 @@ fn parse_line(line: &str) -> Result<Inst, String> {
 /// Key=value fields of one listing line, each key at most once.
 #[derive(Default)]
 struct Fields {
-    srcs: Vec<Reg>,
+    srcs: Option<Vec<Reg>>,
     regs: Vec<(&'static str, Reg)>,
     nums: Vec<(&'static str, u64)>,
     val: Option<u64>,
@@ -374,13 +376,33 @@ struct Fields {
 
 const REG_KEYS: [&str; 6] = ["dst", "base", "src", "cond", "cmp", "swap"];
 const NUM_KEYS: [&str; 3] = ["addr", "target", "taken"];
+/// Source-register slots of an [`Inst`].
+const MAX_SRCS: usize = 3;
 
 impl Fields {
     fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
-        if key == "srcs" {
-            for r in value.split(',') {
-                self.srcs.push(parse_reg(r)?);
+        let repeated = match key {
+            "srcs" => self.srcs.is_some(),
+            "val" => self.val.is_some(),
+            _ => {
+                self.regs.iter().any(|(k, _)| *k == key) || self.nums.iter().any(|(k, _)| *k == key)
             }
+        };
+        if repeated {
+            return Err(format!("repeated field '{key}='"));
+        }
+        if key == "srcs" {
+            let srcs = value
+                .split(',')
+                .map(parse_reg)
+                .collect::<Result<Vec<_>, _>>()?;
+            if srcs.len() > MAX_SRCS {
+                return Err(format!(
+                    "{} sources in 'srcs={value}' (at most {MAX_SRCS})",
+                    srcs.len()
+                ));
+            }
+            self.srcs = Some(srcs);
             return Ok(());
         }
         if key == "val" {
@@ -432,4 +454,79 @@ fn parse_num(s: &str) -> Result<u64, String> {
         None => s.parse(),
     };
     parsed.map_err(|_| format!("bad number '{s}'"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_op_parses_to_its_instruction() {
+        let listing = "\
+# one of each op
+0x4000 alu srcs=r1,r2,r3 dst=r4
+0x4004 load addr=0x80 base=r4 dst=r6 val=0x1234
+
+0x4008 store addr=0x88 base=r4 src=r6
+0x400c prefetch addr=256 base=r5  # decimal address
+0x4010 branch cond=r6 taken=1 target=0x4000
+0x4014 call target=0x5000
+0x4018 ret target=0x401c
+0x401c indirect base=r7 target=0x6000
+0x4020 casa addr=0x90 base=r1 cmp=r2 swap=r3 dst=r63 val=7
+0x4024 membar
+0x4028 nop
+0x402c alu dst=r8
+";
+        let r = Reg::int;
+        let want = vec![
+            Inst::alu(0x4000, &[r(1), r(2), r(3)], r(4)),
+            Inst::load(0x4004, r(4), 0, r(6), 0x80).with_value(0x1234),
+            Inst::store(0x4008, r(4), 0, r(6), 0x88),
+            Inst::prefetch(0x400c, r(5), 256),
+            Inst::cond_branch(0x4010, r(6), true, 0x4000),
+            Inst::call(0x4014, 0x5000),
+            Inst::ret(0x4018, 0x401c),
+            Inst::indirect(0x401c, r(7), 0x6000),
+            Inst::casa(0x4020, r(1), r(2), r(3), r(63), 0x90).with_value(7),
+            Inst::membar(0x4024),
+            Inst::nop(0x4028),
+            Inst::alu(0x402c, &[], r(8)),
+        ];
+        assert_eq!(parse_listing(listing), Ok(want));
+    }
+
+    #[test]
+    fn malformed_lines_are_errors_naming_their_line() {
+        let cases = [
+            (
+                "0x4000 load addr=0x80 base=r4 dst=r6 dst=r7",
+                "repeated field 'dst='",
+            ),
+            (
+                "0x4000 alu srcs=r1 srcs=r2 dst=r3",
+                "repeated field 'srcs='",
+            ),
+            (
+                "0x4000 load addr=0x80 base=r4 dst=r6 val=1 val=2",
+                "repeated field 'val='",
+            ),
+            (
+                "0x4000 alu srcs=r1,r2,r3,r4 dst=r5",
+                "4 sources in 'srcs=r1,r2,r3,r4'",
+            ),
+            ("0x4000 frob dst=r1", "unknown op 'frob'"),
+            ("0x4000 alu srcs=r64 dst=r1", "register 'r64' out of range"),
+            ("0x4000 load addr=0x8g base=r4 dst=r6", "bad number '0x8g'"),
+            ("0x4000 store addr=0x80 base=r4", "missing field 'src='"),
+        ];
+        for (line, want) in cases {
+            let listing = format!("0x3ffc nop\n# the bad line is line 3\n{line}\n0x4004 nop\n");
+            let err = parse_listing(&listing).expect_err(line);
+            assert!(
+                err.starts_with("line 3: ") && err.contains(want),
+                "{line}: got '{err}', want line 3 and '{want}'"
+            );
+        }
+    }
 }

@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the Fx hash (a truncation of the golden ratio).
@@ -83,17 +83,9 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` using the Fx hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` using the Fx hasher.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 /// An empty [`FxHashMap`] with room for `cap` entries.
 pub fn map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
-/// An empty [`FxHashSet`] with room for `cap` entries.
-pub fn set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
 #[cfg(test)]

@@ -494,6 +494,28 @@ impl<F: Read + Write + Seek> ChunkedWriter<F> {
     }
 }
 
+/// Validates a stream's file header, as both readers read it: the magic,
+/// the version, and a chunk capacity in `1..=`[`MAX_CHUNK_INSTS`]. The
+/// two reserved bytes are not checked. Returns the chunk capacity.
+fn parse_header(head: &[u8; HEADER_BYTES as usize]) -> Result<u32, TraceFileError> {
+    if head[0..4] != MAGIC {
+        return Err(TraceFileError::BadMagic(head[0..4].try_into().expect("4")));
+    }
+    let version = u16::from_le_bytes([head[4], head[5]]);
+    if version != VERSION {
+        return Err(TraceFileError::UnsupportedVersion(version));
+    }
+    let chunk_cap = u32::from_le_bytes(head[8..12].try_into().expect("4"));
+    if !(1..=MAX_CHUNK_INSTS).contains(&chunk_cap) {
+        return Err(TraceFileError::CorruptChunk {
+            what: "chunk capacity out of range",
+            chunk: 0,
+            record: 0,
+        });
+    }
+    Ok(chunk_cap)
+}
+
 /// Streaming reader of v2 chunked traces: yields one decoded
 /// [`TraceSoA`] per chunk, then validates footer and trailer against
 /// everything seen. Works on any `Read`; no seeking, bounded memory.
@@ -519,21 +541,7 @@ impl<R: Read> ChunkedTrace<R> {
         let mut flip = Flipper::new(0);
         let mut head = [0u8; HEADER_BYTES as usize];
         flip.read(&mut r, &mut head)?;
-        if head[0..4] != MAGIC {
-            return Err(TraceFileError::BadMagic(head[0..4].try_into().expect("4")));
-        }
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        if version != VERSION {
-            return Err(TraceFileError::UnsupportedVersion(version));
-        }
-        let chunk_cap = u32::from_le_bytes(head[8..12].try_into().expect("4"));
-        if !(1..=MAX_CHUNK_INSTS).contains(&chunk_cap) {
-            return Err(TraceFileError::CorruptChunk {
-                what: "chunk capacity out of range",
-                chunk: 0,
-                record: 0,
-            });
-        }
+        let chunk_cap = parse_header(&head)?;
         Ok(ChunkedTrace {
             r,
             flip,
@@ -920,17 +928,7 @@ pub fn read_index<R: Read + Seek>(r: &mut R) -> Result<ChunkIndex, TraceFileErro
     r.seek(SeekFrom::Start(0))?;
     let mut head = [0u8; HEADER_BYTES as usize];
     r.read_exact(&mut head)?;
-    if head[0..4] != MAGIC {
-        return Err(TraceFileError::BadMagic(head[0..4].try_into().expect("4")));
-    }
-    let version = u16::from_le_bytes([head[4], head[5]]);
-    if version != VERSION {
-        return Err(TraceFileError::UnsupportedVersion(version));
-    }
-    let chunk_cap = u32::from_le_bytes(head[8..12].try_into().expect("4"));
-    if !(1..=MAX_CHUNK_INSTS).contains(&chunk_cap) {
-        return Err(corrupt("chunk capacity out of range", 0));
-    }
+    let chunk_cap = parse_header(&head)?;
     let end = r.seek(SeekFrom::End(0))?;
     if end < HEADER_BYTES + 16 + TRAILER_BYTES {
         return Err(corrupt("stream too short for footer and trailer", 0));

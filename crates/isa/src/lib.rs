@@ -4,9 +4,15 @@
 //! by every simulator in the workspace: the [`Inst`] trace record, its
 //! [`OpKind`] instruction classes (including the SPARC-flavoured
 //! *serializing* instructions `MEMBAR`/`CASA` that the paper shows are a
-//! major MLP impediment), architectural [`Reg`]isters, and streaming trace
-//! abstractions ([`TraceSource`]) plus the chunked on-disk trace format in
-//! [`chunked`].
+//! major MLP impediment), architectural [`Reg`]isters, and the two trace
+//! shapes the engines read:
+//!
+//! * rows — any `Iterator<Item = Inst>` is a [`TraceSource`] (the
+//!   workload generators, a `Vec<Inst>`, a text import);
+//! * columns — [`TraceSoA`], materialized whole or streamed as chunks
+//!   (the chunked on-disk format in [`chunked`], or a row stream cut by
+//!   [`row_chunks`]), which the engines read through an [`InstSource`]
+//!   holding a bounded window.
 //!
 //! The model is deliberately minimal: the epoch model of MLP (Chou, Fahs &
 //! Abraham, ISCA 2004) only needs instruction *classes*, *register and
@@ -46,14 +52,14 @@ pub use inst::{BranchInfo, Inst, InstBuilder, MemAccess};
 pub use op::{BranchKind, OpKind};
 pub use reg::Reg;
 pub use soa::{
-    class_of, kind_of, ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks,
-    StreamingSoaSource, TraceSoA, ATTR_BRANCH, ATTR_READS_MEM, ATTR_SERIALIZING, ATTR_WRITES_MEM,
-    AVAIL_SLOTS, CLASS_ALU, CLASS_ATOMIC, CLASS_ATTRS, CLASS_BR_CALL, CLASS_BR_COND, CLASS_BR_IND,
-    CLASS_BR_RET, CLASS_COUNT, CLASS_LOAD, CLASS_MEMBAR, CLASS_NOP, CLASS_PREFETCH, CLASS_STORE,
-    DEP_READ_NONE, DEP_WRITE_NONE, REG_NONE, SOA_BYTES_PER_INST,
+    class_of, kind_of, row_chunks, ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks,
+    TraceSoA, ATTR_BRANCH, ATTR_READS_MEM, ATTR_SERIALIZING, ATTR_WRITES_MEM, AVAIL_SLOTS,
+    CLASS_ALU, CLASS_ATOMIC, CLASS_ATTRS, CLASS_BR_CALL, CLASS_BR_COND, CLASS_BR_IND, CLASS_BR_RET,
+    CLASS_COUNT, CLASS_LOAD, CLASS_MEMBAR, CLASS_NOP, CLASS_PREFETCH, CLASS_STORE, DEP_READ_NONE,
+    DEP_WRITE_NONE, REG_NONE, ROW_CHUNK_INSTS, SOA_BYTES_PER_INST,
 };
 pub use stats::{InstMix, TraceStats};
-pub use trace::{SliceTrace, TraceSource, VecTrace};
+pub use trace::TraceSource;
 
 /// Cache-line size, in bytes, assumed throughout the workspace (the paper
 /// uses 64-byte lines in every cache level).

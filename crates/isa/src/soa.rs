@@ -578,12 +578,12 @@ impl TraceSoA {
 /// A column source the simulator kernels run over: a [`TraceSoA`] plus a
 /// way to make more instructions available ([`InstSource::ensure`]).
 ///
-/// The three implementations — [`SharedSoaSource`] borrowing a pre-built
-/// trace, [`StreamingSoaSource`] decoding from any [`TraceSource`] on
-/// demand, and [`ChunkedSoaSource`] keeping a sliding window of a chunk
-/// stream — let one engine body serve the shared-materialized experiment
-/// path, arbitrary streaming traces and spilled traces, so the fast path
-/// cannot drift from the general ones.
+/// The two implementations — [`SharedSoaSource`] borrowing a pre-built
+/// trace, and [`ChunkedSoaSource`] keeping a sliding window of a chunk
+/// stream (a spilled trace, or any [`TraceSource`] cut by
+/// [`row_chunks`]) — let one engine body serve the shared-materialized
+/// experiment path and every streamed one, so the fast path cannot drift
+/// from the general one.
 pub trait InstSource {
     /// Tries to make at least `upto` instructions available; returns how
     /// many actually are (less only when the trace ends first).
@@ -652,50 +652,6 @@ impl InstSource for SharedSoaSource<'_> {
     }
 }
 
-/// An [`InstSource`] that decodes a streaming [`TraceSource`] into
-/// columns on demand. The decoded prefix is kept for the lifetime of the
-/// source (an engine run), trading memory proportional to the run length
-/// for column access; experiment sweeps avoid even that by sharing one
-/// materialized [`TraceSoA`] through [`SharedSoaSource`].
-pub struct StreamingSoaSource<'a, T: TraceSource + ?Sized> {
-    trace: &'a mut T,
-    soa: TraceSoA,
-    done: bool,
-}
-
-impl<'a, T: TraceSource + ?Sized> StreamingSoaSource<'a, T> {
-    /// A source decoding from `trace`.
-    pub fn new(trace: &'a mut T) -> StreamingSoaSource<'a, T> {
-        StreamingSoaSource {
-            trace,
-            soa: TraceSoA::new(),
-            done: false,
-        }
-    }
-}
-
-impl<T: TraceSource + ?Sized> InstSource for StreamingSoaSource<'_, T> {
-    fn ensure(&mut self, upto: usize) -> usize {
-        while !self.done && self.soa.len() < upto {
-            match self.trace.next_inst() {
-                Some(i) => self.soa.push(&i),
-                None => self.done = true,
-            }
-        }
-        self.soa.len()
-    }
-
-    #[inline]
-    fn available(&self) -> usize {
-        self.soa.len()
-    }
-
-    #[inline]
-    fn soa(&self) -> &TraceSoA {
-        &self.soa
-    }
-}
-
 /// A supplier of column-oriented trace chunks, the streaming counterpart
 /// of a materialized [`TraceSoA`]: each call yields the next run of
 /// instructions (any non-zero length) until the trace ends.
@@ -713,6 +669,25 @@ impl<I: Iterator<Item = TraceSoA>> SoAChunks for I {
     fn next_chunk(&mut self) -> Option<TraceSoA> {
         self.next()
     }
+}
+
+/// Instructions per chunk that [`row_chunks`] cuts.
+pub const ROW_CHUNK_INSTS: usize = 4096;
+
+/// Cuts a row stream into column chunks of [`ROW_CHUNK_INSTS`]
+/// instructions (the last may be shorter; an empty stream yields none),
+/// so a [`ChunkedSoaSource`] over them runs any [`TraceSource`] with a
+/// bounded window resident. Chunks are read whole: a consumer that stops
+/// early has drawn up to one chunk more from `trace` than it used.
+pub fn row_chunks<T: TraceSource + ?Sized>(trace: &mut T) -> impl Iterator<Item = TraceSoA> + '_ {
+    std::iter::from_fn(move || {
+        let mut chunk = TraceSoA::with_capacity(ROW_CHUNK_INSTS);
+        while chunk.len() < ROW_CHUNK_INSTS {
+            let Some(inst) = trace.next_inst() else { break };
+            chunk.push(&inst);
+        }
+        (!chunk.is_empty()).then_some(chunk)
+    })
 }
 
 /// Smallest released prefix worth compacting away. Draining costs a copy
@@ -975,14 +950,46 @@ mod tests {
 
     #[test]
     fn streaming_source_decodes_on_demand() {
-        let insts = sample();
-        let mut trace = crate::SliceTrace::new(&insts);
-        let mut s = StreamingSoaSource::new(&mut trace);
+        // A row stream behind a chunked source is cut one chunk at a
+        // time, as instructions are asked for.
+        let insts: Vec<Inst> = sample()
+            .into_iter()
+            .cycle()
+            .take(3 * ROW_CHUNK_INSTS)
+            .collect();
+        let mut rows = insts.iter().copied();
+        let mut s = ChunkedSoaSource::new(row_chunks(&mut rows));
         assert_eq!(s.available(), 0);
-        assert_eq!(s.ensure(2), 2);
-        assert_eq!(s.ensure(1_000), insts.len());
+        assert_eq!(s.ensure(2), ROW_CHUNK_INSTS);
+        assert_eq!(s.ensure(ROW_CHUNK_INSTS + 1), 2 * ROW_CHUNK_INSTS);
+        assert_eq!(s.ensure(usize::MAX), insts.len());
         for (i, inst) in insts.iter().enumerate() {
             assert_eq!(s.soa().get(i), *inst);
+        }
+    }
+
+    #[test]
+    fn row_chunks_cut_fixed_lengths() {
+        assert_eq!(row_chunks(&mut std::iter::empty()).count(), 0);
+        let insts: Vec<Inst> = sample()
+            .into_iter()
+            .cycle()
+            .take(2 * ROW_CHUNK_INSTS + 5)
+            .collect();
+        for len in [1, ROW_CHUNK_INSTS, ROW_CHUNK_INSTS + 1, insts.len()] {
+            let chunks: Vec<TraceSoA> = row_chunks(&mut insts[..len].iter().copied()).collect();
+            assert_eq!(chunks.len(), len.div_ceil(ROW_CHUNK_INSTS), "length {len}");
+            let (last, full) = chunks.split_last().expect("a non-empty stream");
+            assert!(full.iter().all(|c| c.len() == ROW_CHUNK_INSTS));
+            assert!((1..=ROW_CHUNK_INSTS).contains(&last.len()));
+            let mut joined = TraceSoA::new();
+            for c in &chunks {
+                joined.append_from(c);
+            }
+            assert!(
+                joined == TraceSoA::from_insts(&insts[..len]),
+                "length {len}"
+            );
         }
     }
 }

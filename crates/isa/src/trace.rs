@@ -7,14 +7,17 @@ use crate::Inst;
 /// directly) or replayed from memory or disk.
 ///
 /// `TraceSource` is intentionally just a named, sealed-free refinement of
-/// [`Iterator`] — anything that yields [`Inst`] records is a trace.
+/// [`Iterator`] — anything that yields [`Inst`] records is a trace, so a
+/// `Vec<Inst>` replays as `v.into_iter()` and a slice as
+/// `s.iter().copied()`.
 ///
 /// # Examples
 ///
 /// ```
-/// use mlp_isa::{Inst, TraceSource, VecTrace};
+/// use mlp_isa::{Inst, TraceSource};
 ///
-/// let mut t = VecTrace::new(vec![Inst::nop(0x100), Inst::nop(0x104)]);
+/// let insts = [Inst::nop(0x100), Inst::nop(0x104)];
+/// let mut t = insts.iter().copied();
 /// assert_eq!(t.next_inst().unwrap().pc, 0x100);
 /// assert_eq!(t.next_inst().unwrap().pc, 0x104);
 /// assert!(t.next_inst().is_none());
@@ -23,26 +26,6 @@ pub trait TraceSource {
     /// Produces the next instruction of the dynamic stream, or `None` at
     /// end of trace.
     fn next_inst(&mut self) -> Option<Inst>;
-
-    /// Adapts this source into a standard [`Iterator`].
-    fn into_iter_insts(self) -> IntoIterInsts<Self>
-    where
-        Self: Sized,
-    {
-        IntoIterInsts { source: self }
-    }
-
-    /// Collects up to `n` instructions into a vector.
-    fn take_insts(&mut self, n: usize) -> Vec<Inst> {
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            match self.next_inst() {
-                Some(i) => v.push(i),
-                None => break,
-            }
-        }
-        v
-    }
 
     /// Skips `n` instructions (e.g. a warm-up prefix), returning how many
     /// were actually skipped.
@@ -56,20 +39,6 @@ pub trait TraceSource {
     }
 }
 
-/// Iterator adapter returned by [`TraceSource::into_iter_insts`].
-#[derive(Debug)]
-pub struct IntoIterInsts<T> {
-    source: T,
-}
-
-impl<T: TraceSource> Iterator for IntoIterInsts<T> {
-    type Item = Inst;
-
-    fn next(&mut self) -> Option<Inst> {
-        self.source.next_inst()
-    }
-}
-
 /// Every iterator of instructions is a trace source.
 impl<I> TraceSource for I
 where
@@ -80,137 +49,17 @@ where
     }
 }
 
-/// An in-memory trace backed by a `Vec<Inst>`, replayable from the start.
-///
-/// # Examples
-///
-/// ```
-/// use mlp_isa::{Inst, TraceSource, VecTrace};
-///
-/// let mut t = VecTrace::new(vec![Inst::nop(0)]);
-/// assert!(t.next_inst().is_some());
-/// t.rewind();
-/// assert!(t.next_inst().is_some());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct VecTrace {
-    insts: Vec<Inst>,
-    pos: usize,
-}
-
-impl VecTrace {
-    /// Creates a trace over `insts`.
-    pub fn new(insts: Vec<Inst>) -> VecTrace {
-        VecTrace { insts, pos: 0 }
-    }
-
-    /// Number of instructions in the trace.
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
-    /// Resets the replay cursor to the beginning.
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
-
-    /// Read-only view of the underlying instructions.
-    pub fn as_slice(&self) -> &[Inst] {
-        &self.insts
-    }
-
-    /// Consumes the trace, returning the underlying instructions.
-    pub fn into_inner(self) -> Vec<Inst> {
-        self.insts
-    }
-}
-
-impl TraceSource for VecTrace {
-    fn next_inst(&mut self) -> Option<Inst> {
-        let i = self.insts.get(self.pos).copied();
-        if i.is_some() {
-            self.pos += 1;
-        }
-        i
-    }
-}
-
-impl FromIterator<Inst> for VecTrace {
-    fn from_iter<T: IntoIterator<Item = Inst>>(iter: T) -> VecTrace {
-        VecTrace::new(iter.into_iter().collect())
-    }
-}
-
-impl Extend<Inst> for VecTrace {
-    fn extend<T: IntoIterator<Item = Inst>>(&mut self, iter: T) {
-        self.insts.extend(iter);
-    }
-}
-
-/// A borrowing trace over a slice of instructions.
-#[derive(Clone, Copy, Debug)]
-pub struct SliceTrace<'a> {
-    insts: &'a [Inst],
-    pos: usize,
-}
-
-impl<'a> SliceTrace<'a> {
-    /// Creates a trace over the borrowed `insts`.
-    pub fn new(insts: &'a [Inst]) -> SliceTrace<'a> {
-        SliceTrace { insts, pos: 0 }
-    }
-}
-
-impl TraceSource for SliceTrace<'_> {
-    fn next_inst(&mut self) -> Option<Inst> {
-        let i = self.insts.get(self.pos).copied();
-        if i.is_some() {
-            self.pos += 1;
-        }
-        i
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Reg;
 
     fn three() -> Vec<Inst> {
         vec![Inst::nop(0), Inst::nop(4), Inst::nop(8)]
     }
 
     #[test]
-    fn vec_trace_replays_in_order() {
-        let mut t = VecTrace::new(three());
-        let pcs: Vec<u64> = std::iter::from_fn(|| t.next_inst()).map(|i| i.pc).collect();
-        assert_eq!(pcs, vec![0, 4, 8]);
-    }
-
-    #[test]
-    fn rewind_restarts() {
-        let mut t = VecTrace::new(three());
-        t.skip_insts(3);
-        assert!(t.next_inst().is_none());
-        t.rewind();
-        assert_eq!(t.next_inst().unwrap().pc, 0);
-    }
-
-    #[test]
-    fn take_insts_stops_at_end() {
-        let mut t = VecTrace::new(three());
-        let got = t.take_insts(10);
-        assert_eq!(got.len(), 3);
-    }
-
-    #[test]
     fn skip_counts_actual() {
-        let mut t = VecTrace::new(three());
+        let mut t = three().into_iter();
         assert_eq!(t.skip_insts(2), 2);
         assert_eq!(t.skip_insts(5), 1);
     }
@@ -218,36 +67,9 @@ mod tests {
     #[test]
     fn iterators_are_traces() {
         let v = three();
-        let mut it = v.clone().into_iter();
+        let mut it = v.iter().copied();
         assert_eq!(TraceSource::next_inst(&mut it).unwrap().pc, 0);
-    }
-
-    #[test]
-    fn slice_trace_borrows() {
-        let v = three();
-        let mut s = SliceTrace::new(&v);
-        assert_eq!(s.next_inst().unwrap().pc, 0);
-        let mut s2 = SliceTrace::new(&v);
-        assert_eq!(s2.next_inst().unwrap().pc, 0);
-    }
-
-    #[test]
-    fn from_iterator_collects() {
-        let t: VecTrace = three().into_iter().collect();
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn extend_appends() {
-        let mut t = VecTrace::new(three());
-        t.extend([Inst::alu(12, &[Reg::int(1)], Reg::int(2))]);
-        assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn into_iter_insts_adapter() {
-        let t = VecTrace::new(three());
-        assert_eq!(t.into_iter_insts().count(), 3);
+        let dynamic: &mut dyn TraceSource = &mut it;
+        assert_eq!(dynamic.next_inst().unwrap().pc, 4);
     }
 }

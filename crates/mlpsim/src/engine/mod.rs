@@ -9,8 +9,7 @@ pub use annotate::Annotation;
 use crate::config::{BranchMode, MlpsimConfig, ValueMode, WindowModel};
 use crate::report::{Inhibitor, InhibitorCounts, OffchipCounts, Report};
 use mlp_isa::{
-    ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks, StreamingSoaSource, TraceSoA,
-    TraceSource,
+    row_chunks, ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks, TraceSoA, TraceSource,
 };
 use mlp_predict::{
     BranchObserver, BranchPredictor, BranchStats, HybridValuePredictor, LastValuePredictor,
@@ -425,8 +424,7 @@ impl Predictors {
 /// use mlp_workloads::micro;
 ///
 /// let trace = micro::serialized_misses(4);
-/// let report = Simulator::new(MlpsimConfig::default())
-///     .run(&mut mlp_isa::SliceTrace::new(&trace), 0, u64::MAX);
+/// let report = Simulator::new(MlpsimConfig::default()).run(&mut trace.into_iter(), 0, u64::MAX);
 /// // Config C serializes on MEMBAR: no two misses overlap.
 /// assert_eq!(report.mlp(), 1.0);
 /// ```
@@ -458,14 +456,14 @@ impl Simulator {
     /// (the run also ends at end-of-trace, so a warm-up at or past the
     /// end gives an empty report).
     ///
-    /// The stream is decoded into a per-run column buffer and then runs
-    /// through exactly the same kernel as [`Simulator::run_shared`];
-    /// callers that replay one trace many times should materialize it
-    /// once (e.g. through `mlp_workloads::TraceStore`) and use the shared
-    /// entry point instead.
+    /// The rows are cut into column chunks ([`row_chunks`]) and run as
+    /// [`Simulator::run_chunks`] runs them, so the run holds a bounded
+    /// window of the trace, however long, and may read up to one chunk
+    /// past the last instruction it simulates. Callers that replay one
+    /// trace many times should materialize it once (e.g. through
+    /// `mlp_workloads::TraceStore`) and use [`Simulator::run_shared`].
     pub fn run<T: TraceSource>(&mut self, trace: &mut T, warmup: u64, measure: u64) -> Report {
-        let mut src = StreamingSoaSource::new(trace);
-        self.run_source(&mut src, warmup, measure)
+        self.run_chunks(row_chunks(trace), warmup, measure)
     }
 
     /// Runs the epoch model over a pre-materialized column trace (the
@@ -575,17 +573,18 @@ mod tests {
     use crate::config::InOrderPolicy;
     use mlp_workloads::{Workload, WorkloadKind};
 
-    /// Instructions per chunk of the streamed test trace.
-    const CHUNK: usize = 4096;
+    /// Instructions per chunk of the streamed test traces: the length
+    /// [`row_chunks`] cuts, so chunked and row-fed inputs stream alike.
+    const CHUNK: usize = mlp_isa::ROW_CHUNK_INSTS;
 
     /// An [`InstSource`] wrapper recording the most instructions the
     /// wrapped source ever held resident.
-    struct PeakProbe<S> {
-        inner: S,
+    struct PeakProbe<'a> {
+        inner: Box<dyn InstSource + 'a>,
         peak: usize,
     }
 
-    impl<S: InstSource> InstSource for PeakProbe<S> {
+    impl InstSource for PeakProbe<'_> {
         fn ensure(&mut self, upto: usize) -> usize {
             let n = self.inner.ensure(upto);
             self.peak = self.peak.max(self.inner.soa().len());
@@ -618,7 +617,8 @@ mod tests {
     /// The streaming path's memory bound: every engine, and the
     /// functional warm-up before it, releases what it will not read
     /// again, so a chunked run holds a window of a few chunks plus the
-    /// configured window, however long the trace.
+    /// configured window, however long the trace. A row-fed run
+    /// ([`Simulator::run`]) streams through the same source.
     #[test]
     fn chunked_runs_keep_a_bounded_window_resident() {
         const WINDOW: usize = 2048; // the largest window below
@@ -635,20 +635,34 @@ mod tests {
                 .window(WindowModel::Runahead { max_dist: WINDOW })
                 .build(),
         ];
+        let warmup = LEN as u64 / 2;
         for config in configs {
             let window = config.window;
-            let mut src = PeakProbe {
-                inner: ChunkedSoaSource::new(database_chunks(LEN)),
-                peak: 0,
-            };
-            let warmup = LEN as u64 / 2;
-            let report = Simulator::new(config).run_source(&mut src, warmup, u64::MAX);
-            assert_eq!(report.insts, LEN as u64 - warmup, "{window:?} ran short");
-            assert!(
-                src.peak <= BOUND,
-                "{window:?} held {} instructions resident (bound {BOUND})",
-                src.peak
-            );
+            let mut rows = Workload::new(WorkloadKind::Database, 42).take(LEN);
+            let inputs: [(&str, Box<dyn InstSource>); 2] = [
+                (
+                    "chunked",
+                    Box::new(ChunkedSoaSource::new(database_chunks(LEN))),
+                ),
+                (
+                    "row-fed",
+                    Box::new(ChunkedSoaSource::new(row_chunks(&mut rows))),
+                ),
+            ];
+            for (input, inner) in inputs {
+                let mut src = PeakProbe { inner, peak: 0 };
+                let report = Simulator::new(config.clone()).run_source(&mut src, warmup, u64::MAX);
+                assert_eq!(
+                    report.insts,
+                    LEN as u64 - warmup,
+                    "{window:?} {input} ran short"
+                );
+                assert!(
+                    src.peak <= BOUND,
+                    "{window:?} {input} held {} instructions resident (bound {BOUND})",
+                    src.peak
+                );
+            }
         }
     }
 
@@ -678,10 +692,7 @@ mod tests {
             let column = Annotation::new(sim.config(), &soa, LEN);
             for warmup in [LEN as u64, LEN as u64 + 1, u64::MAX] {
                 let reports = [
-                    (
-                        "slice",
-                        sim.run(&mut mlp_isa::SliceTrace::new(&insts), warmup, 10),
-                    ),
+                    ("rows", sim.run(&mut insts.iter().copied(), warmup, 10)),
                     ("shared", sim.run_shared(&soa, LEN, warmup, 10)),
                     (
                         "annotated",

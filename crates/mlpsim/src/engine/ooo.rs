@@ -598,7 +598,7 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
 #[cfg(test)]
 mod tests {
     use crate::{MlpsimConfig, Simulator};
-    use mlp_isa::{Inst, Reg, SliceTrace};
+    use mlp_isa::{Inst, Reg};
 
     /// A line whose transfer finished and which was evicted since is an
     /// off-chip access again when reloaded: the kernel's in-flight map
@@ -619,7 +619,7 @@ mod tests {
             .collect();
         trace.push(Inst::load(0x1014, chase, 0, chase, LINE));
         let config = MlpsimConfig::builder().perfect_ifetch(true).build();
-        let report = Simulator::new(config).run(&mut SliceTrace::new(&trace), 0, u64::MAX);
+        let report = Simulator::new(config).run(&mut trace.iter().copied(), 0, u64::MAX);
         assert_eq!(report.offchip.dmiss, 6, "the reload must count as a D-miss");
         assert_eq!(report.epochs, 6);
     }
@@ -646,7 +646,7 @@ mod tests {
         );
         trace.push(Inst::load(0x1014, chase, 0, chase, LINE));
         let config = MlpsimConfig::builder().perfect_ifetch(true).build();
-        let report = Simulator::new(config).run(&mut SliceTrace::new(&trace), 0, u64::MAX);
+        let report = Simulator::new(config).run(&mut trace.iter().copied(), 0, u64::MAX);
         assert_eq!(report.store_fills, 1, "the store allocates its line");
         assert_eq!(
             report.offchip.dmiss, 4,

@@ -43,7 +43,7 @@
 //!
 //! let trace = micro::independent_misses(5, 2);
 //! let mut sim = Simulator::new(MlpsimConfig::builder().perfect_ifetch(true).build());
-//! let report = sim.run(&mut mlp_isa::SliceTrace::new(&trace), 0, u64::MAX);
+//! let report = sim.run(&mut trace.iter().copied(), 0, u64::MAX);
 //! assert_eq!(report.offchip.total(), 5);
 //! assert_eq!(report.epochs, 1);
 //! assert_eq!(report.mlp(), 5.0);
@@ -57,7 +57,7 @@
 //!
 //! let trace = micro::pointer_chase(6, 1);
 //! let mut sim = Simulator::new(MlpsimConfig::builder().perfect_ifetch(true).build());
-//! let report = sim.run(&mut mlp_isa::SliceTrace::new(&trace), 0, u64::MAX);
+//! let report = sim.run(&mut trace.iter().copied(), 0, u64::MAX);
 //! assert_eq!(report.mlp(), 1.0);
 //! ```
 

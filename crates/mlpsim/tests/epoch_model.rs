@@ -1,7 +1,7 @@
 //! The paper's worked Examples 1–5 (Section 3) encoded as ground-truth
 //! tests of the epoch engine, plus structural invariants on micro traces.
 
-use mlp_isa::{Inst, SliceTrace};
+use mlp_isa::Inst;
 use mlp_workloads::micro;
 use mlpsim::{
     BranchMode, InOrderPolicy, IssueConfig, MlpsimConfig, Simulator, ValueMode, WindowModel,
@@ -26,7 +26,7 @@ fn run_with_warm_code(cfg: MlpsimConfig, trace: &[Inst]) -> mlpsim::Report {
         .collect();
     let warm = full.len() as u64;
     full.extend_from_slice(trace);
-    Simulator::new(cfg).run(&mut SliceTrace::new(&full), warm, u64::MAX)
+    Simulator::new(cfg).run(&mut full.iter().copied(), warm, u64::MAX)
 }
 
 fn ooo(issue: IssueConfig, iw: usize, rob: usize) -> MlpsimConfig {

@@ -1,13 +1,12 @@
 //! Property-based tests of epoch-model invariants on random (but
 //! structurally valid) micro traces.
 
-use mlp_isa::SliceTrace;
 use mlp_workloads::micro;
 use mlpsim::{IssueConfig, MlpsimConfig, Report, Simulator, WindowModel};
 use proptest::prelude::*;
 
 fn run(cfg: MlpsimConfig, trace: &[mlp_isa::Inst]) -> Report {
-    Simulator::new(cfg).run(&mut SliceTrace::new(trace), 0, u64::MAX)
+    Simulator::new(cfg).run(&mut trace.iter().copied(), 0, u64::MAX)
 }
 
 fn ooo(issue: IssueConfig, iw: usize, rob: usize) -> MlpsimConfig {

@@ -1,7 +1,7 @@
 //! Tests of the finite-store-buffer extension (the paper's future-work
 //! "store MLP" study).
 
-use mlp_isa::{Inst, Reg, SliceTrace};
+use mlp_isa::{Inst, Reg};
 use mlp_workloads::micro;
 use mlpsim::{MlpsimConfig, Simulator};
 
@@ -33,7 +33,7 @@ fn run(cfg: MlpsimConfig, trace: &[Inst]) -> mlpsim::Report {
         .collect();
     let warm = full.len() as u64;
     full.extend_from_slice(trace);
-    Simulator::new(cfg).run(&mut SliceTrace::new(&full), warm, u64::MAX)
+    Simulator::new(cfg).run(&mut full.iter().copied(), warm, u64::MAX)
 }
 
 #[test]

@@ -112,7 +112,6 @@ proptest! {
 // must satisfy the same conservation laws as the structures they mirror.
 // ---------------------------------------------------------------------
 
-use mlp_isa::SliceTrace;
 use mlp_mem::{Hierarchy, HierarchyConfig};
 use mlp_obs::Mode;
 use mlp_workloads::micro;
@@ -229,7 +228,7 @@ proptest! {
 
         let t = micro::random_trace(seed, len);
         let r = Simulator::new(MlpsimConfig::default())
-            .run(&mut SliceTrace::new(&t), warmup, u64::MAX);
+            .run(&mut t.iter().copied(), warmup, u64::MAX);
         let s = mlp_obs::snapshot_and_reset();
         mlp_obs::set_for_test(None);
 
@@ -258,7 +257,7 @@ proptest! {
         let _ = mlp_obs::snapshot_and_reset();
         let t = micro::random_trace(seed, len);
         let _ = Simulator::new(MlpsimConfig::default())
-            .run(&mut SliceTrace::new(&t), 0, u64::MAX);
+            .run(&mut t.iter().copied(), 0, u64::MAX);
         let empty = mlp_obs::snapshot_and_reset().is_empty();
         mlp_obs::set_for_test(None);
         prop_assert!(empty, "disarmed run must leave every counter at zero");

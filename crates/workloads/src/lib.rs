@@ -30,12 +30,15 @@
 //! ```
 //! use mlp_workloads::{Workload, WorkloadKind};
 //!
-//! let mut wl = Workload::new(WorkloadKind::Database, 42);
-//! let insts = mlp_isa::TraceSource::take_insts(&mut wl, 10_000);
+//! let insts: Vec<_> = Workload::new(WorkloadKind::Database, 42)
+//!     .take(10_000)
+//!     .collect();
 //! assert_eq!(insts.len(), 10_000);
 //! // Deterministic: the same seed generates the same trace.
-//! let mut wl2 = Workload::new(WorkloadKind::Database, 42);
-//! assert_eq!(mlp_isa::TraceSource::take_insts(&mut wl2, 10_000), insts);
+//! let again: Vec<_> = Workload::new(WorkloadKind::Database, 42)
+//!     .take(10_000)
+//!     .collect();
+//! assert_eq!(again, insts);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -232,11 +232,6 @@ pub struct TraceCursor {
 }
 
 impl TraceCursor {
-    /// Reset to the first instruction.
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
-
     /// Instructions not yet consumed.
     pub fn remaining(&self) -> usize {
         self.len - self.pos
@@ -739,12 +734,11 @@ mod tests {
         let mut c = t.cursor();
         let first: Vec<Inst> = c.by_ref().take(100).collect();
         assert_eq!(c.remaining(), 1_900);
-        c.rewind();
-        let again: Vec<Inst> = c.by_ref().take(100).collect();
+        let again: Vec<Inst> = t.cursor().take(100).collect();
         assert_eq!(first, again);
         // TraceSource is available through the Iterator blanket impl.
         let mut c2 = t.cursor();
-        assert_eq!(c2.take_insts(2_000).len(), 2_000);
+        assert_eq!(c2.skip_insts(2_001), 2_000);
         assert!(c2.next_inst().is_none());
     }
 

@@ -2,12 +2,12 @@
 //! the calibration work (loop-pattern branches, consumer placement,
 //! prefetch bursts, pointer-chase persistence) hold by construction.
 
-use mlp_isa::{BranchKind, Inst, OpKind, TraceSource};
+use mlp_isa::{BranchKind, Inst, OpKind};
 use mlp_workloads::{Workload, WorkloadConfig, WorkloadKind};
 use std::collections::HashMap;
 
 fn take(kind: WorkloadKind, n: usize) -> Vec<Inst> {
-    Workload::new(kind, 42).take_insts(n)
+    Workload::new(kind, 42).take(n).collect()
 }
 
 #[test]
@@ -194,7 +194,9 @@ fn excursions_always_return() {
 fn different_seeds_give_statistically_similar_programs() {
     // Seeds change the bytes but not the calibrated statistics.
     let a: Vec<Inst> = take(WorkloadKind::SpecJbb2000, 300_000);
-    let b: Vec<Inst> = Workload::new(WorkloadKind::SpecJbb2000, 1234).take_insts(300_000);
+    let b: Vec<Inst> = Workload::new(WorkloadKind::SpecJbb2000, 1234)
+        .take(300_000)
+        .collect();
     assert_ne!(a, b);
     let casa = |v: &[Inst]| v.iter().filter(|i| i.kind == OpKind::Atomic).count() as f64;
     let ra = casa(&a) / a.len() as f64;

@@ -13,6 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> examples (release)"
+# The examples are the main in-repo callers of the row-fed entry points
+# over live generators: quickstart runs Simulator::run,
+# design_space_sweep CycleSim::run and smt_corun SmtSim::run. A non-zero
+# exit fails the gate.
+for example in quickstart design_space_sweep smt_corun; do
+    cargo run -q --release --example "$example" >/dev/null
+done
+
 echo "==> benchmark builds against the workspace API"
 # mlpbench/ is its own package that calls registry::find(..).run(..),
 # exec::run_isolated and runner::shared_seeded. Its lock file is stale,

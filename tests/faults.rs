@@ -333,6 +333,31 @@ fn mlp_trace_error_paths() {
     assert_eq!(refused.status.code(), Some(1));
     assert!(stderr_of(&refused).contains("bad trace magic"));
 
+    // An import listing that repeats a key is malformed: exit 1, naming
+    // the line, and no trace is written.
+    let listing = dir.join("repeated.txt");
+    fs::write(
+        &listing,
+        "0x4000 nop\n0x4004 load addr=0x80 base=r4 dst=r6 dst=r7\n",
+    )
+    .expect("write listing");
+    let imported = dir.join("imported.mlp2");
+    let repeated = Command::new(trace_bin())
+        .args([
+            "import",
+            listing.to_str().unwrap(),
+            imported.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(repeated.status.code(), Some(1));
+    let err = stderr_of(&repeated);
+    assert!(
+        err.contains("line 2: repeated field 'dst='"),
+        "import must name the malformed line, got:\n{err}"
+    );
+    assert!(!imported.exists(), "a refused import wrote {imported:?}");
+
     let _ = fs::remove_dir_all(&dir);
 }
 

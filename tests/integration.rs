@@ -3,7 +3,6 @@
 
 use mlp_experiments::{exp, RunScale};
 use mlp_isa::chunked::{self, ChunkedWriter};
-use mlp_isa::{TraceSource, VecTrace};
 use mlp_workloads::{Workload, WorkloadKind};
 use mlpsim::{MlpsimConfig, Simulator};
 
@@ -13,8 +12,9 @@ fn quick() -> RunScale {
 
 #[test]
 fn workload_survives_trace_file_round_trip() {
-    let mut wl = Workload::new(WorkloadKind::Database, 7);
-    let insts = wl.take_insts(20_000);
+    let insts: Vec<_> = Workload::new(WorkloadKind::Database, 7)
+        .take(20_000)
+        .collect();
     // Several chunks, the last one partial.
     let mut buf = Vec::new();
     let mut w = ChunkedWriter::new(&mut buf, 4096).expect("start trace");
@@ -25,12 +25,8 @@ fn workload_survives_trace_file_round_trip() {
     assert_eq!(back, insts);
 
     // Simulating the replayed trace gives the same result as the stream.
-    let a = Simulator::new(MlpsimConfig::default()).run(
-        &mut VecTrace::new(insts.clone()),
-        5_000,
-        u64::MAX,
-    );
-    let b = Simulator::new(MlpsimConfig::default()).run(&mut VecTrace::new(back), 5_000, u64::MAX);
+    let a = Simulator::new(MlpsimConfig::default()).run(&mut insts.into_iter(), 5_000, u64::MAX);
+    let b = Simulator::new(MlpsimConfig::default()).run(&mut back.into_iter(), 5_000, u64::MAX);
     assert_eq!(a.offchip, b.offchip);
     assert_eq!(a.epochs, b.epochs);
 }

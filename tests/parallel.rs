@@ -3,7 +3,6 @@
 //! and trace replay through the shared store must be deterministic.
 
 use mlp_experiments::{exp, runner, RunScale};
-use mlp_isa::TraceSource;
 use mlp_workloads::{TraceStore, Workload, WorkloadKind};
 use std::sync::Mutex;
 
@@ -82,8 +81,7 @@ fn shared_trace_replay_is_deterministic() {
     // streaming workload generates, and do so again on a second pass.
     let n = 50_000usize;
     for kind in WorkloadKind::ALL {
-        let mut streamed = Workload::new(kind, runner::SEED);
-        let reference = streamed.take_insts(n);
+        let reference: Vec<_> = Workload::new(kind, runner::SEED).take(n).collect();
 
         let shared = TraceStore::global().trace(kind, runner::SEED, n);
         let first: Vec<_> = shared.cursor().take(n).collect();

@@ -110,7 +110,6 @@ fn simulators_agree_on_random_micro_traces() {
     // (but structurally valid) traces, the epoch model's MLP tracks the
     // cycle model's at high latency. Fixed seeds keep this deterministic.
     use mlp_cyclesim::{CycleSim, CycleSimConfig};
-    use mlp_isa::SliceTrace;
     use mlp_workloads::micro;
     use mlpsim::{MlpsimConfig, Simulator};
 
@@ -119,9 +118,9 @@ fn simulators_agree_on_random_micro_traces() {
     let n_seeds = 12;
     for seed in 0..n_seeds {
         let t = micro::random_trace(seed * 7919 + 3, 600);
-        let m = Simulator::new(MlpsimConfig::default()).run(&mut SliceTrace::new(&t), 0, u64::MAX);
+        let m = Simulator::new(MlpsimConfig::default()).run(&mut t.iter().copied(), 0, u64::MAX);
         let c = CycleSim::new(CycleSimConfig::default().with_mem_latency(1000)).run(
-            &mut SliceTrace::new(&t),
+            &mut t.iter().copied(),
             0,
             u64::MAX,
         );
