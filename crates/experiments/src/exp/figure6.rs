@@ -49,37 +49,62 @@ pub fn run(scale: RunScale) -> Figure6 {
     run_grid(scale, &IW_SIZES, &IssueConfig::ALL)
 }
 
-/// Runs a subset of the grid.
+/// One job of the figure's sweep: a bar, or a workload's INF reference.
+#[derive(Clone, Copy, Debug)]
+enum Job {
+    Bar(WorkloadKind, usize, IssueConfig),
+    Inf(WorkloadKind),
+}
+
+/// Runs a subset of the grid. The bars and the INF references are one
+/// sweep, so every run of a workload reads the one annotation column
+/// its first run builds.
 pub fn run_grid(scale: RunScale, iw_sizes: &[usize], configs: &[IssueConfig]) -> Figure6 {
-    let mut bar_jobs: Vec<(WorkloadKind, usize, IssueConfig)> = Vec::new();
+    let mut jobs = Vec::new();
     for kind in WorkloadKind::ALL {
         for &iw in iw_sizes {
             for &issue in configs {
-                bar_jobs.push((kind, iw, issue));
+                jobs.push(Job::Bar(kind, iw, issue));
             }
         }
     }
-    let inf = sweep(WorkloadKind::ALL.to_vec(), |&kind| {
-        (kind, run_one(kind, IssueConfig::E, BIG_ROB, BIG_ROB, scale))
+    jobs.extend(WorkloadKind::ALL.map(Job::Inf));
+    let mlps = sweep(jobs.clone(), |&job| match job {
+        Job::Bar(kind, iw, issue) => ROB_MULTS
+            .iter()
+            .map(|&mult| iw * mult)
+            .chain([BIG_ROB])
+            .map(|rob| run_one(kind, issue, iw, rob, scale))
+            .collect(),
+        Job::Inf(kind) => vec![run_one(kind, IssueConfig::E, BIG_ROB, BIG_ROB, scale)],
     });
-    let bars = sweep(bar_jobs, |&(kind, iw, issue)| {
-        let mut by_mult = [0.0; 4];
-        for (k, &mult) in ROB_MULTS.iter().enumerate() {
-            by_mult[k] = run_one(kind, issue, iw, iw * mult, scale);
-        }
-        Bar {
-            kind,
-            iw,
-            issue,
-            by_mult,
-            rob_2048: run_one(kind, issue, iw, BIG_ROB, scale),
-            inf: inf
-                .iter()
-                .find(|&&(k, _)| k == kind)
-                .map_or(f64::NAN, |&(_, m)| m),
-        }
-    });
-    Figure6 { bars, inf }
+    let mut f = Figure6 {
+        bars: Vec::new(),
+        inf: jobs
+            .iter()
+            .zip(&mlps)
+            .filter_map(|(&job, mlp)| match job {
+                Job::Inf(kind) => Some((kind, mlp[0])),
+                Job::Bar(..) => None,
+            })
+            .collect(),
+    };
+    f.bars = jobs
+        .iter()
+        .zip(&mlps)
+        .filter_map(|(&job, mlp)| match job {
+            Job::Bar(kind, iw, issue) => Some(Bar {
+                kind,
+                iw,
+                issue,
+                by_mult: [mlp[0], mlp[1], mlp[2], mlp[3]],
+                rob_2048: mlp[4],
+                inf: f.inf_mlp(kind).unwrap_or(f64::NAN),
+            }),
+            Job::Inf(_) => None,
+        })
+        .collect();
+    f
 }
 
 fn run_one(kind: WorkloadKind, issue: IssueConfig, iw: usize, rob: usize, scale: RunScale) -> f64 {

@@ -128,18 +128,11 @@ impl Default for RunScale {
 }
 
 /// Parses an instruction count with an optional `k` / `M` / `G` suffix
-/// (case-insensitive, decimal multipliers): `50M` is 50 million, `100m`
-/// likewise, `1500k` is 1.5 million. Returns `None` for zero, overflow
-/// or malformed input.
+/// (case-insensitive, decimal multipliers; [`mlp_isa::parse_count`]):
+/// `50M` is 50 million, `100m` likewise, `1500k` is 1.5 million. Returns
+/// `None` for zero, overflow or malformed input.
 pub fn parse_insts(s: &str) -> Option<u64> {
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'k' | b'K' => (&s[..s.len() - 1], 1_000u64),
-        b'm' | b'M' => (&s[..s.len() - 1], 1_000_000),
-        b'g' | b'G' => (&s[..s.len() - 1], 1_000_000_000),
-        _ => (s, 1),
-    };
-    let n = digits.parse::<u64>().ok()?.checked_mul(mult)?;
-    (n > 0).then_some(n)
+    mlp_isa::parse_count(s).filter(|&n| n > 0)
 }
 
 #[cfg(test)]
@@ -162,6 +155,15 @@ mod tests {
         assert_eq!(RunScale::parse("full"), Some(RunScale::full()));
         assert_eq!(RunScale::parse("bogus"), None);
         assert_eq!(RunScale::default(), RunScale::standard());
+    }
+
+    #[test]
+    fn instruction_counts_are_positive() {
+        assert_eq!(parse_insts("50M"), Some(50_000_000));
+        assert_eq!(parse_insts("1500k"), Some(1_500_000));
+        for bad in ["0", "0k", "abc", "-1", "1.5M", "5X", ""] {
+            assert_eq!(parse_insts(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! from spilled v2 files; `--trace-cache <dir>` pins the spill directory
 //! (otherwise `MLP_TRACE_CACHE_DIR` or the system temp dir is used), and
 //! `MLP_TRACE_CACHE_BYTES` sets the in-memory budget above which traces
-//! spill.
+//! spill (the same `k`/`M`/`G` suffixes; `0` spills every trace).
 //!
 //! **Observability:** with `MLP_OBS=counters` (or `all`) exported, each
 //! report gains a `metrics` block — counters and phase timers drained

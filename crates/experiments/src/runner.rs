@@ -16,12 +16,14 @@
 //!    serial run regardless of thread count (configure with the
 //!    `MLP_THREADS` environment variable).
 //! 3. **Shared functional state** — within one `sweep*` call, the
-//!    [`run_mlpsim`] runs over one trace, hierarchy and branch mode share
-//!    a single program-order pass of the caches and the branch predictor
-//!    ([`mlpsim::Annotation`]), and the [`run_cyclesim`] runs over one
-//!    trace, hierarchy, predictor set and warm-up share a single
-//!    functional warm-up ([`mlp_cyclesim::WarmState`]), instead of each
-//!    making its own.
+//!    [`run_mlpsim`] runs over one trace, hierarchy, fetch mode and branch
+//!    mode share a single program-order pass of the caches and the
+//!    branch predictor ([`mlpsim::Annotation`]), built by the first of
+//!    them, and the [`run_cyclesim`] runs over one trace, hierarchy,
+//!    predictor set and warm-up share a single functional warm-up
+//!    ([`mlp_cyclesim::WarmState`]), built by the second of them, instead
+//!    of each making its own (see [`SweepShared`] for why the rules
+//!    differ). Every other epoch run annotates its own source as it goes.
 
 use crate::RunScale;
 use mlp_cyclesim::smt::{SmtReport, SmtSim};
@@ -77,11 +79,19 @@ struct WarmKey {
     warmup: u64,
 }
 
-/// The functional state the jobs of one `sweep*` call share, per key: a
-/// key's first run makes its own pass, its second builds the shared
-/// state and every later run reads it ([`SharedSlots`]). A key used once
-/// never pays for a shared state; the store is dropped when the sweep
-/// call returns.
+/// The functional state the jobs of one `sweep*` call share, per key
+/// ([`SharedSlots`]); the store is dropped when the sweep call returns.
+///
+/// * A column's first run builds it and reads it, as every later run of
+///   its key does ([`SharedSlots::share`]). The runs only read a column,
+///   so the key makes one pass however many runs use it, on any number
+///   of threads; a key used once pays about 10% more than a run making
+///   its own pass, which overlaps the pass with its kernel.
+/// * A warm state's first run warms itself, its second builds the state,
+///   and every later run clones it ([`SharedSlots::claim`]). Each run
+///   consumes its own clone of the hierarchy and predictors, so a state
+///   built for a key used once would cost a copy, and keep alive
+///   hierarchies as large as a 16 MB L3, for nothing.
 #[derive(Default)]
 struct SweepShared {
     columns: SharedSlots<ColumnKey, Annotation>,
@@ -210,10 +220,10 @@ pub fn shared_seeded(kind: WorkloadKind, seed: u64, insts: u64) -> SharedTrace {
 /// Runs the epoch model over `kind` at the given scale.
 ///
 /// Inside a `sweep*` call, a run over the in-memory trace reads the
-/// sweep's annotation column for its trace, hierarchy and branch mode
-/// once an earlier run of the same key has gone live (see
-/// [`SweepShared`]); the report is the same either way. A spilled trace
-/// always runs live.
+/// sweep's annotation column for its trace, hierarchy, fetch mode and
+/// branch mode, which the key's first run builds (see [`SweepShared`]).
+/// Any other run, a run over a spilled trace included, annotates its own
+/// source as it streams it; the report is the same either way.
 ///
 /// # Panics
 ///
@@ -236,7 +246,7 @@ pub fn run_mlpsim(kind: WorkloadKind, config: MlpsimConfig, scale: RunScale) -> 
     let mut sim = Simulator::new(config);
     let report = if shared.is_spilled() {
         sim.run_chunks(shared.chunks(), scale.warmup, scale.measure)
-    } else if let Some(column) = with_sweep(|s| s.columns.claim(key)) {
+    } else if let Some(column) = with_sweep(|s| Some(s.columns.share(key))) {
         let column =
             column.get_or_init(|| Annotation::new(sim.config(), shared.soa(), shared.len()));
         sim.run_annotated(
@@ -482,9 +492,10 @@ mod tests {
     /// The shared state of a sweep call — annotation columns and cycle
     /// warm states — is shared by its jobs and dropped when it returns:
     /// none reaches the next sweep, experiment or request. Four jobs of
-    /// one column key and one warm key: the first of each goes live, the
-    /// second builds the shared state, and all four agree with runs
-    /// outside any sweep.
+    /// one column key and one warm key: the first job builds the column
+    /// and every job reads it; the first job warms itself and the second
+    /// builds the warm state. All four agree with runs outside any
+    /// sweep.
     #[test]
     fn columns_live_for_one_sweep_call() {
         let scale = RunScale {
@@ -523,11 +534,15 @@ mod tests {
             .flat_map(|s| &s.3)
             .map(|c| c.upgrade().is_some())
             .collect();
+        assert!(
+            seen.iter().all(|s| s.2.len() == 1),
+            "every run of the key, the first included, reads its one column"
+        );
+        assert!(
+            !warm.is_empty(),
+            "the second run of a key builds its warm state"
+        );
         for (what, alive) in [("column", columns), ("warm state", warm)] {
-            assert!(
-                !alive.is_empty(),
-                "the second run of a key builds its {what}"
-            );
             assert!(!alive.contains(&true), "a {what} outlived its sweep");
         }
         assert!(SWEEP_SHARED.with_borrow(Option::is_none));

@@ -61,6 +61,27 @@ pub use soa::{
 pub use stats::{InstMix, TraceStats};
 pub use trace::TraceSource;
 
+/// Parses a count with an optional decimal `k`, `M` or `G` suffix
+/// (case-insensitive): `50M` is 50 million, `1500k` is 1.5 million, `0`
+/// is zero. Returns `None` on overflow and for anything else, such as
+/// `1.5M`, `-1`, `5X`, a bare suffix or surrounding blanks.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(mlp_isa::parse_count("4G"), Some(4_000_000_000));
+/// assert_eq!(mlp_isa::parse_count("1.5M"), None);
+/// ```
+pub fn parse_count(s: &str) -> Option<u64> {
+    let (digits, mult) = match s.as_bytes().last()? {
+        b'k' | b'K' => (&s[..s.len() - 1], 1_000u64),
+        b'm' | b'M' => (&s[..s.len() - 1], 1_000_000),
+        b'g' | b'G' => (&s[..s.len() - 1], 1_000_000_000),
+        _ => (s, 1),
+    };
+    digits.parse::<u64>().ok()?.checked_mul(mult)
+}
+
 /// Cache-line size, in bytes, assumed throughout the workspace (the paper
 /// uses 64-byte lines in every cache level).
 pub const LINE_BYTES: u64 = 64;

@@ -11,14 +11,14 @@
 //!   value, so independent later loads (and prefetches) between a miss and
 //!   its use may overlap.
 //!
-//! Fetch, data and branch outcomes come from the program-order pass
-//! ([`super::annotate`]); the engine decides only whether a load merges
-//! into a line still in flight and what the stall costs. Like the
-//! out-of-order engine it starts at the warm-up boundary, after the
-//! functional warm-up ([`super::warm`]).
+//! Fetch, data and branch outcomes are the bits its source carries (the
+//! program-order pass, [`super::annotate`]); the engine decides only
+//! whether a load merges into a line still in flight and what the stall
+//! costs. Like the out-of-order engine it starts at the warm-up
+//! boundary, after the functional warm-up ([`super::warm`]).
 
-use super::annotate::Outcomes;
-use super::warm::{DMISS, IMISS};
+use super::annotate::Annotated;
+use super::warm::{BMISS, DMISS, IMISS};
 use super::{scratch, EpochTracker, MissKind, Predictors};
 use crate::config::{InOrderPolicy, MlpsimConfig};
 use crate::report::{Inhibitor, Report};
@@ -34,11 +34,10 @@ const PRUNE_LIMIT: usize = 8192;
 
 /// Runs the core from trace index `start` (the warm-up boundary) for up
 /// to `measure` instructions.
-pub(crate) fn run<S: InstSource, O: Outcomes>(
+pub(crate) fn run<S: InstSource>(
     cfg: &MlpsimConfig,
     policy: InOrderPolicy,
-    src: &mut S,
-    mut outcomes: O,
+    mut src: Annotated<'_, S>,
     mut predictors: Predictors,
     start: usize,
     measure: u64,
@@ -97,7 +96,7 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
         insts += 1;
         tracker.note_inst();
 
-        let bits = outcomes.bits(&*src, next - 1);
+        let bits = src.bits(next - 1);
         // Instruction fetch is blocking: a missing fetch overlaps what is
         // already outstanding, then ends the window.
         if bits & IMISS != 0 {
@@ -226,7 +225,7 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
             }
             _ => {
                 // The four branch classes.
-                let mispredicted = outcomes.mispredicted(&*src, next - 1);
+                let mispredicted = bits & BMISS != 0;
                 predictors.note_branch(mispredicted);
                 if dep_ready > e {
                     // The branch cannot issue until its condition is
@@ -276,6 +275,6 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
         tracker_ring,
     });
     crate::obs::flush_run(&report, start as u64);
-    outcomes.finish();
+    src.finish();
     report
 }

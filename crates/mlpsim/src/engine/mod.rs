@@ -8,6 +8,7 @@ pub use annotate::Annotation;
 
 use crate::config::{BranchMode, MlpsimConfig, ValueMode, WindowModel};
 use crate::report::{Inhibitor, InhibitorCounts, OffchipCounts, Report};
+use annotate::Annotated;
 use mlp_isa::{
     row_chunks, ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks, TraceSoA, TraceSource,
 };
@@ -412,10 +413,10 @@ impl Predictors {
 /// Construct one per configuration; each [`Simulator::run`] starts from
 /// cold caches and predictors (deterministic, self-contained runs). The
 /// caches and the branch predictor are walked once per run in program
-/// order (see [`Annotation`]); [`Simulator::run_annotated`] reads that
-/// walk from a column shared by several runs instead. Warm-up is part of
-/// the same walk ([`warm`]): the window model starts empty at the
-/// warm-up boundary.
+/// order (see [`Annotation`]), an instruction at a time as the kernel
+/// reaches it; [`Simulator::run_annotated`] reads that walk from a column
+/// shared by several runs instead. Warm-up is part of the same walk
+/// ([`warm`]): the window model starts empty at the warm-up boundary.
 ///
 /// # Examples
 ///
@@ -509,9 +510,7 @@ impl Simulator {
             column.len()
         );
         let mut src = SharedSoaSource::new(soa, len);
-        let start = usize::try_from(warmup).map_or(len, |w| w.min(len));
-        let values = column.warm_values(soa, self.config.value, start);
-        self.run_from(&mut src, annotate::Column(column), values, start, measure)
+        self.run_from(Annotated::shared(&mut src, column), warmup, measure)
     }
 
     /// Runs the epoch model over a stream of column chunks (a spilled
@@ -527,42 +526,29 @@ impl Simulator {
         self.run_source(&mut src, warmup, measure)
     }
 
-    /// Makes the functional warm-up, then runs the kernel with a live
-    /// program-order pass alongside it.
+    /// Runs the kernel over `src` with a program-order pass of its own,
+    /// which annotates the source as the kernel reaches it.
     fn run_source<S: InstSource>(&mut self, src: &mut S, warmup: u64, measure: u64) -> Report {
-        // How far past fetch the kernel reads fetch outcomes.
-        let span = match self.config.window {
-            WindowModel::OutOfOrder { fetch_buffer, .. } => fetch_buffer,
-            WindowModel::Runahead { .. } => ooo::RUNAHEAD_FETCH_BUFFER,
-            WindowModel::InOrder(_) => 0,
-        };
-        let mut live = annotate::Live::new(&self.config, warmup, span);
-        let mut values = Values::new(self.config.value);
-        let start = warm::run(src, warmup, |src, idx| live.warm(src, idx, &mut values));
-        self.run_from(src, live, values, start, measure)
+        let src = Annotated::own(src, &self.config, warmup);
+        self.run_from(src, warmup, measure)
     }
 
-    /// Runs the kernel from the warm-up boundary `start`.
-    fn run_from<S: InstSource, O: annotate::Outcomes>(
+    /// Makes the functional warm-up, then runs the kernel from the
+    /// warm-up boundary.
+    fn run_from<S: InstSource>(
         &mut self,
-        src: &mut S,
-        outcomes: O,
-        values: Values,
-        start: usize,
+        mut src: Annotated<'_, S>,
+        warmup: u64,
         measure: u64,
     ) -> Report {
+        let mut values = Values::new(self.config.value);
+        let start = src.warm_up(warmup, &mut values);
         let predictors = Predictors::warmed(values);
         match self.config.window {
-            WindowModel::InOrder(policy) => inorder::run(
-                &self.config,
-                policy,
-                src,
-                outcomes,
-                predictors,
-                start,
-                measure,
-            ),
-            _ => ooo::run(&self.config, src, outcomes, predictors, start, measure),
+            WindowModel::InOrder(policy) => {
+                inorder::run(&self.config, policy, src, predictors, start, measure)
+            }
+            _ => ooo::run(&self.config, src, predictors, start, measure),
         }
     }
 }
@@ -662,6 +648,51 @@ mod tests {
                     "{window:?} {input} held {} instructions resident (bound {BOUND})",
                     src.peak
                 );
+            }
+        }
+    }
+
+    /// Over a trace many chunks and rings long, runs making their own
+    /// pass, in memory or streamed, report what runs reading a shared
+    /// column report, wherever the warm-up boundary falls.
+    #[test]
+    fn own_passes_match_columns_over_long_traces() {
+        const LEN: usize = 12 * CHUNK + 123;
+        let insts: Vec<_> = Workload::new(WorkloadKind::SpecJbb2000, 7)
+            .take(LEN)
+            .collect();
+        let soa = TraceSoA::from_insts(&insts);
+        let configs = [
+            MlpsimConfig::default(),
+            MlpsimConfig::builder()
+                .window(WindowModel::InOrder(InOrderPolicy::StallOnUse))
+                .value(ValueMode::LastValue(1024))
+                .build(),
+            MlpsimConfig::builder()
+                .window(WindowModel::Runahead { max_dist: 2048 })
+                .build(),
+        ];
+        for config in configs {
+            let column = Annotation::new(&config, &soa, LEN);
+            let mut sim = Simulator::new(config);
+            for warmup in [0, CHUNK as u64 - 1, 5 * CHUNK as u64 + 17] {
+                let want = format!(
+                    "{:?}",
+                    sim.run_annotated(&soa, LEN, &column, warmup, u64::MAX)
+                );
+                let chunks = insts.chunks(3 * CHUNK / 2 + 1).map(TraceSoA::from_insts);
+                let reports = [
+                    ("in memory", sim.run_shared(&soa, LEN, warmup, u64::MAX)),
+                    ("streamed", sim.run_chunks(chunks, warmup, u64::MAX)),
+                ];
+                for (source, report) in reports {
+                    assert_eq!(
+                        format!("{report:?}"),
+                        want,
+                        "{:?}, {source}, warm-up {warmup}",
+                        sim.config().window
+                    );
+                }
             }
         }
     }

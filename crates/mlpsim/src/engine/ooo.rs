@@ -24,16 +24,17 @@
 //!
 //! The engine owns no cache and no branch predictor: it reads each
 //! instruction's fetch and data outcomes, and whether each branch
-//! mispredicts, from the program-order pass ([`super::annotate`]) and
-//! decides only what the window makes of them — forwarding from a store,
-//! merging into a line still in flight, counting a useful miss, blocking
-//! fetch behind an unresolvable misprediction. It starts empty
-//! at the warm-up boundary, after the functional warm-up
-//! ([`super::warm`]) has trained the hierarchy and the predictors, and
-//! measures every instruction it admits.
+//! mispredicts, from the outcome bits its source carries (the
+//! program-order pass, [`super::annotate`]) and decides only what the
+//! window makes of them — forwarding from a store, merging into a line
+//! still in flight, counting a useful miss, blocking fetch behind an
+//! unresolvable misprediction. It starts empty at the warm-up boundary,
+//! after the functional warm-up ([`super::warm`]) has trained the
+//! hierarchy and the predictors, and measures every instruction it
+//! admits.
 
-use super::annotate::Outcomes;
-use super::warm::{DMISS, IMISS};
+use super::annotate::Annotated;
+use super::warm::{BMISS, DMISS, IMISS};
 use super::{scratch, EpochTracker, MissKind, Predictors};
 use crate::config::{MlpsimConfig, WindowModel};
 use crate::report::{Inhibitor, Report};
@@ -52,8 +53,8 @@ const PRUNE_LIMIT: usize = 8192;
 /// Fetch-buffer depth of the runahead window model.
 pub(crate) const RUNAHEAD_FETCH_BUFFER: usize = 32;
 
-struct Engine<'a, S, O> {
-    src: &'a mut S,
+struct Engine<'a, S> {
+    src: Annotated<'a, S>,
     // effective parameters
     iw: usize,
     rob: usize,
@@ -64,7 +65,6 @@ struct Engine<'a, S, O> {
     branches_in_order: bool,
     perfect_ifetch: bool,
     // components
-    outcomes: O,
     predictors: Predictors,
     tracker: EpochTracker,
     // machine state
@@ -98,10 +98,9 @@ struct Engine<'a, S, O> {
 
 /// Runs the window from trace index `start` (the warm-up boundary) for up
 /// to `measure` instructions.
-pub(crate) fn run<S: InstSource, O: Outcomes>(
+pub(crate) fn run<S: InstSource>(
     cfg: &MlpsimConfig,
-    src: &mut S,
-    outcomes: O,
+    src: Annotated<'_, S>,
     predictors: Predictors,
     start: usize,
     measure: u64,
@@ -126,7 +125,6 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
         wait_store_addr: cfg.issue.loads_wait_store_addresses(),
         branches_in_order: cfg.issue.branches_in_order(),
         perfect_ifetch: cfg.perfect_ifetch,
-        outcomes,
         predictors,
         tracker: EpochTracker::with_scratch(pool.tracker_ring),
         e: 0,
@@ -159,7 +157,7 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
     };
     let report = engine.run_loop();
     crate::obs::flush_run(&report, start as u64);
-    engine.outcomes.finish();
+    engine.src.finish();
     scratch::put(scratch::Scratch {
         window: std::mem::take(&mut engine.window),
         issue_buckets: std::mem::take(&mut engine.issue_buckets),
@@ -171,7 +169,7 @@ pub(crate) fn run<S: InstSource, O: Outcomes>(
     report
 }
 
-impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
+impl<S: InstSource> Engine<'_, S> {
     /// Makes the next `k` unfetched instructions available; `false` when
     /// the trace ends first.
     #[inline]
@@ -288,7 +286,7 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
             }
             // Instruction-fetch classification of the next instruction.
             if !self.perfect_ifetch && self.iclassified == 0 {
-                let bits = self.outcomes.bits(&*self.src, self.next);
+                let bits = self.src.bits(self.next);
                 self.iclassified = 1;
                 if bits & IMISS != 0 {
                     let first = !self.tracker.has_miss(self.e);
@@ -334,7 +332,7 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
             if !self.have(self.iclassified + 1) {
                 return;
             }
-            let bits = self.outcomes.bits(&*self.src, self.next + self.iclassified);
+            let bits = self.src.bits(self.next + self.iclassified);
             self.iclassified += 1;
             if bits & IMISS != 0 {
                 self.tracker.record_miss(self.e, MissKind::Imiss);
@@ -394,9 +392,8 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
 
     fn admit(&mut self, idx: usize) {
         let data = self.data_epoch(idx);
-        // Asked for every admitted instruction, so the live pass never
-        // falls behind fetch; only memory classes read the bit.
-        let dmiss = self.outcomes.bits(&*self.src, idx) & DMISS != 0;
+        let bits = self.src.bits(idx);
+        let dmiss = bits & DMISS != 0;
         match self.src.soa().class()[self.rel(idx)] {
             CLASS_ALU | CLASS_NOP => {
                 self.set_avail(idx, data);
@@ -443,7 +440,7 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
                 }
                 self.push_entry(exec, exec);
             }
-            _ => self.admit_branch(idx, data), // the four branch classes
+            _ => self.admit_branch(data, bits & BMISS != 0), // the four branch classes
         }
     }
 
@@ -577,13 +574,12 @@ impl<S: InstSource, O: Outcomes> Engine<'_, S, O> {
         self.push_entry(exec, exec);
     }
 
-    fn admit_branch(&mut self, idx: usize, data: u64) {
+    fn admit_branch(&mut self, data: u64, mispredicted: bool) {
         let mut exec = data;
         if self.branches_in_order {
             exec = exec.max(self.last_branch_exec);
         }
         self.last_branch_exec = exec;
-        let mispredicted = self.outcomes.mispredicted(&*self.src, idx);
         self.predictors.note_branch(mispredicted);
         if mispredicted && exec > self.e {
             // Unresolvable misprediction: the processor runs down the

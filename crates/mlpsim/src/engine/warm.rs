@@ -10,15 +10,17 @@
 //! empty at instruction `W`, over a warmed hierarchy and warmed
 //! predictors, and measure from their first instruction.
 //!
-//! A run reading a shared column makes no hierarchy or branch pass: the
-//! column already holds both outcomes for every instruction. Its
-//! warm-up only trains a value predictor, if the run has one, from the
-//! column's bits.
+//! In the epoch model the hierarchy and the branch predictor belong to
+//! the program-order pass that annotates the run's source, so the
+//! warm-up of an epoch run only walks `[0, W)`: a run making its own
+//! pass annotates those instructions on the way, and a run with a value
+//! predictor trains it from their bits ([`train_value`]). A run reading
+//! a shared column without a value predictor walks nothing and starts at
+//! `W` at once.
 
 use super::{Branches, Values};
 use mlp_isa::{
-    InstSource, TraceSoA, ATTR_BRANCH, CLASS_ATOMIC, CLASS_ATTRS, CLASS_LOAD, CLASS_PREFETCH,
-    CLASS_STORE,
+    TraceSoA, ATTR_BRANCH, CLASS_ATOMIC, CLASS_ATTRS, CLASS_LOAD, CLASS_PREFETCH, CLASS_STORE,
 };
 use mlp_mem::Hierarchy;
 
@@ -96,31 +98,4 @@ pub(crate) fn train_value(values: &mut Values, soa: &TraceSoA, i: usize, bits: u
 #[inline]
 pub(crate) fn is_branch(class: u8) -> bool {
     CLASS_ATTRS[class as usize] & ATTR_BRANCH != 0
-}
-
-/// Runs the warm-up over the first `warmup` instructions of `src`:
-/// `step` gets each one's absolute index, with the source holding it,
-/// and the pass releases what it has passed so a streamed source stays
-/// bounded. Returns the instructions consumed: `warmup`, or fewer if the
-/// trace ends first.
-pub(crate) fn run<S: InstSource>(
-    src: &mut S,
-    warmup: u64,
-    mut step: impl FnMut(&S, usize),
-) -> usize {
-    crate::obs::WARM_PASSES.inc();
-    let warmup = usize::try_from(warmup).unwrap_or(usize::MAX);
-    let mut next = 0;
-    while next < warmup {
-        if next >= src.available() {
-            src.release(next);
-            if src.ensure(next + 1) <= next {
-                break;
-            }
-        }
-        step(&*src, next);
-        next += 1;
-    }
-    src.release(next);
-    next
 }

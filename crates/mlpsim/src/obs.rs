@@ -20,13 +20,15 @@ static OFFCHIP_IMISS: Counter = Counter::new("mlpsim.offchip.imiss");
 static OFFCHIP_PMISS: Counter = Counter::new("mlpsim.offchip.pmiss");
 static OFFCHIP_USEFUL: Counter = Counter::new("mlpsim.offchip.useful");
 
-/// Annotation columns built: program-order hierarchy passes made once
-/// for several runs (each flushes its hierarchy's `mem.*` counters once).
+/// Program-order passes of a hierarchy and a branch predictor made: one
+/// per column built and one per run that makes its own (each flushes
+/// its hierarchy's `mem.*` counters once).
 pub(crate) static ANNOTATE_PASSES: Counter = Counter::new("mlpsim.annotate.passes");
-/// Runs that read a column instead of making a pass of their own.
+/// Runs that read a shared column instead of making a pass of their own.
 pub(crate) static ANNOTATE_SHARED_RUNS: Counter = Counter::new("mlpsim.annotate.shared_runs");
-/// Functional warm-up passes made: one per live run, and one per value
-/// predictor a column run trains (none without value prediction).
+/// Functional warm-up walks made: one per run that makes its own pass,
+/// and one per value predictor a column run trains (none without value
+/// prediction).
 pub(crate) static WARM_PASSES: Counter = Counter::new("mlpsim.warm.passes");
 
 /// Measured instructions per counted epoch, flushed by

@@ -1,10 +1,11 @@
-//! Live and column runs are one kernel reading one program-order pass:
-//! `run_shared` (the pass made alongside the run), `run_annotated` (the
-//! pass read from a shared [`Annotation`], mispredicted branches
-//! included) and `run_chunks` (the pass made alongside a streamed run)
-//! must give identical reports on every window model, issue
-//! configuration, branch and value predictor, store buffer, hierarchy
-//! and warm-up.
+//! Runs making their own pass and runs reading a shared column are one
+//! kernel reading one program-order pass: `run_shared` (the run's own
+//! pass, annotating the in-memory trace as the kernel reaches it),
+//! `run_annotated` (the pass read from a shared [`Annotation`],
+//! mispredicted branches included) and `run_chunks` (the run's own pass
+//! over a streamed trace) must give identical reports on every window
+//! model, issue configuration, branch and value predictor, store buffer,
+//! hierarchy and warm-up.
 
 use mlp_isa::{Inst, Reg, TraceSoA};
 use mlp_mem::{CacheConfig, HierarchyConfig};
@@ -136,7 +137,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn live_and_column_runs_report_identically(
+    fn own_pass_and_column_runs_report_identically(
         ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), 0u16..96, any::<bool>()), 1..500),
         window in (any::<u8>(), 1usize..96, 0usize..160, 1usize..48),
         issue in 0usize..5,
@@ -154,12 +155,12 @@ proptest! {
         let config = config(window, issue, perfect, value, store_buffer, hierarchy);
         let column = Annotation::new(&config, &soa, len);
         let mut sim = Simulator::new(config);
-        let live = format!("{:?}", sim.run_shared(&soa, len, warmup, u64::MAX));
+        let own = format!("{:?}", sim.run_shared(&soa, len, warmup, u64::MAX));
         let shared = format!("{:?}", sim.run_annotated(&soa, len, &column, warmup, u64::MAX));
-        prop_assert_eq!(&live, &shared);
+        prop_assert_eq!(&own, &shared);
         let chunks = insts.chunks(chunk).map(TraceSoA::from_insts);
         let streamed = format!("{:?}", sim.run_chunks(chunks, warmup, u64::MAX));
-        prop_assert_eq!(&live, &streamed);
+        prop_assert_eq!(&own, &streamed);
     }
 }
 
@@ -183,9 +184,9 @@ fn a_column_serves_shorter_runs_of_its_trace() {
     let column = Annotation::new(&config, &soa, soa.len());
     for (len, warmup, measure) in [(400, 0, u64::MAX), (250, 50, 100), (400, 100, 10)] {
         let mut sim = Simulator::new(config.clone());
-        let live = sim.run_shared(&soa, len, warmup, measure);
+        let own = sim.run_shared(&soa, len, warmup, measure);
         let shared = sim.run_annotated(&soa, len, &column, warmup, measure);
-        assert_eq!(format!("{live:?}"), format!("{shared:?}"), "len {len}");
+        assert_eq!(format!("{own:?}"), format!("{shared:?}"), "len {len}");
     }
 }
 

@@ -273,13 +273,22 @@ where
     }
 }
 
-/// Values that the jobs of one sweep share, one per key, under the rule
-/// "first alone, second builds": a key's first [`claim`](Self::claim)
-/// gets `None` and computes what it needs itself; every later claim gets
-/// the key's slot, which the first of them to call
-/// [`OnceLock::get_or_init`] fills while the others wait. A key used
-/// once therefore never builds or keeps a shared value, and everything
-/// built dies with the `SharedSlots` (and the slots its callers hold).
+/// Values that the jobs of one sweep share, one per key. A claim that
+/// gets a key's slot fills it with [`OnceLock::get_or_init`] if it is
+/// the first to call that, while later callers wait for the value. Two
+/// rules decide which claims get the slot:
+///
+/// * **First builds** ([`share`](Self::share)): every claim does, the
+///   key's first included. Right for a value its users only read: the
+///   first user needs the value anyway, and building it costs about what
+///   computing it alone would.
+/// * **First alone, second builds** ([`claim`](Self::claim)): a key's
+///   first claim gets `None` and computes what it needs itself; every
+///   later claim gets the slot. Right for a value each user clones: a
+///   key used once then never pays for a copy, nor keeps one alive.
+///
+/// Everything built dies with the `SharedSlots` (and the slots its
+/// callers hold).
 #[derive(Debug)]
 pub struct SharedSlots<K, V>(Mutex<Vec<(K, Option<Slot<V>>)>>);
 
@@ -293,7 +302,21 @@ impl<K, V> Default for SharedSlots<K, V> {
 }
 
 impl<K: PartialEq, V> SharedSlots<K, V> {
-    /// The shared slot of `key`, or `None` for the key's first claim.
+    /// The shared slot of `key`, for every claim: the first builds.
+    pub fn share(&self, key: K) -> Slot<V> {
+        let mut slots = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        let i = match slots.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                slots.push((key, None));
+                slots.len() - 1
+            }
+        };
+        Arc::clone(slots[i].1.get_or_insert_with(Arc::default))
+    }
+
+    /// The shared slot of `key`, or `None` for the key's first claim:
+    /// the first goes alone, the second builds.
     pub fn claim(&self, key: K) -> Option<Slot<V>> {
         let mut slots = self.0.lock().unwrap_or_else(|e| e.into_inner());
         match slots.iter_mut().find(|(k, _)| *k == key) {
@@ -507,5 +530,42 @@ mod tests {
         assert_eq!(*a.get_or_init(|| 7), 7);
         assert_eq!(b.get(), Some(&7));
         assert_eq!(slots.slots().len(), 1, "key 2 never built a slot");
+    }
+
+    #[test]
+    fn shared_slots_build_from_the_first_share() {
+        let slots: SharedSlots<u8, u32> = SharedSlots::default();
+        let a = slots.share(1);
+        assert_eq!(*a.get_or_init(|| 7), 7, "a key's first share builds");
+        let b = slots.share(1);
+        assert!(Arc::ptr_eq(&a, &b), "one slot per key");
+        assert_eq!(*b.get_or_init(|| unreachable!("built once")), 7);
+        let c = slots.share(2);
+        assert!(c.get().is_none(), "each key builds its own");
+        assert_eq!(slots.slots().len(), 2, "a key used once still shares");
+    }
+
+    #[test]
+    fn shared_builds_wait_for_one_builder() {
+        let slots: SharedSlots<u8, u32> = SharedSlots::default();
+        let builds = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let slot = slots.share(1);
+                    let v = *slot.get_or_init(|| {
+                        builds.fetch_add(1, Ordering::Relaxed);
+                        thread::sleep(Duration::from_millis(20));
+                        7
+                    });
+                    assert_eq!(v, 7, "every claimant reads the one value");
+                });
+            }
+        });
+        assert_eq!(
+            builds.into_inner(),
+            1,
+            "one claimant built, the rest waited"
+        );
     }
 }

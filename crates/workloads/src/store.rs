@@ -18,8 +18,10 @@
 //! when one is, so the older handle keeps reading its own window.
 //!
 //! Traces whose projected footprint exceeds the byte budget
-//! (`MLP_TRACE_CACHE_BYTES`, default unlimited; `0` forces every trace to
-//! disk) **spill**: the stream is written once through
+//! (`MLP_TRACE_CACHE_BYTES`, a byte count with an optional decimal
+//! `k`/`M`/`G` suffix such as `4G`, default unlimited; `0` forces every
+//! trace to disk; any other value is reported on stderr and leaves the
+//! budget unlimited) **spill**: the stream is written once through
 //! [`mlp_isa::chunked::ChunkedWriter`] into a v2 chunked trace file under
 //! the cache directory (`MLP_TRACE_CACHE_DIR` or a per-user temp
 //! directory; see [`TraceStore::set_cache_dir`]). Spilled handles replay
@@ -55,6 +57,7 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A trace spilled to a v2 chunked file: the path plus its chunk index.
@@ -496,12 +499,30 @@ struct Policy {
     budget: u64,
 }
 
+/// Whether the invalid-`MLP_TRACE_CACHE_BYTES` warning has been printed.
+static WARNED_BAD_BUDGET: AtomicBool = AtomicBool::new(false);
+
+/// The byte budget that `MLP_TRACE_CACHE_BYTES=v` sets: a count such as
+/// `0`, `512M` or `4G` ([`mlp_isa::parse_count`]), blanks around it
+/// allowed.
+fn parse_budget(v: &str) -> Option<u64> {
+    mlp_isa::parse_count(v.trim())
+}
+
 impl Policy {
     fn from_env() -> Policy {
-        let budget = std::env::var("MLP_TRACE_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(u64::MAX);
+        let budget = std::env::var_os("MLP_TRACE_CACHE_BYTES").map_or(u64::MAX, |v| {
+            let v = v.to_string_lossy();
+            parse_budget(&v).unwrap_or_else(|| {
+                if !WARNED_BAD_BUDGET.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "[mlp-workloads] ignoring invalid MLP_TRACE_CACHE_BYTES={v:?} (want a \
+                         byte count such as 0, 512M or 4G); traces stay in memory"
+                    );
+                }
+                u64::MAX
+            })
+        });
         let dir = std::env::var_os("MLP_TRACE_CACHE_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|| std::env::temp_dir().join("mlp-trace-cache"));
@@ -670,6 +691,22 @@ impl Default for TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn budgets_take_counts_with_suffixes() {
+        for (v, want) in [
+            ("0", Some(0)),
+            ("4G", Some(4_000_000_000)),
+            ("512M", Some(512_000_000)),
+            (" 12 ", Some(12)),
+            ("abc", None),
+            ("-1", None),
+            ("1.5M", None),
+            ("5X", None),
+        ] {
+            assert_eq!(parse_budget(v), want, "MLP_TRACE_CACHE_BYTES={v:?}");
+        }
+    }
 
     /// A store spilling everything into a fresh temp dir, plus the dir
     /// (removed on drop).

@@ -77,8 +77,9 @@ echo "==> memory-hierarchy suites (release)"
 cargo test -q --release -p mlp-mem
 
 echo "==> epoch-model suites (release)"
-# Live runs and runs reading a shared annotation column must report
-# identically in the optimized build the sweeps use, too.
+# Runs making their own program-order pass and runs reading a shared
+# annotation column must report identically in the optimized build the
+# sweeps use, too.
 cargo test -q --release -p mlpsim
 
 echo "==> cycle-pipeline suites (release)"
@@ -95,12 +96,22 @@ cargo test -q -p mlpsim --test prop
 echo "==> mlp-stats smoke (armed run -> summary/timeline/self-diff)"
 # One small armed experiment with an event trace, then the analyzer over
 # its own output: the self-diff must report zero deltas and exit 0.
+# epochs' six runs share three annotation keys (one per workload), so
+# the run must report one program-order pass per key, six runs reading
+# the columns, and no warm-up pass: a key that drifts back to a pass of
+# its own beside its column fails here.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 MLP_OBS=all MLP_THREADS=1 target/release/mlp-experiments \
     --only epochs --scale quick \
     --json "$smoke_dir" --events "$smoke_dir" >/dev/null
 grep -q '"histograms": {' "$smoke_dir/epochs.quick.json"
+grep -q '"mlpsim.annotate.passes": 3,' "$smoke_dir/epochs.quick.json"
+grep -q '"mlpsim.annotate.shared_runs": 6,' "$smoke_dir/epochs.quick.json"
+if grep -q '"mlpsim.warm.passes"' "$smoke_dir/epochs.quick.json"; then
+    echo "epochs made a warm-up pass beside its shared columns" >&2
+    exit 1
+fi
 target/release/mlp-stats summary "$smoke_dir/epochs.quick.json" >/dev/null
 target/release/mlp-stats timeline "$smoke_dir/epochs.quick.jsonl" >/dev/null
 target/release/mlp-stats diff \
@@ -110,8 +121,9 @@ echo "==> streaming smoke (spilled trace run == in-memory run)"
 # Force every trace to spill as a chunked v2 file and re-run experiments
 # from disk: the streamed reports must be byte-identical to the
 # in-memory ones. table5 covers the in-order kernel; in epochs the 64C
-# and RAE runs share one annotation key per workload, so the in-memory
-# run reads shared columns while the spilled run makes its own passes;
+# and RAE runs share one annotation key per workload, so in memory they
+# read the column their key's first run builds, while spilled each run
+# annotates the chunks it streams with a program-order pass of its own;
 # fm runs the cycle pipeline, whose functional warm-up then reads a
 # chunked source; in rae-timing the conventional, perfect-L2 and
 # runahead runs share one warm state per workload in memory, while

@@ -222,10 +222,12 @@ fn surrogate_active_loop_matches_direct_simulation_bit_for_bit() {
     }
 }
 
-/// Runs of one trace and hierarchy inside a sweep share one annotation
-/// column: the first runs live, the second builds the column, the rest
-/// read it. The annotation counters say so, and the engine counters
-/// still equal the reports exactly.
+/// Runs of one trace, hierarchy, fetch mode and branch mode inside a
+/// sweep share one annotation column: the key's first run builds it and
+/// every run reads it, so each key makes one pass however many runs use
+/// it and however the sweep interleaves them. The annotation counters
+/// say so, the runs, which have no value predictor, make no warm-up
+/// pass, and the engine counters still equal the reports exactly.
 #[test]
 fn sweep_runs_share_one_annotation_column() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -237,24 +239,42 @@ fn sweep_runs_share_one_annotation_column() {
         cycle_warmup: 0,
         cycle_measure: 0,
     };
-    let windows = vec![16usize, 64, 256, 1024];
-    let reports = sweep(windows, |&w| {
-        let config = MlpsimConfig::builder().coupled_window(w).build();
-        run_mlpsim(WorkloadKind::Database, config, scale)
+    let config = |window: usize, perfect_ifetch: bool| {
+        MlpsimConfig::builder()
+            .coupled_window(window)
+            .perfect_ifetch(perfect_ifetch)
+            .build()
+    };
+    let reports = sweep(vec![16usize, 64, 256, 1024], |&w| {
+        run_mlpsim(WorkloadKind::Database, config(w, false), scale)
     });
-    let snap = mlp_obs::snapshot_and_reset();
+    let four = mlp_obs::snapshot_and_reset();
+    // A key used once builds its column too.
+    sweep(vec![64usize], |&w| {
+        run_mlpsim(WorkloadKind::Database, config(w, false), scale)
+    });
+    let once = mlp_obs::snapshot_and_reset();
+    // Two keys (perfect instruction fetch or not), interleaved on one
+    // sweep thread.
+    mlp_par::set_thread_override(Some(1));
+    sweep(
+        vec![(16usize, false), (16, true), (64, false), (64, true)],
+        |&(w, perfect)| run_mlpsim(WorkloadKind::Database, config(w, perfect), scale),
+    );
+    mlp_par::set_thread_override(None);
+    let two = mlp_obs::snapshot_and_reset();
     mlp_obs::set_for_test(None);
-    assert_eq!(snap.counter("mlpsim.runs"), 4);
-    assert_eq!(snap.counter("mlpsim.annotate.passes"), 1);
-    assert_eq!(snap.counter("mlpsim.annotate.shared_runs"), 3);
-    // The live run warms; column runs without a value predictor make no
-    // warm-up pass.
-    assert_eq!(snap.counter("mlpsim.warm.passes"), 1);
+    for (snap, runs, passes) in [(&four, 4, 1), (&once, 1, 1), (&two, 4, 2)] {
+        assert_eq!(snap.counter("mlpsim.runs"), runs);
+        assert_eq!(snap.counter("mlpsim.annotate.passes"), passes);
+        assert_eq!(snap.counter("mlpsim.annotate.shared_runs"), runs);
+        assert_eq!(snap.counter("mlpsim.warm.passes"), 0);
+    }
     let sum = |f: fn(&mlpsim::Report) -> u64| reports.iter().map(f).sum::<u64>();
-    assert_eq!(snap.counter("mlpsim.insts"), sum(|r| r.insts));
-    assert_eq!(snap.counter("mlpsim.epochs"), sum(|r| r.epochs));
+    assert_eq!(four.counter("mlpsim.insts"), sum(|r| r.insts));
+    assert_eq!(four.counter("mlpsim.epochs"), sum(|r| r.epochs));
     assert_eq!(
-        snap.counter("mlpsim.offchip.useful"),
+        four.counter("mlpsim.offchip.useful"),
         sum(|r| r.offchip.total())
     );
 }
