@@ -43,5 +43,5 @@ pub mod runahead;
 pub mod smt;
 
 pub use config::{CycleSimConfig, RunaheadConfig};
-pub use pipeline::{CycleSim, WarmState};
+pub use pipeline::{CycleSim, WarmState, WarmStateKey};
 pub use report::CycleReport;

@@ -49,6 +49,10 @@
 //! configuration, perfect L2 or runahead distance can start from clones
 //! of one state ([`CycleSim::start_from`]) instead of each making the
 //! pass.
+//!
+//! Perfect branch prediction is a fetch policy: the core walks the default
+//! predictor as a real run does, fetch ignores its mispredictions, and the
+//! core counts the branches it fetches and the mispredictions it acts on.
 
 use crate::{CycleReport, CycleSimConfig};
 use mlp_hash::FxHashMap;
@@ -58,10 +62,12 @@ use mlp_isa::{
     CLASS_ALU, CLASS_ATOMIC, CLASS_ATTRS, CLASS_LOAD, CLASS_MEMBAR, CLASS_NOP, CLASS_PREFETCH,
     CLASS_STORE,
 };
-use mlp_mem::{Access, Hierarchy, Mshr, MshrOutcome};
+use mlp_mem::{Access, Hierarchy, HierarchyConfig, Mshr, MshrOutcome};
 use mlp_obs::{IntervalSampler, LocalHist, Value};
-use mlp_predict::{BranchStats, ValuePrediction};
-use mlpsim::{warm, BranchMode, Branches, OffchipCounts, ValueMode, Values};
+use mlp_predict::{
+    BranchObserver, BranchPredictor, BranchPredictorConfig, BranchStats, ValuePrediction,
+};
+use mlpsim::{warm, BranchMode, OffchipCounts, ValueMode, Values};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -221,7 +227,7 @@ impl CycleSim {
     /// warm-up prefix resident until its first cycle.
     ///
     /// The next run panics if `state` was built for another hierarchy,
-    /// branch mode, value predictor or warm-up ([`WarmState::fits`]).
+    /// branch predictor, value predictor or warm-up ([`WarmState::fits`]).
     pub fn start_from(&mut self, state: WarmState) {
         self.start = Some(state);
     }
@@ -288,22 +294,41 @@ pub(crate) fn simulate<'a, S: InstSource + 'a>(
     Machine::new(cfg, srcs.into_iter().collect(), warmup, measure, start).run()
 }
 
+/// What a [`WarmState`] depends on besides its traces: the hierarchy,
+/// the branch predictor walked, the value predictor and the warm-up, but
+/// no timing parameter and not the branch mode.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WarmStateKey {
+    hierarchy: HierarchyConfig,
+    predictor: BranchPredictorConfig,
+    value: ValueMode,
+    warmup: u64,
+}
+
+impl WarmStateKey {
+    /// The key of a run of `config` with warm-up `warmup`.
+    pub fn of(config: &CycleSimConfig, warmup: u64) -> WarmStateKey {
+        WarmStateKey {
+            hierarchy: config.hierarchy,
+            predictor: config.branch.predictor(),
+            // The value predictor of the machine: runahead's, if any.
+            value: config.runahead.map_or(ValueMode::None, |r| r.value),
+            warmup,
+        }
+    }
+}
+
 /// What the functional warm-up leaves at the warm-up boundary: the
 /// hierarchy, the branch and value predictors, and each thread's fetch
-/// position. It depends on the traces, the hierarchy, the branch mode,
-/// the value predictor and the warm-up, and on no timing parameter, so
-/// one state serves every latency, window, issue configuration,
-/// perfect-L2 mode and runahead distance over the same trace.
+/// position, for runs of its [`WarmStateKey`].
 #[derive(Clone, Debug)]
 pub struct WarmState {
     hierarchy: Hierarchy,
-    branches: Branches,
+    branches: BranchPredictor,
     values: Values,
     /// Each thread's warm-up boundary: `warmup`, or its trace's length.
     fetch_pos: Vec<usize>,
-    branch: BranchMode,
-    value: ValueMode,
-    warmup: u64,
+    key: WarmStateKey,
 }
 
 impl WarmState {
@@ -320,13 +345,9 @@ impl WarmState {
     }
 
     /// Whether runs of `config` with warm-up `warmup` may start from this
-    /// state: it was built for the same hierarchy, branch mode, value
-    /// predictor and warm-up.
+    /// state: it was built for their [`WarmStateKey`].
     pub fn fits(&self, config: &CycleSimConfig, warmup: u64) -> bool {
-        self.hierarchy.config() == config.hierarchy
-            && self.branch == config.branch
-            && self.value == value_mode(config)
-            && self.warmup == warmup
+        self.key == WarmStateKey::of(config, warmup)
     }
 
     /// The pass: interleaves the threads' first `warmup` instructions
@@ -336,14 +357,13 @@ impl WarmState {
     /// its end.
     fn pass<S: InstSource>(cfg: &CycleSimConfig, srcs: &mut [&mut S], warmup: u64) -> WarmState {
         crate::obs::WARM_PASSES.inc();
+        let key = WarmStateKey::of(cfg, warmup);
         let mut state = WarmState {
-            hierarchy: Hierarchy::new(cfg.hierarchy),
-            branches: Branches::new(cfg.branch),
-            values: Values::new(value_mode(cfg)),
+            hierarchy: Hierarchy::new(key.hierarchy),
+            branches: BranchPredictor::new(key.predictor),
+            values: Values::new(key.value),
             fetch_pos: vec![0; srcs.len()],
-            branch: cfg.branch,
-            value: value_mode(cfg),
-            warmup,
+            key,
         };
         let end = usize::try_from(warmup).unwrap_or(usize::MAX);
         // A thread still warming sits at `idx`; one whose trace ended
@@ -383,11 +403,6 @@ impl WarmState {
         }
         state
     }
-}
-
-/// The value predictor of `cfg`'s machine: runahead's, if any.
-fn value_mode(cfg: &CycleSimConfig) -> ValueMode {
-    cfg.runahead.map_or(ValueMode::None, |r| r.value)
 }
 
 /// An active runahead interval.
@@ -589,7 +604,9 @@ struct Core<'a> {
     cfg: &'a CycleSimConfig,
     hierarchy: Hierarchy,
     mshr: Mshr,
-    branches: Branches,
+    branches: BranchPredictor,
+    /// Perfect branch prediction: fetch ignores the predictor's verdicts.
+    perfect_bp: bool,
     values: Values,
     now: u64,
     completions: BinaryHeap<Reverse<(u64, u64)>>, // (complete_at, tid << TID_SHIFT | seq)
@@ -620,7 +637,8 @@ struct Core<'a> {
     active_cycles: u64,
     fm_weighted: u64,
     fm_active: u64,
-    branch_base: BranchStats,
+    /// Branches fetched, and the mispredictions fetch acted on.
+    branch_stats: BranchStats,
     runahead_entries: u64,
     runahead_exits: u64,
     runahead_episode: LocalHist,
@@ -675,8 +693,8 @@ impl<'a, S: InstSource> Machine<'a, S> {
             cfg,
             hierarchy,
             mshr: Mshr::new(cfg.mshrs, cfg.mem_latency),
-            branch_base: branches.stats(),
             branches,
+            perfect_bp: cfg.branch == BranchMode::Perfect,
             values,
             now: 0,
             completions: pool.completions,
@@ -698,6 +716,7 @@ impl<'a, S: InstSource> Machine<'a, S> {
             active_cycles: 0,
             fm_weighted: 0,
             fm_active: 0,
+            branch_stats: BranchStats::default(),
             runahead_entries: 0,
             runahead_exits: 0,
             runahead_episode: LocalHist::new(),
@@ -766,7 +785,6 @@ impl<'a, S: InstSource> Machine<'a, S> {
         }
         let Machine { core, threads } = self;
         let insts: Vec<u64> = threads.iter().map(|t| t.retired).collect();
-        let b = core.branches.stats();
         let report = CycleReport {
             cycles: core.now,
             insts: insts.iter().sum(),
@@ -775,10 +793,7 @@ impl<'a, S: InstSource> Machine<'a, S> {
             active_cycles: core.active_cycles,
             fm_weighted_cycles: core.fm_weighted,
             fm_active_cycles: core.fm_active,
-            branch_stats: BranchStats {
-                branches: b.branches - core.branch_base.branches,
-                mispredicts: b.mispredicts - core.branch_base.mispredicts,
-            },
+            branch_stats: core.branch_stats,
         };
         crate::obs::flush_run(
             &report,
@@ -1456,7 +1471,12 @@ impl Core<'_> {
                 let info = soa
                     .branch_info(slot)
                     .expect("branch classes carry branch info");
-                self.branches.observe_branch(soa.pc()[slot] | t.asid, info)
+                // The predictor trains on every branch, perfect or not.
+                let pc = soa.pc()[slot] | t.asid;
+                let mispredicted = self.branches.observe_branch(pc, info) && !self.perfect_bp;
+                self.branch_stats.branches += 1;
+                self.branch_stats.mispredicts += u64::from(mispredicted);
+                mispredicted
             } else {
                 false
             };

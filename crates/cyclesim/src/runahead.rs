@@ -56,15 +56,6 @@ impl RunaheadSim {
         RunaheadSim { config }
     }
 
-    /// Adds missing-load value prediction (see [`RunaheadConfig::value`]).
-    #[must_use]
-    pub fn with_value_prediction(mut self, mode: ValueMode) -> RunaheadSim {
-        if let Some(ra) = &mut self.config.runahead {
-            ra.value = mode;
-        }
-        self
-    }
-
     /// Runs the core over `trace`: the functional warm-up over the first
     /// `warmup` instructions, then up to `measure` measured ones. As in
     /// [`CycleSim::run`], the run holds a bounded window of the trace and

@@ -1,10 +1,10 @@
 //! Timing-behaviour tests of the cycle-accurate pipeline on micro traces
 //! with hand-checkable cycle counts.
 
-use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig};
+use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig, RunaheadConfig};
 use mlp_isa::{Inst, Reg};
 use mlp_workloads::micro;
-use mlpsim::IssueConfig;
+use mlpsim::{BranchMode, IssueConfig};
 
 fn run_warm(cfg: CycleSimConfig, trace: &[Inst]) -> CycleReport {
     let max_hot_pc = trace
@@ -260,9 +260,14 @@ fn runahead_value_prediction_unblocks_chains() {
         warm,
         u64::MAX,
     );
-    let vp = RunaheadSim::new(CycleSimConfig::default(), 2048)
-        .with_value_prediction(ValueMode::Perfect)
-        .run(&mut full.iter().copied(), warm, u64::MAX);
+    let vp = CycleSim::new(CycleSimConfig {
+        runahead: Some(RunaheadConfig {
+            max_dist: 2048,
+            value: ValueMode::Perfect,
+        }),
+        ..CycleSimConfig::default()
+    })
+    .run(&mut full.iter().copied(), warm, u64::MAX);
     assert!(
         vp.cycles * 2 < plain.cycles,
         "VP-assisted runahead must collapse the chain ({} vs {})",
@@ -274,6 +279,38 @@ fn runahead_value_prediction_unblocks_chains() {
         "{:.2} vs {:.2}",
         vp.mlp(),
         plain.mlp()
+    );
+}
+
+/// Perfect branch prediction on the conventional core: the core walks
+/// the real predictor and fetch ignores its mispredictions, so over a
+/// window of random-direction branches the run reports none, fetches
+/// the branches the real run fetches and takes no more cycles.
+#[test]
+fn perfect_branch_prediction_ignores_the_predictors_mispredictions() {
+    let trace = micro::random_trace(11, 12_000);
+    let run = |branch| {
+        CycleSim::new(CycleSimConfig {
+            branch,
+            ..CycleSimConfig::default()
+        })
+        .run(&mut trace.iter().copied(), 2_000, u64::MAX)
+    };
+    let real = run(BranchMode::default());
+    let perfect = run(BranchMode::Perfect);
+    assert!(
+        real.branch_stats.mispredicts > 100,
+        "{:?}",
+        real.branch_stats
+    );
+    assert_eq!(perfect.branch_stats.mispredicts, 0);
+    assert_eq!(perfect.branch_stats.branches, real.branch_stats.branches);
+    assert_eq!(perfect.insts, real.insts);
+    assert!(
+        perfect.cycles <= real.cycles,
+        "perfect prediction took {} cycles, the real predictor {}",
+        perfect.cycles,
+        real.cycles
     );
 }
 

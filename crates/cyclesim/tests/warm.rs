@@ -8,6 +8,7 @@ use mlp_cyclesim::{CycleSim, CycleSimConfig, RunaheadConfig, WarmState};
 use mlp_isa::TraceSoA;
 use mlp_mem::HierarchyConfig;
 use mlp_obs::{Mode, Snapshot};
+use mlp_predict::BranchPredictorConfig;
 use mlp_workloads::{Workload, WorkloadKind};
 use mlpsim::{BranchMode, IssueConfig, ValueMode};
 use std::sync::{Mutex, MutexGuard};
@@ -106,6 +107,31 @@ fn runs_from_one_warm_state_equal_cold_runs() {
     }
 }
 
+/// A perfect-prediction run walks the predictor its real twin walks, so
+/// it starts from the twin's state: from a clone it reports and counts
+/// what its cold run does, on the conventional core and with runahead.
+#[test]
+fn a_perfect_prediction_run_from_a_real_state_equals_its_cold_run() {
+    let _g = lock();
+    let soa = database();
+    for real in [CycleSimConfig::default(), runahead(ValueMode::None)] {
+        let (state, _) = armed(|| WarmState::new(&real, &soa, soa.len(), WARMUP));
+        let perfect = CycleSimConfig {
+            branch: BranchMode::Perfect,
+            ..real.clone()
+        };
+        let cold = run(&perfect, &soa, WARMUP, None);
+        let shared = run(&perfect, &soa, WARMUP, Some(&state));
+        assert_eq!(shared.0, cold.0, "report of {perfect:?}");
+        assert_eq!(shared.1, cold.1, "counters of {perfect:?}");
+        assert_ne!(
+            cold.0,
+            run(&real, &soa, WARMUP, None).0,
+            "the twins differ in mispredictions"
+        );
+    }
+}
+
 /// The pass's own cache accesses never reach a run's counters: with the
 /// whole trace inside the warm-up, a run from a clone measures nothing
 /// and flushes no access of any cache level or of the TLB, exactly like
@@ -176,7 +202,20 @@ fn a_state_fits_only_its_hierarchy_predictors_and_warm_up() {
         branch: BranchMode::Perfect,
         ..config.clone()
     };
-    assert!(!state.fits(&perfect_bp, 500), "another branch mode");
+    assert!(
+        state.fits(&perfect_bp, 500),
+        "perfect prediction walks the default predictor"
+    );
+    let tiny = CycleSimConfig {
+        branch: BranchMode::Real(BranchPredictorConfig {
+            gshare_entries: 16,
+            history_bits: 3,
+            btb_entries: 4,
+            ras_entries: 2,
+        }),
+        ..config.clone()
+    };
+    assert!(!state.fits(&tiny, 500), "another branch predictor");
     assert!(
         !state.fits(&runahead(ValueMode::LastValue(1024)), 500),
         "another value predictor"

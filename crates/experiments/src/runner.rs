@@ -1,7 +1,7 @@
 //! Shared helpers for driving the simulators over the calibrated
 //! workloads.
 //!
-//! Two things make figure/table sweeps fast here:
+//! Three things make figure/table sweeps fast here:
 //!
 //! 1. **Shared trace materialization** — every run of a given workload
 //!    replays the same `(kind, SEED)` instruction stream, so the stream
@@ -16,23 +16,24 @@
 //!    serial run regardless of thread count (configure with the
 //!    `MLP_THREADS` environment variable).
 //! 3. **Shared functional state** — within one `sweep*` call, the
-//!    [`run_mlpsim`] runs over one trace, hierarchy, fetch mode and branch
-//!    mode share a single program-order pass of the caches and the
-//!    branch predictor ([`mlpsim::Annotation`]), built by the first of
-//!    them, and the [`run_cyclesim`] runs over one trace, hierarchy,
-//!    predictor set and warm-up share a single functional warm-up
+//!    [`run_mlpsim`] runs over one trace and [`mlpsim::AnnotationKey`]
+//!    share a single program-order pass of the caches and the branch
+//!    predictor ([`mlpsim::Annotation`]), built by the first of them,
+//!    and the [`run_cyclesim`] runs over one trace and
+//!    [`mlp_cyclesim::WarmStateKey`] share a single functional warm-up
 //!    ([`mlp_cyclesim::WarmState`]), built by the second of them, instead
 //!    of each making its own (see [`SweepShared`] for why the rules
-//!    differ). Every other epoch run annotates its own source as it goes.
+//!    differ). The engines define the keys; a perfect-branch-prediction
+//!    run shares its real twin's. Every other epoch run annotates its
+//!    own source as it goes.
 
 use crate::RunScale;
 use mlp_cyclesim::smt::{SmtReport, SmtSim};
-use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig, WarmState};
+use mlp_cyclesim::{CycleReport, CycleSim, CycleSimConfig, WarmState, WarmStateKey};
 use mlp_isa::{ChunkedSoaSource, SharedSoaSource};
-use mlp_mem::HierarchyConfig;
 use mlp_par::SharedSlots;
 use mlp_workloads::{SharedTrace, TraceStore, WorkloadKind};
-use mlpsim::{Annotation, BranchMode, MlpsimConfig, Report, Simulator, ValueMode};
+use mlpsim::{Annotation, AnnotationKey, MlpsimConfig, Report, Simulator};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -53,34 +54,10 @@ thread_local! {
     static SWEEP_SHARED: RefCell<Option<Arc<SweepShared>>> = const { RefCell::new(None) };
 }
 
-/// What an annotation column depends on: the trace (every
-/// [`run_mlpsim`] replays `(kind, SEED)`, so its kind and length name
-/// it), the hierarchy, the instruction-fetch mode and the branch mode.
-#[derive(Clone, Copy, PartialEq)]
-struct ColumnKey {
-    kind: WorkloadKind,
-    len: usize,
-    hierarchy: HierarchyConfig,
-    perfect_ifetch: bool,
-    branch: BranchMode,
-}
-
-/// What a cycle-level warm state depends on: the trace (named like a
-/// column's), the hierarchy, the branch mode, the value predictor and
-/// the warm-up. Latency, window, issue configuration, perfect L2 and
-/// runahead distance are not part of it.
-#[derive(Clone, Copy, PartialEq)]
-struct WarmKey {
-    kind: WorkloadKind,
-    len: usize,
-    hierarchy: HierarchyConfig,
-    branch: BranchMode,
-    value: ValueMode,
-    warmup: u64,
-}
-
 /// The functional state the jobs of one `sweep*` call share, per key
 /// ([`SharedSlots`]); the store is dropped when the sweep call returns.
+/// A key is the trace (every run replays `(kind, SEED)`, so its kind and
+/// length name it) and the key its engine defines for the state.
 ///
 /// * A column's first run builds it and reads it, as every later run of
 ///   its key does ([`SharedSlots::share`]). The runs only read a column,
@@ -94,8 +71,8 @@ struct WarmKey {
 ///   hierarchies as large as a 16 MB L3, for nothing.
 #[derive(Default)]
 struct SweepShared {
-    columns: SharedSlots<ColumnKey, Annotation>,
-    warm: SharedSlots<WarmKey, WarmState>,
+    columns: SharedSlots<(WorkloadKind, usize, AnnotationKey), Annotation>,
+    warm: SharedSlots<(WorkloadKind, usize, WarmStateKey), WarmState>,
 }
 
 /// Puts a thread's previous sweep store back when a job ends, even by
@@ -220,8 +197,8 @@ pub fn shared_seeded(kind: WorkloadKind, seed: u64, insts: u64) -> SharedTrace {
 /// Runs the epoch model over `kind` at the given scale.
 ///
 /// Inside a `sweep*` call, a run over the in-memory trace reads the
-/// sweep's annotation column for its trace, hierarchy, fetch mode and
-/// branch mode, which the key's first run builds (see [`SweepShared`]).
+/// sweep's annotation column for its trace and [`AnnotationKey`], which
+/// the key's first run builds (see [`SweepShared`]).
 /// Any other run, a run over a spilled trace included, annotates its own
 /// source as it streams it; the report is the same either way.
 ///
@@ -236,13 +213,7 @@ pub fn shared_seeded(kind: WorkloadKind, seed: u64, insts: u64) -> SharedTrace {
 /// in the `mlp-experiments` binary.
 pub fn run_mlpsim(kind: WorkloadKind, config: MlpsimConfig, scale: RunScale) -> Report {
     let shared = shared_seeded(kind, SEED, scale.warmup + scale.measure);
-    let key = ColumnKey {
-        kind,
-        len: shared.len(),
-        hierarchy: config.hierarchy,
-        perfect_ifetch: config.perfect_ifetch,
-        branch: config.branch,
-    };
+    let key = (kind, shared.len(), AnnotationKey::of(&config));
     let mut sim = Simulator::new(config);
     let report = if shared.is_spilled() {
         sim.run_chunks(shared.chunks(), scale.warmup, scale.measure)
@@ -274,8 +245,8 @@ pub fn run_mlpsim(kind: WorkloadKind, config: MlpsimConfig, scale: RunScale) -> 
 /// Runs the cycle-accurate model over `kind` at the given scale.
 ///
 /// Inside a `sweep*` call, a run over the in-memory trace starts from
-/// the sweep's warm state for its trace, hierarchy, predictors and
-/// warm-up once an earlier run of the same key has warmed itself (see
+/// the sweep's warm state for its trace and [`WarmStateKey`] once an
+/// earlier run of the same key has warmed itself (see
 /// [`SweepShared`]); the report is the same either way. A spilled trace
 /// always warms itself.
 ///
@@ -285,14 +256,7 @@ pub fn run_mlpsim(kind: WorkloadKind, config: MlpsimConfig, scale: RunScale) -> 
 pub fn run_cyclesim(kind: WorkloadKind, config: CycleSimConfig, scale: RunScale) -> CycleReport {
     let (warmup, measure) = (scale.cycle_warmup, scale.cycle_measure);
     let shared = shared_seeded(kind, SEED, warmup + measure);
-    let key = WarmKey {
-        kind,
-        len: shared.len(),
-        hierarchy: config.hierarchy,
-        branch: config.branch,
-        value: config.runahead.map_or(ValueMode::None, |r| r.value),
-        warmup,
-    };
+    let key = (kind, shared.len(), WarmStateKey::of(&config, warmup));
     let mut sim = CycleSim::new(config);
     let report = if shared.is_spilled() {
         sim.run_chunks(shared.chunks(), warmup, measure)

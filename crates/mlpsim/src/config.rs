@@ -125,8 +125,20 @@ impl WindowModel {
 pub enum BranchMode {
     /// The realistic gshare + BTB + RAS stack.
     Real(BranchPredictorConfig),
-    /// Perfect branch prediction (the limit study's `perfBP`).
+    /// Perfect branch prediction (the limit study's `perfBP`): the run
+    /// walks the default predictor and ignores its mispredictions.
     Perfect,
+}
+
+impl BranchMode {
+    /// The predictor a run of this mode walks over its branches in
+    /// program order: its own, or the default one for `Perfect`.
+    pub fn predictor(self) -> BranchPredictorConfig {
+        match self {
+            BranchMode::Real(config) => config,
+            BranchMode::Perfect => BranchPredictorConfig::default(),
+        }
+    }
 }
 
 impl Default for BranchMode {

@@ -13,7 +13,10 @@
 //! of the pass: it makes no fetch accesses. The front end is the same
 //! view: every window admits the branches in program order, so whether
 //! one mispredicts depends only on the branches before it and the
-//! branch mode.
+//! predictor walked over them. A run with perfect branch prediction
+//! walks the default predictor like its real twin, and the adapter
+//! clears the predictor's verdict, [`warm::BMISS`], from every outcome
+//! it hands the kernel.
 //!
 //! The pass records three bits per instruction ([`warm::IMISS`],
 //! [`warm::DMISS`], [`warm::BMISS`]): a column beside the trace's own.
@@ -23,8 +26,8 @@
 //! come from one of two places:
 //!
 //! * a shared [`Annotation`]: the pass run once to the end of a trace
-//!   prefix and read by every run over that prefix, hierarchy, fetch
-//!   mode and branch mode;
+//!   prefix and read by every run over that prefix with its
+//!   [`AnnotationKey`] (hierarchy, fetch mode and predictor);
 //! * the run's own pass, which annotates each instruction as the kernel
 //!   asks the source for it, so it never runs past the kernel's fetch
 //!   buffer, and keeps the bits in a ring of a row chunk (or of that
@@ -40,17 +43,39 @@
 //! one index into the column or the ring, and a run over a shared
 //! column pays nothing else for it.
 
-use super::{ooo, warm, Branches, Values};
+use super::{ooo, warm, Values};
 use crate::config::{BranchMode, MlpsimConfig, WindowModel};
 use mlp_isa::{InstSource, TraceSoA, ROW_CHUNK_INSTS};
 use mlp_mem::{Hierarchy, HierarchyConfig};
+use mlp_predict::{BranchObserver, BranchPredictor, BranchPredictorConfig};
 use std::borrow::Cow;
+
+/// What a program-order pass depends on: the hierarchy, the
+/// instruction-fetch mode and the branch predictor walked, but not the
+/// window, the value predictor or the branch mode.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AnnotationKey {
+    hierarchy: HierarchyConfig,
+    perfect_ifetch: bool,
+    predictor: BranchPredictorConfig,
+}
+
+impl AnnotationKey {
+    /// The key of `config`'s pass.
+    pub fn of(config: &MlpsimConfig) -> AnnotationKey {
+        AnnotationKey {
+            hierarchy: config.hierarchy,
+            perfect_ifetch: config.perfect_ifetch,
+            predictor: config.branch.predictor(),
+        }
+    }
+}
 
 /// A hierarchy and a branch predictor, walked over a trace in program
 /// order.
 struct Pass {
     hierarchy: Hierarchy,
-    branches: Branches,
+    branches: BranchPredictor,
     perfect_ifetch: bool,
     /// The hierarchy's statistics restart when the pass reaches this
     /// instruction (a run's warm-up boundary), so a run's `mem.*`
@@ -59,11 +84,11 @@ struct Pass {
 }
 
 impl Pass {
-    fn new(config: &MlpsimConfig, reset_at: usize) -> Pass {
+    fn new(key: AnnotationKey, reset_at: usize) -> Pass {
         Pass {
-            hierarchy: Hierarchy::new(config.hierarchy),
-            branches: Branches::new(config.branch),
-            perfect_ifetch: config.perfect_ifetch,
+            hierarchy: Hierarchy::new(key.hierarchy),
+            branches: BranchPredictor::new(key.predictor),
+            perfect_ifetch: key.perfect_ifetch,
             reset_at,
         }
     }
@@ -101,32 +126,26 @@ impl Pass {
 /// column's bits.
 #[derive(Debug)]
 pub struct Annotation {
-    hierarchy: HierarchyConfig,
-    perfect_ifetch: bool,
-    branch: BranchMode,
+    key: AnnotationKey,
     bits: Vec<u8>,
 }
 
 impl Annotation {
-    /// Runs the program-order pass of `config`'s hierarchy, instruction
-    /// fetch mode and branch predictor over the first `len` instructions
-    /// of `soa`. Only those three parts of `config` matter.
+    /// Runs the program-order pass of `config`'s [`AnnotationKey`] over
+    /// the first `len` instructions of `soa`. Only the key's parts of
+    /// `config` matter.
     ///
     /// # Panics
     ///
     /// Panics if `len > soa.len()`.
     pub fn new(config: &MlpsimConfig, soa: &TraceSoA, len: usize) -> Annotation {
         assert!(len <= soa.len(), "prefix exceeds materialized trace");
-        let mut pass = Pass::new(config, usize::MAX);
+        let key = AnnotationKey::of(config);
+        let mut pass = Pass::new(key, usize::MAX);
         let bits = (0..len).map(|i| pass.step(soa, i, i)).collect();
         pass.hierarchy.flush_obs();
         crate::obs::ANNOTATE_PASSES.inc();
-        Annotation {
-            hierarchy: config.hierarchy,
-            perfect_ifetch: config.perfect_ifetch,
-            branch: config.branch,
-            bits,
-        }
+        Annotation { key, bits }
     }
 
     /// Instructions annotated.
@@ -135,11 +154,9 @@ impl Annotation {
     }
 
     /// Whether runs of `config` may read this column: it was built for
-    /// the same hierarchy, instruction-fetch mode and branch mode.
+    /// their [`AnnotationKey`].
     pub fn fits(&self, config: &MlpsimConfig) -> bool {
-        self.hierarchy == config.hierarchy
-            && self.perfect_ifetch == config.perfect_ifetch
-            && self.branch == config.branch
+        self.key == AnnotationKey::of(config)
     }
 }
 
@@ -159,6 +176,9 @@ pub(crate) struct Annotated<'a, S> {
     /// the bits of the last `mask + 1` instructions it annotated.
     bits: Cow<'a, [u8]>,
     mask: usize,
+    /// The outcome bits the run reads: all of them, or all but
+    /// [`warm::BMISS`] under perfect branch prediction.
+    keep: u8,
     /// Instructions annotated and available: every instruction of the
     /// source, for a shared column.
     done: usize,
@@ -168,22 +188,23 @@ pub(crate) struct Annotated<'a, S> {
 
 impl<'a, S: InstSource> Annotated<'a, S> {
     /// `src`, a source holding its whole trace up front, with the bits
-    /// of `column`, which covers every instruction of it.
-    pub(crate) fn shared(src: &'a mut S, column: &'a Annotation) -> Annotated<'a, S> {
+    /// of `column`, which covers every instruction of it, for `config`.
+    pub(crate) fn shared(src: &'a mut S, column: &'a Annotation, config: &MlpsimConfig) -> Self {
         let done = src.available();
         debug_assert!(done <= column.len(), "the column covers the source");
         Annotated {
             src,
             bits: Cow::Borrowed(&column.bits),
             mask: usize::MAX,
+            keep: kept_bits(config),
             done,
             pass: None,
         }
     }
 
     /// `src` with the bits of its own program-order pass over `config`'s
-    /// hierarchy, fetch mode and branch predictor, whose hierarchy
-    /// statistics restart at instruction `warmup`.
+    /// [`AnnotationKey`], whose hierarchy statistics restart at
+    /// instruction `warmup`.
     pub(crate) fn own(src: &'a mut S, config: &MlpsimConfig, warmup: u64) -> Annotated<'a, S> {
         // How far past the oldest instruction it has not admitted a
         // kernel asks about outcomes: its fetch buffer. The warm-up walks
@@ -198,9 +219,10 @@ impl<'a, S: InstSource> Annotated<'a, S> {
             src,
             bits: Cow::Owned(vec![0; ring]),
             mask: ring - 1,
+            keep: kept_bits(config),
             done: 0,
             pass: Some(Pass::new(
-                config,
+                AnnotationKey::of(config),
                 usize::try_from(warmup).unwrap_or(usize::MAX),
             )),
         }
@@ -216,7 +238,7 @@ impl<'a, S: InstSource> Annotated<'a, S> {
             idx < self.done && self.done - idx <= self.bits.len(),
             "the bits of instruction {idx} are not in the ring"
         );
-        self.bits[idx & self.mask]
+        self.bits[idx & self.mask] & self.keep
     }
 
     /// Runs the run's own pass over instructions `[done, end)`, which the
@@ -285,6 +307,15 @@ impl<'a, S: InstSource> Annotated<'a, S> {
     }
 }
 
+/// [`Annotated::keep`] for a run of `config`.
+fn kept_bits(config: &MlpsimConfig) -> u8 {
+    if config.branch == BranchMode::Perfect {
+        !warm::BMISS
+    } else {
+        !0
+    }
+}
+
 impl<S: InstSource> InstSource for Annotated<'_, S> {
     /// Makes instructions available up to `upto`, and no further: a run's
     /// own pass annotates each one it makes available.
@@ -333,10 +364,12 @@ mod tests {
     use proptest::prelude::*;
 
     /// The program-order walk written out longhand over `Inst` rows:
-    /// (fetch off chip, data access off chip, branch mispredicted).
+    /// (fetch off chip, data access off chip, branch mispredicted). Under
+    /// perfect branch prediction nothing mispredicts.
     fn naive(config: &MlpsimConfig, insts: &[mlp_isa::Inst]) -> Vec<(bool, bool, bool)> {
         let mut h = Hierarchy::new(config.hierarchy);
-        let mut branches = Branches::new(config.branch);
+        let mut branches = BranchPredictor::new(config.branch.predictor());
+        let perfect_bp = config.branch == BranchMode::Perfect;
         insts
             .iter()
             .map(|inst| {
@@ -347,9 +380,10 @@ mod tests {
                     (OpKind::Prefetch, Some(m)) => h.prefetch(m.addr).is_off_chip(),
                     _ => false,
                 };
-                let b = inst
-                    .branch
-                    .is_some_and(|info| branches.observe_branch(inst.pc, info));
+                let b = !perfect_bp
+                    && inst
+                        .branch
+                        .is_some_and(|info| branches.observe_branch(inst.pc, info));
                 (i, d, b)
             })
             .collect()
@@ -370,12 +404,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Each column bit is what a naive program-order walk of
-        /// `Hierarchy::{ifetch, load, store, prefetch}` and the branch
-        /// predictor answers, with and without perfect fetch, over tiny
-        /// and default hierarchies and every branch mode. A run's own
-        /// pass over a chunked source, read in order and released as it
-        /// goes, answers the same.
+        /// Each bit a run reads from a column is what a naive
+        /// program-order walk of `Hierarchy::{ifetch, load, store,
+        /// prefetch}` and the branch predictor answers, with and without
+        /// perfect fetch, over tiny and default hierarchies, with the
+        /// real predictor and with perfect prediction, which reads the
+        /// real predictor's column. A run's own pass over a chunked
+        /// source, read in order and released as it goes, answers the
+        /// same.
         #[test]
         fn column_bits_are_a_program_order_walk(
             seed in any::<u64>(),
@@ -406,7 +442,10 @@ mod tests {
             prop_assert_eq!(column.len(), len);
             prop_assert!(column.fits(&config));
             let want = naive(&config, &insts);
-            prop_assert_eq!(split(&column.bits), want.clone());
+            let mut whole = mlp_isa::SharedSoaSource::new(&soa, len);
+            let shared = Annotated::shared(&mut whole, &column, &config);
+            let read: Vec<u8> = (0..len).map(|idx| shared.bits(idx)).collect();
+            prop_assert_eq!(split(&read), want.clone());
             let mut src = ChunkedSoaSource::new(insts.chunks(chunk).map(TraceSoA::from_insts));
             let mut own = Annotated::own(&mut src, &config, 0);
             let mut got = Vec::with_capacity(len);
@@ -461,7 +500,19 @@ mod tests {
         let soa = TraceSoA::from_insts(&micro::random_trace(1, 50));
         let column = Annotation::new(&MlpsimConfig::default(), &soa, 50);
         let perfect = MlpsimConfig::builder().branch(BranchMode::Perfect).build();
-        assert!(!column.fits(&perfect));
+        assert!(
+            column.fits(&perfect),
+            "perfect prediction reads the default predictor's column"
+        );
+        let tiny = MlpsimConfig::builder()
+            .branch(BranchMode::Real(BranchPredictorConfig {
+                gshare_entries: 16,
+                history_bits: 3,
+                btb_entries: 4,
+                ras_entries: 2,
+            }))
+            .build();
+        assert!(!column.fits(&tiny), "another predictor");
         let vp = MlpsimConfig::builder()
             .value(ValueMode::LastValue(1024))
             .build();

@@ -4,18 +4,17 @@ mod ooo;
 mod scratch;
 pub mod warm;
 
-pub use annotate::Annotation;
+pub use annotate::{Annotation, AnnotationKey};
 
-use crate::config::{BranchMode, MlpsimConfig, ValueMode, WindowModel};
+use crate::config::{MlpsimConfig, ValueMode, WindowModel};
 use crate::report::{Inhibitor, InhibitorCounts, OffchipCounts, Report};
 use annotate::Annotated;
 use mlp_isa::{
     row_chunks, ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks, TraceSoA, TraceSource,
 };
 use mlp_predict::{
-    BranchObserver, BranchPredictor, BranchStats, HybridValuePredictor, LastValuePredictor,
-    PerfectBranchPredictor, PerfectValuePredictor, StridePredictor, ValueObserver, ValuePrediction,
-    ValueStats,
+    BranchStats, HybridValuePredictor, LastValuePredictor, PerfectValuePredictor, StridePredictor,
+    ValueObserver, ValuePrediction, ValueStats,
 };
 
 /// The kind of a useful off-chip access, for attribution.
@@ -278,44 +277,6 @@ impl EpochTracker {
     }
 }
 
-/// The branch predictor of a [`BranchMode`], behind static dispatch:
-/// the one wrapper both engines train and consult.
-#[derive(Clone, Debug)]
-pub enum Branches {
-    /// The real front end (gshare, BTB, return-address stack).
-    Real(BranchPredictor),
-    /// Perfect branch prediction: nothing mispredicts.
-    Perfect(PerfectBranchPredictor),
-}
-
-impl Branches {
-    /// A fresh predictor for `mode`.
-    pub fn new(mode: BranchMode) -> Branches {
-        match mode {
-            BranchMode::Real(cfg) => Branches::Real(BranchPredictor::new(cfg)),
-            BranchMode::Perfect => Branches::Perfect(PerfectBranchPredictor::new()),
-        }
-    }
-
-    /// Returns whether the front end mispredicts this branch, given its
-    /// already-decoded parts (straight off the trace columns), and trains
-    /// on it.
-    pub fn observe_branch(&mut self, pc: u64, info: mlp_isa::BranchInfo) -> bool {
-        match self {
-            Branches::Real(p) => p.observe_branch(pc, info),
-            Branches::Perfect(p) => p.observe_branch(pc, info),
-        }
-    }
-
-    /// Branches observed and mispredicted so far.
-    pub fn stats(&self) -> BranchStats {
-        match self {
-            Branches::Real(p) => p.stats(),
-            Branches::Perfect(p) => p.stats(),
-        }
-    }
-}
-
 /// The value predictor of a [`ValueMode`], behind static dispatch: the
 /// one wrapper both engines train and consult.
 #[derive(Clone, Debug)]
@@ -482,16 +443,19 @@ impl Simulator {
     /// [`Simulator::run_shared`] reading every fetch, data and branch
     /// outcome from `column`, a program-order pass over the same columns,
     /// instead of making the pass itself: runs of different window
-    /// configurations over one trace, hierarchy and branch mode share one
-    /// [`Annotation`]. Such a run builds no hierarchy or branch
-    /// predictor, and without value prediction it makes no warm-up pass.
-    /// The report is identical to `run_shared`'s.
+    /// configurations, value predictors and branch modes over one trace,
+    /// hierarchy, fetch mode and branch predictor ([`AnnotationKey`])
+    /// share one [`Annotation`]; a run with perfect branch prediction
+    /// reads its real twin's column and ignores the mispredictions. Such
+    /// a run builds no hierarchy or branch predictor, and without value
+    /// prediction it makes no warm-up pass. The report is identical to
+    /// `run_shared`'s.
     ///
     /// # Panics
     ///
     /// Panics if `column` was built for another hierarchy,
-    /// instruction-fetch mode or branch mode ([`Annotation::fits`]), or
-    /// covers fewer than `len` instructions, or if `len > soa.len()`.
+    /// instruction-fetch mode or branch predictor ([`Annotation::fits`]),
+    /// or covers fewer than `len` instructions, or if `len > soa.len()`.
     pub fn run_annotated(
         &mut self,
         soa: &TraceSoA,
@@ -502,7 +466,7 @@ impl Simulator {
     ) -> Report {
         assert!(
             column.fits(&self.config),
-            "annotation built for another hierarchy, fetch mode or branch mode"
+            "annotation built for another hierarchy, fetch mode or branch predictor"
         );
         assert!(
             column.len() >= len,
@@ -510,7 +474,8 @@ impl Simulator {
             column.len()
         );
         let mut src = SharedSoaSource::new(soa, len);
-        self.run_from(Annotated::shared(&mut src, column), warmup, measure)
+        let src = Annotated::shared(&mut src, column, &self.config);
+        self.run_from(src, warmup, measure)
     }
 
     /// Runs the epoch model over a stream of column chunks (a spilled

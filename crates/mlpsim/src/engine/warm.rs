@@ -17,12 +17,16 @@
 //! predictor trains it from their bits ([`train_value`]). A run reading
 //! a shared column without a value predictor walks nothing and starts at
 //! `W` at once.
+//!
+//! [`BMISS`] is the predictor's verdict, which a run with perfect branch
+//! prediction ignores: it walks the default predictor all the same.
 
-use super::{Branches, Values};
+use super::Values;
 use mlp_isa::{
     TraceSoA, ATTR_BRANCH, CLASS_ATOMIC, CLASS_ATTRS, CLASS_LOAD, CLASS_PREFETCH, CLASS_STORE,
 };
 use mlp_mem::Hierarchy;
+use mlp_predict::{BranchObserver, BranchPredictor};
 
 /// Outcome bit: the instruction's fetch went off chip.
 pub const IMISS: u8 = 1;
@@ -69,7 +73,7 @@ pub fn touch(
 /// [`touch`].
 #[inline]
 pub fn train(
-    branches: &mut Branches,
+    branches: &mut BranchPredictor,
     values: &mut Values,
     soa: &TraceSoA,
     i: usize,

@@ -73,5 +73,5 @@ pub use config::{
     BranchMode, InOrderPolicy, IssueConfig, MlpsimConfig, MlpsimConfigBuilder, ValueMode,
     WindowModel,
 };
-pub use engine::{warm, Annotation, Branches, Simulator, Values};
+pub use engine::{warm, Annotation, AnnotationKey, Simulator, Values};
 pub use report::{Inhibitor, InhibitorCounts, OffchipCounts, Report};

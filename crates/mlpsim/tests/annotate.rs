@@ -5,7 +5,9 @@
 //! mispredicted branches included) and `run_chunks` (the run's own pass
 //! over a streamed trace) must give identical reports on every window
 //! model, issue configuration, branch and value predictor, store buffer,
-//! hierarchy and warm-up.
+//! hierarchy and warm-up. A run with perfect branch prediction reading
+//! the column of its twin with the default predictor reports the same
+//! again.
 
 use mlp_isa::{Inst, Reg, TraceSoA};
 use mlp_mem::{CacheConfig, HierarchyConfig};
@@ -55,7 +57,8 @@ fn trace(ops: &[Op]) -> Vec<Inst> {
         .collect()
 }
 
-/// A branch mode: the default predictor, a perfect one, or a tiny
+/// A branch mode: the default predictor, perfect prediction (which walks
+/// the default predictor and ignores its verdicts), or a tiny
 /// predictor whose tables alias constantly.
 fn branch_mode(branch: u8) -> BranchMode {
     match branch % 3 {
@@ -161,6 +164,12 @@ proptest! {
         let chunks = insts.chunks(chunk).map(TraceSoA::from_insts);
         let streamed = format!("{:?}", sim.run_chunks(chunks, warmup, u64::MAX));
         prop_assert_eq!(&own, &streamed);
+        if sim.config().branch == BranchMode::Perfect {
+            let twin = MlpsimConfig { branch: BranchMode::default(), ..sim.config().clone() };
+            let column = Annotation::new(&twin, &soa, len);
+            let masked = format!("{:?}", sim.run_annotated(&soa, len, &column, warmup, u64::MAX));
+            prop_assert_eq!(&own, &masked);
+        }
     }
 }
 
@@ -190,13 +199,15 @@ fn a_column_serves_shorter_runs_of_its_trace() {
     }
 }
 
+/// Perfect prediction reads the default predictor's column; a run
+/// walking another predictor may not.
 #[test]
-#[should_panic(expected = "another hierarchy, fetch mode or branch mode")]
+#[should_panic(expected = "another hierarchy, fetch mode or branch predictor")]
 fn a_column_of_another_branch_mode_is_refused() {
     let soa = TraceSoA::from_insts(&trace(&[(11, 1, 2, 3, true)]));
     let column = Annotation::new(&MlpsimConfig::default(), &soa, 1);
-    let perfect = MlpsimConfig::builder().branch(BranchMode::Perfect).build();
-    Simulator::new(perfect).run_annotated(&soa, 1, &column, 0, u64::MAX);
+    let tiny = MlpsimConfig::builder().branch(branch_mode(2)).build();
+    Simulator::new(tiny).run_annotated(&soa, 1, &column, 0, u64::MAX);
 }
 
 #[test]

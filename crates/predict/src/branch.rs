@@ -49,9 +49,7 @@ impl BranchStats {
 }
 
 /// Something that can judge, branch by branch, whether the front end
-/// predicts it correctly. Implemented by the realistic
-/// [`BranchPredictor`] and by [`PerfectBranchPredictor`] for the limit
-/// study.
+/// predicts it correctly: the realistic [`BranchPredictor`].
 pub trait BranchObserver {
     /// Observes a dynamic branch given its already-decoded parts:
     /// returns `true` if the front end *mispredicts* it, training
@@ -209,31 +207,6 @@ impl BranchObserver for BranchPredictor {
     }
 }
 
-/// A perfect branch predictor: never mispredicts. Used for the
-/// `perfBP` arms of the paper's limit study (Figure 10).
-#[derive(Clone, Debug, Default)]
-pub struct PerfectBranchPredictor {
-    stats: BranchStats,
-}
-
-impl PerfectBranchPredictor {
-    /// Creates a perfect predictor.
-    pub fn new() -> PerfectBranchPredictor {
-        PerfectBranchPredictor::default()
-    }
-}
-
-impl BranchObserver for PerfectBranchPredictor {
-    fn observe_branch(&mut self, _pc: u64, _info: BranchInfo) -> bool {
-        self.stats.branches += 1;
-        false
-    }
-
-    fn stats(&self) -> BranchStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,17 +314,6 @@ mod tests {
         assert!(!p.observe(&j)); // trained
         let j2 = Inst::indirect(0x500, Reg::int(9), 0xa000);
         assert!(p.observe(&j2)); // target changed
-    }
-
-    #[test]
-    fn perfect_never_mispredicts() {
-        let mut p = PerfectBranchPredictor::new();
-        let br = Inst::cond_branch(0x100, Reg::int(1), true, 0x4000);
-        for _ in 0..10 {
-            assert!(!p.observe(&br));
-        }
-        assert_eq!(p.stats().branches, 10);
-        assert_eq!(p.stats().mispredicts, 0);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! Both simulators drive predictors in *observe* style: present the actual
 //! dynamic instruction, get back whether the front end would have predicted
-//! it correctly, with the tables trained as a side effect. Perfect variants
-//! ([`PerfectBranchPredictor`]) support the paper's limit study (§5.6).
+//! it correctly, with the tables trained as a side effect. The paper's limit
+//! study (§5.6) has a [`PerfectValuePredictor`]; its perfect branch
+//! prediction walks [`BranchPredictor`] and ignores the verdicts.
 //!
 //! # Examples
 //!
@@ -31,9 +32,7 @@
 mod branch;
 mod value;
 
-pub use branch::{
-    BranchObserver, BranchPredictor, BranchPredictorConfig, BranchStats, PerfectBranchPredictor,
-};
+pub use branch::{BranchObserver, BranchPredictor, BranchPredictorConfig, BranchStats};
 pub use value::{
     HybridValuePredictor, LastValuePredictor, PerfectValuePredictor, StridePredictor,
     ValueObserver, ValuePrediction, ValueStats,

@@ -16,9 +16,11 @@ cargo build --release --workspace
 echo "==> examples (release)"
 # The examples are the main in-repo callers of the row-fed entry points
 # over live generators: quickstart runs Simulator::run,
-# design_space_sweep CycleSim::run and smt_corun SmtSim::run. A non-zero
-# exit fails the gate.
-for example in quickstart design_space_sweep smt_corun; do
+# design_space_sweep CycleSim::run, smt_corun SmtSim::run, and
+# runahead_exploration Simulator::run with perfect branch prediction,
+# whose own pass masks the predictor's verdicts. A non-zero exit fails
+# the gate.
+for example in quickstart design_space_sweep smt_corun runahead_exploration; do
     cargo run -q --release --example "$example" >/dev/null
 done
 
@@ -116,6 +118,14 @@ target/release/mlp-stats summary "$smoke_dir/epochs.quick.json" >/dev/null
 target/release/mlp-stats timeline "$smoke_dir/epochs.quick.jsonl" >/dev/null
 target/release/mlp-stats diff \
     "$smoke_dir/epochs.quick.json" "$smoke_dir/epochs.quick.json" >/dev/null
+# figure10's perfect-branch-prediction arms walk the default predictor,
+# so each reads its real twin's column: two keys per workload (perfect
+# instruction fetch or not), six passes for thirty runs. A perfect-BP
+# key that drifts back to a pass of its own fails here.
+MLP_OBS=counters MLP_THREADS=1 target/release/mlp-experiments \
+    --only figure10 --scale quick --json "$smoke_dir" >/dev/null
+grep -q '"mlpsim.annotate.passes": 6,' "$smoke_dir/figure10.quick.json"
+grep -q '"mlpsim.annotate.shared_runs": 30,' "$smoke_dir/figure10.quick.json"
 
 echo "==> streaming smoke (spilled trace run == in-memory run)"
 # Force every trace to spill as a chunked v2 file and re-run experiments
@@ -124,8 +134,10 @@ echo "==> streaming smoke (spilled trace run == in-memory run)"
 # and RAE runs share one annotation key per workload, so in memory they
 # read the column their key's first run builds, while spilled each run
 # annotates the chunks it streams with a program-order pass of its own;
-# fm runs the cycle pipeline, whose functional warm-up then reads a
-# chunked source; in rae-timing the conventional, perfect-L2 and
+# figure10's perfect-branch-prediction arms mask the predictor's
+# verdicts, over their real twins' columns in memory and over their own
+# passes spilled; fm runs the cycle pipeline, whose functional warm-up
+# then reads a chunked source; in rae-timing the conventional, perfect-L2 and
 # runahead runs share one warm state per workload in memory, while
 # spilled each run warms itself. A spill leaves its trace file alone,
 # with no generator snapshot beside it. Then a new process runs table5
@@ -139,16 +151,17 @@ echo "==> streaming smoke (spilled trace run == in-memory run)"
 # the stats comparison also runs the streamed fold over uneven chunks.
 stream_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir" "$stream_dir"' EXIT
-target/release/mlp-experiments --only table5,epochs,fm,rae-timing --scale quick \
+target/release/mlp-experiments --only table5,epochs,figure10,fm,rae-timing --scale quick \
     --json "$stream_dir/mem" >/dev/null
-MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments --only table5,epochs,fm,rae-timing \
-    --scale quick --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
+MLP_TRACE_CACHE_BYTES=0 target/release/mlp-experiments \
+    --only table5,epochs,figure10,fm,rae-timing --scale quick \
+    --trace-cache "$stream_dir/cache" --json "$stream_dir/disk" >/dev/null
 ls "$stream_dir"/cache/*.mlp2 >/dev/null   # traces really went to disk
 if compgen -G "$stream_dir/cache/*.ckpt" >/dev/null; then
     echo "a spilled run left .ckpt files in its cache" >&2
     exit 1
 fi
-for exp in table5 epochs fm rae-timing; do
+for exp in table5 epochs figure10 fm rae-timing; do
     diff "$stream_dir/mem/$exp.quick.json" "$stream_dir/disk/$exp.quick.json"
 done
 target/release/mlp-experiments table5 --inst-window 2M --json "$stream_dir/mem" >/dev/null

@@ -34,7 +34,7 @@ use mlp_experiments::runner::{run_cyclesim, run_mlpsim, shared_seeded, sweep, SE
 use mlp_experiments::RunScale;
 use mlp_obs::Mode;
 use mlp_workloads::WorkloadKind;
-use mlpsim::{MlpsimConfig, Simulator};
+use mlpsim::{BranchMode, MlpsimConfig, Simulator};
 use std::sync::Mutex;
 
 /// Maximum relative disagreement between the engines' useful off-chip
@@ -222,12 +222,16 @@ fn surrogate_active_loop_matches_direct_simulation_bit_for_bit() {
     }
 }
 
-/// Runs of one trace, hierarchy, fetch mode and branch mode inside a
-/// sweep share one annotation column: the key's first run builds it and
-/// every run reads it, so each key makes one pass however many runs use
-/// it and however the sweep interleaves them. The annotation counters
-/// say so, the runs, which have no value predictor, make no warm-up
-/// pass, and the engine counters still equal the reports exactly.
+/// Runs of one trace, hierarchy, fetch mode and branch predictor inside
+/// a sweep share one annotation column: the key's first run builds it
+/// and every run reads it, so each key makes one pass however many runs
+/// use it and however the sweep interleaves them. A run with perfect
+/// branch prediction walks the default predictor, so it reads its real
+/// twin's column and makes no pass of its own, and a pass made for
+/// perfect runs alone counts the cache accesses of the real runs' pass.
+/// The annotation counters say so, the runs, which have no value
+/// predictor, make no warm-up pass, and the engine counters still equal
+/// the reports exactly.
 #[test]
 fn sweep_runs_share_one_annotation_column() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -245,6 +249,10 @@ fn sweep_runs_share_one_annotation_column() {
             .perfect_ifetch(perfect_ifetch)
             .build()
     };
+    let perfect_bp = |window: usize| MlpsimConfig {
+        branch: BranchMode::Perfect,
+        ..config(window, false)
+    };
     let reports = sweep(vec![16usize, 64, 256, 1024], |&w| {
         run_mlpsim(WorkloadKind::Database, config(w, false), scale)
     });
@@ -261,14 +269,55 @@ fn sweep_runs_share_one_annotation_column() {
         vec![(16usize, false), (16, true), (64, false), (64, true)],
         |&(w, perfect)| run_mlpsim(WorkloadKind::Database, config(w, perfect), scale),
     );
-    mlp_par::set_thread_override(None);
     let two = mlp_obs::snapshot_and_reset();
+    // One key: real and perfect branch prediction, interleaved.
+    let twins = sweep(
+        vec![(16usize, false), (16, true), (64, false), (64, true)],
+        |&(w, perfect)| {
+            let config = if perfect {
+                perfect_bp(w)
+            } else {
+                config(w, false)
+            };
+            run_mlpsim(WorkloadKind::Database, config, scale)
+        },
+    );
+    mlp_par::set_thread_override(None);
+    let mixed = mlp_obs::snapshot_and_reset();
+    // Perfect branch prediction alone builds the column of its key.
+    sweep(vec![16usize, 64], |&w| {
+        run_mlpsim(WorkloadKind::Database, perfect_bp(w), scale)
+    });
+    let perfect = mlp_obs::snapshot_and_reset();
     mlp_obs::set_for_test(None);
-    for (snap, runs, passes) in [(&four, 4, 1), (&once, 1, 1), (&two, 4, 2)] {
+    for (snap, runs, passes) in [
+        (&four, 4, 1),
+        (&once, 1, 1),
+        (&two, 4, 2),
+        (&mixed, 4, 1),
+        (&perfect, 2, 1),
+    ] {
         assert_eq!(snap.counter("mlpsim.runs"), runs);
         assert_eq!(snap.counter("mlpsim.annotate.passes"), passes);
         assert_eq!(snap.counter("mlpsim.annotate.shared_runs"), runs);
         assert_eq!(snap.counter("mlpsim.warm.passes"), 0);
+    }
+    let mem = |snap: &mlp_obs::Snapshot| -> Vec<(&str, u64)> {
+        snap.counters
+            .iter()
+            .filter(|c| c.name.starts_with("mem."))
+            .map(|c| (c.name, c.value))
+            .collect()
+    };
+    assert!(!mem(&four).is_empty());
+    assert_eq!(mem(&perfect), mem(&four), "a perfect-prediction pass");
+    assert_eq!(mem(&mixed), mem(&four), "real and perfect runs' one pass");
+    for pair in twins.chunks(2) {
+        let (real, perfect) = (&pair[0], &pair[1]);
+        assert!(real.branch_stats.mispredicts > 0);
+        assert_eq!(perfect.branch_stats.mispredicts, 0);
+        assert_eq!(perfect.branch_stats.branches, real.branch_stats.branches);
+        assert_eq!(perfect.inhibitors.mispred_br, 0);
     }
     let sum = |f: fn(&mlpsim::Report) -> u64| reports.iter().map(f).sum::<u64>();
     assert_eq!(four.counter("mlpsim.insts"), sum(|r| r.insts));
