@@ -1,5 +1,6 @@
 use mlp_mem::HierarchyConfig;
-use mlpsim::{BranchMode, IssueConfig, ValueMode};
+use mlp_predict::ValueMode;
+use mlpsim::{BranchMode, IssueConfig};
 
 /// Configuration of the cycle-accurate pipeline.
 ///

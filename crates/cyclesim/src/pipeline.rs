@@ -65,9 +65,10 @@ use mlp_isa::{
 use mlp_mem::{Access, Hierarchy, HierarchyConfig, Mshr, MshrOutcome};
 use mlp_obs::{IntervalSampler, LocalHist, Value};
 use mlp_predict::{
-    BranchObserver, BranchPredictor, BranchPredictorConfig, BranchStats, ValuePrediction,
+    BranchObserver, BranchPredictor, BranchPredictorConfig, BranchStats, ValueMode,
+    ValuePrediction, ValuePredictor,
 };
-use mlpsim::{warm, BranchMode, OffchipCounts, ValueMode, Values};
+use mlpsim::{warm, BranchMode, OffchipCounts};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -155,7 +156,7 @@ struct Lane {
 
 /// Per-OS-thread pool of the core's per-run containers, handed (cleared,
 /// capacity intact) from one run to the next so sweep points allocate no
-/// steady-state scratch.
+/// steady-state scratch. DESIGN.md §5f records what the pools measure.
 #[derive(Default)]
 struct Scratch {
     lanes: Vec<Lane>,
@@ -325,7 +326,7 @@ impl WarmStateKey {
 pub struct WarmState {
     hierarchy: Hierarchy,
     branches: BranchPredictor,
-    values: Values,
+    values: ValuePredictor,
     /// Each thread's warm-up boundary: `warmup`, or its trace's length.
     fetch_pos: Vec<usize>,
     key: WarmStateKey,
@@ -361,7 +362,7 @@ impl WarmState {
         let mut state = WarmState {
             hierarchy: Hierarchy::new(key.hierarchy),
             branches: BranchPredictor::new(key.predictor),
-            values: Values::new(key.value),
+            values: ValuePredictor::new(key.value),
             fetch_pos: vec![0; srcs.len()],
             key,
         };
@@ -607,7 +608,7 @@ struct Core<'a> {
     branches: BranchPredictor,
     /// Perfect branch prediction: fetch ignores the predictor's verdicts.
     perfect_bp: bool,
-    values: Values,
+    values: ValuePredictor,
     now: u64,
     completions: BinaryHeap<Reverse<(u64, u64)>>, // (complete_at, tid << TID_SHIFT | seq)
     // Reused scratch for issue(), so the per-cycle scan does not allocate.
@@ -1474,8 +1475,7 @@ impl Core<'_> {
                 // The predictor trains on every branch, perfect or not.
                 let pc = soa.pc()[slot] | t.asid;
                 let mispredicted = self.branches.observe_branch(pc, info) && !self.perfect_bp;
-                self.branch_stats.branches += 1;
-                self.branch_stats.mispredicts += u64::from(mispredicted);
+                self.branch_stats.record(mispredicted);
                 mispredicted
             } else {
                 false

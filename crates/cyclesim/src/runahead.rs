@@ -16,7 +16,7 @@
 
 use crate::{CycleReport, CycleSim, CycleSimConfig, RunaheadConfig};
 use mlp_isa::TraceSource;
-use mlpsim::ValueMode;
+use mlp_predict::ValueMode;
 
 /// A cycle-level core with runahead execution.
 ///

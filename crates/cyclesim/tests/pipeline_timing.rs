@@ -242,7 +242,7 @@ fn cpi_decomposition_identity_holds() {
 #[test]
 fn runahead_value_prediction_unblocks_chains() {
     use mlp_cyclesim::runahead::RunaheadSim;
-    use mlpsim::ValueMode;
+    use mlp_predict::ValueMode;
     // A pointer chase with perfectly predictable values: plain runahead
     // gains nothing (poisoned chain), runahead + perfect VP prefetches
     // the whole chain in the first interval.

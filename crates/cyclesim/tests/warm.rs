@@ -8,9 +8,9 @@ use mlp_cyclesim::{CycleSim, CycleSimConfig, RunaheadConfig, WarmState};
 use mlp_isa::TraceSoA;
 use mlp_mem::HierarchyConfig;
 use mlp_obs::{Mode, Snapshot};
-use mlp_predict::BranchPredictorConfig;
+use mlp_predict::{BranchPredictorConfig, ValueMode};
 use mlp_workloads::{Workload, WorkloadKind};
-use mlpsim::{BranchMode, IssueConfig, ValueMode};
+use mlpsim::{BranchMode, IssueConfig};
 use std::sync::{Mutex, MutexGuard};
 
 const LEN: usize = 40_000;

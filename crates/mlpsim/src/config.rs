@@ -1,5 +1,5 @@
 use mlp_mem::HierarchyConfig;
-use mlp_predict::BranchPredictorConfig;
+use mlp_predict::{BranchPredictorConfig, ValueMode};
 use std::fmt;
 
 /// The paper's Table 2: progressively aggressive issue-constraint
@@ -145,25 +145,6 @@ impl Default for BranchMode {
     fn default() -> BranchMode {
         BranchMode::Real(BranchPredictorConfig::default())
     }
-}
-
-/// Value-prediction modelling mode for missing loads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ValueMode {
-    /// No value prediction.
-    #[default]
-    None,
-    /// A tagged last-value predictor with the given entry count
-    /// (the paper uses 16K entries).
-    LastValue(usize),
-    /// A stride (reference-prediction-table) predictor with the given
-    /// entry count — an extension beyond the paper's last-value scheme.
-    Stride(usize),
-    /// A hybrid last-value + stride predictor with per-PC chooser
-    /// counters, after the paper's reference \[18\].
-    Hybrid(usize),
-    /// Perfect value prediction (the limit study's `perfVP`).
-    Perfect,
 }
 
 /// Complete configuration of an MLPsim run.

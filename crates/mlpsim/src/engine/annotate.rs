@@ -43,11 +43,11 @@
 //! one index into the column or the ring, and a run over a shared
 //! column pays nothing else for it.
 
-use super::{ooo, warm, Values};
+use super::{ooo, warm};
 use crate::config::{BranchMode, MlpsimConfig, WindowModel};
 use mlp_isa::{InstSource, TraceSoA, ROW_CHUNK_INSTS};
 use mlp_mem::{Hierarchy, HierarchyConfig};
-use mlp_predict::{BranchObserver, BranchPredictor, BranchPredictorConfig};
+use mlp_predict::{BranchObserver, BranchPredictor, BranchPredictorConfig, ValuePredictor};
 use std::borrow::Cow;
 
 /// What a program-order pass depends on: the hierarchy, the
@@ -263,9 +263,9 @@ impl<'a, S: InstSource> Annotated<'a, S> {
     /// them, and trains `values` from their bits. A run over a shared
     /// column without a value predictor walks nothing. Returns the
     /// boundary: `warmup`, or the end of the trace if that comes first.
-    pub(crate) fn warm_up(&mut self, warmup: u64, values: &mut Values) -> usize {
+    pub(crate) fn warm_up(&mut self, warmup: u64, values: &mut ValuePredictor) -> usize {
         let warmup = usize::try_from(warmup).unwrap_or(usize::MAX);
-        let train = !matches!(values, Values::Off);
+        let train = !matches!(values, ValuePredictor::Off);
         if self.pass.is_none() && !train {
             return self.src.ensure(warmup).min(warmup);
         }
@@ -357,7 +357,7 @@ impl<S: InstSource> InstSource for Annotated<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ValueMode;
+    use crate::ValueMode;
     use mlp_isa::{ChunkedSoaSource, OpKind};
     use mlp_mem::CacheConfig;
     use mlp_workloads::micro;

@@ -28,7 +28,6 @@ use mlp_isa::{
     CLASS_PREFETCH, CLASS_STORE,
 };
 use mlp_obs::{IntervalSampler, Value};
-use mlp_predict::ValuePrediction;
 
 const PRUNE_LIMIT: usize = 8192;
 
@@ -158,12 +157,7 @@ pub(crate) fn run<S: InstSource>(
                 }
                 let predicted = missed
                     && class == CLASS_LOAD
-                    && matches!(
-                        predictors
-                            .values
-                            .observe(src.soa().pc()[idx], src.soa().value()[idx]),
-                        Some(ValuePrediction::Correct)
-                    );
+                    && predictors.predicted(src.soa().pc()[idx], src.soa().value()[idx]);
                 match policy {
                     InOrderPolicy::StallOnMiss => {
                         if missed || in_flight {

@@ -6,16 +6,13 @@ pub mod warm;
 
 pub use annotate::{Annotation, AnnotationKey};
 
-use crate::config::{MlpsimConfig, ValueMode, WindowModel};
+use crate::config::{MlpsimConfig, WindowModel};
 use crate::report::{Inhibitor, InhibitorCounts, OffchipCounts, Report};
 use annotate::Annotated;
 use mlp_isa::{
     row_chunks, ChunkedSoaSource, InstSource, SharedSoaSource, SoAChunks, TraceSoA, TraceSource,
 };
-use mlp_predict::{
-    BranchStats, HybridValuePredictor, LastValuePredictor, PerfectValuePredictor, StridePredictor,
-    ValueObserver, ValuePrediction, ValueStats,
-};
+use mlp_predict::{BranchStats, ValuePrediction, ValuePredictor, ValueStats};
 
 /// The kind of a useful off-chip access, for attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -277,95 +274,44 @@ impl EpochTracker {
     }
 }
 
-/// The value predictor of a [`ValueMode`], behind static dispatch: the
-/// one wrapper both engines train and consult.
-#[derive(Clone, Debug)]
-pub enum Values {
-    /// No value prediction.
-    Off,
-    /// A last-value table.
-    Last(LastValuePredictor),
-    /// A stride table.
-    Stride(StridePredictor),
-    /// A last-value/stride hybrid.
-    Hybrid(HybridValuePredictor),
-    /// Perfect value prediction.
-    Perfect(PerfectValuePredictor),
-}
-
-impl Values {
-    /// A fresh predictor for `mode`.
-    pub fn new(mode: ValueMode) -> Values {
-        match mode {
-            ValueMode::None => Values::Off,
-            ValueMode::LastValue(entries) => Values::Last(LastValuePredictor::new(entries)),
-            ValueMode::Stride(entries) => Values::Stride(StridePredictor::new(entries)),
-            ValueMode::Hybrid(entries) => Values::Hybrid(HybridValuePredictor::new(entries)),
-            ValueMode::Perfect => Values::Perfect(PerfectValuePredictor::new()),
-        }
-    }
-
-    /// Consults (and trains) the predictor for a missing load; `None`
-    /// when value prediction is off.
-    pub fn observe(&mut self, pc: u64, actual: u64) -> Option<ValuePrediction> {
-        match self {
-            Values::Off => None,
-            Values::Last(p) => Some(p.observe(pc, actual)),
-            Values::Stride(p) => Some(p.observe(pc, actual)),
-            Values::Hybrid(p) => Some(p.observe(pc, actual)),
-            Values::Perfect(p) => Some(p.observe(pc, actual)),
-        }
-    }
-
-    /// Predictions made so far, by outcome.
-    pub fn stats(&self) -> ValueStats {
-        match self {
-            Values::Off => ValueStats::default(),
-            Values::Last(p) => p.stats(),
-            Values::Stride(p) => p.stats(),
-            Values::Hybrid(p) => p.stats(),
-            Values::Perfect(p) => p.stats(),
-        }
-    }
-}
-
-/// A run's value predictor as the functional warm-up left it, with its
-/// statistics at the warm-up boundary, and the branches the kernel
-/// admits: a report counts only what the kernel observes.
+/// A run's value predictor as the functional warm-up left it, and the
+/// branches and value predictions the kernel acts on: a report counts
+/// only what the kernel observes.
 #[derive(Debug)]
 pub(crate) struct Predictors {
-    pub(crate) values: Values,
-    value_base: ValueStats,
+    values: ValuePredictor,
     branches: BranchStats,
+    value_stats: ValueStats,
 }
 
 impl Predictors {
-    fn warmed(values: Values) -> Predictors {
+    fn warmed(values: ValuePredictor) -> Predictors {
         Predictors {
-            value_base: values.stats(),
             values,
             branches: BranchStats::default(),
+            value_stats: ValueStats::default(),
         }
     }
 
     /// Counts one admitted branch.
     #[inline]
     pub(crate) fn note_branch(&mut self, mispredicted: bool) {
-        self.branches.branches += 1;
-        self.branches.mispredicts += u64::from(mispredicted);
+        self.branches.record(mispredicted);
+    }
+
+    /// Consults (and trains) the value predictor for a counted load miss
+    /// at `pc` and counts its prediction: whether it supplies `actual`.
+    #[inline]
+    pub(crate) fn predicted(&mut self, pc: u64, actual: u64) -> bool {
+        self.values.observe(pc, actual).is_some_and(|p| {
+            self.value_stats.record(p);
+            p == ValuePrediction::Correct
+        })
     }
 
     /// Branch and value statistics of the measured window.
     pub(crate) fn measured(&self) -> (BranchStats, ValueStats) {
-        let v = self.values.stats();
-        (
-            self.branches,
-            ValueStats {
-                correct: v.correct - self.value_base.correct,
-                wrong: v.wrong - self.value_base.wrong,
-                no_predict: v.no_predict - self.value_base.no_predict,
-            },
-        )
+        (self.branches, self.value_stats)
     }
 }
 
@@ -506,7 +452,7 @@ impl Simulator {
         warmup: u64,
         measure: u64,
     ) -> Report {
-        let mut values = Values::new(self.config.value);
+        let mut values = ValuePredictor::new(self.config.value);
         let start = src.warm_up(warmup, &mut values);
         let predictors = Predictors::warmed(values);
         match self.config.window {
@@ -522,6 +468,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::config::InOrderPolicy;
+    use crate::ValueMode;
     use mlp_workloads::{Workload, WorkloadKind};
 
     /// Instructions per chunk of the streamed test traces: the length

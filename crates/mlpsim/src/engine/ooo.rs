@@ -44,7 +44,6 @@ use mlp_isa::{
     CLASS_PREFETCH, CLASS_STORE, REG_NONE,
 };
 use mlp_obs::{IntervalSampler, Value};
-use mlp_predict::ValuePrediction;
 use std::collections::VecDeque;
 
 /// Prune the in-flight line / store-forwarding maps beyond this size.
@@ -495,10 +494,7 @@ impl<S: InstSource> Engine<'_, S> {
             }
             let pc = self.src.soa().pc()[self.rel(idx)];
             let value = self.src.soa().value()[self.rel(idx)];
-            let predicted = matches!(
-                self.predictors.values.observe(pc, value),
-                Some(ValuePrediction::Correct)
-            );
+            let predicted = self.predictors.predicted(pc, value);
             (if predicted { exec } else { exec + 1 }, true)
         } else {
             (exec, false)

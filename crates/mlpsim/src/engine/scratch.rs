@@ -8,6 +8,12 @@
 //! not depend on the pool: every container is cleared on `take`, and map
 //! iteration order never reaches a report (closes accumulate
 //! commutatively; the in-flight maps are only probed by key or pruned).
+//!
+//! The pool is measured, not assumed: with `take` handing out fresh
+//! containers and nothing else changed, `figure6 --scale quick` (303
+//! epoch-model runs, two sweep threads, a 2-vCPU host) took a median
+//! 3.51 s (quartiles 3.32–3.94) against 3.27 s (3.02–3.70) with the pool,
+//! which was faster in 9 of 12 alternating pairs, with identical output.
 
 use super::EpochAcc;
 use mlp_hash::FxHashMap;

@@ -8,7 +8,8 @@
 //! load (atomics included) whose data access went off chip. The window
 //! kernels here and the cycle pipeline in `mlp-cyclesim` then start
 //! empty at instruction `W`, over a warmed hierarchy and warmed
-//! predictors, and measure from their first instruction.
+//! predictors, and measure from their first instruction: they count the
+//! predictions they act on, and the warm-up counts none.
 //!
 //! In the epoch model the hierarchy and the branch predictor belong to
 //! the program-order pass that annotates the run's source, so the
@@ -21,12 +22,11 @@
 //! [`BMISS`] is the predictor's verdict, which a run with perfect branch
 //! prediction ignores: it walks the default predictor all the same.
 
-use super::Values;
 use mlp_isa::{
     TraceSoA, ATTR_BRANCH, CLASS_ATOMIC, CLASS_ATTRS, CLASS_LOAD, CLASS_PREFETCH, CLASS_STORE,
 };
 use mlp_mem::Hierarchy;
-use mlp_predict::{BranchObserver, BranchPredictor};
+use mlp_predict::{BranchObserver, BranchPredictor, ValuePredictor};
 
 /// Outcome bit: the instruction's fetch went off chip.
 pub const IMISS: u8 = 1;
@@ -70,11 +70,12 @@ pub fn touch(
 /// instruction in column slot `i` of `soa` is a branch, and `values` if
 /// it is a load or atomic whose data access went off chip according to
 /// its outcome `bits` (from [`touch`]). `asid` tags the pc as in
-/// [`touch`].
+/// [`touch`]. The verdicts are dropped: the warm-up trains the
+/// predictors and counts nothing.
 #[inline]
 pub fn train(
     branches: &mut BranchPredictor,
-    values: &mut Values,
+    values: &mut ValuePredictor,
     soa: &TraceSoA,
     i: usize,
     bits: u8,
@@ -92,7 +93,13 @@ pub fn train(
 
 /// The value-predictor half of [`train`].
 #[inline]
-pub(crate) fn train_value(values: &mut Values, soa: &TraceSoA, i: usize, bits: u8, asid: u64) {
+pub(crate) fn train_value(
+    values: &mut ValuePredictor,
+    soa: &TraceSoA,
+    i: usize,
+    bits: u8,
+    asid: u64,
+) {
     if matches!(soa.class()[i], CLASS_LOAD | CLASS_ATOMIC) && bits & DMISS != 0 {
         values.observe(soa.pc()[i] | asid, soa.value()[i]);
     }

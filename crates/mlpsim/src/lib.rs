@@ -70,8 +70,8 @@ mod obs;
 mod report;
 
 pub use config::{
-    BranchMode, InOrderPolicy, IssueConfig, MlpsimConfig, MlpsimConfigBuilder, ValueMode,
-    WindowModel,
+    BranchMode, InOrderPolicy, IssueConfig, MlpsimConfig, MlpsimConfigBuilder, WindowModel,
 };
-pub use engine::{warm, Annotation, AnnotationKey, Simulator, Values};
+pub use engine::{warm, Annotation, AnnotationKey, Simulator};
+pub use mlp_predict::ValueMode;
 pub use report::{Inhibitor, InhibitorCounts, OffchipCounts, Report};

@@ -464,21 +464,64 @@ fn missing_casa_serializes_and_counts() {
     assert_eq!(e.epochs, 1, "config E: all three overlap ({e})");
 }
 
+/// The warm-up trains the value predictor and counts nothing: over a
+/// trace whose warm-up prefix misses too, every value mode's report
+/// counts exactly the measured window's missing loads, on both kernels,
+/// whether the run makes its own pass or reads a shared column.
 #[test]
-fn value_mode_stride_and_hybrid_run() {
-    use mlpsim::ValueMode;
-    let t = micro::pointer_chase(5, 1);
-    for mode in [ValueMode::Stride(1024), ValueMode::Hybrid(1024)] {
-        let cfg = MlpsimConfig {
-            value: mode,
-            ..MlpsimConfig::builder().perfect_ifetch(true).build()
-        };
-        let r = run_with_warm_code(cfg, &t);
-        assert_eq!(r.offchip.total(), 5);
-        assert_eq!(
-            r.value_stats.total(),
-            5,
-            "every miss consults the predictor"
-        );
+fn every_value_mode_counts_only_measured_missing_loads() {
+    use mlp_isa::{Reg, TraceSoA};
+    use mlp_predict::ValueStats;
+    use mlpsim::Annotation;
+    // Three rounds over four independent load sites, every load missing
+    // a line of its own; site `k` loads `100 + k + 8 * round`.
+    const SITES: u64 = 4;
+    let trace: Vec<Inst> = (0..3 * SITES)
+        .map(|n| {
+            let (round, k) = (n / SITES, n % SITES);
+            let dst = Reg::int(8 + k as u8);
+            let addr = micro::COLD_BASE + n * 4096;
+            Inst::load(micro::PC_BASE + 4 * k, Reg::int(1), 0, dst, addr)
+                .with_value(100 + k + 8 * round)
+        })
+        .collect();
+    let soa = TraceSoA::from_insts(&trace);
+    // The first two rounds are the warm-up.
+    let warmup = 2 * SITES;
+    let split = |correct, wrong| ValueStats {
+        correct,
+        wrong,
+        no_predict: 0,
+    };
+    let cases = [
+        (ValueMode::None, ValueStats::default()),
+        // The last value lags the stride.
+        (ValueMode::LastValue(1024), split(0, SITES)),
+        (ValueMode::Stride(1024), split(SITES, 0)),
+        // Neither component was right in the warm-up, so the chooser
+        // still prefers the last value.
+        (ValueMode::Hybrid(1024), split(0, SITES)),
+        (ValueMode::Perfect, split(SITES, 0)),
+    ];
+    let windows = [
+        WindowModel::default_ooo(),
+        WindowModel::InOrder(InOrderPolicy::StallOnUse),
+    ];
+    for window in windows {
+        for (mode, want) in cases {
+            let cfg = MlpsimConfig::builder()
+                .window(window)
+                .perfect_ifetch(true)
+                .value(mode)
+                .build();
+            let column = Annotation::new(&cfg, &soa, soa.len());
+            let mut sim = Simulator::new(cfg);
+            let own = sim.run_shared(&soa, soa.len(), warmup, u64::MAX);
+            let shared = sim.run_annotated(&soa, soa.len(), &column, warmup, u64::MAX);
+            for (path, r) in [("own pass", own), ("shared column", shared)] {
+                assert_eq!(r.offchip.dmiss, SITES, "{window:?} {mode:?} {path}");
+                assert_eq!(r.value_stats, want, "{window:?} {mode:?} {path}");
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@ impl Default for BranchPredictorConfig {
     }
 }
 
-/// Counters kept by the branch predictor.
+/// Branch counts: what a simulator tallies from the verdicts it acts on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Branches observed.
@@ -38,6 +38,13 @@ pub struct BranchStats {
 }
 
 impl BranchStats {
+    /// Counts one branch, mispredicted or not.
+    #[inline]
+    pub fn record(&mut self, mispredicted: bool) {
+        self.branches += 1;
+        self.mispredicts += u64::from(mispredicted);
+    }
+
     /// Misprediction rate in `[0, 1]` (0 when no branches observed).
     pub fn mispredict_rate(&self) -> f64 {
         if self.branches == 0 {
@@ -66,9 +73,6 @@ pub trait BranchObserver {
             .expect("observe() requires a branch instruction");
         self.observe_branch(inst.pc, info)
     }
-
-    /// Accumulated statistics.
-    fn stats(&self) -> BranchStats;
 }
 
 /// The realistic front-end predictor: gshare + BTB + RAS.
@@ -82,6 +86,8 @@ pub trait BranchObserver {
 ///
 /// A branch is *mispredicted* if the predicted direction differs from the
 /// actual one, or the branch is taken and the predicted target is wrong.
+/// The predictor keeps no statistics: a caller counts the verdicts it
+/// acts on with [`BranchStats::record`].
 #[derive(Clone, Debug)]
 pub struct BranchPredictor {
     config: BranchPredictorConfig,
@@ -89,7 +95,6 @@ pub struct BranchPredictor {
     history: u64,
     btb: Vec<(u64, u64)>, // (tag, target); tag 0 = empty
     ras: Vec<u64>,
-    stats: BranchStats,
 }
 
 impl BranchPredictor {
@@ -115,7 +120,6 @@ impl BranchPredictor {
             history: 0,
             btb: vec![(0, 0); config.btb_entries],
             ras: Vec::with_capacity(config.ras_entries),
-            stats: BranchStats::default(),
         }
     }
 
@@ -166,8 +170,7 @@ impl BranchPredictor {
 
 impl BranchObserver for BranchPredictor {
     fn observe_branch(&mut self, pc: u64, info: BranchInfo) -> bool {
-        self.stats.branches += 1;
-        let mispredicted = match info.kind {
+        match info.kind {
             BranchKind::Conditional => {
                 let pred_taken = self.predict_direction(pc);
                 let pred_target = self.btb_lookup(pc);
@@ -195,15 +198,7 @@ impl BranchObserver for BranchPredictor {
                 self.btb_update(pc, info.target);
                 pred_target != Some(info.target)
             }
-        };
-        if mispredicted {
-            self.stats.mispredicts += 1;
         }
-        mispredicted
-    }
-
-    fn stats(&self) -> BranchStats {
-        self.stats
     }
 }
 
@@ -220,14 +215,17 @@ mod tests {
     fn monotone_branch_becomes_predictable() {
         let mut p = bp();
         let br = Inst::cond_branch(0x100, Reg::int(1), true, 0x4000);
+        let mut s = BranchStats::default();
         // Warm up past the history-register transient (indices shift until
         // the 14-bit global history saturates with 1s).
         for _ in 0..40 {
-            p.observe(&br);
+            s.record(p.observe(&br));
         }
-        assert!(!p.observe(&br));
-        assert!(p.stats().mispredicts >= 1); // the cold predictions
-        assert_eq!(p.stats().branches, 41);
+        let last = p.observe(&br);
+        s.record(last);
+        assert!(!last);
+        assert!(s.mispredicts >= 1); // the cold predictions
+        assert_eq!(s.branches, 41);
     }
 
     #[test]

@@ -26,7 +26,10 @@ done
 
 echo "==> benchmark builds against the workspace API"
 # mlpbench/ is its own package that calls registry::find(..).run(..),
-# exec::run_isolated and runner::shared_seeded. Its lock file is stale,
+# exec::run_isolated and runner::shared_seeded, and times the predictors
+# through BranchPredictor::new(BranchPredictorConfig::default()),
+# BranchObserver::observe_branch and LastValuePredictor::{new, peek,
+# train}: a predictor change keeps these. Its lock file is stale,
 # so cargo rewrites it; files under mlpbench/ change only together with
 # the benchmark, so the lock is restored afterwards.
 bench_lock=$(mktemp)
@@ -77,6 +80,11 @@ echo "==> memory-hierarchy suites (release)"
 # The O(1) TLB must match its stamp-and-scan reference, and the
 # hierarchy its reference copy, in the optimized build too.
 cargo test -q --release -p mlp-mem
+
+echo "==> predictor suites (release)"
+# Predictors keep no statistics: the tests count with BranchStats::record
+# and ValueStats::record as the engines do, in the optimized build too.
+cargo test -q --release -p mlp-predict
 
 echo "==> epoch-model suites (release)"
 # Runs making their own program-order pass and runs reading a shared
