@@ -69,7 +69,6 @@ use mlp_predict::{
     ValuePrediction, ValuePredictor,
 };
 use mlpsim::{warm, BranchMode, OffchipCounts};
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -110,17 +109,17 @@ fn attrs(class: u8) -> u8 {
 /// One flag per in-flight sequence number: a ring bitset indexed by
 /// `seq & mask`. The issue scan and producer-readiness checks hit these
 /// few cache-resident words instead of loading scattered ROB entries.
-#[derive(Default)]
 struct FlagRing {
     words: Vec<u64>,
     mask: u64,
 }
 
 impl FlagRing {
-    fn reset(&mut self, slots: usize) {
-        self.words.clear();
-        self.words.resize(slots / 64, 0);
-        self.mask = slots as u64 - 1;
+    fn new(slots: usize) -> FlagRing {
+        FlagRing {
+            words: vec![0; slots / 64],
+            mask: slots as u64 - 1,
+        }
     }
 
     #[inline]
@@ -140,45 +139,6 @@ impl FlagRing {
         let slot = seq & self.mask;
         self.words[(slot >> 6) as usize] &= !(1 << (slot & 63));
     }
-}
-
-/// One thread's reusable containers.
-#[derive(Default)]
-struct Lane {
-    fetch_queue: VecDeque<(u32, bool)>,
-    rob: VecDeque<Entry>,
-    store_fwd: FxHashMap<u64, u64>,
-    short_done: Vec<u64>,
-    issued: FlagRing,
-    completed: FlagRing,
-    poisoned: FlagRing,
-}
-
-/// Per-OS-thread pool of the core's per-run containers, handed (cleared,
-/// capacity intact) from one run to the next so sweep points allocate no
-/// steady-state scratch. DESIGN.md §5f records what the pools measure.
-#[derive(Default)]
-struct Scratch {
-    lanes: Vec<Lane>,
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
-    decisions: Vec<u64>,
-    planned: Vec<u64>,
-}
-
-thread_local! {
-    static POOL: Cell<Option<Scratch>> = const { Cell::new(None) };
-}
-
-fn take_scratch() -> Scratch {
-    let mut s = POOL.take().unwrap_or_default();
-    for lane in &mut s.lanes {
-        lane.fetch_queue.clear();
-        lane.rob.clear();
-        lane.store_fwd.clear();
-        lane.short_done.clear();
-    }
-    s.completions.clear();
-    s
 }
 
 /// The cycle-accurate simulator.
@@ -470,63 +430,38 @@ impl<'a, S: InstSource> Thread<'a, S> {
         src: &'a mut S,
         tid: usize,
         threads: usize,
-        lane: Lane,
         fetch_pos: usize,
     ) -> Self {
         let rob_cap = (cfg.rob / threads).max(1);
         let ring = (2 * rob_cap).next_power_of_two().max(64);
-        let Lane {
-            fetch_queue,
-            rob,
-            store_fwd,
-            short_done,
-            mut issued,
-            mut completed,
-            mut poisoned,
-        } = lane;
-        issued.reset(ring);
-        completed.reset(ring);
-        poisoned.reset(ring);
         Thread {
             src,
             asid: (tid as u64) << ASID_SHIFT,
             rob_cap,
             iw_cap: (cfg.iw / threads).max(1),
             fetch_cap: (cfg.fetch_buffer / threads).max(1),
-            fetch_queue,
+            fetch_queue: VecDeque::new(),
             pending_fetch: None,
             fetch_stall_until: 0,
             awaiting_redirect: false,
             last_ifetch_line: u64::MAX,
             fetch_pos,
-            rob,
+            rob: VecDeque::new(),
             head_seq: 0,
             next_seq: 0,
             unissued: 0,
             first_unissued: 0,
             last_writer: [0; AVAIL_SLOTS],
             poison_regs: [false; AVAIL_SLOTS],
-            store_fwd,
+            store_fwd: FxHashMap::default(),
             serialize_block: None,
-            short_done,
+            short_done: Vec::new(),
             short_at: 0,
-            issued,
-            completed,
-            poisoned,
+            issued: FlagRing::new(ring),
+            completed: FlagRing::new(ring),
+            poisoned: FlagRing::new(ring),
             retired: 0,
             runahead: None,
-        }
-    }
-
-    fn into_lane(self) -> Lane {
-        Lane {
-            fetch_queue: self.fetch_queue,
-            rob: self.rob,
-            store_fwd: self.store_fwd,
-            short_done: self.short_done,
-            issued: self.issued,
-            completed: self.completed,
-            poisoned: self.poisoned,
         }
     }
 
@@ -679,16 +614,12 @@ impl<'a, S: InstSource> Machine<'a, S> {
         } = warm;
         // Statistics restart from the warm-up boundary.
         hierarchy.reset_stats();
-        let mut pool = take_scratch();
         let n = srcs.len();
         let threads = srcs
             .into_iter()
             .zip(&fetch_pos)
             .enumerate()
-            .map(|(tid, (src, &pos))| {
-                let lane = pool.lanes.pop().unwrap_or_default();
-                Thread::new(cfg, src, tid, n, lane, pos)
-            })
+            .map(|(tid, (src, &pos))| Thread::new(cfg, src, tid, n, pos))
             .collect();
         let core = Core {
             cfg,
@@ -698,9 +629,9 @@ impl<'a, S: InstSource> Machine<'a, S> {
             perfect_bp: cfg.branch == BranchMode::Perfect,
             values,
             now: 0,
-            completions: pool.completions,
-            decisions: pool.decisions,
-            planned: pool.planned,
+            completions: BinaryHeap::new(),
+            decisions: Vec::new(),
+            planned: Vec::new(),
             outstanding: BTreeMap::new(),
             fm_outstanding: BTreeMap::new(),
             out_min: u64::MAX,
@@ -810,12 +741,6 @@ impl<'a, S: InstSource> Machine<'a, S> {
         );
         core.hierarchy.flush_obs();
         core.mshr.flush_obs();
-        POOL.set(Some(Scratch {
-            lanes: threads.into_iter().map(Thread::into_lane).collect(),
-            completions: core.completions,
-            decisions: core.decisions,
-            planned: core.planned,
-        }));
         (report, insts)
     }
 

@@ -134,8 +134,7 @@ fn a_perfect_prediction_run_from_a_real_state_equals_its_cold_run() {
 
 /// The pass's own cache accesses never reach a run's counters: with the
 /// whole trace inside the warm-up, a run from a clone measures nothing
-/// and flushes no access of any cache level or of the TLB, exactly like
-/// its cold run.
+/// and flushes no access of any cache level, exactly like its cold run.
 #[test]
 fn a_shared_warm_up_is_not_measured() {
     let _g = lock();
@@ -145,13 +144,11 @@ fn a_shared_warm_up_is_not_measured() {
         ..CycleSimConfig::default()
     };
     let warmup = LEN as u64;
-    // Built armed, like the runs: a hierarchy walks its TLB only when
-    // counters were armed as it was made.
-    let (state, _) = armed(|| WarmState::new(&config, &soa, soa.len(), warmup));
+    let state = WarmState::new(&config, &soa, soa.len(), warmup);
     let cold = run(&config, &soa, warmup, None);
     let shared = run(&config, &soa, warmup, Some(&state));
     assert_eq!(shared, cold);
-    let levels = ["mem.l1i.", "mem.l1d.", "mem.l2.", "mem.l3.", "mem.tlb."];
+    let levels = ["mem.l1i.", "mem.l1d.", "mem.l2.", "mem.l3."];
     assert!(
         shared
             .1

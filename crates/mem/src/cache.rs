@@ -237,21 +237,6 @@ impl Cache {
         self.tags[lo..hi].contains(&tag)
     }
 
-    /// Removes the line containing `addr` if resident; returns whether it
-    /// was present.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let tag = self.tag_of(addr);
-        let (lo, hi) = self.set_range(addr);
-        for i in lo..hi {
-            if self.tags[i] == tag {
-                self.tags[i] = 0;
-                self.lrus[i] = 0;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Number of currently valid lines.
     pub fn resident_lines(&self) -> u64 {
         self.tags.iter().filter(|&&t| t != 0).count() as u64
@@ -313,15 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
-        let mut c = Cache::new(CacheConfig::new(4096, 4));
-        c.access(0x1000);
-        assert!(c.invalidate(0x1000));
-        assert!(!c.probe(0x1000));
-        assert!(!c.invalidate(0x1000));
-    }
-
-    #[test]
     fn touch_does_not_count_stats() {
         let mut c = Cache::new(CacheConfig::new(4096, 4));
         c.touch(0x40);
@@ -366,8 +342,6 @@ mod tests {
         assert!(!c.access(0));
         assert!(c.access(0));
         assert!(c.probe(0));
-        assert!(c.invalidate(0));
-        assert!(!c.probe(0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::{Cache, CacheConfig, CacheStats, Tlb, TlbConfig};
+use crate::{Cache, CacheConfig, CacheStats};
 
 /// Where an access was satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -28,7 +28,8 @@ impl Access {
 ///
 /// The default matches the paper's default processor configuration
 /// (§5.1): 32 KB 4-way L1I and L1D, 2 MB 4-way shared L2, 64-byte lines
-/// everywhere, 2K-entry shared TLB, no L3.
+/// everywhere, no L3. The paper's TLB is not modelled (see the crate
+/// documentation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 instruction cache geometry.
@@ -40,8 +41,6 @@ pub struct HierarchyConfig {
     /// Optional *off-chip* L3 (the paper's §2.1 future configuration;
     /// `None` matches the default "no L3 cache" processor).
     pub l3: Option<CacheConfig>,
-    /// Shared TLB geometry.
-    pub tlb: TlbConfig,
 }
 
 impl Default for HierarchyConfig {
@@ -51,7 +50,6 @@ impl Default for HierarchyConfig {
             l1d: CacheConfig::new(32 * 1024, 4),
             l2: CacheConfig::new(2 * 1024 * 1024, 4),
             l3: None,
-            tlb: TlbConfig::default(),
         }
     }
 }
@@ -74,51 +72,15 @@ impl HierarchyConfig {
     }
 }
 
-/// Aggregate statistics of a [`Hierarchy`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HierarchyStats {
-    /// L1I demand statistics.
-    pub l1i: CacheStats,
-    /// L1D demand statistics.
-    pub l1d: CacheStats,
-    /// L2 demand statistics (instruction + data + prefetch fills count as
-    /// demand when they probe the L2).
-    pub l2: CacheStats,
-    /// Off-chip accesses triggered by instruction fetches.
-    pub imisses: u64,
-    /// Off-chip accesses triggered by data reads (loads/atomics).
-    pub dmisses: u64,
-    /// Off-chip accesses triggered by software prefetches.
-    pub pmisses: u64,
-    /// Off-chip accesses triggered by stores (write allocations).
-    pub smisses: u64,
-    /// Instructions whose classification has been requested (for MPKI).
-    pub insts: u64,
-}
-
-impl HierarchyStats {
-    /// Total off-chip accesses.
-    pub fn off_chip_total(&self) -> u64 {
-        self.imisses + self.dmisses + self.pmisses + self.smisses
-    }
-
-    /// Off-chip accesses per 100 instructions — the "L2 miss rate" unit of
-    /// the paper's Table 1 (0.84 for the database workload, etc.).
-    pub fn miss_rate_per_100(&self) -> f64 {
-        if self.insts == 0 {
-            0.0
-        } else {
-            100.0 * self.off_chip_total() as f64 / self.insts as f64
-        }
-    }
-}
-
-/// The on-chip memory hierarchy: L1I + L1D over a shared L2 and TLB.
+/// The on-chip memory hierarchy: L1I + L1D over a shared L2.
 ///
 /// Access methods classify each reference and perform fills as a side
 /// effect (allocate-on-miss at every level, write-allocate stores, and
 /// prefetches that install into both L2 and L1D — the mechanism runahead
-/// execution exploits).
+/// execution exploits). Beyond the fills it keeps only each level's
+/// demand hits, misses and evictions ([`Hierarchy::level_stats`]); a
+/// caller that wants off-chip accesses by kind counts the [`Access`]
+/// values it gets back.
 ///
 /// # Examples
 ///
@@ -139,14 +101,6 @@ pub struct Hierarchy {
     l1d: Cache,
     l2: Cache,
     l3: Option<Cache>,
-    tlb: Tlb,
-    stats: HierarchyStats,
-    count_insts: bool,
-    /// Whether `mlp-obs` counters were armed when this hierarchy was
-    /// built. The TLB influences nothing but the armed-only
-    /// `mem.tlb.*` counters (its outcome is not part of [`Access`]
-    /// classification), so unarmed runs skip it entirely.
-    obs_armed: bool,
     /// Line of the most recent instruction fetch. L1I contents change
     /// only through [`Hierarchy::ifetch`], so a repeat fetch of this
     /// line is guaranteed resident and most-recently-used: it can be
@@ -166,10 +120,6 @@ impl Hierarchy {
             l1d: Cache::new(config.l1d),
             l2: Cache::new(config.l2),
             l3: config.l3.map(Cache::new),
-            tlb: Tlb::new(config.tlb),
-            stats: HierarchyStats::default(),
-            count_insts: true,
-            obs_armed: mlp_obs::counters_on(),
             last_ifetch_line: u64::MAX,
         }
     }
@@ -177,16 +127,6 @@ impl Hierarchy {
     /// The hierarchy configuration.
     pub fn config(&self) -> HierarchyConfig {
         self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> HierarchyStats {
-        HierarchyStats {
-            l1i: self.l1i.stats(),
-            l1d: self.l1d.stats(),
-            l2: self.l2.stats(),
-            ..self.stats
-        }
     }
 
     /// Demand statistics of each level: L1I, L1D, L2 and the L3 (`None`
@@ -200,24 +140,14 @@ impl Hierarchy {
         ]
     }
 
-    /// Resets the statistics of every level and of the TLB (contents and
-    /// translations are kept) — call at the end of the warm-up prefix.
+    /// Resets the statistics of every level (contents are kept) — call at
+    /// the end of the warm-up prefix.
     pub fn reset_stats(&mut self) {
-        self.stats = HierarchyStats::default();
         self.l1i.reset_stats();
         self.l1d.reset_stats();
         self.l2.reset_stats();
         if let Some(l3) = &mut self.l3 {
             l3.reset_stats();
-        }
-        self.tlb.reset_stats();
-    }
-
-    /// Notes that one instruction has been processed (for per-instruction
-    /// miss rates). Simulators call this once per retired instruction.
-    pub fn count_instruction(&mut self) {
-        if self.count_insts {
-            self.stats.insts += 1;
         }
     }
 
@@ -246,60 +176,32 @@ impl Hierarchy {
         if line == self.last_ifetch_line {
             // Sequential fetch within the line just fetched: resident and
             // MRU by construction (see the field invariant), so answer
-            // without the set scan. The hit is still counted; armed runs
-            // still walk the TLB so `mem.tlb.*` counters stay exact.
-            if self.obs_armed {
-                self.tlb.access(pc);
-            }
+            // without the set scan. The hit is still counted.
             self.l1i.count_hit();
             return Access::L1Hit;
         }
         self.last_ifetch_line = line;
-        if self.obs_armed {
-            self.tlb.access(pc);
-        }
-        let a = Self::classify(&mut self.l1i, &mut self.l2, self.l3.as_mut(), pc);
-        if a.is_off_chip() {
-            self.stats.imisses += 1;
-        }
-        a
+        Self::classify(&mut self.l1i, &mut self.l2, self.l3.as_mut(), pc)
     }
 
     /// Classifies (and performs) a demand load of `addr`.
     #[inline]
     pub fn load(&mut self, addr: u64) -> Access {
-        if self.obs_armed {
-            self.tlb.access(addr);
-        }
-        let a = Self::classify(&mut self.l1d, &mut self.l2, self.l3.as_mut(), addr);
-        if a.is_off_chip() {
-            self.stats.dmisses += 1;
-        }
-        a
+        Self::classify(&mut self.l1d, &mut self.l2, self.l3.as_mut(), addr)
     }
 
     /// Classifies (and performs) a store to `addr` (write-allocate).
     #[inline]
     pub fn store(&mut self, addr: u64) -> Access {
-        if self.obs_armed {
-            self.tlb.access(addr);
-        }
-        let a = Self::classify(&mut self.l1d, &mut self.l2, self.l3.as_mut(), addr);
-        if a.is_off_chip() {
-            self.stats.smisses += 1;
-        }
-        a
+        Self::classify(&mut self.l1d, &mut self.l2, self.l3.as_mut(), addr)
     }
 
     /// Classifies (and performs) a software or runahead prefetch of
     /// `addr`. The line is installed so that later demand accesses hit.
     pub fn prefetch(&mut self, addr: u64) -> Access {
-        if self.obs_armed {
-            self.tlb.access(addr);
-        }
         // Fills without counting, like `classify` (each touch fills on a
         // miss, so the L2 needs no second touch after an outer miss).
-        let a = if self.l1d.touch(addr) {
+        if self.l1d.touch(addr) {
             Access::L1Hit
         } else if self.l2.touch(addr) {
             Access::L2Hit
@@ -307,11 +209,7 @@ impl Hierarchy {
             Access::L3Hit
         } else {
             Access::OffChip
-        };
-        if a.is_off_chip() {
-            self.stats.pmisses += 1;
         }
-        a
     }
 
     /// Whether the line containing `addr` is resident in the L2 (i.e. a
@@ -321,8 +219,8 @@ impl Hierarchy {
         self.l2.probe(addr)
     }
 
-    /// Flushes per-level hit/miss/eviction and TLB statistics into the
-    /// global `mlp-obs` counters (`mem.<level>.*`). A no-op unless
+    /// Flushes per-level hit/miss/eviction statistics into the global
+    /// `mlp-obs` counters (`mem.<level>.*`). A no-op unless
     /// counters are armed; simulators call this once at end of run so
     /// the per-access hot paths carry no probes at all.
     pub fn flush_obs(&self) {
@@ -351,16 +249,12 @@ impl Hierarchy {
                 mlp_obs::Counter::new("mem.l3.evictions"),
             ],
         ];
-        static TLB_HITS: mlp_obs::Counter = mlp_obs::Counter::new("mem.tlb.hits");
-        static TLB_MISSES: mlp_obs::Counter = mlp_obs::Counter::new("mem.tlb.misses");
         for (counters, stats) in LEVELS.iter().zip(self.level_stats()) {
             let Some(stats) = stats else { continue };
             counters[0].add(stats.hits);
             counters[1].add(stats.misses);
             counters[2].add(stats.evictions);
         }
-        TLB_HITS.add(self.tlb.hits());
-        TLB_MISSES.add(self.tlb.misses());
     }
 }
 
@@ -374,7 +268,6 @@ mod tests {
             l1d: CacheConfig::new(1024, 2),
             l2: CacheConfig::new(8192, 4),
             l3: None,
-            tlb: TlbConfig::default(),
         })
     }
 
@@ -406,9 +299,10 @@ mod tests {
         let mut m = small();
         assert_eq!(m.prefetch(0x7000), Access::OffChip);
         assert_eq!(m.load(0x7000), Access::L1Hit);
-        let s = m.stats();
-        assert_eq!(s.pmisses, 1);
-        assert_eq!(s.dmisses, 0);
+        // The prefetch filled without counting; the load is a demand hit.
+        let [_, l1d, l2, _] = m.level_stats();
+        assert_eq!((l1d.unwrap().hits, l1d.unwrap().misses), (1, 0));
+        assert_eq!(l2.unwrap().accesses(), 0);
     }
 
     #[test]
@@ -420,36 +314,11 @@ mod tests {
     }
 
     #[test]
-    fn miss_kinds_attributed() {
-        let mut m = small();
-        m.ifetch(0x10_0000);
-        m.load(0x20_0000);
-        m.store(0x30_0000);
-        m.prefetch(0x40_0000);
-        let s = m.stats();
-        assert_eq!(s.imisses, 1);
-        assert_eq!(s.dmisses, 1);
-        assert_eq!(s.smisses, 1);
-        assert_eq!(s.pmisses, 1);
-        assert_eq!(s.off_chip_total(), 4);
-    }
-
-    #[test]
-    fn miss_rate_per_100() {
-        let mut m = small();
-        m.load(0x20_0000);
-        for _ in 0..100 {
-            m.count_instruction();
-        }
-        assert!((m.stats().miss_rate_per_100() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn reset_stats_preserves_contents() {
         let mut m = small();
         m.load(0x5000);
         m.reset_stats();
-        assert_eq!(m.stats().off_chip_total(), 0);
+        assert!(m.level_stats().iter().flatten().all(|s| s.accesses() == 0));
         assert_eq!(m.load(0x5000), Access::L1Hit);
     }
 
@@ -460,7 +329,6 @@ mod tests {
         assert_eq!(c.l1d.size_bytes, 32 * 1024);
         assert_eq!(c.l2.size_bytes, 2 * 1024 * 1024);
         assert_eq!(c.l2.assoc, 4);
-        assert_eq!(c.tlb.entries, 2048);
     }
 
     #[test]
@@ -483,7 +351,6 @@ mod tests {
                 l1d: CacheConfig::new(1024, 2),
                 l2: CacheConfig::new(8192, 4),
                 l3: None,
-                tlb: TlbConfig::default(),
             }
             .with_l3_bytes(1024 * 1024),
         );

@@ -1,15 +1,18 @@
-//! Set-associative caches, TLB and the on-chip memory hierarchy used by the
+//! Set-associative caches and the on-chip memory hierarchy used by the
 //! MLP simulators.
 //!
-//! The paper's default hierarchy is modelled exactly: 32 KB 4-way L1
-//! instruction and data caches, a shared 2 MB 4-way L2, all with 64-byte
-//! lines, and a 2K-entry shared TLB. A miss in the *furthest on-chip cache*
-//! (the L2 here — the paper assumes no L3) is an **off-chip access**, the
-//! unit the whole MLP study is built around.
+//! The paper's default caches are modelled exactly: 32 KB 4-way L1
+//! instruction and data caches and a shared 2 MB 4-way L2, all with
+//! 64-byte lines. A miss in the *furthest on-chip cache* (the L2 here —
+//! the paper assumes no L3) is an **off-chip access**, the unit the whole
+//! MLP study is built around. The paper's 2K-entry TLB is not modelled:
+//! the traces carry no page-table walks, so no TLB miss could send an
+//! access off chip.
 //!
 //! The central type is [`Hierarchy`]; simulators ask it to classify each
 //! instruction fetch, load, store or prefetch as an [`Access`] outcome and
-//! it performs the fills as a side effect.
+//! it performs the fills as a side effect. Besides that classification it
+//! keeps only each level's hit, miss and eviction counts.
 //!
 //! # Examples
 //!
@@ -27,9 +30,7 @@
 mod cache;
 mod hierarchy;
 mod mshr;
-mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use hierarchy::{Access, Hierarchy, HierarchyConfig, HierarchyStats};
+pub use hierarchy::{Access, Hierarchy, HierarchyConfig};
 pub use mshr::{Mshr, MshrOutcome};
-pub use tlb::{Tlb, TlbConfig};

@@ -261,11 +261,12 @@ impl<'a, S: InstSource> Annotated<'a, S> {
     /// Brings the run to its warm-up boundary: walks instructions
     /// `[0, warmup)` in program order, which runs a run's own pass over
     /// them, and trains `values` from their bits. A run over a shared
-    /// column without a value predictor walks nothing. Returns the
-    /// boundary: `warmup`, or the end of the trace if that comes first.
+    /// column whose value predictor has no table (none, or perfect) walks
+    /// nothing. Returns the boundary: `warmup`, or the end of the trace
+    /// if that comes first.
     pub(crate) fn warm_up(&mut self, warmup: u64, values: &mut ValuePredictor) -> usize {
         let warmup = usize::try_from(warmup).unwrap_or(usize::MAX);
-        let train = !matches!(values, ValuePredictor::Off);
+        let train = !matches!(values, ValuePredictor::Off | ValuePredictor::Perfect);
         if self.pass.is_none() && !train {
             return self.src.ensure(warmup).min(warmup);
         }

@@ -158,10 +158,9 @@ proptest! {
 
     /// Demand accesses are conserved across levels: every L1 demand miss
     /// probes the L2 exactly once and every L2 demand miss the L3
-    /// (prefetches fill without counting), the TLB sees every operation,
-    /// and each level's hits+misses equals the demand accesses it was
-    /// offered. Statistics reset at a random point count only the
-    /// operations after it.
+    /// (prefetches fill without counting), and each level's hits+misses
+    /// equals the demand accesses it was offered. Statistics reset at a
+    /// random point count only the operations after it.
     #[test]
     fn hierarchy_counters_conserve_demand_accesses(
         ops in proptest::collection::vec(arb_op(), 1..600),
@@ -201,14 +200,11 @@ proptest! {
         prop_assert_eq!(l1d_h + l1d_m, demand_data, "L1D sees every load/store");
         prop_assert_eq!(l2_h + l2_m, l1i_m + l1d_m, "L2 sees exactly the L1 misses");
         prop_assert_eq!(l3_h + l3_m, l2_m, "L3 sees exactly the L2 misses");
-        prop_assert_eq!(
-            s.counter("mem.tlb.hits") + s.counter("mem.tlb.misses"),
-            measured.len() as u64,
-            "TLB sees every operation"
-        );
-        // Evictions require fills; fills require misses somewhere.
+        // An L2 eviction needs an L2 fill after the reset: a demand miss
+        // or a prefetch.
         if s.counter("mem.l2.evictions") > 0 {
-            prop_assert!(l2_m + s.counter("mem.tlb.misses") > 0);
+            let prefetched = measured.iter().any(|op| matches!(op, Op::Prefetch(_)));
+            prop_assert!(l2_m > 0 || prefetched);
         }
     }
 

@@ -18,9 +18,11 @@ echo "==> examples (release)"
 # over live generators: quickstart runs Simulator::run,
 # design_space_sweep CycleSim::run, smt_corun SmtSim::run, and
 # runahead_exploration Simulator::run with perfect branch prediction,
-# whose own pass masks the predictor's verdicts. A non-zero exit fails
-# the gate.
-for example in quickstart design_space_sweep smt_corun runahead_exploration; do
+# whose own pass masks the predictor's verdicts, and database_mlp_study
+# counts its miss census from the Access values mlp-mem returns. A
+# non-zero exit fails the gate.
+for example in quickstart design_space_sweep smt_corun runahead_exploration \
+    database_mlp_study; do
     cargo run -q --release --example "$example" >/dev/null
 done
 
@@ -77,8 +79,8 @@ echo "==> trace codec suites (release)"
 cargo test -q --release -p mlp-isa
 
 echo "==> memory-hierarchy suites (release)"
-# The O(1) TLB must match its stamp-and-scan reference, and the
-# hierarchy its reference copy, in the optimized build too.
+# The hierarchy must match its reference copy, outcomes and per-level
+# counters alike, in the optimized build too.
 cargo test -q --release -p mlp-mem
 
 echo "==> predictor suites (release)"
@@ -129,11 +131,17 @@ target/release/mlp-stats diff \
 # figure10's perfect-branch-prediction arms walk the default predictor,
 # so each reads its real twin's column: two keys per workload (perfect
 # instruction fetch or not), six passes for thirty runs. A perfect-BP
-# key that drifts back to a pass of its own fails here.
+# key that drifts back to a pass of its own fails here. Its perfect
+# value-prediction arms have no table to train, so no run walks its
+# warm-up prefix.
 MLP_OBS=counters MLP_THREADS=1 target/release/mlp-experiments \
     --only figure10 --scale quick --json "$smoke_dir" >/dev/null
 grep -q '"mlpsim.annotate.passes": 6,' "$smoke_dir/figure10.quick.json"
 grep -q '"mlpsim.annotate.shared_runs": 30,' "$smoke_dir/figure10.quick.json"
+if grep -q '"mlpsim.warm.passes"' "$smoke_dir/figure10.quick.json"; then
+    echo "figure10 made a warm-up pass without a value-predictor table" >&2
+    exit 1
+fi
 
 echo "==> streaming smoke (spilled trace run == in-memory run)"
 # Force every trace to spill as a chunked v2 file and re-run experiments
@@ -220,8 +228,8 @@ echo "==> serve chaos suite (hang/io-error/cache-corrupt/shed, release)"
 cargo test -q --release -p mlp-serve --test chaos
 
 echo "==> armed smoke (MLP_OBS=counters output == unarmed output)"
-# Arming the mlp-obs counters must not change a result: the armed-only
-# TLB walk and the statistics reset at the warm-up boundary must leave
+# Arming the mlp-obs counters must not change a result: the statistics
+# reset at the warm-up boundary and the end-of-run flushes must leave
 # the text alone; l3 also runs a hierarchy with an L3. Timings go to
 # stderr.
 target/release/mlp-experiments --only fm,l3 --scale quick > "$stream_dir/unarmed.txt"

@@ -34,7 +34,7 @@ use mlp_experiments::runner::{run_cyclesim, run_mlpsim, shared_seeded, sweep, SE
 use mlp_experiments::RunScale;
 use mlp_obs::Mode;
 use mlp_workloads::WorkloadKind;
-use mlpsim::{BranchMode, MlpsimConfig, Simulator};
+use mlpsim::{BranchMode, MlpsimConfig, Simulator, ValueMode};
 use std::sync::Mutex;
 
 /// Maximum relative disagreement between the engines' useful off-chip
@@ -229,9 +229,10 @@ fn surrogate_active_loop_matches_direct_simulation_bit_for_bit() {
 /// branch prediction walks the default predictor, so it reads its real
 /// twin's column and makes no pass of its own, and a pass made for
 /// perfect runs alone counts the cache accesses of the real runs' pass.
-/// The annotation counters say so, the runs, which have no value
-/// predictor, make no warm-up pass, and the engine counters still equal
-/// the reports exactly.
+/// The annotation counters say so; a run walks its warm-up prefix only
+/// to train a value predictor's table, so runs with no value predictor
+/// or a perfect one make no warm-up pass and each last-value run makes
+/// one; and the engine counters still equal the reports exactly.
 #[test]
 fn sweep_runs_share_one_annotation_column() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -251,6 +252,10 @@ fn sweep_runs_share_one_annotation_column() {
     };
     let perfect_bp = |window: usize| MlpsimConfig {
         branch: BranchMode::Perfect,
+        ..config(window, false)
+    };
+    let value = |window: usize, value: ValueMode| MlpsimConfig {
+        value,
         ..config(window, false)
     };
     let reports = sweep(vec![16usize, 64, 256, 1024], |&w| {
@@ -289,18 +294,31 @@ fn sweep_runs_share_one_annotation_column() {
         run_mlpsim(WorkloadKind::Database, perfect_bp(w), scale)
     });
     let perfect = mlp_obs::snapshot_and_reset();
+    // Perfect value prediction has no table to train.
+    sweep(vec![16usize, 64], |&w| {
+        run_mlpsim(WorkloadKind::Database, value(w, ValueMode::Perfect), scale)
+    });
+    let perfect_vp = mlp_obs::snapshot_and_reset();
+    // A last-value table is trained by each run's own warm-up walk.
+    sweep(vec![16usize, 64], |&w| {
+        let config = value(w, ValueMode::LastValue(1024));
+        run_mlpsim(WorkloadKind::Database, config, scale)
+    });
+    let last_value = mlp_obs::snapshot_and_reset();
     mlp_obs::set_for_test(None);
-    for (snap, runs, passes) in [
-        (&four, 4, 1),
-        (&once, 1, 1),
-        (&two, 4, 2),
-        (&mixed, 4, 1),
-        (&perfect, 2, 1),
+    for (snap, runs, passes, warm_passes) in [
+        (&four, 4, 1, 0),
+        (&once, 1, 1, 0),
+        (&two, 4, 2, 0),
+        (&mixed, 4, 1, 0),
+        (&perfect, 2, 1, 0),
+        (&perfect_vp, 2, 1, 0),
+        (&last_value, 2, 1, 2),
     ] {
         assert_eq!(snap.counter("mlpsim.runs"), runs);
         assert_eq!(snap.counter("mlpsim.annotate.passes"), passes);
         assert_eq!(snap.counter("mlpsim.annotate.shared_runs"), runs);
-        assert_eq!(snap.counter("mlpsim.warm.passes"), 0);
+        assert_eq!(snap.counter("mlpsim.warm.passes"), warm_passes);
     }
     let mem = |snap: &mlp_obs::Snapshot| -> Vec<(&str, u64)> {
         snap.counters
